@@ -10,6 +10,7 @@ layers over raw histogram counts.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,6 +259,9 @@ def train_classifier(
     """Full-batch gradient descent with momentum on the softmax cross-entropy.
 
     X rows are raw node-kind histograms in both modes; y holds label indices.
+    With a cv split, the returned model is the one of the epoch with the
+    lowest cv cross-entropy (the earliest, on a tie); without one, that of
+    the last epoch. The curves record every epoch.
     """
     if X.shape[0] != len(y):
         raise ValueError("feature/label length mismatch")
@@ -266,6 +270,7 @@ def train_classifier(
     vel_b = [np.zeros_like(b) for b in model.biases]
     vel_e = np.zeros_like(model.embed) if model.embed is not None else None
 
+    best, best_xent = model, np.inf
     curves = TrainCurves()
     for epoch in range(config.epochs):
         loss, gw, gb, ge = loss_and_gradients(model, X, y, config.fine_tune)
@@ -285,9 +290,11 @@ def train_classifier(
         curves.train_acc.append(acc)
         if cv is not None:
             acc_cv, xent_cv = evaluate(model, cv[0], cv[1])
+            if xent_cv < best_xent:
+                best, best_xent = copy.deepcopy(model), xent_cv
             curves.cv_xent.append(xent_cv)
             curves.cv_acc.append(acc_cv)
-    return model, curves
+    return (model if cv is None else best), curves
 
 
 def evaluate(

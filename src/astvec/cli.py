@@ -125,8 +125,7 @@ def _load_corpus_file(path) -> list:
 def cmd_train(args) -> int:
     from .sampling import build_training_set
 
-    corpus = _load_corpus_file(args.corpus)
-    samples = build_training_set(corpus)
+    samples = build_training_set(_load_corpus_file(args.corpus))
     if not samples:
         raise CliError("corpus yields no training samples")
     hyper = _hyper_from_args(args)

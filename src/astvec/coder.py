@@ -6,16 +6,23 @@ Training pulls the reconstruction distance of real samples below that of
 corrupted ones by a margin, with an l2 penalty on the two weight matrices.
 All gradients here are exact and checked against finite differences in the
 test suite.
+
+Every function runs the coder through one batched forward pass over packed
+rows (see `sampling.pack_samples`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ast_core import VOCAB_SIZE
-from .sampling import NegativeSample, TrainingSample
+from .sampling import NegativeSample, TrainingSample, pack_samples
+
+# Pairs per batch in `objective`, which bounds its working memory.
+OBJECTIVE_CHUNK = 256
 
 
 @dataclass
@@ -29,6 +36,9 @@ class Hyperparams:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("delta", "lam", "alpha", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.n_f < 1:
             raise ValueError("n_f must be >= 1")
         if self.delta < 0:
@@ -43,45 +53,48 @@ class Hyperparams:
             raise ValueError("epochs must be >= 0")
 
 
-@dataclass
 class ModelParams:
-    embeddings: np.ndarray  # (V, N_f)
-    w_l: np.ndarray         # (N_f, N_f)
-    w_r: np.ndarray         # (N_f, N_f)
-    b: np.ndarray           # (N_f,)
+    """The coder's parameters, all views of one contiguous float64 buffer.
+
+    `flat` holds the embeddings (V, N_f), w = [W_l W_r] (N_f, 2 N_f) and
+    b (N_f,), in that order, so one array operation updates the whole set,
+    and a gradient or a velocity with the same layout is a flat array too.
+    """
+
+    def __init__(self, embeddings, w_l, w_r, b):
+        parts = (embeddings, np.hstack([w_l, w_r]), b)
+        self._view(np.concatenate([np.ravel(a) for a in parts], dtype=np.float64),
+                   np.shape(b)[0])
+
+    @classmethod
+    def of_flat(cls, flat: np.ndarray, n_f: int) -> "ModelParams":
+        """Parameters viewing `flat` itself, not a copy."""
+        params = cls.__new__(cls)
+        params._view(flat, n_f)
+        return params
+
+    def _view(self, flat: np.ndarray, n_f: int) -> None:
+        w_start = flat.size - 2 * n_f * n_f - n_f
+        self.flat = flat
+        self.w_span = slice(w_start, flat.size - n_f)
+        self.embeddings = flat[:w_start].reshape(-1, n_f)
+        self.w = flat[self.w_span].reshape(n_f, 2 * n_f)
+        self.w_l = self.w[:, :n_f]
+        self.w_r = self.w[:, n_f:]
+        self.b = flat[self.w_span.stop :]
 
     @property
     def n_f(self) -> int:
         return self.b.shape[0]
 
+    def zeros_like(self) -> "ModelParams":
+        return ModelParams.of_flat(np.zeros_like(self.flat), self.n_f)
+
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.embeddings.copy(), self.w_l.copy(), self.w_r.copy(), self.b.copy()
-        )
+        return ModelParams.of_flat(self.flat.copy(), self.n_f)
 
     def allclose(self, other: "ModelParams", **kw) -> bool:
-        return (
-            np.allclose(self.embeddings, other.embeddings, **kw)
-            and np.allclose(self.w_l, other.w_l, **kw)
-            and np.allclose(self.w_r, other.w_r, **kw)
-            and np.allclose(self.b, other.b, **kw)
-        )
-
-
-@dataclass
-class Gradient:
-    """Embedding gradients are kept sparse, keyed by touched symbol id."""
-
-    embeddings: dict[int, np.ndarray] = field(default_factory=dict)
-    w_l: np.ndarray = None
-    w_r: np.ndarray = None
-    b: np.ndarray = None
-
-    def add_embedding(self, symbol_id: int, grad: np.ndarray) -> None:
-        if symbol_id in self.embeddings:
-            self.embeddings[symbol_id] = self.embeddings[symbol_id] + grad
-        else:
-            self.embeddings[symbol_id] = grad.copy()
+        return np.allclose(self.flat, other.flat, **kw)
 
 
 def init_params(hyper: Hyperparams, rng: np.random.Generator) -> ModelParams:
@@ -96,45 +109,47 @@ def init_params(hyper: Hyperparams, rng: np.random.Generator) -> ModelParams:
     )
 
 
-def child_weight(n: int, i: int) -> tuple[float, float]:
-    """Interpolation coefficients (left, right) for child i of n, 1-based."""
-    if not 1 <= i <= n:
-        raise ValueError(f"child position {i} out of range for {n} children")
-    if n == 1:
-        return 0.5, 0.5
-    return (n - i) / (n - 1), (i - 1) / (n - 1)
+def _forward(ids: np.ndarray, coef: np.ndarray, params: ModelParams):
+    """The coder on a batch of packed rows: ids (B, 1+K), parent id then child
+    ids; coef (B, 2, 1+K), or (2, 1+K) shared by every row.
+
+    Returns (s, h, e): s (B, 2 N_f) the children's left- and right-weighted
+    vector sums side by side, h = tanh([W_l W_r] s + b) the coded vectors and
+    e the parent vectors minus h.
+    """
+    vectors = params.embeddings.take(ids, axis=0)
+    s = (coef @ vectors).reshape(len(ids), -1)
+    h = np.tanh(s @ params.w.T + params.b)
+    return s, h, vectors[:, 0] - h
 
 
-def _forward(children, coefficients, params: ModelParams):
-    """Shared forward pass; returns (h, sum_left, sum_right) where
-    h = tanh(W_l @ sum_left + W_r @ sum_right + b)."""
-    n = len(children)
-    n_f = params.n_f
-    sum_left = np.zeros(n_f)
-    sum_right = np.zeros(n_f)
-    for i, (child, l_i) in enumerate(zip(children, coefficients), start=1):
-        left, right = child_weight(n, i)
-        u = l_i * params.embeddings[child.id]
-        sum_left += left * u
-        sum_right += right * u
-    z = params.w_l @ sum_left + params.w_r @ sum_right + params.b
-    return np.tanh(z), sum_left, sum_right
+def _sample_rows(samples):
+    packed = pack_samples(samples)
+    return packed.ids[packed.rows], packed.coef[packed.rows]
 
 
 def code_children(sample, params: ModelParams) -> np.ndarray:
     """tanh( sum_i l_i W_i vec(c_i) + b ) with W_i from child_weight."""
-    h, _, _ = _forward(sample.children, sample.coefficients, params)
-    return h
+    _, h, _ = _forward(*_sample_rows([sample]), params)
+    return h[0]
 
 
 def distance(sample, params: ModelParams) -> float:
     """Squared Euclidean distance between the parent vector and the coded one."""
-    e = params.embeddings[sample.parent.id] - code_children(sample, params)
-    return float(e @ e)
+    _, _, e = _forward(*_sample_rows([sample]), params)
+    return float(e[0] @ e[0])
 
 
 def hinge_loss(d: float, d_c: float, delta: float) -> float:
     return max(0.0, delta + d - d_c)
+
+
+def l2_penalty(params: ModelParams, hyper: Hyperparams) -> float:
+    """(lam/2M)(|W_l|_F^2 + |W_r|_F^2), M = 2 N_f^2."""
+    m = 2.0 * hyper.n_f**2
+    return (hyper.lam / (2.0 * m)) * (
+        float(np.sum(params.w_l**2)) + float(np.sum(params.w_r**2))
+    )
 
 
 def pair_loss(
@@ -146,11 +161,7 @@ def pair_loss(
     """Per-pair objective: hinge term plus the l2 share on W_l, W_r."""
     d = distance(sample, params)
     d_c = distance(negative, params)
-    m = 2.0 * hyper.n_f**2
-    penalty = (hyper.lam / (2.0 * m)) * (
-        float(np.sum(params.w_l**2)) + float(np.sum(params.w_r**2))
-    )
-    return hinge_loss(d, d_c, hyper.delta) + penalty
+    return hinge_loss(d, d_c, hyper.delta) + l2_penalty(params, hyper)
 
 
 def objective(
@@ -158,77 +169,58 @@ def objective(
     params: ModelParams,
     hyper: Hyperparams,
 ) -> float:
-    """(1/2N) sum of hinges + (lam/2M)(|W_l|_F^2 + |W_r|_F^2), M = 2 N_f^2."""
+    """(1/2N) sum of hinges + (lam/2M)(|W_l|_F^2 + |W_r|_F^2), M = 2 N_f^2.
+
+    Pairs are coded OBJECTIVE_CHUNK at a time, each distinct sample of a
+    chunk once.
+    """
     if not pairs:
         raise ValueError("objective requires at least one sample pair")
     total = 0.0
-    for sample, negative in pairs:
-        total += hinge_loss(
-            distance(sample, params), distance(negative, params), hyper.delta
-        )
-    n = len(pairs)
-    m = 2.0 * hyper.n_f**2
-    penalty = (hyper.lam / (2.0 * m)) * (
-        float(np.sum(params.w_l**2)) + float(np.sum(params.w_r**2))
-    )
-    return total / (2.0 * n) + penalty
+    for start in range(0, len(pairs), OBJECTIVE_CHUNK):
+        chunk = pairs[start : start + OBJECTIVE_CHUNK]
+        packed = pack_samples(s for pair in chunk for s in pair)
+        _, _, e = _forward(packed.ids, packed.coef, params)
+        d = (e * e).sum(axis=1)[packed.rows].reshape(-1, 2)
+        total += float(np.maximum(0.0, hyper.delta + d[:, 0] - d[:, 1]).sum())
+    return total / (2.0 * len(pairs)) + l2_penalty(params, hyper)
 
 
-def _distance_gradient(sample, params: ModelParams, grad: Gradient, scale: float):
-    """Accumulate scale * d(distance)/d(theta) into grad; returns the distance."""
-    children = sample.children
-    coefficients = sample.coefficients
-    h, sum_left, sum_right = _forward(children, coefficients, params)
-    p_vec = params.embeddings[sample.parent.id]
-    e = p_vec - h
-    d = float(e @ e)
-
-    g = -2.0 * e * (1.0 - h * h)  # d(distance)/dz
-    grad.add_embedding(sample.parent.id, scale * 2.0 * e)
-    grad.b += scale * g
-    grad.w_l += scale * np.outer(g, sum_left)
-    grad.w_r += scale * np.outer(g, sum_right)
-
-    wl_g = params.w_l.T @ g
-    wr_g = params.w_r.T @ g
-    n = len(children)
-    for i, (child, l_i) in enumerate(zip(children, coefficients), start=1):
-        left, right = child_weight(n, i)
-        grad.add_embedding(child.id, scale * l_i * (left * wl_g + right * wr_g))
-    return d
+# d(d - d_c)/d(e) is 2e on the real row of a pair and -2e on the corrupted one.
+_PAIR_SIGN = np.array([[2.0], [-2.0]])
 
 
 def gradient_and_hinge(
-    sample: TrainingSample,
-    negative: NegativeSample,
+    ids: np.ndarray,
+    coef: np.ndarray,
     params: ModelParams,
     hyper: Hyperparams,
-) -> tuple[Gradient, float]:
-    """Exact gradient of pair_loss plus the hinge value of the pair.
+) -> tuple[np.ndarray, float]:
+    """Exact gradient of pair_loss plus the hinge value of one pair.
+
+    ids (2, 1+K) holds the packed row of the real sample, then that of its
+    corrupted copy; coef (2, 1+K) is their shared row of child weights. The
+    gradient is a flat array in the layout of `params.flat`. Both rows share
+    one forward pass, which the gradient reuses.
 
     At the hinge kink (margin exactly met) the subgradient 0 is used, so a
     satisfied pair contributes only the l2 part.
     """
-    n_f = params.n_f
-    grad = Gradient(
-        w_l=np.zeros((n_f, n_f)), w_r=np.zeros((n_f, n_f)), b=np.zeros(n_f)
-    )
-    d = distance(sample, params)
-    d_c = distance(negative, params)
+    s, h, e = _forward(ids, coef, params)
+    d, d_c = (e * e).sum(axis=1).tolist()
     hinge = hinge_loss(d, d_c, hyper.delta)
+    flat = np.zeros(params.flat.size)
+    w_span = params.w_span
+    np.multiply(params.flat[w_span], hyper.lam / (2.0 * hyper.n_f**2), out=flat[w_span])
     if hinge > 0.0:
-        _distance_gradient(sample, params, grad, scale=1.0)
-        _distance_gradient(negative, params, grad, scale=-1.0)
-    m = 2.0 * hyper.n_f**2
-    grad.w_l += (hyper.lam / m) * params.w_l
-    grad.w_r += (hyper.lam / m) * params.w_r
-    return grad, hinge
-
-
-def gradient(
-    sample: TrainingSample,
-    negative: NegativeSample,
-    params: ModelParams,
-    hyper: Hyperparams,
-) -> Gradient:
-    return gradient_and_hinge(sample, negative, params, hyper)[0]
+        grad = ModelParams.of_flat(flat, params.n_f)
+        de = _PAIR_SIGN * e
+        dz = de * (h * h - 1.0)
+        grad.b[:] = dz[0] + dz[1]
+        grad.w += dz.T @ s
+        # slot j of row p: coef[0, j] W_l^T dz_p + coef[1, j] W_r^T dz_p,
+        # which is 0 on the parent slot, where the parent's own term goes
+        slots = coef.T @ (dz @ params.w).reshape(2, 2, -1)
+        slots[:, 0] += de
+        np.add.at(grad.embeddings, ids, slots)
+    return flat, hinge

@@ -1,24 +1,30 @@
 """Stochastic gradient descent with momentum over sample pairs.
 
 One running velocity buffer is kept for the whole parameter set and carried
-across epochs; each step generates a fresh negative sample, folds the pair
-gradient into the velocity with decay epsilon, and applies the update. All
-randomness (init, shuffling, corruption) flows from a single seeded stream,
-so runs are reproducible bit for bit and resumable from checkpoints.
+across epochs; each step pairs a sample with a fresh negative, folds the pair
+gradient into the velocity with decay epsilon, and applies the update. The
+samples are packed once per call, and an epoch's negatives are drawn in one
+go before its steps. All randomness (init, shuffling, corruption) flows from
+a single seeded stream, so runs are reproducible bit for bit and resumable
+from checkpoints.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ast_core import KIND_NAMES
-from .coder import Gradient, Hyperparams, ModelParams, gradient_and_hinge, init_params
-from .sampling import TrainingSample, corrupt
+from .coder import Hyperparams, ModelParams, gradient_and_hinge, init_params, l2_penalty
+from .sampling import TrainingSample, pack_samples
+# An epoch's negatives are drawn through this name and each step's pair goes
+# through gradient_and_hinge; the traced benchmark wraps both here.
+from .sampling import corrupt_packed as corrupt
 
 CHECKPOINT_VERSION = 1
 
@@ -50,6 +56,7 @@ class TrainReport:
     epochs_run: int = 0
     wall_time: float = 0.0
     seed: int = 0
+    first_epoch: int = 1  # number of the first epoch this report covers
 
 
 @dataclass
@@ -77,21 +84,13 @@ def has_converged(history: list[float]) -> bool:
     return True
 
 
-def _zero_velocity(n_f: int, vocab_size: int) -> ModelParams:
-    return ModelParams(
-        embeddings=np.zeros((vocab_size, n_f)),
-        w_l=np.zeros((n_f, n_f)),
-        w_r=np.zeros((n_f, n_f)),
-        b=np.zeros(n_f),
-    )
-
-
-def fresh_state(samples_unused, hyper: Hyperparams) -> TrainState:
+def fresh_state(hyper: Hyperparams) -> TrainState:
     hyper.validate()
     rng = np.random.default_rng(hyper.seed)
     params = init_params(hyper, rng)
-    velocity = _zero_velocity(hyper.n_f, params.embeddings.shape[0])
-    return TrainState(params=params, velocity=velocity, epoch=0, rng=rng, hyper=hyper)
+    return TrainState(
+        params=params, velocity=params.zeros_like(), epoch=0, rng=rng, hyper=hyper
+    )
 
 
 def train(
@@ -108,63 +107,41 @@ def train(
     if not samples:
         raise ValueError("training requires at least one sample")
     if state is None:
-        state = fresh_state(samples, hyper)
+        state = fresh_state(hyper)
     else:
         hyper = state.hyper
     limit = hyper.epochs if max_epochs is None else max_epochs
 
+    packed = pack_samples(samples)
     params = state.params
-    vel = state.velocity
+    theta = params.flat
+    vel = state.velocity.flat
     rng = state.rng
     eps = hyper.epsilon
     alpha = hyper.alpha
     n = len(samples)
 
-    report = TrainReport(seed=hyper.seed)
+    report = TrainReport(seed=hyper.seed, first_epoch=state.epoch + 1)
     start = time.perf_counter()
 
     while state.epoch < limit and not has_converged(state.loss_history):
         order = rng.permutation(n) if shuffle else np.arange(n)
+        rows, pairs = corrupt(packed, order, rng)
         hinge_total = 0.0
-        for idx in order:
-            sample = samples[idx]
-            negative = corrupt(sample, rng)
-            grad, hinge = gradient_and_hinge(sample, negative, params, hyper)
+        for step, (row, ids) in enumerate(zip(rows, pairs)):
+            grad, hinge = gradient_and_hinge(ids, packed.coef[row], params, hyper)
             hinge_total += hinge
-
-            vel.w_l *= eps
-            vel.w_l += grad.w_l
-            vel.w_r *= eps
-            vel.w_r += grad.w_r
-            vel.b *= eps
-            vel.b += grad.b
-            vel.embeddings *= eps
-            for sid, g_e in grad.embeddings.items():
-                vel.embeddings[sid] += g_e
-
-            params.w_l -= alpha * vel.w_l
-            params.w_r -= alpha * vel.w_r
-            params.b -= alpha * vel.b
-            params.embeddings -= alpha * vel.embeddings
-
-            if not np.isfinite(hinge) or not np.isfinite(params.b).all():
-                raise TrainingDiverged(state.epoch, int(idx))
+            vel *= eps
+            vel += grad
+            theta -= alpha * vel
+            if not (math.isfinite(hinge) and np.isfinite(theta).all()):
+                raise TrainingDiverged(state.epoch, int(order[step]))
 
         mean_hinge = hinge_total / n
-        finite = np.isfinite(mean_hinge) and all(
-            np.isfinite(a).all()
-            for a in (params.embeddings, params.w_l, params.w_r, params.b)
-        )
-        if not finite:
-            raise TrainingDiverged(state.epoch, n - 1)
         state.epoch += 1
         state.loss_history.append(mean_hinge)
         report.mean_hinge.append(mean_hinge)
-        m = 2.0 * hyper.n_f**2
-        penalty = (hyper.lam / (2.0 * m)) * (
-            float(np.sum(params.w_l**2)) + float(np.sum(params.w_r**2))
-        )
-        report.objective.append(mean_hinge / 2.0 + penalty)
+        report.objective.append(mean_hinge / 2.0 + l2_penalty(params, hyper))
 
     report.epochs_run = len(report.mean_hinge)
     report.wall_time = time.perf_counter() - start
@@ -284,6 +261,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 def loss_log_csv(report: TrainReport) -> str:
     lines = ["epoch,mean_hinge,objective"]
-    for i, (h, o) in enumerate(zip(report.mean_hinge, report.objective), start=1):
+    rows = zip(report.mean_hinge, report.objective)
+    for i, (h, o) in enumerate(rows, start=report.first_epoch):
         lines.append(f"{i},{h!r},{o!r}")
     return "\n".join(lines) + "\n"

@@ -28,7 +28,6 @@ from astvec.classify import (
 from astvec.cli import EXIT_INPUT, EXIT_OK, main
 from astvec.coder import (
     Hyperparams,
-    child_weight,
     distance,
     hinge_loss,
     init_params,
@@ -36,7 +35,13 @@ from astvec.coder import (
     pair_loss,
 )
 from astvec.cparse import CParseError, parse_file
-from astvec.sampling import NegativeSample, build_training_set, corrupt, extract_samples
+from astvec.sampling import (
+    NegativeSample,
+    build_training_set,
+    child_weight,
+    corrupt,
+    extract_samples,
+)
 from astvec.trainer import train
 
 from conftest import SNIPPET_SRC, golden_sources, invalid_sources

@@ -185,6 +185,19 @@ class TestClassifier:
         acc, _ = evaluate(model, X, y)
         assert acc == 1.0
 
+    def test_cv_returns_best_epoch(self):
+        X, y = _separable_data(seed=0)
+        cv = _separable_data(seed=1)
+        # lr 2 overshoots: the cv cross-entropy falls, then climbs again
+        config = ClassifierConfig(hidden=(16, 16), epochs=60, lr=2.0, seed=0)
+        model, curves = train_classifier(X, y, ("a", "b", "c"), config, cv=cv)
+        assert len(curves.cv_xent) == len(curves.train_xent) == 60
+        assert curves.cv_xent[-1] > 10 * min(curves.cv_xent)
+        assert evaluate(model, *cv)[1] == min(curves.cv_xent)
+        # without a cv split the last epoch's model comes back
+        last, _ = train_classifier(X, y, ("a", "b", "c"), config)
+        assert evaluate(last, *cv)[1] == curves.cv_xent[-1]
+
     def test_zero_epochs_near_chance(self):
         X, y = _separable_data()
         config = ClassifierConfig(hidden=(8,), epochs=0, seed=0)

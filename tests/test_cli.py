@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from astvec.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from astvec.embedding_io import parse_embeddings
 from astvec.trainer import load_checkpoint
 
-from conftest import CORPUS_PATH, SNIPPET_SRC, invalid_sources
+from conftest import CORPUS_PATH, REPO, SNIPPET_SRC, invalid_sources
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +142,26 @@ class TestTrain:
         ])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--lr", "nan"), ("--margin", "inf"), ("--lambda", "nan"), ("--momentum", "-inf"),
+    ])
+    def test_non_finite_hyper_usage(self, tmp_path, small_corpus_file, flag, value):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "astvec.cli", "train",
+             "--corpus", str(small_corpus_file), "--out", str(tmp_path / "cp.json"),
+             "--epochs", "1", f"{flag}={value}"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "must be finite" in proc.stderr
+        assert not (tmp_path / "cp.json").exists()
+
     def test_resume(self, tmp_path, small_corpus_file):
         full = tmp_path / "full.json"
         assert main([
@@ -151,11 +174,15 @@ class TestTrain:
             "--dim", "5", "--epochs", "2", "--seed", "2",
         ]) == EXIT_OK
         resumed = tmp_path / "resumed.json"
+        log = tmp_path / "resumed.csv"
         assert main([
             "train", "--corpus", str(small_corpus_file), "--out", str(resumed),
             "--resume", str(mid), "--dim", "5", "--epochs", "4", "--seed", "2",
+            "--loss-log", str(log),
         ]) == EXIT_OK
         assert resumed.read_bytes() == full.read_bytes()
+        rows = log.read_text(encoding="utf-8").splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == ["3", "4"]
 
 
 class TestNn:

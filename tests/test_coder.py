@@ -3,20 +3,25 @@ import pytest
 
 from astvec.ast_core import kind_by_name, node, vocabulary
 from astvec.coder import (
-    Gradient,
     Hyperparams,
     ModelParams,
-    child_weight,
     code_children,
     distance,
-    gradient,
     gradient_and_hinge,
     hinge_loss,
     init_params,
     objective,
     pair_loss,
 )
-from astvec.sampling import NegativeSample, TrainingSample, corrupt, extract_samples
+from astvec.sampling import (
+    NegativeSample,
+    TrainingSample,
+    build_training_set,
+    child_weight,
+    corrupt,
+    extract_samples,
+    pack_samples,
+)
 
 
 def _sample(parent, children, coefficients=None):
@@ -89,6 +94,15 @@ class TestChildWeight:
             child_weight(2, 0)
         with pytest.raises(ValueError):
             child_weight(2, 3)
+
+    def test_arrays_match_scalars(self):
+        n = np.array([1, 2, 2, 3, 3, 3, 7])
+        i = np.array([1, 1, 2, 1, 2, 3, 5])
+        left, right = child_weight(n, i)
+        for k in range(len(n)):
+            assert (left[k], right[k]) == child_weight(int(n[k]), int(i[k]))
+        with pytest.raises(ValueError):
+            child_weight(n, i + 1)
 
 
 class TestCodeChildren:
@@ -222,49 +236,66 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective([], _zero_params(2), Hyperparams(n_f=2))
 
+    def test_batched_matches_per_pair_loop(self, corpus):
+        def oracle_distance(sample, p):
+            # literal recomputation, one child at a time
+            n = len(sample.children)
+            z = p.b.copy()
+            for i, (child, share) in enumerate(
+                zip(sample.children, sample.coefficients), start=1
+            ):
+                left, right = child_weight(n, i)
+                z += share * ((left * p.w_l + right * p.w_r) @ p.embeddings[child.id])
+            e = p.embeddings[sample.parent.id] - np.tanh(z)
+            return float(e @ e)
 
-def _flatten(params, touched):
-    parts = [params.w_l.ravel(), params.w_r.ravel(), params.b.ravel()]
-    parts += [params.embeddings[i] for i in touched]
-    return np.concatenate(parts)
+        rng = np.random.default_rng(8)
+        pairs = [(s, corrupt(s, rng)) for s in build_training_set(corpus)]
+        hyper = Hyperparams(lam=0.01)
+        p = _random_params(hyper.n_f, seed=5)
+        total = 0.0
+        for s, neg in pairs:
+            total += hinge_loss(oracle_distance(s, p), oracle_distance(neg, p), hyper.delta)
+        m = 2 * hyper.n_f**2
+        expected = total / (2 * len(pairs)) + hyper.lam / (2 * m) * (
+            np.sum(p.w_l**2) + np.sum(p.w_r**2)
+        )
+        assert total > 0.0
+        assert objective(pairs, p, hyper) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def pair_step(s, neg, params, hyper):
+    """gradient_and_hinge on the packed rows of one (sample, negative) pair;
+    the gradient comes back as parameters viewing the flat gradient."""
+    packed = pack_samples([s, neg])
+    grad, hinge = gradient_and_hinge(
+        packed.ids[packed.rows], packed.coef[packed.rows[0]], params, hyper
+    )
+    return ModelParams.of_flat(grad, params.n_f), hinge
 
 
 def finite_difference_check(s, neg, params, hyper, step=1e-5):
-    """Max relative error of the analytic gradient vs central differences."""
-    grad = gradient(s, neg, params, hyper)
+    """Max relative error of the analytic gradient vs central differences,
+    over every weight and bias and the embedding rows the pair touches."""
+    grad, _ = pair_step(s, neg, params, hyper)
     touched = sorted(
         {s.parent.id, neg.parent.id}
         | {c.id for c in s.children}
         | {c.id for c in neg.children}
     )
-    analytic = _flatten(
-        ModelParams(
-            embeddings=np.array(
-                [grad.embeddings.get(i, np.zeros(params.n_f)) for i in range(44)]
-            ),
-            w_l=grad.w_l,
-            w_r=grad.w_r,
-            b=grad.b,
-        ),
-        touched,
-    )
-
-    tensors = [params.w_l, params.w_r, params.b] + [None] * len(touched)
+    n_f = params.n_f
+    coords = [i * n_f + j for i in touched for j in range(n_f)]
+    coords += range(params.embeddings.size, params.flat.size)
+    analytic = grad.flat[coords]
     numeric = np.empty_like(analytic)
-    idx = 0
-    views = [params.w_l, params.w_r, params.b]
-    views += [params.embeddings[i] for i in touched]
-    for view in views:
-        flat = view.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            up = pair_loss(s, neg, params, hyper)
-            flat[j] = orig - step
-            down = pair_loss(s, neg, params, hyper)
-            flat[j] = orig
-            numeric[idx] = (up - down) / (2 * step)
-            idx += 1
+    for k, j in enumerate(coords):
+        orig = params.flat[j]
+        params.flat[j] = orig + step
+        up = pair_loss(s, neg, params, hyper)
+        params.flat[j] = orig - step
+        down = pair_loss(s, neg, params, hyper)
+        params.flat[j] = orig
+        numeric[k] = (up - down) / (2 * step)
     scale = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / scale))
 
@@ -276,9 +307,9 @@ class TestGradient:
         p = _random_params(2)
         p.embeddings[neg.parent.id] += 100.0  # d_c huge, margin satisfied
         hyper = Hyperparams(n_f=2, lam=0.0)
-        g = gradient(s, neg, p, hyper)
-        assert not g.embeddings
-        assert np.all(g.w_l == 0) and np.all(g.w_r == 0) and np.all(g.b == 0)
+        g, hinge = pair_step(s, neg, p, hyper)
+        assert hinge == 0.0
+        assert np.all(g.flat == 0)
 
     @pytest.mark.parametrize("n_f", [2, 4])
     def test_finite_differences(self, n_f):
@@ -299,7 +330,7 @@ class TestGradient:
         neg = NegativeSample(s, corrupted_position=2, new_symbol=kind_by_name("For"))
         p = _random_params(3, seed=9)
         hyper = Hyperparams(n_f=3, lam=0.0)
-        g = gradient(s, neg, p, hyper)
+        g, _ = pair_step(s, neg, p, hyper)
 
         # split roles: give the child occurrence a scratch symbol with an
         # identical embedding row
@@ -308,7 +339,7 @@ class TestGradient:
         p2.embeddings[scratch.id] = p.embeddings[parent.id]
         s2 = TrainingSample(parent, (scratch, kind_by_name("ID")), (0.5, 0.5))
         neg2 = NegativeSample(s2, corrupted_position=2, new_symbol=kind_by_name("For"))
-        g2 = gradient(s2, neg2, p2, hyper)
+        g2, _ = pair_step(s2, neg2, p2, hyper)
         combined = g2.embeddings[parent.id] + g2.embeddings[scratch.id]
         assert np.allclose(g.embeddings[parent.id], combined, atol=1e-12)
 
@@ -316,7 +347,7 @@ class TestGradient:
         s, neg = _pair()
         p = _random_params(2)
         hyper = Hyperparams(n_f=2)
-        _, hinge = gradient_and_hinge(s, neg, p, hyper)
+        _, hinge = pair_step(s, neg, p, hyper)
         assert hinge == pytest.approx(
             hinge_loss(distance(s, p), distance(neg, p), hyper.delta), abs=1e-15
         )
@@ -333,3 +364,9 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(alpha=-0.1).validate()
         Hyperparams().validate()
+
+    @pytest.mark.parametrize("name", ["delta", "lam", "alpha", "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            Hyperparams(**{name: value}).validate()

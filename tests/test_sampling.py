@@ -5,9 +5,12 @@ from hypothesis import given
 from astvec.ast_core import leaf_count, node, vocabulary
 from astvec.sampling import (
     build_training_set,
+    child_weight,
     corrupt,
+    corrupt_packed,
     dump_samples,
     extract_samples,
+    pack_samples,
 )
 
 from test_ast_core import trees
@@ -127,6 +130,63 @@ class TestBuildTrainingSet:
             sum(1 for n in p.ast.walk() if n.children) for p in corpus
         )
         assert len(build_training_set(corpus)) == expected
+
+
+class TestPack:
+    def test_expands_to_training_set(self, corpus):
+        samples = build_training_set(corpus)
+        packed = pack_samples(samples)
+        assert [packed.distinct[r] for r in packed.rows] == samples
+        assert len(set(packed.distinct)) == len(packed.distinct) < len(samples)
+        width = packed.ids.shape[1] - 1
+        assert width == max(len(s.children) for s in samples)
+        for r, s in enumerate(packed.distinct):
+            n = len(s.children)
+            assert packed.n_children[r] == n
+            assert packed.ids[r].tolist() == (
+                [s.parent.id] + [c.id for c in s.children] + [0] * (width - n)
+            )
+            weights = [child_weight(n, i) for i in range(1, n + 1)]
+            assert packed.coef[r, 0].tolist() == (
+                [0.0] + [l * w[0] for l, w in zip(s.coefficients, weights)]
+                + [0.0] * (width - n)
+            )
+            assert packed.coef[r, 1].tolist() == (
+                [0.0] + [l * w[1] for l, w in zip(s.coefficients, weights)]
+                + [0.0] * (width - n)
+            )
+
+    def test_corrupt_packed_matches_corrupt(self, corpus):
+        samples = build_training_set(corpus[:10])
+        packed = pack_samples(samples)
+        order = np.random.default_rng(0).permutation(len(samples))
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        rows, pairs = corrupt_packed(packed, order, a)
+        assert rows.tolist() == packed.rows[order].tolist()
+        for t, i in enumerate(order):
+            neg = corrupt(samples[i], b)
+            assert pairs[t, 0].tolist() == packed.ids[packed.rows[i]].tolist()
+            assert pairs[t, 1].tolist() == pack_samples([neg]).ids[0].tolist() + [0] * (
+                pairs.shape[2] - 1 - len(neg.children)
+            )
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_one_draw_matches_two_scalar_draws_per_sample(self, corpus):
+        # the epoch's single draw reproduces two scalar draws per sample
+        # (slot, then symbol), so negatives and resumed runs stay the same
+        samples = build_training_set(corpus[:10])
+        packed = pack_samples(samples)
+        order = np.random.default_rng(1).permutation(len(samples))
+        a, b = np.random.default_rng(6), np.random.default_rng(6)
+        _, pairs = corrupt_packed(packed, order, a)
+        v = len(vocabulary())
+        for t, i in enumerate(order):
+            slots = [samples[i].parent.id] + [c.id for c in samples[i].children]
+            position = int(b.integers(0, len(slots)))
+            draw = int(b.integers(0, v - 1))
+            slots[position] = draw + (draw >= slots[position])
+            assert pairs[t, 1, : len(slots)].tolist() == slots
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_dump_samples_format():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from astvec.ast_core import node
-from astvec.coder import Hyperparams, init_params
+from astvec import trainer
+from astvec.ast_core import kind_by_name, node
+from astvec.coder import Hyperparams, ModelParams, init_params
 from astvec.sampling import corrupt, extract_samples
 from astvec.trainer import (
     Checkpoint,
@@ -82,8 +83,9 @@ class TestTrain:
 
     def test_no_momentum_equals_plain_sgd(self):
         # with epsilon=0 the velocity is just the current gradient, so the
-        # update reduces to theta -= alpha * grad; replicate by hand
-        from astvec.coder import gradient_and_hinge
+        # update reduces to theta -= alpha * grad; replicate by hand, one
+        # corrupt() call per sample
+        from test_coder import pair_step
 
         hyper = Hyperparams(n_f=3, epsilon=0.0, epochs=2, seed=5, alpha=0.01)
         samples = _samples()
@@ -94,13 +96,13 @@ class TestTrain:
         for _ in range(2):
             for s in samples:
                 neg = corrupt(s, rng)
-                grad, _ = gradient_and_hinge(s, neg, params, hyper)
+                grad, _ = pair_step(s, neg, params, hyper)
                 params.w_l -= hyper.alpha * grad.w_l
                 params.w_r -= hyper.alpha * grad.w_r
                 params.b -= hyper.alpha * grad.b
-                for sid, g in grad.embeddings.items():
-                    params.embeddings[sid] -= hyper.alpha * g
+                params.embeddings -= hyper.alpha * grad.embeddings
         assert state.params.allclose(params, atol=1e-12)
+        assert state.rng.bit_generator.state == rng.bit_generator.state
 
     def test_zero_epochs(self):
         hyper = Hyperparams(n_f=4, epochs=0, seed=3)
@@ -129,6 +131,38 @@ class TestTrain:
         hyper = Hyperparams(n_f=4, alpha=1e100, epochs=50, seed=0)
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
             train(_samples(), hyper)
+
+    @pytest.mark.parametrize("where", ["w_l", "embedding"])
+    def test_divergence_names_the_step_sample(self, monkeypatch, where):
+        # the gradient of step 1 of epoch 1 turns one entry of w_l, or of an
+        # embedding row no sample uses, to inf; b and the hinge stay finite
+        hyper = Hyperparams(n_f=4, epochs=3, seed=3)
+        samples = _samples()
+        rng = np.random.default_rng(hyper.seed)
+        init_params(hyper, rng)
+        for i in rng.permutation(len(samples)):  # epoch 0
+            corrupt(samples[i], rng)
+        order = rng.permutation(len(samples))  # epoch 1
+        step_fn = trainer.gradient_and_hinge
+        calls = []
+
+        def blow_up(ids, coef, params, hyper):
+            grad, hinge = step_fn(ids, coef, params, hyper)
+            calls.append(None)
+            if len(calls) == len(samples) + 2:
+                g = ModelParams.of_flat(grad, params.n_f)
+                if where == "w_l":
+                    g.w_l[1, 2] = np.inf
+                else:
+                    g.embeddings[kind_by_name("Goto").id, 0] = np.inf
+            return grad, hinge
+
+        monkeypatch.setattr(trainer, "gradient_and_hinge", blow_up)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as caught:
+            train(samples, hyper)
+        assert order[1] != 1  # the index names the sample, not the step
+        assert (caught.value.epoch, caught.value.sample_index) == (1, int(order[1]))
+        assert len(calls) == len(samples) + 2
 
 
 class TestCheckpoint:
@@ -204,6 +238,14 @@ def test_loss_log_csv():
     assert epoch == "1"
     assert float(hinge) == report.mean_hinge[0]
     assert float(obj) == report.objective[0]
+
+
+def test_loss_log_csv_numbers_resumed_epochs():
+    samples = _samples()
+    half, _ = train(samples, Hyperparams(n_f=4, epochs=4, seed=0), max_epochs=2)
+    _, report = train(samples, half.hyper, state=half)
+    epochs = [line.split(",")[0] for line in loss_log_csv(report).splitlines()[1:]]
+    assert epochs == ["3", "4"]
 
 
 def test_fingerprint_stable():
