@@ -116,23 +116,11 @@ def kmeans_points(
 def kmeans(
     params: ModelParams, k: int, restarts: int = 16, seed: int = 0
 ) -> Clustering:
-    vocab = vocabulary()
-    if not 1 <= k <= len(vocab):
-        raise ValueError(f"k must be in 1..{len(vocab)}")
     labels, centroids, inertia = kmeans_points(
         params.embeddings, k, restarts=restarts, seed=seed
     )
-    assignment = {kind.id: int(labels[kind.id]) for kind in vocab}
+    assignment = {kind.id: int(labels[kind.id]) for kind in vocabulary()}
     return Clustering(k=k, assignment=assignment, centroids=centroids, inertia=inertia)
-
-
-def neighbors_csv(params: ModelParams) -> str:
-    lines = ["query,rank,neighbor,distance"]
-    for kind in vocabulary():
-        nl = nearest_neighbors(params, kind)
-        for rank, (other, dist) in enumerate(nl.ranked, start=1):
-            lines.append(f"{kind.name},{rank},{other.name},{dist!r}")
-    return "\n".join(lines) + "\n"
 
 
 def clusters_csv(clustering: Clustering) -> str:
@@ -142,17 +130,15 @@ def clusters_csv(clustering: Clustering) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report(params: ModelParams, k: int = 3, restarts: int = 16, seed: int = 0,
-                  top: int = 5) -> str:
+def render_report(params: ModelParams, clustering: Clustering, top: int = 5) -> str:
     """Plain-text report: a neighbor table row per symbol plus the clustering."""
     lines = ["Nearest neighbors (Euclidean)", "=" * 32]
     for kind in vocabulary():
         nl = nearest_neighbors(params, kind, top=top)
         names = ", ".join(other.name for other, _ in nl.ranked)
         lines.append(f"{kind.name:16s} -> {names}")
-    clustering = kmeans(params, k=k, restarts=restarts, seed=seed)
-    lines += ["", f"k-means clustering (k={k})", "=" * 32]
-    for j in range(k):
+    lines += ["", f"k-means clustering (k={clustering.k})", "=" * 32]
+    for j in range(clustering.k):
         members = [
             kind.name for kind in vocabulary() if clustering.assignment[kind.id] == j
         ]
@@ -160,15 +146,3 @@ def render_report(params: ModelParams, k: int = 3, restarts: int = 16, seed: int
         lines.append(f"cluster {j}: {body}")
     lines.append(f"inertia: {clustering.inertia:.6f}")
     return "\n".join(lines) + "\n"
-
-
-def emit_report(params: ModelParams, neighbors_path, clusters_path, text_path,
-                k: int = 3, restarts: int = 16, seed: int = 0) -> None:
-    clustering = kmeans(params, k=k, restarts=restarts, seed=seed)
-    for path, content in (
-        (neighbors_path, neighbors_csv(params)),
-        (clusters_path, clusters_csv(clustering)),
-        (text_path, render_report(params, k=k, restarts=restarts, seed=seed)),
-    ):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)

@@ -142,10 +142,6 @@ def leaf_count(root: AstNode) -> int:
     return total
 
 
-def node_count(root: AstNode) -> int:
-    return sum(1 for _ in root.walk())
-
-
 @dataclass(frozen=True)
 class LabeledProgram:
     ast: AstNode

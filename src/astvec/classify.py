@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ast_core import VOCAB_SIZE, AstNode, LabeledProgram
-from .coder import ModelParams
+from .coder import Hyperparams, ModelParams
 
 
 # --- features ---
@@ -28,19 +28,6 @@ def node_histogram(ast: AstNode) -> np.ndarray:
     for node in ast.walk():
         counts[node.kind.id] += 1
     return counts
-
-
-def featurize(
-    program: LabeledProgram, mode: str, params: ModelParams | None = None
-) -> np.ndarray:
-    if mode == "counts":
-        return node_histogram(program.ast)
-    if mode == "embed_mean":
-        if params is None:
-            raise ValueError("embed_mean mode requires trained params")
-        counts = node_histogram(program.ast).astype(np.float64)
-        return (counts / counts.sum()) @ params.embeddings
-    raise ValueError(f"unknown feature mode {mode!r}")
 
 
 # --- split ---
@@ -126,24 +113,31 @@ class ClassifierModel:
     sigma: np.ndarray
     embed: np.ndarray | None = None  # (V, N_f), embed_mean mode only
 
-    def _input(self, X: np.ndarray) -> np.ndarray:
+    def raw_input(self, X: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        """(hist, x) for raw histogram rows X: hist, in embed_mean mode only,
+        the rows scaled to sum 1; x the input before standardization, the
+        mean node embedding hist @ embed or the counts themselves."""
         if self.mode == "embed_mean":
-            totals = X.sum(axis=1, keepdims=True)
-            x = (X / np.maximum(totals, 1.0)) @ self.embed
-        else:
-            x = X.astype(np.float64)
-        return (x - self.mu) / self.sigma
+            hist = X / np.maximum(X.sum(axis=1, keepdims=True), 1.0)
+            return hist, hist @ self.embed
+        return None, X.astype(np.float64)
+
+    def activations(self, X: np.ndarray) -> tuple[np.ndarray | None, list[np.ndarray]]:
+        """(hist, outputs): hist as in `raw_input`, and the output of every
+        layer on X, the standardized input first and the class probabilities
+        last."""
+        hist, x = self.raw_input(X)
+        a = (x - self.mu) / self.sigma
+        outputs = [a]
+        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+            a = np.tanh(a @ W + b)
+            outputs.append(a)
+        outputs.append(_softmax(a @ self.weights[-1] + self.biases[-1]))
+        return hist, outputs
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Class probabilities; X holds raw histogram rows."""
-        a = self._input(X)
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.tanh(a @ W + b)
-        logits = a @ self.weights[-1] + self.biases[-1]
-        return _softmax(logits)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.forward(X), axis=1)
+        return self.activations(X)[1][-1]
 
 
 @dataclass
@@ -163,66 +157,45 @@ def _init_model(
     params: ModelParams | None,
 ) -> ClassifierModel:
     rng = np.random.default_rng(config.seed)
+    embed = None
     if mode == "embed_mean":
         if init == "pretrained":
             if params is None:
                 raise ValueError("pretrained init requires coder params")
             embed = params.embeddings.copy()
         elif init == "random":
-            n_f = params.embeddings.shape[1] if params is not None else 30
+            n_f = params.embeddings.shape[1] if params is not None else Hyperparams.n_f
             r = np.sqrt(6.0 / (2.0 * n_f))
             embed = rng.uniform(-r, r, size=(VOCAB_SIZE, n_f))
         else:
             raise ValueError(f"unknown init {init!r}")
-        in_dim = embed.shape[1]
-    else:
-        embed = None
-        in_dim = X.shape[1]
+    model = ClassifierModel(mode=mode, labels=labels, weights=[], biases=[],
+                            mu=None, sigma=None, embed=embed)
+    # standardization constants from the training inputs
+    _, x0 = model.raw_input(X)
+    model.mu = x0.mean(axis=0)
+    model.sigma = x0.std(axis=0)
+    model.sigma[model.sigma == 0.0] = 1.0
 
-    # standardization constants from the raw (pre-MLP) training inputs
-    if mode == "embed_mean":
-        totals = X.sum(axis=1, keepdims=True)
-        x0 = (X / np.maximum(totals, 1.0)) @ embed
-    else:
-        x0 = X.astype(np.float64)
-    mu = x0.mean(axis=0)
-    sigma = x0.std(axis=0)
-    sigma[sigma == 0.0] = 1.0
-
-    sizes = [in_dim, *config.hidden, len(labels)]
-    weights = []
-    biases = []
+    sizes = [x0.shape[1], *config.hidden, len(labels)]
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         r = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-r, r, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return ClassifierModel(
-        mode=mode, labels=labels, weights=weights, biases=biases,
-        mu=mu, sigma=sigma, embed=embed,
-    )
+        model.weights.append(rng.uniform(-r, r, size=(fan_in, fan_out)))
+        model.biases.append(np.zeros(fan_out))
+    return model
 
 
 def loss_and_gradients(
     model: ClassifierModel, X: np.ndarray, y: np.ndarray, fine_tune: bool
 ):
-    """Cross-entropy loss with exact gradients for every trainable tensor."""
+    """(loss, accuracy, grads_w, grads_b, grad_embed): the cross-entropy and
+    the accuracy of the model on (X, y), and exact gradients of the loss for
+    every trainable tensor (grad_embed is None unless fine-tuning an
+    embed_mean model)."""
     n = X.shape[0]
-    if model.mode == "embed_mean":
-        totals = X.sum(axis=1, keepdims=True)
-        hist = X / np.maximum(totals, 1.0)
-        x_raw = hist @ model.embed
-    else:
-        hist = None
-        x_raw = X.astype(np.float64)
-    a = (x_raw - model.mu) / model.sigma
-
-    activations = [a]
-    for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.tanh(a @ W + b)
-        activations.append(a)
-    logits = a @ model.weights[-1] + model.biases[-1]
-    probs = _softmax(logits)
-    loss = float(-np.log(probs[np.arange(n), y] + 1e-300).mean())
+    hist, activations = model.activations(X)
+    probs = activations.pop()
+    accuracy, loss = _accuracy_and_xent(probs, y)
 
     onehot = np.zeros_like(probs)
     onehot[np.arange(n), y] = 1.0
@@ -243,7 +216,7 @@ def loss_and_gradients(
     if model.mode == "embed_mean" and fine_tune:
         dx = upstream / model.sigma
         grad_embed = hist.T @ dx
-    return loss, grads_w, grads_b, grad_embed
+    return loss, accuracy, grads_w, grads_b, grad_embed
 
 
 def train_classifier(
@@ -273,9 +246,13 @@ def train_classifier(
     best, best_xent = model, np.inf
     curves = TrainCurves()
     for epoch in range(config.epochs):
-        loss, gw, gb, ge = loss_and_gradients(model, X, y, config.fine_tune)
+        loss, acc, gw, gb, ge = loss_and_gradients(model, X, y, config.fine_tune)
         if not np.isfinite(loss):
             raise RuntimeError(f"classifier diverged at epoch {epoch}")
+        if epoch > 0:
+            # this pass scored the model the previous epoch left
+            curves.train_xent.append(loss)
+            curves.train_acc.append(acc)
         for i in range(len(model.weights)):
             vel_w[i] = config.momentum * vel_w[i] + gw[i]
             vel_b[i] = config.momentum * vel_b[i] + gb[i]
@@ -285,28 +262,31 @@ def train_classifier(
             vel_e = config.momentum * vel_e + ge
             model.embed -= config.lr * vel_e
 
-        acc, xent = evaluate(model, X, y)
-        curves.train_xent.append(xent)
-        curves.train_acc.append(acc)
         if cv is not None:
             acc_cv, xent_cv = evaluate(model, cv[0], cv[1])
             if xent_cv < best_xent:
                 best, best_xent = copy.deepcopy(model), xent_cv
             curves.cv_xent.append(xent_cv)
             curves.cv_acc.append(acc_cv)
+    if config.epochs > 0:
+        acc, xent = evaluate(model, X, y)
+        curves.train_xent.append(xent)
+        curves.train_acc.append(acc)
     return (model if cv is None else best), curves
+
+
+def _accuracy_and_xent(probs: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    n = probs.shape[0]
+    accuracy = float((np.argmax(probs, axis=1) == np.asarray(y)).mean())
+    xent = float(-np.log(probs[np.arange(n), y] + 1e-300).mean())
+    return accuracy, xent
 
 
 def evaluate(
     model: ClassifierModel, X: np.ndarray, y: np.ndarray
 ) -> tuple[float, float]:
     """(accuracy fraction, cross-entropy); argmax ties break to the lowest index."""
-    probs = model.forward(X)
-    predictions = np.argmax(probs, axis=1)
-    accuracy = float((predictions == np.asarray(y)).mean())
-    n = probs.shape[0]
-    xent = float(-np.log(probs[np.arange(n), y] + 1e-300).mean())
-    return accuracy, xent
+    return _accuracy_and_xent(model.forward(X), y)
 
 
 def curves_csv(curves: TrainCurves) -> str:

@@ -39,22 +39,30 @@ class CliError(Exception):
         super().__init__(message)
 
 
+# (flag, Hyperparams field, type, help); an unset flag takes the field's default
+HYPER_FLAGS = (
+    ("--dim", "n_f", int, "embedding dimension"),
+    ("--margin", "delta", float, "ranking margin"),
+    ("--lambda", "lam", float, "l2 coefficient on the weight matrices"),
+    ("--lr", "alpha", float, "learning rate"),
+    ("--momentum", "epsilon", float, "momentum decay"),
+    ("--epochs", "epochs", int, "epoch limit"),
+    ("--seed", "seed", int, "master RNG seed"),
+)
+
+
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, default=30, help="embedding dimension")
-    p.add_argument("--margin", type=float, default=1.0, help="ranking margin")
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-4,
-                   help="l2 coefficient on the weight matrices")
-    p.add_argument("--lr", type=float, default=0.003, help="learning rate")
-    p.add_argument("--momentum", type=float, default=0.9, help="momentum decay")
-    p.add_argument("--epochs", type=int, default=200, help="epoch limit")
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    for flag, name, kind, help_text in HYPER_FLAGS:
+        p.add_argument(flag, dest=name, type=kind, metavar=flag[2:].upper(),
+                       help=help_text)
 
 
 def _hyper_from_args(args) -> Hyperparams:
-    hyper = Hyperparams(
-        n_f=args.dim, delta=args.margin, lam=args.lam, alpha=args.lr,
-        epsilon=args.momentum, epochs=args.epochs, seed=args.seed,
-    )
+    hyper = Hyperparams(**{
+        name: getattr(args, name)
+        for _, name, _, _ in HYPER_FLAGS
+        if getattr(args, name) is not None
+    })
     try:
         hyper.validate()
     except ValueError as exc:
@@ -131,18 +139,20 @@ def cmd_train(args) -> int:
     hyper = _hyper_from_args(args)
     state = None
     if args.resume:
-        try:
-            state = trainer.load_checkpoint(args.resume).to_state()
-        except (OSError, trainer.CheckpointError) as exc:
-            raise CliError(f"{args.resume}: {exc}")
-        state.hyper = dataclasses.replace(state.hyper, epochs=args.epochs)
+        state = _load_params(args.resume)
+        ignored = [flag for flag, name, _, _ in HYPER_FLAGS
+                   if name != "epochs" and getattr(args, name) is not None]
+        if ignored:
+            log.warning("%s: the checkpoint's hyperparameters override %s",
+                        args.resume, ", ".join(ignored))
+        state.hyper = dataclasses.replace(state.hyper, epochs=hyper.epochs)
     try:
         state, report = trainer.train(
             samples, hyper, shuffle=not args.no_shuffle, state=state
         )
     except trainer.TrainingDiverged as exc:
         raise CliError(str(exc), EXIT_NUMERIC)
-    trainer.save_checkpoint(trainer.Checkpoint.from_state(state), args.out)
+    trainer.save_checkpoint(state, args.out)
     if args.loss_log:
         header = f"# seed={state.hyper.seed}\n"
         Path(args.loss_log).write_text(
@@ -199,11 +209,7 @@ def cmd_cluster(args) -> int:
         sys.stdout.write(analysis.clusters_csv(clustering))
     if args.report:
         Path(args.report).write_text(
-            header
-            + analysis.render_report(
-                cp.params, k=args.k, restarts=args.restarts, seed=args.seed
-            ),
-            encoding="utf-8",
+            header + analysis.render_report(cp.params, clustering), encoding="utf-8"
         )
         log.info("wrote %s", args.report)
     return EXIT_OK

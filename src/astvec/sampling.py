@@ -181,14 +181,3 @@ def corrupt_packed(packed: PackedSamples, order: np.ndarray, rng: np.random.Gene
     step = np.arange(len(rows))
     pairs[step, 1, slot] = _replacement(draw, pairs[step, 1, slot])
     return rows, pairs
-
-
-def dump_samples(samples: list[TrainingSample]) -> str:
-    """Debug format: parent<TAB>child:coeff,child:coeff,..."""
-    lines = []
-    for s in samples:
-        pairs = ",".join(
-            f"{c.name}:{l:.6f}" for c, l in zip(s.children, s.coefficients)
-        )
-        lines.append(f"{s.parent.name}\t{pairs}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -15,11 +15,11 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .ast_core import KIND_NAMES
+from .ast_core import KIND_NAMES, VOCAB_SIZE
 from .coder import Hyperparams, ModelParams, gradient_and_hinge, init_params, l2_penalty
 from .sampling import TrainingSample, pack_samples
 # An epoch's negatives are drawn through this name and each step's pair goes
@@ -55,13 +55,13 @@ class TrainReport:
     objective: list[float] = field(default_factory=list)
     epochs_run: int = 0
     wall_time: float = 0.0
-    seed: int = 0
     first_epoch: int = 1  # number of the first epoch this report covers
 
 
 @dataclass
 class TrainState:
-    """Everything needed to continue training bit-identically."""
+    """Everything needed to continue training bit-identically; a checkpoint
+    is one saved whole."""
 
     params: ModelParams
     velocity: ModelParams
@@ -121,7 +121,7 @@ def train(
     alpha = hyper.alpha
     n = len(samples)
 
-    report = TrainReport(seed=hyper.seed, first_epoch=state.epoch + 1)
+    report = TrainReport(first_epoch=state.epoch + 1)
     start = time.perf_counter()
 
     while state.epoch < limit and not has_converged(state.loss_history):
@@ -148,114 +148,102 @@ def train(
     return state, report
 
 
-@dataclass
-class Checkpoint:
-    params: ModelParams
-    hyper: Hyperparams
-    vocab_fingerprint: str
-    epoch: int
-    rng_state: dict
-    velocity: ModelParams
-    loss_history: list[float] = field(default_factory=list)
-
-    @classmethod
-    def from_state(cls, state: TrainState) -> "Checkpoint":
-        return cls(
-            params=state.params,
-            hyper=state.hyper,
-            vocab_fingerprint=vocabulary_fingerprint(),
-            epoch=state.epoch,
-            rng_state=state.rng.bit_generator.state,
-            velocity=state.velocity,
-            loss_history=list(state.loss_history),
-        )
-
-    def to_state(self) -> TrainState:
-        if self.vocab_fingerprint != vocabulary_fingerprint():
-            raise CheckpointError("vocabulary fingerprint mismatch")
-        rng = np.random.default_rng()
-        rng.bit_generator.state = self.rng_state
-        return TrainState(
-            params=self.params,
-            velocity=self.velocity,
-            epoch=self.epoch,
-            rng=rng,
-            hyper=self.hyper,
-            loss_history=list(self.loss_history),
-        )
+PARAM_FIELDS = ("embeddings", "w_l", "w_r", "b")
 
 
-def _params_to_obj(p: ModelParams) -> dict:
-    return {
-        "embeddings": p.embeddings.tolist(),
-        "w_l": p.w_l.tolist(),
-        "w_r": p.w_r.tolist(),
-        "b": p.b.tolist(),
-    }
+def _params_doc(p: ModelParams) -> dict:
+    return {name: getattr(p, name).tolist() for name in PARAM_FIELDS}
 
 
-def _params_from_obj(obj: dict) -> ModelParams:
-    return ModelParams(
-        embeddings=np.array(obj["embeddings"], dtype=np.float64),
-        w_l=np.array(obj["w_l"], dtype=np.float64),
-        w_r=np.array(obj["w_r"], dtype=np.float64),
-        b=np.array(obj["b"], dtype=np.float64),
-    )
-
-
-def save_checkpoint(cp: Checkpoint, path) -> None:
+def save_checkpoint(state: TrainState, path) -> None:
     """Canonical JSON container; floats round-trip exactly via repr."""
     doc = {
         "version": CHECKPOINT_VERSION,
-        "hyper": {
-            "n_f": cp.hyper.n_f,
-            "delta": cp.hyper.delta,
-            "lam": cp.hyper.lam,
-            "alpha": cp.hyper.alpha,
-            "epsilon": cp.hyper.epsilon,
-            "epochs": cp.hyper.epochs,
-            "seed": cp.hyper.seed,
-        },
-        "vocab_fingerprint": cp.vocab_fingerprint,
-        "epoch": cp.epoch,
-        "rng_state": cp.rng_state,
-        "params": _params_to_obj(cp.params),
-        "velocity": _params_to_obj(cp.velocity),
-        "loss_history": cp.loss_history,
+        "hyper": asdict(state.hyper),
+        "vocab_fingerprint": vocabulary_fingerprint(),
+        "epoch": state.epoch,
+        "rng_state": state.rng.bit_generator.state,
+        "params": _params_doc(state.params),
+        "velocity": _params_doc(state.velocity),
+        "loss_history": state.loss_history,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
-def load_checkpoint(path) -> Checkpoint:
+def _typed(obj: dict, key: str, kind: type, where: str = ""):
+    """obj[key], which must be a `kind`; an int is read as a float where a
+    float is expected, and a bool is never a number."""
+    value = obj.get(key)
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise CheckpointError(f"{where}{key}: expected {kind.__name__}")
+    return float(value) if kind is float else value
+
+
+def _read_params(doc: dict, key: str, n_f: int) -> ModelParams:
+    obj = _typed(doc, key, dict)
+    shapes = {"embeddings": (VOCAB_SIZE, n_f), "w_l": (n_f, n_f), "w_r": (n_f, n_f),
+              "b": (n_f,)}
+    arrays = {}
+    for name in PARAM_FIELDS:
+        try:
+            a = np.array(obj.get(name), dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CheckpointError(f"{key}.{name}: {exc}") from exc
+        if a.shape != shapes[name]:
+            raise CheckpointError(
+                f"{key}.{name} has shape {a.shape}, expected {shapes[name]}")
+        if not np.isfinite(a).all():
+            raise CheckpointError(f"{key}.{name} holds a non-finite value")
+        arrays[name] = a
+    return ModelParams(**arrays)
+
+
+def load_checkpoint(path) -> TrainState:
+    """The training state saved at `path`, checked field by field; any
+    malformed document raises CheckpointError."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise CheckpointError(f"not a checkpoint file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointError("not a checkpoint file: not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('version')!r}")
-    if doc["vocab_fingerprint"] != vocabulary_fingerprint():
+    if doc.get("vocab_fingerprint") != vocabulary_fingerprint():
         raise CheckpointError("vocabulary fingerprint mismatch")
-    h = doc["hyper"]
-    hyper = Hyperparams(
-        n_f=h["n_f"],
-        delta=h["delta"],
-        lam=h["lam"],
-        alpha=h["alpha"],
-        epsilon=h["epsilon"],
-        epochs=h["epochs"],
-        seed=h["seed"],
-    )
-    return Checkpoint(
-        params=_params_from_obj(doc["params"]),
+
+    h = _typed(doc, "hyper", dict)
+    hyper = Hyperparams(**{
+        f.name: _typed(h, f.name, type(f.default), "hyper.")
+        for f in fields(Hyperparams)
+    })
+    try:
+        hyper.validate()
+    except ValueError as exc:
+        raise CheckpointError(f"hyper: {exc}") from exc
+
+    epoch = _typed(doc, "epoch", int)
+    if epoch < 0:
+        raise CheckpointError("epoch must be >= 0")
+    loss_history = _typed(doc, "loss_history", list)
+    if not all(type(v) is float and math.isfinite(v) for v in loss_history):
+        raise CheckpointError("loss_history must hold finite floats")
+    rng = np.random.default_rng()
+    try:
+        rng.bit_generator.state = _typed(doc, "rng_state", dict)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"bad rng_state: {exc}") from exc
+    return TrainState(
+        params=_read_params(doc, "params", hyper.n_f),
+        velocity=_read_params(doc, "velocity", hyper.n_f),
+        epoch=epoch,
+        rng=rng,
         hyper=hyper,
-        vocab_fingerprint=doc["vocab_fingerprint"],
-        epoch=doc["epoch"],
-        rng_state=doc["rng_state"],
-        velocity=_params_from_obj(doc["velocity"]),
-        loss_history=list(doc["loss_history"]),
+        loss_history=loss_history,
     )
 
 

@@ -98,7 +98,7 @@ class TestCriterion1Gradients:
             config = ClassifierConfig(hidden=(4,), seed=trial, fine_tune=True)
             model = _init_model("embed_mean", ("a", "b", "c"), X, config,
                                 "pretrained", params)
-            _, gw, gb, ge = loss_and_gradients(model, X, y, True)
+            _, _, gw, gb, ge = loss_and_gradients(model, X, y, True)
             for analytic, view in zip(gw + gb + [ge],
                                       model.weights + model.biases + [model.embed]):
                 flat = view.reshape(-1)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from astvec.classify import (
     cross_entropy,
     curves_csv,
     evaluate,
-    featurize,
     loss_and_gradients,
     node_histogram,
     split,
@@ -52,27 +53,26 @@ class TestFeatures:
 
     def test_counts_mode(self):
         program = LabeledProgram(ast=parse_file(SNIPPET_SRC), label="x", source_id="s")
-        assert np.array_equal(
-            featurize(program, "counts"), node_histogram(program.ast)
-        )
+        X = node_histogram(program.ast)[None, :]
+        model = _init_model("counts", ("x",), X, ClassifierConfig(), "random", None)
+        hist, x = model.raw_input(X)
+        assert hist is None
+        assert np.array_equal(x, X.astype(np.float64))
 
     def test_embed_mean_hand_case(self):
         params = init_params(Hyperparams(n_f=3), np.random.default_rng(0))
         tree = node("BinaryOp", node("ID"), node("Constant"))
-        program = LabeledProgram(ast=tree, label="x", source_id="s")
+        X = node_histogram(tree)[None, :]
+        model = _init_model("embed_mean", ("x",), X, ClassifierConfig(), "pretrained",
+                            params)
         ids = [kind_by_name(n).id for n in ("BinaryOp", "ID", "Constant")]
         expected = params.embeddings[ids].mean(axis=0)
-        assert np.allclose(featurize(program, "embed_mean", params), expected, atol=1e-12)
+        assert np.allclose(model.raw_input(X)[1][0], expected, atol=1e-12)
 
     def test_embed_mean_requires_params(self):
-        program = LabeledProgram(ast=node("ID"), label="x", source_id="s")
+        X = node_histogram(node("ID"))[None, :]
         with pytest.raises(ValueError):
-            featurize(program, "embed_mean")
-
-    def test_unknown_mode(self):
-        program = LabeledProgram(ast=node("ID"), label="x", source_id="s")
-        with pytest.raises(ValueError):
-            featurize(program, "bogus")
+            _init_model("embed_mean", ("x",), X, ClassifierConfig(), "pretrained", None)
 
 
 def _toy_corpus(per_label=5, labels=("a", "b", "c", "d")):
@@ -203,9 +203,17 @@ class TestClassifier:
         config = ClassifierConfig(hidden=(8,), epochs=0, seed=0)
         model, curves = train_classifier(X, y, ("a", "b", "c"), config)
         _, xent = evaluate(model, X, y)
-        assert curves.train_xent == []
+        assert curves.train_xent == [] and curves.train_acc == []
         # untouched random net should sit near the uniform baseline
         assert abs(xent - np.log(3.0)) < 1.0
+        # epoch e of the curves scores the model that e epochs of training return
+        _, curves = train_classifier(X, y, ("a", "b", "c"),
+                                     dataclasses.replace(config, epochs=3))
+        for epochs in (1, 2, 3):
+            model, _ = train_classifier(X, y, ("a", "b", "c"),
+                                        dataclasses.replace(config, epochs=epochs))
+            acc, xent = evaluate(model, X, y)
+            assert (curves.train_acc[epochs - 1], curves.train_xent[epochs - 1]) == (acc, xent)
 
     def test_deterministic(self):
         X, y = _separable_data()
@@ -283,7 +291,7 @@ class TestClassifierGradients:
         model = _init_model(mode, ("a", "b", "c"), X, config, "pretrained"
                             if mode == "embed_mean" else "random", params)
 
-        loss, gw, gb, ge = loss_and_gradients(model, X, y, fine_tune)
+        loss, _, gw, gb, ge = loss_and_gradients(model, X, y, fine_tune)
         step = 1e-6
 
         def numeric(view):

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -185,6 +186,78 @@ class TestTrain:
         assert [row.split(",")[0] for row in rows] == ["3", "4"]
 
 
+    @pytest.mark.parametrize("flags,ignored", [
+        ([], None),
+        (["--dim", "5", "--lr", "0.1", "--seed", "3"], "--dim, --lr, --seed"),
+    ])
+    def test_resume_warns_on_ignored_flags(self, tmp_path, small_corpus_file,
+                                           checkpoint_file, caplog, flags, ignored):
+        with caplog.at_level(logging.WARNING, logger="astvec"):
+            assert main([
+                "train", "--corpus", str(small_corpus_file),
+                "--out", str(tmp_path / "cp.json"), "--resume", str(checkpoint_file),
+                "--epochs", "4", *flags,
+            ]) == EXIT_OK
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        if ignored is None:
+            assert warnings == []
+        else:
+            assert len(warnings) == 1
+            assert warnings[0].endswith(f"override {ignored}")
+        assert load_checkpoint(tmp_path / "cp.json").hyper.n_f == 8
+
+
+def _drop(*keys):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return edit
+
+
+def _put(value, *keys):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value(doc[keys[-1]]) if callable(value) else value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda doc: [1, 2], id="json-list"),
+    pytest.param(_drop("vocab_fingerprint"), id="no-fingerprint"),
+    pytest.param(_drop("hyper", "seed"), id="no-hyper-seed"),
+    pytest.param(_put(lambda b: b[:-1], "params", "b"), id="short-b"),
+    pytest.param(_put("x", "hyper", "n_f"), id="n_f-string"),
+    pytest.param(_put(-1, "hyper", "alpha"), id="negative-alpha"),
+    pytest.param(_put(lambda w: [[float("nan")] * len(w[0])] * len(w),
+                      "velocity", "w_l"), id="nan-velocity"),
+    pytest.param(_put(True, "epoch"), id="bool-epoch"),
+    pytest.param(_put({}, "rng_state"), id="empty-rng-state"),
+    pytest.param(_put(lambda h: h + ["0.5"], "loss_history"), id="string-loss"),
+])
+def test_malformed_checkpoint_exit_2(tmp_path, small_corpus_file, checkpoint_file, edit):
+    doc = json.loads(checkpoint_file.read_text(encoding="utf-8"))
+    doc = edit(doc) or doc
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "astvec.cli", "train",
+         "--corpus", str(small_corpus_file), "--out", str(tmp_path / "cp.json"),
+         "--resume", str(bad), "--epochs", "4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_INPUT
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert str(bad) in proc.stderr
+    assert not (tmp_path / "cp.json").exists()
+
+
 class TestNn:
     def test_rows(self, capsys, checkpoint_file):
         assert main(["nn", "--checkpoint", str(checkpoint_file),
@@ -228,6 +301,24 @@ class TestCluster:
         text = report.read_text(encoding="utf-8")
         assert text.startswith("# seed=0\n")
         assert "Nearest neighbors" in text
+
+    def test_report_clusters_match_csv(self, tmp_path, checkpoint_file):
+        csv, report = tmp_path / "c.csv", tmp_path / "report.txt"
+        assert main(["cluster", "--checkpoint", str(checkpoint_file), "--k", "4",
+                     "--restarts", "3", "--seed", "2", "--out", str(csv),
+                     "--report", str(report)]) == EXIT_OK
+        from_csv = {}
+        for row in csv.read_text(encoding="utf-8").splitlines()[2:]:
+            symbol, cluster = row.split(",")
+            from_csv.setdefault(int(cluster), []).append(symbol)
+        from_report = {}
+        for line in report.read_text(encoding="utf-8").splitlines():
+            if line.startswith("cluster "):
+                head, body = line.split(": ", 1)
+                from_report[int(head.split()[1])] = (
+                    [] if body == "(empty)" else body.split(", "))
+        assert sorted(from_report) == [0, 1, 2, 3]
+        assert {j: m for j, m in from_report.items() if m} == from_csv
 
     def test_bad_k(self, checkpoint_file, tmp_path):
         assert main(["cluster", "--checkpoint", str(checkpoint_file),

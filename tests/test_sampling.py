@@ -8,7 +8,6 @@ from astvec.sampling import (
     child_weight,
     corrupt,
     corrupt_packed,
-    dump_samples,
     extract_samples,
     pack_samples,
 )
@@ -187,9 +186,3 @@ class TestPack:
             slots[position] = draw + (draw >= slots[position])
             assert pairs[t, 1, : len(slots)].tolist() == slots
         assert a.bit_generator.state == b.bit_generator.state
-
-
-def test_dump_samples_format():
-    tree = node("BinaryOp", node("ID"), node("Constant"))
-    text = dump_samples(extract_samples(tree))
-    assert text == "BinaryOp\tID:0.500000,Constant:0.500000\n"

@@ -6,7 +6,6 @@ from astvec.ast_core import kind_by_name, node
 from astvec.coder import Hyperparams, ModelParams, init_params
 from astvec.sampling import corrupt, extract_samples
 from astvec.trainer import (
-    Checkpoint,
     CheckpointError,
     TrainingDiverged,
     fresh_state,
@@ -72,7 +71,7 @@ class TestTrain:
         for _ in range(2):
             state, _ = train(_samples(), Hyperparams(n_f=4, epochs=4, seed=7))
             p = tmp_path / f"cp{len(runs)}.json"
-            save_checkpoint(Checkpoint.from_state(state), p)
+            save_checkpoint(state, p)
             runs.append(p.read_bytes())
         assert runs[0] == runs[1]
 
@@ -169,8 +168,8 @@ class TestCheckpoint:
     def test_round_trip_bytes(self, tmp_path):
         state, _ = train(_samples(), HYPER)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_checkpoint(Checkpoint.from_state(state), p1)
-        save_checkpoint(Checkpoint.from_state(load_checkpoint(p1).to_state()), p2)
+        save_checkpoint(state, p1)
+        save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_resume_bit_identical(self, tmp_path):
@@ -179,22 +178,22 @@ class TestCheckpoint:
 
         full, _ = train(samples, hyper)
         cp_full = tmp_path / "full.json"
-        save_checkpoint(Checkpoint.from_state(full), cp_full)
+        save_checkpoint(full, cp_full)
 
         half, _ = train(samples, Hyperparams(n_f=4, epochs=6, seed=11), max_epochs=3)
         mid = tmp_path / "mid.json"
-        save_checkpoint(Checkpoint.from_state(half), mid)
-        resumed_state = load_checkpoint(mid).to_state()
+        save_checkpoint(half, mid)
+        resumed_state = load_checkpoint(mid)
         resumed, _ = train(samples, resumed_state.hyper, state=resumed_state)
         cp_resumed = tmp_path / "resumed.json"
-        save_checkpoint(Checkpoint.from_state(resumed), cp_resumed)
+        save_checkpoint(resumed, cp_resumed)
 
         assert cp_full.read_bytes() == cp_resumed.read_bytes()
 
     def test_fingerprint_mismatch(self, tmp_path):
         state, _ = train(_samples(), HYPER)
         p = tmp_path / "cp.json"
-        save_checkpoint(Checkpoint.from_state(state), p)
+        save_checkpoint(state, p)
         doc = p.read_text(encoding="utf-8").replace(
             vocabulary_fingerprint(), "0" * 64
         )
@@ -211,7 +210,7 @@ class TestCheckpoint:
     def test_version_rejected(self, tmp_path):
         state, _ = train(_samples(), HYPER)
         p = tmp_path / "cp.json"
-        save_checkpoint(Checkpoint.from_state(state), p)
+        save_checkpoint(state, p)
         p.write_text(
             p.read_text(encoding="utf-8").replace('"version":1', '"version":99'),
             encoding="utf-8",
@@ -224,7 +223,7 @@ class TestCheckpoint:
                             epsilon=0.5, epochs=2, seed=13)
         state, _ = train(_samples(), hyper)
         p = tmp_path / "cp.json"
-        save_checkpoint(Checkpoint.from_state(state), p)
+        save_checkpoint(state, p)
         assert load_checkpoint(p).hyper == hyper
 
 
