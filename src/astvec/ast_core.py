@@ -149,11 +149,30 @@ class LabeledProgram:
     source_id: str
 
 
-def _to_obj(node: AstNode) -> dict:
-    return {
-        "kind": node.kind.name,
-        "children": [_to_obj(c) for c in node.children],
-    }
+_LEAF_JSON = tuple(f'{{"kind":"{name}","children":[]}}' for name in KIND_NAMES)
+_OPEN_JSON = tuple(f'{{"kind":"{name}","children":[' for name in KIND_NAMES)
+
+
+def _dump_tree(root: AstNode, out: list[str]) -> None:
+    """Append the canonical JSON of `root` to `out`. An explicit stack of
+    nodes and closing text, so any depth dumps."""
+    stack: list = [root]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        kids = item.children
+        if not kids:
+            out.append(_LEAF_JSON[item.kind.id])
+            continue
+        out.append(_OPEN_JSON[item.kind.id])
+        stack.append("]}")
+        # pushed last child first, so they pop in order with commas between
+        for child in kids[:0:-1]:
+            stack.append(child)
+            stack.append(",")
+        stack.append(kids[0])
 
 
 def _from_obj(obj: object, path: str) -> AstNode:
@@ -181,25 +200,35 @@ def dump_ast(root: AstNode) -> str:
 
     Byte equality of dumps implies tree equality.
     """
-    return json.dumps(_to_obj(root), separators=(",", ":"))
+    out: list[str] = []
+    _dump_tree(root, out)
+    return "".join(out)
+
+
+def _loads(text: str, where: str = "") -> object:
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # invalid JSON, or an integer too long to convert
+        raise AstFormatError(f"{where}invalid JSON: {exc}") from exc
 
 
 def load_ast(text: str) -> AstNode:
     """Parse an interchange document back into a tree."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AstFormatError(f"invalid JSON: {exc}") from exc
-    return _from_obj(obj, "")
+        return _from_obj(_loads(text), "")
+    except RecursionError:  # json.loads and _from_obj recurse per nesting level
+        raise AstFormatError("nesting too deep") from None
 
 
 def dump_corpus(programs: list[LabeledProgram]) -> str:
     """One JSON record per line: label, source_id, ast."""
-    lines = []
+    out: list[str] = []
     for p in programs:
-        rec = {"label": p.label, "source_id": p.source_id, "ast": _to_obj(p.ast)}
-        lines.append(json.dumps(rec, separators=(",", ":")))
-    return "\n".join(lines) + ("\n" if lines else "")
+        label, source_id = json.dumps(p.label), json.dumps(p.source_id)
+        out.append(f'{{"label":{label},"source_id":{source_id},"ast":')
+        _dump_tree(p.ast, out)
+        out.append("}\n")
+    return "".join(out)
 
 
 def load_corpus(text: str) -> list[LabeledProgram]:
@@ -207,13 +236,18 @@ def load_corpus(text: str) -> list[LabeledProgram]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"corpus line {lineno}: "
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise AstFormatError(f"corpus line {lineno}: invalid JSON: {exc}") from exc
-        for key in ("label", "source_id", "ast"):
-            if key not in rec:
-                raise AstFormatError(f"corpus line {lineno}: missing {key!r}")
-        ast = _from_obj(rec["ast"], f"line {lineno}")
+            rec = _loads(line, where)
+            if not isinstance(rec, dict):
+                raise AstFormatError(f"{where}expected an object")
+            for key in ("label", "source_id", "ast"):
+                if key not in rec:
+                    raise AstFormatError(f"{where}missing {key!r}")
+                if key != "ast" and not isinstance(rec[key], str):
+                    raise AstFormatError(f"{where}{key!r} must be a string")
+            ast = _from_obj(rec["ast"], f"line {lineno}")
+        except RecursionError:  # json.loads and _from_obj recurse per nesting level
+            raise AstFormatError(f"{where}nesting too deep") from None
         programs.append(LabeledProgram(ast=ast, label=rec["label"], source_id=rec["source_id"]))
     return programs

@@ -67,23 +67,6 @@ def split(corpus: list[LabeledProgram], seed: int) -> SplitSpec:
 # --- loss ---
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-probability of the true class."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    if probs.ndim != 2:
-        raise ValueError("probs must be 2-d")
-    if np.any(probs < 0.0):
-        raise ValueError("probabilities must be nonnegative")
-    if not np.allclose(probs.sum(axis=1), 1.0, atol=1e-9):
-        raise ValueError("probability rows must sum to 1")
-    n = probs.shape[0]
-    true_p = probs[np.arange(n), labels]
-    if np.any(true_p <= 0.0):
-        raise ValueError("true class has zero probability")
-    return float(-np.log(true_p).mean())
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)

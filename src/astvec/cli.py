@@ -124,6 +124,8 @@ def _load_corpus_file(path) -> list:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not valid UTF-8 at byte {exc.start}")
     try:
         return load_corpus(text)
     except AstFormatError as exc:
@@ -145,7 +147,8 @@ def cmd_train(args) -> int:
         if ignored:
             log.warning("%s: the checkpoint's hyperparameters override %s",
                         args.resume, ", ".join(ignored))
-        state.hyper = dataclasses.replace(state.hyper, epochs=hyper.epochs)
+        if args.epochs is not None:
+            state.hyper = dataclasses.replace(state.hyper, epochs=args.epochs)
     try:
         state, report = trainer.train(
             samples, hyper, shuffle=not args.no_shuffle, state=state

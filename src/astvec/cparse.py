@@ -20,7 +20,9 @@ from .ast_core import AstNode, kind_by_name
 
 @dataclass(frozen=True)
 class Token:
-    category: str  # keyword | identifier | constant | operator | punctuation
+    # keyword | identifier | constant | operator | punctuation, or end: the
+    # parser's end-of-input marker, placed just after the last real token
+    category: str
     lexeme: str
     line: int
     column: int
@@ -56,16 +58,14 @@ QUALIFIERS = frozenset("const static extern register volatile".split())
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<line_comment>//[^\n]*)
-  | (?P<block_comment>/\*.*?\*/)
-  | (?P<float>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?[fFlL]?|\d+[eE][+-]?\d+[fFlL]?)
-  | (?P<int>(0[xX][0-9a-fA-F]+|\d+)([uU][lL]{0,2}|[lL]{1,2}[uU]?)?)
-  | (?P<char>'(\\.|[^\\'])+')
-  | (?P<string>"(\\.|[^\\"])*")
-  | (?P<ident>[A-Za-z_]\w*)
-  | (?P<op>>>=|<<=|\.\.\.|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[+\-*/%&^|]=|[+\-*/%<>=&|^!~?:.])
-  | (?P<punct>[()\[\]{};,])
+    (?P<skip>\s+|//[^\n]*|/\*.*?\*/)
+  | (?P<constant>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?[fFlL]?|\d+[eE][+-]?\d+[fFlL]?
+      | (0[xX][0-9a-fA-F]+|\d+)([uU][lL]{0,2}|[lL]{1,2}[uU]?)?
+      | '(\\.|[^\\'])+'
+      | "(\\.|[^\\"])*")
+  | (?P<identifier>[A-Za-z_]\w*)
+  | (?P<operator>>>=|<<=|\.\.\.|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[+\-*/%&^|]=|[+\-*/%<>=&|^!~?:.])
+  | (?P<punctuation>[()\[\]{};,])
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -87,19 +87,13 @@ def tokenize(source: str) -> list[Token]:
             if source.startswith("/*", pos):
                 raise TokenizeError("unterminated comment", line, col)
             raise TokenizeError(f"illegal character {ch!r}", line, col)
-        kind = m.lastgroup
+        category = m.lastgroup
         text = m.group()
-        col = pos - line_start + 1
-        if kind == "ident":
-            cat = "keyword" if text in KEYWORDS else "identifier"
-            tokens.append(Token(cat, text, line, col))
-        elif kind in ("int", "float", "char", "string"):
-            tokens.append(Token("constant", text, line, col))
-        elif kind == "op":
-            tokens.append(Token("operator", text, line, col))
-        elif kind == "punct":
-            tokens.append(Token("punctuation", text, line, col))
         # whitespace and comments are dropped, but line accounting still runs
+        if category != "skip":
+            if category == "identifier" and text in KEYWORDS:
+                category = "keyword"
+            tokens.append(Token(category, text, line, pos - line_start + 1))
         nl = text.count("\n")
         if nl:
             line += nl
@@ -146,38 +140,37 @@ class Parser:
     """One instance per parse; holds the token cursor and typedef-name table."""
 
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # Two end tokens: lookahead is at most one token past the cursor, and
+        # the cursor never moves past the first end token.
+        last = tokens[-1] if tokens else Token("end", "", 1, 1)
+        end = Token("end", "", last.line, last.column + len(last.lexeme))
+        self.tokens = tokens + [end, end]
         self.pos = 0
         self.typedefs: set[str] = set()
 
     # --- cursor helpers ---
 
-    def _peek(self, off: int = 0) -> Optional[Token]:
-        i = self.pos + off
-        return self.tokens[i] if i < len(self.tokens) else None
+    def _peek(self, off: int = 0) -> Token:
+        return self.tokens[self.pos + off]
 
     def _at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.tokens[self.pos].category == "end"
 
     def _error(self, message: str, expected: str = "") -> CParseError:
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            col = (last.column + len(last.lexeme)) if last else 1
-            return CParseError("unexpected end of input: " + message, line, col, expected)
+        tok = self.tokens[self.pos]
+        if tok.category == "end":
+            message = "unexpected end of input: " + message
         return CParseError(message, tok.line, tok.column, expected)
 
     def _advance(self) -> Token:
-        if self._at_end():
-            raise self._error("token expected")
         tok = self.tokens[self.pos]
+        if tok.category == "end":
+            raise self._error("token expected")
         self.pos += 1
         return tok
 
     def _check(self, lexeme: str, off: int = 0) -> bool:
-        tok = self._peek(off)
-        return tok is not None and tok.lexeme == lexeme
+        return self.tokens[self.pos + off].lexeme == lexeme
 
     def _accept(self, lexeme: str) -> bool:
         if self._check(lexeme):
@@ -185,38 +178,28 @@ class Parser:
             return True
         return False
 
+    def _unexpected(self, expected: str) -> CParseError:
+        tok = self._peek()
+        found = "end of input" if tok.category == "end" else f"{tok.category} {tok.lexeme!r}"
+        return self._error(f"unexpected {found}", expected)
+
     def _expect(self, lexeme: str) -> Token:
         if not self._check(lexeme):
-            raise self._error(
-                f"unexpected {self._describe_current()}", expected=repr(lexeme)
-            )
+            raise self._unexpected(repr(lexeme))
         return self._advance()
 
-    def _describe_current(self) -> str:
-        tok = self._peek()
-        return f"{tok.category} {tok.lexeme!r}" if tok else "end of input"
-
     def _expect_identifier(self) -> Token:
-        tok = self._peek()
-        if tok is None or tok.category != "identifier":
-            raise self._error(
-                f"unexpected {self._describe_current()}", expected="identifier"
-            )
+        if self._peek().category != "identifier":
+            raise self._unexpected("identifier")
         return self._advance()
 
     # --- type detection ---
 
-    def _is_typedef_name(self, tok: Optional[Token]) -> bool:
-        return (
-            tok is not None
-            and tok.category == "identifier"
-            and tok.lexeme in self.typedefs
-        )
+    def _is_typedef_name(self, tok: Token) -> bool:
+        return tok.category == "identifier" and tok.lexeme in self.typedefs
 
     def _starts_type(self, off: int = 0) -> bool:
         tok = self._peek(off)
-        if tok is None:
-            return False
         if tok.lexeme in BASE_TYPE_KEYWORDS or tok.lexeme in ("struct", "union", "enum"):
             return True
         if tok.lexeme in QUALIFIERS or tok.lexeme == "typedef":
@@ -228,11 +211,8 @@ class Parser:
     def parse_translation_unit(self) -> AstNode:
         items: list[AstNode] = []
         while not self._at_end():
-            items.extend(self._external_declaration())
+            items.extend(self._declaration(allow_funcdef=True))
         return _mk("Root", items)
-
-    def _external_declaration(self) -> list[AstNode]:
-        return self._declaration(allow_funcdef=True)
 
     def _declaration(self, allow_funcdef: bool = False) -> list[AstNode]:
         """Parse one declaration; returns one node per declarator (C expands
@@ -281,8 +261,6 @@ class Parser:
         tag_node: Optional[AstNode] = None
         while True:
             tok = self._peek()
-            if tok is None:
-                break
             if tok.lexeme == "typedef":
                 is_typedef = True
                 self._advance()
@@ -306,26 +284,20 @@ class Parser:
         if tag_node is not None:
             return is_typedef, tag_node
         if not basic_words:
-            raise self._error(
-                f"unexpected {self._describe_current()}", expected="type specifier"
-            )
+            raise self._unexpected("type specifier")
         return is_typedef, _mk("IdentifierType", [])
 
     def _declarator_follows(self, off: int) -> bool:
         """Disambiguates 'T x;' (T is a typedef name) from 'x;' misread."""
         tok = self._peek(off)
-        if tok is None:
-            return False
         return tok.category == "identifier" or tok.lexeme in ("*", "(", ";", ",", ")", "[")
 
     def _struct_union_enum_specifier(self) -> AstNode:
         tok = self._advance()  # struct | union | enum
         tag = tok.lexeme
-        if self._peek() is not None and self._peek().category == "identifier":
+        named = self._peek().category == "identifier"
+        if named:
             self._advance()  # tag name, dropped
-            named = True
-        else:
-            named = False
         if tag == "enum":
             if self._accept("{"):
                 enums: list[AstNode] = []
@@ -370,16 +342,14 @@ class Parser:
 
     def _declarator(self, abstract: bool = False) -> _Declarator:
         ptr_depth = 0
-        while self._check("*"):
-            self._advance()
-            while self._peek() is not None and self._peek().lexeme in QUALIFIERS:
+        while self._accept("*"):
+            while self._peek().lexeme in QUALIFIERS:
                 self._advance()
             ptr_depth += 1
 
         name: Optional[str] = None
         inner: Optional[_Declarator] = None
-        tok = self._peek()
-        if tok is not None and tok.category == "identifier":
+        if self._peek().category == "identifier":
             name = self._advance().lexeme
         elif self._check("(") and self._nested_declarator_follows():
             self._advance()
@@ -387,14 +357,11 @@ class Parser:
             name = inner.name
             self._expect(")")
         elif not abstract:
-            raise self._error(
-                f"unexpected {self._describe_current()}", expected="declarator"
-            )
+            raise self._unexpected("declarator")
 
         suffixes: list[Callable[[AstNode], AstNode]] = []
         while True:
-            if self._check("["):
-                self._advance()
+            if self._accept("["):
                 dim: list[AstNode] = []
                 if not self._check("]"):
                     dim.append(self._assignment_expression())
@@ -402,8 +369,7 @@ class Parser:
                 suffixes.append(
                     lambda t, d=tuple(dim): _mk("ArrayDecl", [t, *d])
                 )
-            elif self._check("("):
-                self._advance()
+            elif self._accept("("):
                 params = self._parameter_list()
                 self._expect(")")
                 suffixes.append(
@@ -428,8 +394,6 @@ class Parser:
         """After '(', distinguish a parenthesized declarator from a parameter
         list (for abstract declarators in type names)."""
         tok = self._peek(1)
-        if tok is None:
-            return False
         return tok.lexeme in ("*", "(") or tok.category == "identifier" and not self._is_typedef_name(tok)
 
     def _parameter_list(self) -> Optional[AstNode]:
@@ -472,7 +436,7 @@ class Parser:
 
     def _statement(self) -> AstNode:
         tok = self._peek()
-        if tok is None:
+        if tok.category == "end":
             raise self._error("statement expected")
         lex = tok.lexeme
         if lex == "{":
@@ -585,15 +549,13 @@ class Parser:
         while not self._check("}"):
             if self._at_end():
                 raise self._error("unterminated switch body", expected="'}'")
-            if self._check("case"):
+            if self._accept("case"):
                 flush()
-                self._advance()
                 expr = self._conditional_expression()
                 self._expect(":")
                 current = ("Case", [expr])
-            elif self._check("default"):
+            elif self._accept("default"):
                 flush()
-                self._advance()
                 self._expect(":")
                 current = ("Default", [])
             else:
@@ -624,8 +586,7 @@ class Parser:
 
     def _assignment_expression(self) -> AstNode:
         left = self._conditional_expression()
-        tok = self._peek()
-        if tok is not None and tok.lexeme in _ASSIGN_OPS:
+        if self._peek().lexeme in _ASSIGN_OPS:
             self._advance()
             right = self._assignment_expression()
             return _mk("Assignment", [left, right])
@@ -644,7 +605,7 @@ class Parser:
         left = self._cast_expression()
         while True:
             tok = self._peek()
-            if tok is None or tok.category != "operator":
+            if tok.category != "operator":
                 break
             prec = _BINOP_PREC.get(tok.lexeme)
             if prec is None or prec < min_prec:
@@ -667,7 +628,7 @@ class Parser:
 
     def _unary_expression(self) -> AstNode:
         tok = self._peek()
-        if tok is None:
+        if tok.category == "end":
             raise self._error("expression expected")
         if tok.lexeme in _UNARY_PREFIX and tok.category == "operator":
             self._advance()
@@ -686,8 +647,6 @@ class Parser:
         expr = self._primary_expression()
         while True:
             tok = self._peek()
-            if tok is None:
-                break
             if tok.lexeme == "[":
                 self._advance()
                 subscript = self._expression()
@@ -716,8 +675,6 @@ class Parser:
 
     def _primary_expression(self) -> AstNode:
         tok = self._peek()
-        if tok is None:
-            raise self._error("expression expected")
         if tok.category == "identifier":
             self._advance()
             return _mk("ID", [])
@@ -729,9 +686,7 @@ class Parser:
             expr = self._expression()
             self._expect(")")
             return expr
-        raise self._error(
-            f"unexpected {self._describe_current()}", expected="expression"
-        )
+        raise self._unexpected("expression")
 
     def _initializer(self) -> AstNode:
         if self._accept("{"):
@@ -746,7 +701,11 @@ class Parser:
 
 
 def parse_program(tokens: list[Token]) -> AstNode:
-    return Parser(tokens).parse_translation_unit()
+    parser = Parser(tokens)
+    try:
+        return parser.parse_translation_unit()
+    except RecursionError:
+        raise parser._error("nesting too deep") from None
 
 
 def parse_source(source: str) -> AstNode:
@@ -754,5 +713,13 @@ def parse_source(source: str) -> AstNode:
 
 
 def parse_file(path) -> AstNode:
-    with open(path, encoding="utf-8") as fh:
-        return parse_source(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+    except UnicodeDecodeError as exc:
+        # the first bad byte's position, with newlines read as open() reads them
+        good = exc.object[: exc.start].decode("utf-8")
+        good = good.replace("\r\n", "\n").replace("\r", "\n")
+        line = good.count("\n") + 1
+        raise CParseError("not valid UTF-8", line, len(good) - good.rfind("\n")) from None
+    return parse_source(source)

@@ -7,6 +7,7 @@ from astvec.ast_core import (
     AstFormatError,
     AstNode,
     KIND_NAMES,
+    LabeledProgram,
     UnknownKindError,
     dump_ast,
     dump_corpus,
@@ -111,6 +112,25 @@ class TestInterchange:
             assert dump_ast(load_ast(text)) == text
 
 
+    def test_deep_tree_dumps(self):
+        depth = 5000
+        tree = node("ID")
+        for _ in range(depth):
+            tree = node("UnaryOp", tree)
+        leaf = '{"kind":"ID","children":[]}'
+        expected = '{"kind":"UnaryOp","children":[' * depth + leaf + "]}" * depth
+        assert dump_ast(tree) == expected
+        line = dump_corpus([LabeledProgram(tree, "a", "s")])
+        assert line == '{"label":"a","source_id":"s","ast":' + expected + "}\n"
+
+    def test_too_deep_to_load(self):
+        doc = '{"kind":"UnaryOp","children":[' * 900 + '{"kind":"ID"}' + "]}" * 900
+        with pytest.raises(AstFormatError, match="^nesting too deep$"):
+            load_ast(doc)
+        with pytest.raises(AstFormatError, match="^corpus line 2: nesting too deep$"):
+            load_corpus('\n{"label":"a","source_id":"s","ast":' + doc + "}")
+
+
 class TestCorpusFormat:
     def test_round_trip(self, corpus):
         text = dump_corpus(corpus)
@@ -124,6 +144,20 @@ class TestCorpusFormat:
     def test_missing_field(self):
         with pytest.raises(AstFormatError):
             load_corpus('{"label": "a", "ast": {"kind": "Root", "children": []}}')
+
+    @pytest.mark.parametrize("line,message", [
+        ("[1, 2]", "corpus line 1: expected an object"),
+        ("7", "corpus line 1: expected an object"),
+        ('{"label": 1, "source_id": "s", "ast": {"kind": "ID"}}',
+         "corpus line 1: 'label' must be a string"),
+        ('{"label": "a", "source_id": null, "ast": {"kind": "ID"}}',
+         "corpus line 1: 'source_id' must be a string"),
+        ("9" * 5000, "corpus line 1: invalid JSON: "),
+    ], ids=["list", "number", "int-label", "null-source-id", "long-integer"])
+    def test_malformed_record(self, line, message):
+        with pytest.raises(AstFormatError) as exc:
+            load_corpus(line)
+        assert str(exc.value).startswith(message)
 
     def test_all_fixture_kinds_resolve(self, corpus):
         for program in corpus:

@@ -1,14 +1,16 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from astvec.ast_core import dump_corpus, load_corpus
-from astvec.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from astvec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from astvec.embedding_io import parse_embeddings
 from astvec.trainer import load_checkpoint
 
@@ -185,6 +187,18 @@ class TestTrain:
         rows = log.read_text(encoding="utf-8").splitlines()[2:]
         assert [row.split(",")[0] for row in rows] == ["3", "4"]
 
+    def test_resume_keeps_epoch_limit(self, tmp_path, small_corpus_file):
+        mid = tmp_path / "mid.json"
+        assert main([
+            "train", "--corpus", str(small_corpus_file), "--out", str(mid),
+            "--dim", "5", "--epochs", "2", "--seed", "2",
+        ]) == EXIT_OK
+        resumed = tmp_path / "resumed.json"
+        assert main([
+            "train", "--corpus", str(small_corpus_file), "--out", str(resumed),
+            "--resume", str(mid),
+        ]) == EXIT_OK
+        assert resumed.read_bytes() == mid.read_bytes()
 
     @pytest.mark.parametrize("flags,ignored", [
         ([], None),
@@ -256,6 +270,129 @@ def test_malformed_checkpoint_exit_2(tmp_path, small_corpus_file, checkpoint_fil
     assert len(proc.stderr.strip().splitlines()) == 1
     assert str(bad) in proc.stderr
     assert not (tmp_path / "cp.json").exists()
+
+
+# Sources and corpora that once ended in a traceback: each C file is either
+# valid (exit 0) or rejected with one line (exit 2); each corpus exits 2.
+DEEP_C = {
+    "parentheses": "int x = " + "(" * 900 + "1" + ")" * 900 + ";\n",
+    "not": "int x = " + "!" * 900 + "1;\n",
+    "else-if": "void f(void) { if (a) ;" + " else if (a) ;" * 600 + " }\n",
+    "sum": "int x = " + "+".join(["a"] * 2000) + ";\n",
+    "assignment-chain": "void f(void) { " + "a = " * 600 + "1; }\n",
+}
+DEEP_AST = ('{"kind":"UnaryOp","children":[' * 900 + '{"kind":"ID","children":[]}'
+            + "]}" * 900)
+DEEP_CORPUS = ('{"label":"a","source_id":"s","ast":' + DEEP_AST + "}\n").encode()
+LATIN1_C = b"int x;\nint caf\xe9;\n"
+LATIN1_CORPUS = b'{"label":"caf\xe9","source_id":"s","ast":{"kind":"ID"}}\n'
+
+
+def _problems(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+class TestHostileInputs:
+    # the column is where the stack ran out, so it depends on the caller's depth
+    @pytest.mark.parametrize("name", ["parentheses", "not", "else-if"])
+    def test_too_deep_c(self, tmp_path, caplog, name):
+        path = tmp_path / "deep.c"
+        path.write_text(DEEP_C[name], encoding="utf-8")
+        assert main(["parse", str(path)]) == EXIT_INPUT
+        [line] = _problems(caplog)
+        assert re.fullmatch(re.escape(str(path)) + r":1:\d+: nesting too deep", line)
+
+    @pytest.mark.parametrize("name,kind", [("sum", "BinaryOp"),
+                                           ("assignment-chain", "Assignment")])
+    def test_deep_valid_c(self, tmp_path, caplog, capsys, name, kind):
+        path = tmp_path / "deep.c"
+        path.write_text(DEEP_C[name], encoding="utf-8")
+        assert main(["parse", str(path)]) == EXIT_OK
+        assert _problems(caplog) == []
+        out = capsys.readouterr().out
+        assert out.startswith('{"kind":"Root"') and out.endswith("]}\n")
+        assert out.count(f'"{kind}"') == DEEP_C[name].count("+" if kind == "BinaryOp" else "=")
+
+    def test_latin1_parse(self, tmp_path, caplog):
+        path = tmp_path / "latin1.c"
+        path.write_bytes(LATIN1_C)
+        assert main(["parse", str(path)]) == EXIT_INPUT
+        assert _problems(caplog) == [f"{path}:2:8: not valid UTF-8"]
+
+    def test_latin1_corpus_build_skips(self, tmp_path, caplog):
+        d = tmp_path / "src" / "lab"
+        d.mkdir(parents=True)
+        (d / "bad.c").write_bytes(LATIN1_C)
+        (d / "good.c").write_text("int x;\n", encoding="utf-8")
+        out = tmp_path / "c.jsonl"
+        assert main(["corpus-build", "--src-dir", str(tmp_path / "src"),
+                     "--out", str(out)]) == EXIT_OK
+        assert _problems(caplog) == [f"skipping {d / 'bad.c'}: 2:8: not valid UTF-8"]
+        assert [p.source_id for p in load_corpus(out.read_text(encoding="utf-8"))] == ["good"]
+
+    @pytest.mark.parametrize("data,message", [
+        (LATIN1_CORPUS, ": not valid UTF-8 at byte 13"),
+        (DEEP_CORPUS, ": corpus line 1: nesting too deep"),
+    ], ids=["latin1", "deep"])
+    def test_bad_corpus_train(self, tmp_path, caplog, data, message):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes(data)
+        assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.json"),
+                     "--epochs", "1"]) == EXIT_INPUT
+        assert _problems(caplog) == [f"{corpus}{message}"]
+        assert not (tmp_path / "m.json").exists()
+
+
+C_WORDS = ("int x y T ( ) { } [ ] ; , = + - * & ! ? : . -> ++ 1 2.5 'a' \"s\" if else "
+           "for while do switch case default break goto return sizeof struct "
+           "typedef const char void /* */ // \n \\").split(" ")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.binary(),
+    st.text().map(lambda t: t.encode("utf-8", "surrogatepass")),
+    st.lists(st.sampled_from(C_WORDS)).map(lambda ws: " ".join(ws).encode()),
+))
+@example(LATIN1_C)
+@example(b"int x = 1;\xff")
+@example(b"\x00")
+@example(b"/* open")
+@example(b'char *s = "open;')
+@example(DEEP_C["parentheses"].encode())
+@example(DEEP_C["not"].encode())
+@example(DEEP_C["else-if"].encode())
+@example(DEEP_C["sum"].encode())
+@example(DEEP_C["assignment-chain"].encode())
+def test_fuzz_parse(fuzz_dir, data):
+    path = fuzz_dir / "prog.c"
+    path.write_bytes(data)
+    assert main(["parse", str(path)]) in (EXIT_OK, EXIT_INPUT)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.binary(),
+    st.text().map(lambda t: t.encode("utf-8", "surrogatepass")),
+))
+@example(LATIN1_CORPUS)
+@example(DEEP_CORPUS)
+@example(b'{"label":"a","source_id":"s","ast":{"kind":"Root","children":[{"kind":"ID"}]}}')
+@example(b'{"label":"a","source_id":"s","ast":{"kind":"ID"}}')
+@example(b'{"label":[],"source_id":"s","ast":{"kind":"ID"}}')
+@example(b"[]\n7\nnull\n" + b"9" * 5000)
+@example(b'{"label":"a","source_id":"s","ast":{"kind":"Nope"}}')
+def test_fuzz_train(fuzz_dir, data):
+    corpus = fuzz_dir / "corpus.jsonl"
+    corpus.write_bytes(data)
+    code = main(["train", "--corpus", str(corpus), "--out", str(fuzz_dir / "m.json"),
+                 "--epochs", "1"])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_NUMERIC)
 
 
 class TestNn:

@@ -122,3 +122,52 @@ def test_parse_file_missing():
 def test_parse_program_matches_parse_source():
     src = "int x; int y = 2;"
     assert parse_program(tokenize(src)) == parse_source(src)
+
+
+# The exact (message, line, column, expected) for each truncated source, so a
+# change to how the parser meets the end of its input shows here.
+END = "unexpected end of input: "
+
+
+@pytest.mark.parametrize("src,message,line,column,expected", [
+    pytest.param("int x", END + "unexpected end of input", 1, 6, "';'",
+                 id="mid-declaration"),
+    pytest.param("int f(void) { return a *", END + "expression expected", 1, 25, "",
+                 id="mid-expression"),
+    pytest.param("int f(void) {\n    int x = 1;\n", END + "unterminated block", 2, 15,
+                 "'}'", id="open-block"),
+    pytest.param("void f(int a) {\n    switch (a) {\n    case 1:\n        break;\n",
+                 END + "unterminated switch body", 4, 15, "'}'", id="open-switch"),
+    pytest.param("void f(void) { goto", END + "unexpected end of input", 1, 20,
+                 "identifier", id="after-goto"),
+    pytest.param("int f(", END + "unexpected end of input", 1, 7, "type specifier",
+                 id="empty-parameter-list"),
+])
+def test_truncated_source_error(src, message, line, column, expected):
+    with pytest.raises(CParseError) as exc:
+        parse_source(src)
+    err = exc.value
+    assert type(err) is CParseError
+    assert (err.message, err.line, err.column, err.expected) == (
+        message, line, column, expected
+    )
+
+
+def test_end_tokens_not_returned():
+    toks = tokenize("int x;")
+    parse_program(toks)
+    assert len(toks) == 3 and all(t.category != "end" for t in toks)
+
+
+@pytest.mark.parametrize("data,line,column", [
+    (b"int caf\xe9;", 1, 8),
+    (b"int x;\r\n/* \xc3\xa9 */\rint \xff;", 3, 5),
+], ids=["latin1", "after-crlf-and-cr"])
+def test_not_utf8_position(tmp_path, data, line, column):
+    path = tmp_path / "bad.c"
+    path.write_bytes(data)
+    with pytest.raises(CParseError) as exc:
+        parse_file(path)
+    assert (exc.value.message, exc.value.line, exc.value.column) == (
+        "not valid UTF-8", line, column
+    )
