@@ -104,6 +104,9 @@ def cmd_corpus_build(args) -> int:
             label = c_path.parent.name
             try:
                 ast = parse_file(c_path)
+            except OSError as exc:
+                log.warning("skipping %s: %s", c_path, exc.strerror or exc)
+                continue
             except CParseError as exc:
                 log.warning(
                     "skipping %s: %s:%s: %s", c_path, exc.line, exc.column, exc.message

@@ -109,18 +109,40 @@ def init_params(hyper: Hyperparams, rng: np.random.Generator) -> ModelParams:
     )
 
 
-def _forward(ids: np.ndarray, coef: np.ndarray, params: ModelParams):
-    """The coder on a batch of packed rows: ids (B, 1+K), parent id then child
-    ids; coef (B, 2, 1+K), or (2, 1+K) shared by every row.
+def _forward(ids: np.ndarray, coef: np.ndarray, params: ModelParams, ahead=None):
+    """The coder on a batch of packed rows: ids (..., 1+K), parent id then
+    child ids; coef (..., 2, 1+K), broadcast against the rows.
 
-    Returns (s, h, e): s (B, 2 N_f) the children's left- and right-weighted
+    With ahead = (velocity, drift), drift (..., 4) broadcast against the rows,
+    each row is coded at parameters mixed from params and the velocity:
+    drift[..., 0] params + drift[..., 1] velocity on the embeddings and b,
+    drift[..., 2] params + drift[..., 3] velocity on [W_l W_r].
+
+    Returns (s, h, e): s (..., 2 N_f) the children's left- and right-weighted
     vector sums side by side, h = tanh([W_l W_r] s + b) the coded vectors and
     e the parent vectors minus h.
     """
-    vectors = params.embeddings.take(ids, axis=0)
-    s = (coef @ vectors).reshape(len(ids), -1)
-    h = np.tanh(s @ params.w.T + params.b)
-    return s, h, vectors[:, 0] - h
+    if ahead is None:
+        vectors = params.embeddings.take(ids, axis=0)
+        s = (coef @ vectors).reshape(*ids.shape[:-1], -1)
+        z = s @ params.w.T + params.b
+        parents = vectors[..., 0, :]
+    else:
+        velocity, drift = ahead
+        n_f = params.n_f
+        # each slot's vector in params, then in the velocity, mixed by drift
+        both = np.stack([params.embeddings, velocity.embeddings], axis=1).take(ids, axis=0)
+        both = both.reshape(*ids.shape[:-1], -1, n_f)
+        mixed = coef[..., None] * drift[..., None, None, :2]
+        s = (mixed.reshape(*mixed.shape[:-2], -1) @ both).reshape(*ids.shape[:-1], -1)
+        parents = (drift[..., None, :2] @ both[..., :2, :])[..., 0, :]
+        # [W_l W_r] s in params, then in the velocity, mixed by drift
+        ws = s.reshape(-1, 2 * n_f) @ np.hstack([params.w.T, velocity.w.T])
+        ws = ws.reshape(*s.shape[:-1], 2, n_f)
+        b = drift[..., :2] @ np.stack([params.b, velocity.b])
+        z = (drift[..., None, 2:] @ ws)[..., 0, :] + b
+    h = np.tanh(z)
+    return s, h, parents - h
 
 
 def _sample_rows(samples):
@@ -186,6 +208,11 @@ def objective(
     return total / (2.0 * len(pairs)) + l2_penalty(params, hyper)
 
 
+def l2_rate(hyper: Hyperparams) -> float:
+    """c in the l2 penalty's gradient c [W_l W_r], c = lam / 2 N_f^2."""
+    return hyper.lam / (2.0 * hyper.n_f**2)
+
+
 # d(d - d_c)/d(e) is 2e on the real row of a pair and -2e on the corrupted one.
 _PAIR_SIGN = np.array([[2.0], [-2.0]])
 
@@ -211,7 +238,7 @@ def gradient_and_hinge(
     hinge = hinge_loss(d, d_c, hyper.delta)
     flat = np.zeros(params.flat.size)
     w_span = params.w_span
-    np.multiply(params.flat[w_span], hyper.lam / (2.0 * hyper.n_f**2), out=flat[w_span])
+    np.multiply(params.flat[w_span], l2_rate(hyper), out=flat[w_span])
     if hinge > 0.0:
         grad = ModelParams.of_flat(flat, params.n_f)
         de = _PAIR_SIGN * e
@@ -224,3 +251,15 @@ def gradient_and_hinge(
         slots[:, 0] += de
         np.add.at(grad.embeddings, ids, slots)
     return flat, hinge
+
+
+def lookahead_margins(pairs: np.ndarray, coef: np.ndarray, params: ModelParams,
+                      velocity: ModelParams, drift: np.ndarray,
+                      hyper: Hyperparams) -> np.ndarray:
+    """delta + d - d_c of each pair, the hinge before clipping at 0, with pair
+    k coded at the parameters drift[k] mixes from params and the velocity (see
+    `_forward`): pairs (P, 2, 1+K) as `gradient_and_hinge` takes them, coef
+    (P, 2, 1+K) and drift (P, 4)."""
+    _, _, e = _forward(pairs, coef[:, None], params, (velocity, drift[:, None]))
+    d = (e * e).sum(axis=-1)
+    return hyper.delta + d[:, 0] - d[:, 1]

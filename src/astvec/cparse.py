@@ -159,7 +159,7 @@ class Parser:
     def _error(self, message: str, expected: str = "") -> CParseError:
         tok = self.tokens[self.pos]
         if tok.category == "end":
-            message = "unexpected end of input: " + message
+            message = "unexpected end of input" + (message and ": " + message)
         return CParseError(message, tok.line, tok.column, expected)
 
     def _advance(self) -> Token:
@@ -180,8 +180,9 @@ class Parser:
 
     def _unexpected(self, expected: str) -> CParseError:
         tok = self._peek()
-        found = "end of input" if tok.category == "end" else f"{tok.category} {tok.lexeme!r}"
-        return self._error(f"unexpected {found}", expected)
+        if tok.category == "end":  # _error names the end of input
+            return self._error("", expected)
+        return self._error(f"unexpected {tok.category} {tok.lexeme!r}", expected)
 
     def _expect(self, lexeme: str) -> Token:
         if not self._check(lexeme):

@@ -7,6 +7,14 @@ samples are packed once per call, and an epoch's negatives are drawn in one
 go before its steps. All randomness (init, shuffling, corruption) flows from
 a single seeded stream, so runs are reproducible bit for bit and resumable
 from checkpoints.
+
+Most pairs are inactive (hinge 0), and a run of inactive steps is a fixed
+linear map of (theta, velocity) (`inactive_powers`). So the epoch goes
+window by window: one look-ahead pass codes the next LOOKAHEAD pairs, each at
+the parameters the inactive steps before it would reach, the parameters jump
+in closed form to the first active pair, and that pair takes an ordinary
+step. This moves the parameters only in the last digits against stepping
+every pair.
 """
 
 from __future__ import annotations
@@ -20,13 +28,25 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .ast_core import KIND_NAMES, VOCAB_SIZE
-from .coder import Hyperparams, ModelParams, gradient_and_hinge, init_params, l2_penalty
+from .coder import (
+    Hyperparams,
+    ModelParams,
+    gradient_and_hinge,
+    init_params,
+    l2_penalty,
+    l2_rate,
+    lookahead_margins,
+)
 from .sampling import TrainingSample, pack_samples
-# An epoch's negatives are drawn through this name and each step's pair goes
-# through gradient_and_hinge; the traced benchmark wraps both here.
+# An epoch's negatives are drawn through this name and each active step's pair
+# goes through gradient_and_hinge; the traced benchmark wraps both here.
 from .sampling import corrupt_packed as corrupt
 
 CHECKPOINT_VERSION = 1
+
+# Pairs coded per look-ahead pass. Windows restart at each epoch, so an epoch
+# computes the same floats however the epochs are split across calls.
+LOOKAHEAD = 32
 
 CONVERGENCE_REL_TOL = 1e-4
 CONVERGENCE_PATIENCE = 3
@@ -117,9 +137,10 @@ def train(
     theta = params.flat
     vel = state.velocity.flat
     rng = state.rng
-    eps = hyper.epsilon
-    alpha = hyper.alpha
     n = len(samples)
+    powers = inactive_powers(hyper, LOOKAHEAD)
+    # the parameters after k inactive steps, as coder._forward mixes them
+    drift = powers[:-1, :, 0, :].reshape(LOOKAHEAD, 4)
 
     report = TrainReport(first_epoch=state.epoch + 1)
     start = time.perf_counter()
@@ -128,14 +149,22 @@ def train(
         order = rng.permutation(n) if shuffle else np.arange(n)
         rows, pairs = corrupt(packed, order, rng)
         hinge_total = 0.0
-        for step, (row, ids) in enumerate(zip(rows, pairs)):
-            grad, hinge = gradient_and_hinge(ids, packed.coef[row], params, hyper)
-            hinge_total += hinge
-            vel *= eps
-            vel += grad
-            theta -= alpha * vel
-            if not (math.isfinite(hinge) and np.isfinite(theta).all()):
-                raise TrainingDiverged(state.epoch, int(order[step]))
+        t = 0
+        while t < n:
+            stop = min(t + LOOKAHEAD, n)
+            margins = lookahead_margins(pairs[t:stop], packed.coef[rows[t:stop]], params,
+                                        state.velocity, drift[: stop - t], hyper)
+            # the first pair with a hinge > 0, or a non-finite one
+            hits = np.flatnonzero(~(margins <= 0.0))
+            active = t + int(hits[0]) if len(hits) else stop
+            if active > t and not _skip_inactive(theta, vel, params.w_span,
+                                                 powers[active - t]):
+                # replay, so that the error names the step that overflowed
+                hinge_total = _steps(state, packed, rows, pairs, order,
+                                     range(t, active), hinge_total)
+            t = min(active + 1, stop)
+            hinge_total = _steps(state, packed, rows, pairs, order, range(active, t),
+                                 hinge_total)
 
         mean_hinge = hinge_total / n
         state.epoch += 1
@@ -148,7 +177,61 @@ def train(
     return state, report
 
 
+def _steps(state: TrainState, packed, rows, pairs, order, steps,
+           hinge_total: float) -> float:
+    """The SGD steps `steps` of the epoch one by one; hinge_total plus their
+    hinges."""
+    params, hyper = state.params, state.hyper
+    theta, vel = params.flat, state.velocity.flat
+    for step in steps:
+        grad, hinge = gradient_and_hinge(pairs[step], packed.coef[rows[step]], params, hyper)
+        hinge_total += hinge
+        vel *= hyper.epsilon
+        vel += grad
+        theta -= hyper.alpha * vel
+        if not (math.isfinite(hinge) and np.isfinite(theta).all()):
+            raise TrainingDiverged(state.epoch, int(order[step]))
+    return hinge_total
+
+
+def inactive_powers(hyper: Hyperparams, steps: int) -> np.ndarray:
+    """M^k for k = 0..steps, (steps + 1, 2, 2, 2): the map that k momentum
+    steps apply to (theta, velocity) when every pair is inactive.
+
+    An inactive pair's gradient is only the l2 part, c theta on [W_l W_r] and
+    0 elsewhere, so the step v' = epsilon v + c theta, theta' = theta - alpha
+    v' is the same 2 x 2 map on every entry of a region: [k, 0] on the
+    embeddings and b (c = 0), [k, 1] on [W_l W_r].
+    """
+    a, eps = hyper.alpha, hyper.epsilon
+    powers = np.empty((steps + 1, 2, 2, 2))
+    powers[0] = np.eye(2)
+    for c, region in ((0.0, 0), (l2_rate(hyper), 1)):
+        m = np.array([[1.0 - a * c, -a * eps], [c, eps]])
+        for k in range(steps):
+            powers[k + 1, region] = m @ powers[k, region]
+    return powers
+
+
+def _skip_inactive(theta: np.ndarray, vel: np.ndarray, w_span: slice, power) -> bool:
+    """Apply `power`, the map of a run of inactive steps (one of
+    `inactive_powers`), to theta and vel in place; False, with both left as
+    they were, if that makes either non-finite."""
+    both = np.stack([theta, vel])
+    new = power[0] @ both
+    new[:, w_span] = power[1] @ both[:, w_span]
+    if not np.isfinite(new).all():
+        return False
+    theta[:], vel[:] = new
+    return True
+
+
 PARAM_FIELDS = ("embeddings", "w_l", "w_r", "b")
+
+# The largest parameter magnitude a checkpoint may hold. Squared distances and
+# k-means weights over the embedding table stay finite far beyond it; a value
+# near the float limit overflows them (one 1e308 entry made `cluster` fail).
+PARAM_LIMIT = 1e100
 
 
 def _params_doc(p: ModelParams) -> dict:
@@ -195,8 +278,9 @@ def _read_params(doc: dict, key: str, n_f: int) -> ModelParams:
         if a.shape != shapes[name]:
             raise CheckpointError(
                 f"{key}.{name} has shape {a.shape}, expected {shapes[name]}")
-        if not np.isfinite(a).all():
-            raise CheckpointError(f"{key}.{name} holds a non-finite value")
+        if not (np.abs(a) <= PARAM_LIMIT).all():
+            raise CheckpointError(
+                f"{key}.{name} holds a value that is not finite or beyond {PARAM_LIMIT:g}")
         arrays[name] = a
     return ModelParams(**arrays)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from astvec import cli
 from astvec.ast_core import dump_corpus, load_corpus
 from astvec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from astvec.embedding_io import parse_embeddings
@@ -246,6 +247,7 @@ def _put(value, *keys):
     pytest.param(_put(-1, "hyper", "alpha"), id="negative-alpha"),
     pytest.param(_put(lambda w: [[float("nan")] * len(w[0])] * len(w),
                       "velocity", "w_l"), id="nan-velocity"),
+    pytest.param(_put(lambda b: [1e308] + b[1:], "params", "b"), id="huge-b"),
     pytest.param(_put(True, "epoch"), id="bool-epoch"),
     pytest.param(_put({}, "rng_state"), id="empty-rng-state"),
     pytest.param(_put(lambda h: h + ["0.5"], "loss_history"), id="string-loss"),
@@ -330,6 +332,27 @@ class TestHostileInputs:
         assert _problems(caplog) == [f"skipping {d / 'bad.c'}: 2:8: not valid UTF-8"]
         assert [p.source_id for p in load_corpus(out.read_text(encoding="utf-8"))] == ["good"]
 
+    def test_unreadable_corpus_build_skips(self, tmp_path, caplog, monkeypatch):
+        # a directory named like a C file, and a file open() refuses
+        d = tmp_path / "src" / "lab"
+        (d / "dir.c").mkdir(parents=True)
+        (d / "locked.c").write_text("int y;\n", encoding="utf-8")
+        (d / "good.c").write_text("int x;\n", encoding="utf-8")
+        parse_file = cli.parse_file
+
+        def refuse_locked(path):
+            if path.name == "locked.c":
+                raise PermissionError(13, "Permission denied", str(path))
+            return parse_file(path)
+
+        monkeypatch.setattr(cli, "parse_file", refuse_locked)
+        out = tmp_path / "c.jsonl"
+        assert main(["corpus-build", "--src-dir", str(tmp_path / "src"),
+                     "--out", str(out)]) == EXIT_OK
+        assert _problems(caplog) == [f"skipping {d / 'dir.c'}: Is a directory",
+                                     f"skipping {d / 'locked.c'}: Permission denied"]
+        assert [p.source_id for p in load_corpus(out.read_text(encoding="utf-8"))] == ["good"]
+
     @pytest.mark.parametrize("data,message", [
         (LATIN1_CORPUS, ": not valid UTF-8 at byte 13"),
         (DEEP_CORPUS, ": corpus line 1: nesting too deep"),
@@ -393,6 +416,66 @@ def test_fuzz_train(fuzz_dir, data):
     code = main(["train", "--corpus", str(corpus), "--out", str(fuzz_dir / "m.json"),
                  "--epochs", "1"])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_NUMERIC)
+
+
+# Values a checkpoint field may be replaced with, NaN and infinities included
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.floats(), max_size=3), st.dictionaries(st.text(max_size=2), st.integers()),
+)
+
+
+def _mutated(data, text: bytes) -> bytes:
+    """A valid checkpoint with one number or field replaced, cut short, or
+    with a few bytes overwritten."""
+    how = data.draw(st.sampled_from(["number", "field", "truncate", "bytes"]))
+    if how == "number":  # one parameter entry, the kind of edit most likely to load
+        doc = json.loads(text)
+        rows = doc[data.draw(st.sampled_from(["params", "velocity"]))][
+            data.draw(st.sampled_from(["embeddings", "w_l", "w_r", "b"]))]
+        if isinstance(rows[0], list):
+            rows = rows[data.draw(st.integers(0, len(rows) - 1))]
+        rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(st.floats())
+        return json.dumps(doc).encode()
+    if how == "field":
+        doc = json.loads(text)
+        node = doc
+        while True:
+            key = data.draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and data.draw(st.booleans()):
+                node = node[key]
+                continue
+            node[key] = data.draw(JSON_VALUES)
+            return json.dumps(doc).encode()
+    at = data.draw(st.integers(0, len(text) - 1))
+    if how == "truncate":
+        return text[:at]
+    return text[:at] + data.draw(st.binary(min_size=1, max_size=4)) + text[at + 1:]
+
+
+def _checkpoint_argv(command, checkpoint, corpus, out):
+    return {
+        "nn": ["nn", "--checkpoint", checkpoint, "--symbol", "If"],
+        "cluster": ["cluster", "--checkpoint", checkpoint, "--restarts", "2",
+                    "--out", f"{out}.csv", "--report", f"{out}.txt"],
+        "export": ["export", "--checkpoint", checkpoint, "--out", f"{out}.txt"],
+        "classify": ["classify", "--corpus", corpus, "--checkpoint", checkpoint,
+                     "--out-dir", out, "--epochs", "2"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["nn", "cluster", "export", "classify"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzz_checkpoint(fuzz_dir, small_corpus_file, checkpoint_file, command, data):
+    valid = checkpoint_file.read_bytes()
+    blob = data.draw(st.one_of(st.binary(), st.builds(lambda: None)))
+    path = fuzz_dir / "checkpoint.json"
+    path.write_bytes(_mutated(data, valid) if blob is None else blob)
+    argv = _checkpoint_argv(command, str(path), str(small_corpus_file),
+                            str(fuzz_dir / command))
+    assert main(argv) in (EXIT_OK, EXIT_INPUT)
 
 
 class TestNn:

@@ -130,7 +130,7 @@ END = "unexpected end of input: "
 
 
 @pytest.mark.parametrize("src,message,line,column,expected", [
-    pytest.param("int x", END + "unexpected end of input", 1, 6, "';'",
+    pytest.param("int x", "unexpected end of input", 1, 6, "';'",
                  id="mid-declaration"),
     pytest.param("int f(void) { return a *", END + "expression expected", 1, 25, "",
                  id="mid-expression"),
@@ -138,9 +138,9 @@ END = "unexpected end of input: "
                  "'}'", id="open-block"),
     pytest.param("void f(int a) {\n    switch (a) {\n    case 1:\n        break;\n",
                  END + "unterminated switch body", 4, 15, "'}'", id="open-switch"),
-    pytest.param("void f(void) { goto", END + "unexpected end of input", 1, 20,
+    pytest.param("void f(void) { goto", "unexpected end of input", 1, 20,
                  "identifier", id="after-goto"),
-    pytest.param("int f(", END + "unexpected end of input", 1, 7, "type specifier",
+    pytest.param("int f(", "unexpected end of input", 1, 7, "type specifier",
                  id="empty-parameter-list"),
 ])
 def test_truncated_source_error(src, message, line, column, expected):

@@ -3,13 +3,27 @@ import pytest
 
 from astvec import trainer
 from astvec.ast_core import kind_by_name, node
-from astvec.coder import Hyperparams, ModelParams, init_params
-from astvec.sampling import corrupt, extract_samples
+from astvec.coder import (
+    Hyperparams,
+    distance,
+    gradient_and_hinge,
+    init_params,
+    l2_rate,
+    lookahead_margins,
+)
+from astvec.sampling import (
+    corrupt,
+    corrupt_packed,
+    extract_samples,
+    pack_samples,
+)
 from astvec.trainer import (
+    LOOKAHEAD,
     CheckpointError,
     TrainingDiverged,
     fresh_state,
     has_converged,
+    inactive_powers,
     load_checkpoint,
     loss_log_csv,
     save_checkpoint,
@@ -132,36 +146,132 @@ class TestTrain:
             train(_samples(), hyper)
 
     @pytest.mark.parametrize("where", ["w_l", "embedding"])
-    def test_divergence_names_the_step_sample(self, monkeypatch, where):
-        # the gradient of step 1 of epoch 1 turns one entry of w_l, or of an
-        # embedding row no sample uses, to inf; b and the hinge stay finite
-        hyper = Hyperparams(n_f=4, epochs=3, seed=3)
+    def test_divergence_names_the_step_sample(self, where):
+        # every embedding row equal and no margin: a pair and its corrupted
+        # copy code alike, so the pairs are inactive and epoch 1 is one
+        # closed-form jump; in it, one entry of w_l, or of the embedding row
+        # of Goto, which no sample uses, starts near -max float with a
+        # velocity that pushes it past -max float in step OVERFLOW_STEP
+        hyper = Hyperparams(n_f=4, delta=0.0, epochs=3, seed=3)
         samples = _samples()
-        rng = np.random.default_rng(hyper.seed)
-        init_params(hyper, rng)
-        for i in rng.permutation(len(samples)):  # epoch 0
-            corrupt(samples[i], rng)
-        order = rng.permutation(len(samples))  # epoch 1
-        step_fn = trainer.gradient_and_hinge
-        calls = []
+        state = fresh_state(hyper)
+        state.params.embeddings[:] = state.params.embeddings[0]
+        state, _ = train(samples, hyper, state=state, max_epochs=1)
+        if where == "w_l":
+            state.params.w_l[1, 2], state.velocity.w_l[1, 2] = THETA_0, VEL_0
+        else:
+            goto = kind_by_name("Goto").id
+            state.params.embeddings[goto, 0], state.velocity.embeddings[goto, 0] = (
+                THETA_0, VEL_0)
+        order = np.random.default_rng(0)
+        order.bit_generator.state = state.rng.bit_generator.state
+        order = order.permutation(len(samples))  # epoch 1
 
-        def blow_up(ids, coef, params, hyper):
-            grad, hinge = step_fn(ids, coef, params, hyper)
-            calls.append(None)
-            if len(calls) == len(samples) + 2:
-                g = ModelParams.of_flat(grad, params.n_f)
-                if where == "w_l":
-                    g.w_l[1, 2] = np.inf
-                else:
-                    g.embeddings[kind_by_name("Goto").id, 0] = np.inf
-            return grad, hinge
+        # the entry's own inactive steps, one by one
+        c = l2_rate(hyper) if where == "w_l" else 0.0
+        theta, vel = THETA_0, VEL_0
+        for step in range(len(samples)):
+            vel = hyper.epsilon * vel + c * theta
+            theta = theta - hyper.alpha * vel
+            if not np.isfinite(theta):
+                break
+        assert step == OVERFLOW_STEP
 
-        monkeypatch.setattr(trainer, "gradient_and_hinge", blow_up)
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as caught:
-            train(samples, hyper)
-        assert order[1] != 1  # the index names the sample, not the step
-        assert (caught.value.epoch, caught.value.sample_index) == (1, int(order[1]))
-        assert len(calls) == len(samples) + 2
+            train(samples, hyper, state=state)
+        assert order[step] != step  # the index names the sample, not the step
+        assert (caught.value.epoch, caught.value.sample_index) == (1, int(order[step]))
+
+    # 7 pairs an epoch fit one look-ahead window, 70 span three; at the faster
+    # rate, coding a pair at the wrong step of a window flips some pair's
+    # activity. On the bundled corpus at n_f=4 the per-step loop itself moves
+    # by 0.18 within 3 epochs when its start moves by 1e-15, so no tolerance
+    # would hold there.
+    @pytest.mark.parametrize("copies", [1, 10])
+    @pytest.mark.parametrize("alpha,lam", [(0.003, 1e-4), (0.03, 0.1)])
+    def test_matches_per_step_loop(self, copies, alpha, lam):
+        hyper = Hyperparams(n_f=4, alpha=alpha, lam=lam, epochs=5, seed=1)
+        samples = _samples() * copies
+        state, report = train(samples, hyper)
+        ref, hinges = per_step_train(samples, hyper)
+        np.testing.assert_allclose(state.params.flat, ref.params.flat, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(state.velocity.flat, ref.velocity.flat, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(report.mean_hinge, hinges, rtol=0, atol=1e-10)
+        assert state.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+# -max float plus a velocity that overflows it in the 4th step: alpha epsilon
+# VEL_0 (1 + epsilon + epsilon^2) = 7.3e305 < 7.7e305 < 9.3e305 (one more term)
+THETA_0, VEL_0, OVERFLOW_STEP = -1.79e308, 1e308, 3
+
+
+def per_step_train(samples, hyper):
+    """The literal per-step loop that `train` shortens: every pair of every
+    epoch steps through gradient_and_hinge and the momentum update, with the
+    negatives drawn as `train` draws them."""
+    state = fresh_state(hyper)
+    packed = pack_samples(samples)
+    theta, vel = state.params.flat, state.velocity.flat
+    hinges = []
+    for _ in range(hyper.epochs):
+        order = state.rng.permutation(len(samples))
+        rows, pairs = corrupt_packed(packed, order, state.rng)
+        total = 0.0
+        for row, ids in zip(rows, pairs):
+            grad, hinge = gradient_and_hinge(ids, packed.coef[row], state.params, hyper)
+            total += hinge
+            vel *= hyper.epsilon
+            vel += grad
+            theta -= hyper.alpha * vel
+        hinges.append(total / len(samples))
+    return state, hinges
+
+
+def inactive_step(theta, vel, w_span, hyper):
+    """One literal step of a pair with hinge 0: the l2 gradient only."""
+    g_l2 = np.zeros_like(theta)
+    g_l2[w_span] = l2_rate(hyper) * theta[w_span]
+    vel *= hyper.epsilon
+    vel += g_l2
+    theta -= hyper.alpha * vel
+
+
+# a penalty strong enough that the weight region's map differs visibly
+STEEP = Hyperparams(n_f=4, lam=0.5, alpha=0.05, epsilon=0.9)
+
+
+def test_closed_form_equals_inactive_steps():
+    # k literal steps against one jump by the k-th power, for every k a
+    # window can jump
+    rng = np.random.default_rng(4)
+    start_theta = init_params(STEEP, rng)
+    start_vel = init_params(STEEP, rng)
+    powers = inactive_powers(STEEP, LOOKAHEAD)
+    theta, vel = start_theta.flat.copy(), start_vel.flat.copy()
+    w = start_theta.w_span
+    for k in range(LOOKAHEAD + 1):
+        jumped_theta, jumped_vel = start_theta.flat.copy(), start_vel.flat.copy()
+        assert trainer._skip_inactive(jumped_theta, jumped_vel, w, powers[k])
+        for got, want in ((jumped_theta, theta), (jumped_vel, vel)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        inactive_step(theta, vel, w, STEEP)
+
+
+def test_lookahead_codes_pair_k_after_k_inactive_steps():
+    rng = np.random.default_rng(5)
+    params, velocity = init_params(STEEP, rng), init_params(STEEP, rng)
+    samples = (_samples() * 5)[:LOOKAHEAD]
+    negatives = [corrupt(s, rng) for s in samples]
+    packed = pack_samples(x for pair in zip(samples, negatives) for x in pair)
+    pairs = packed.ids[packed.rows].reshape(LOOKAHEAD, 2, -1)
+    coef = packed.coef[packed.rows[0::2]]
+    drift = inactive_powers(STEEP, LOOKAHEAD)[:-1, :, 0, :].reshape(LOOKAHEAD, 4)
+    margins = lookahead_margins(pairs, coef, params, velocity, drift, STEEP)
+    vel = velocity.flat.copy()
+    for k, (s, neg) in enumerate(zip(samples, negatives)):
+        want = STEEP.delta + distance(s, params) - distance(neg, params)
+        assert abs(margins[k] - want) <= 1e-12 * max(1.0, abs(want))
+        inactive_step(params.flat, vel, params.w_span, STEEP)
 
 
 class TestCheckpoint:
