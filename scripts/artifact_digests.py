@@ -5,9 +5,11 @@ A refactor that claims no behaviour change should leave this output unchanged:
 run it before and after the change and compare. In a temporary directory it
 runs, on data/corpus.jsonl and in-process: `train` (3 epochs), `train --resume`
 (a 4th epoch), `nn` for every symbol, `cluster --out --report`, `export`,
-`classify` and `corpus-build --generate`. It also writes parse.txt: for every
-fixture source under tests/fixtures, and for every prefix and suffix of each,
-the parser's tree or its error (class, line, column, message, expected).
+`classify`, `corpus-build --generate`, and `corpus-build --src-dir` over the
+seed-0 generated sources written as <label>/<source_id>.c. It also writes
+parse.txt: for every fixture source under tests/fixtures, and for every prefix
+and suffix of each, the parser's tree or its error (class, line, column,
+message, expected).
 Run from anywhere:
 
     python3 scripts/artifact_digests.py
@@ -23,7 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from astvec import cli  # noqa: E402
+from astvec import cli, corpusgen  # noqa: E402
 from astvec.ast_core import KIND_NAMES, dump_ast  # noqa: E402
 from astvec.cparse import CParseError, parse_file, parse_source  # noqa: E402
 
@@ -62,7 +64,13 @@ def parse_results() -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_artifacts(d: Path) -> None:
+def write_sources(src: Path) -> None:
+    for label, source_id, text in corpusgen.generate_sources(seed=0):
+        (src / label).mkdir(parents=True, exist_ok=True)
+        (src / label / f"{source_id}.c").write_text(text, encoding="utf-8")
+
+
+def write_artifacts(d: Path, src: Path) -> None:
     model, resumed = str(d / "model.json"), str(d / "resumed.json")
     astvec("train", "--corpus", str(CORPUS), "--out", model,
            "--loss-log", str(d / "loss.csv"), "--epochs", str(TRAIN_EPOCHS))
@@ -79,13 +87,16 @@ def write_artifacts(d: Path) -> None:
     astvec("classify", "--corpus", str(CORPUS), "--checkpoint", model,
            "--out-dir", str(d / "classify"))
     astvec("corpus-build", "--generate", "--out", str(d / "generated.jsonl"))
+    write_sources(src)
+    astvec("corpus-build", "--src-dir", str(src), "--out", str(d / "from_sources.jsonl"))
     (d / "parse.txt").write_text(parse_results(), encoding="utf-8")
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        d = Path(tmp)
-        write_artifacts(d)
+        d = Path(tmp) / "artifacts"
+        d.mkdir()
+        write_artifacts(d, Path(tmp) / "sources")
         for path in sorted(p for p in d.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(d).as_posix()}")

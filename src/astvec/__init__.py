@@ -5,7 +5,6 @@ from .ast_core import (
     LabeledProgram,
     NodeKind,
     dump_ast,
-    leaf_count,
     load_ast,
     vocabulary,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "LabeledProgram",
     "NodeKind",
     "dump_ast",
-    "leaf_count",
     "load_ast",
     "vocabulary",
     "Hyperparams",

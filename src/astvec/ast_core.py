@@ -3,6 +3,10 @@
 Trees keep only node kinds and shape: identifier names, literal values and
 operator lexemes are dropped at ingestion, so two programs differing only in
 naming produce identical trees.
+
+Parsing and loading build trees through a `NodeTable`, which hash-conses them:
+a corpus built through one table holds one `AstNode` per distinct subtree, and
+equal subtrees are the same object.
 """
 
 from __future__ import annotations
@@ -107,7 +111,8 @@ class UnknownKindError(AstFormatError):
 
 @dataclass(frozen=True)
 class AstNode:
-    """Ordered, immutable tree of node kinds."""
+    """Ordered, immutable tree of node kinds. Immutability is what lets a
+    `NodeTable` share one node between many parents and trees."""
 
     kind: NodeKind
     children: tuple["AstNode", ...] = ()
@@ -129,17 +134,24 @@ def node(kind_name: str, *children: AstNode) -> AstNode:
     return AstNode(kind_by_name(kind_name), tuple(children))
 
 
-def leaf_count(root: AstNode) -> int:
-    """Number of leaf descendants; a leaf counts itself as 1."""
-    total = 0
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        if n.children:
-            stack.extend(n.children)
-        else:
-            total += 1
-    return total
+class NodeTable:
+    """Hash-consing constructor: one `AstNode` per distinct (kind, children).
+
+    A node is keyed by its kind id and the identities of its children. Built
+    bottom-up through one table, equal subtrees are therefore the same object.
+    The table keeps every node it made alive, so no identity in a key is ever
+    reused while the table exists.
+    """
+
+    def __init__(self):
+        self._nodes: dict[tuple, AstNode] = {}
+
+    def node(self, kind: NodeKind, children) -> AstNode:
+        key = (kind.id, *map(id, children))
+        found = self._nodes.get(key)
+        if found is None:
+            found = self._nodes[key] = AstNode(kind, tuple(children))
+        return found
 
 
 @dataclass(frozen=True)
@@ -175,7 +187,7 @@ def _dump_tree(root: AstNode, out: list[str]) -> None:
         stack.append(kids[0])
 
 
-def _from_obj(obj: object, path: str) -> AstNode:
+def _from_obj(obj: object, path: str, table: NodeTable) -> AstNode:
     if not isinstance(obj, dict):
         raise AstFormatError(f"expected object at {path or 'root'}, got {type(obj).__name__}")
     if "kind" not in obj:
@@ -188,11 +200,11 @@ def _from_obj(obj: object, path: str) -> AstNode:
     children = obj.get("children", [])
     if not isinstance(children, list):
         raise AstFormatError(f"'children' must be an array at {path or 'root'}")
-    kids = tuple(
-        _from_obj(c, f"{path}/{i}" if path else str(i))
+    kids = [
+        _from_obj(c, f"{path}/{i}" if path else str(i), table)
         for i, c in enumerate(children)
-    )
-    return AstNode(_BY_NAME[name], kids)
+    ]
+    return table.node(_BY_NAME[name], kids)
 
 
 def dump_ast(root: AstNode) -> str:
@@ -215,7 +227,7 @@ def _loads(text: str, where: str = "") -> object:
 def load_ast(text: str) -> AstNode:
     """Parse an interchange document back into a tree."""
     try:
-        return _from_obj(_loads(text), "")
+        return _from_obj(_loads(text), "", NodeTable())
     except RecursionError:  # json.loads and _from_obj recurse per nesting level
         raise AstFormatError("nesting too deep") from None
 
@@ -232,6 +244,8 @@ def dump_corpus(programs: list[LabeledProgram]) -> str:
 
 
 def load_corpus(text: str) -> list[LabeledProgram]:
+    """Parse a corpus document; its trees share one `NodeTable`."""
+    table = NodeTable()
     programs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -246,7 +260,7 @@ def load_corpus(text: str) -> list[LabeledProgram]:
                     raise AstFormatError(f"{where}missing {key!r}")
                 if key != "ast" and not isinstance(rec[key], str):
                     raise AstFormatError(f"{where}{key!r} must be a string")
-            ast = _from_obj(rec["ast"], f"line {lineno}")
+            ast = _from_obj(rec["ast"], f"line {lineno}", table)
         except RecursionError:  # json.loads and _from_obj recurse per nesting level
             raise AstFormatError(f"{where}nesting too deep") from None
         programs.append(LabeledProgram(ast=ast, label=rec["label"], source_id=rec["source_id"]))

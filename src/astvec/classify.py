@@ -24,10 +24,7 @@ from .coder import Hyperparams, ModelParams
 
 def node_histogram(ast: AstNode) -> np.ndarray:
     """Length-V count of node kinds in the tree."""
-    counts = np.zeros(VOCAB_SIZE, dtype=np.int64)
-    for node in ast.walk():
-        counts[node.kind.id] += 1
-    return counts
+    return np.bincount([n.kind.id for n in ast.walk()], minlength=VOCAB_SIZE)
 
 
 # --- split ---

@@ -18,6 +18,7 @@ from . import analysis, classify, corpusgen, embedding_io, trainer
 from .ast_core import (
     AstFormatError,
     LabeledProgram,
+    NodeTable,
     dump_ast,
     dump_corpus,
     load_corpus,
@@ -99,11 +100,12 @@ def cmd_corpus_build(args) -> int:
         root = Path(args.src_dir)
         if not root.is_dir():
             raise CliError(f"{root}: not a directory")
+        table = NodeTable()  # the corpus's trees share their equal subtrees
         programs = []
         for c_path in sorted(root.rglob("*.c")):
             label = c_path.parent.name
             try:
-                ast = parse_file(c_path)
+                ast = parse_file(c_path, table)
             except OSError as exc:
                 log.warning("skipping %s: %s", c_path, exc.strerror or exc)
                 continue

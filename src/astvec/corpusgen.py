@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ast_core import LabeledProgram
+from .ast_core import LabeledProgram, NodeTable
 from .cparse import parse_source
 
 CLASS_LABELS = ("accumulate", "sorting", "matrix", "strings")
@@ -339,8 +339,10 @@ def generate_sources(seed: int = 0, per_class: int = 55) -> list[tuple[str, str,
 
 
 def generate_corpus(seed: int = 0, per_class: int = 55) -> list[LabeledProgram]:
+    """The generated sources, parsed; the trees share one `NodeTable`."""
+    table = NodeTable()
     programs = []
     for label, source_id, source in generate_sources(seed, per_class):
-        ast = parse_source(source)
+        ast = parse_source(source, table)
         programs.append(LabeledProgram(ast=ast, label=label, source_id=source_id))
     return programs

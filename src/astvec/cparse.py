@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .ast_core import AstNode, kind_by_name
+from .ast_core import AstNode, NodeTable, kind_by_name
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,6 @@ _ASSIGN_OPS = frozenset(
 _UNARY_PREFIX = frozenset(["+", "-", "*", "&", "!", "~", "++", "--"])
 
 
-def _mk(kind_name: str, children: list[AstNode]) -> AstNode:
-    return AstNode(kind_by_name(kind_name), tuple(children))
-
-
 @dataclass
 class _Declarator:
     """A parsed declarator: a name (None if abstract) and a builder that wraps
@@ -137,9 +133,10 @@ class _Declarator:
 
 
 class Parser:
-    """One instance per parse; holds the token cursor and typedef-name table."""
+    """One instance per parse; holds the token cursor and typedef-name table,
+    and builds its nodes through `table` (a fresh one if not given)."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], table: Optional[NodeTable] = None):
         # Two end tokens: lookahead is at most one token past the cursor, and
         # the cursor never moves past the first end token.
         last = tokens[-1] if tokens else Token("end", "", 1, 1)
@@ -147,6 +144,10 @@ class Parser:
         self.tokens = tokens + [end, end]
         self.pos = 0
         self.typedefs: set[str] = set()
+        self.table = table if table is not None else NodeTable()
+
+    def _mk(self, kind_name: str, children: list[AstNode]) -> AstNode:
+        return self.table.node(kind_by_name(kind_name), children)
 
     # --- cursor helpers ---
 
@@ -213,7 +214,7 @@ class Parser:
         items: list[AstNode] = []
         while not self._at_end():
             items.extend(self._declaration(allow_funcdef=True))
-        return _mk("Root", items)
+        return self._mk("Root", items)
 
     def _declaration(self, allow_funcdef: bool = False) -> list[AstNode]:
         """Parse one declaration; returns one node per declarator (C expands
@@ -222,7 +223,7 @@ class Parser:
 
         # 'struct S { ... };' with no declarator
         if self._accept(";"):
-            return [_mk("Decl", [base])]
+            return [self._mk("Decl", [base])]
 
         nodes: list[AstNode] = []
         first = True
@@ -230,11 +231,11 @@ class Parser:
             declr = self._declarator()
             if declr.name is None:
                 raise self._error("declarator requires a name")
-            type_node = declr.build(_mk("TypeDecl", [base]))
+            type_node = declr.build(self._mk("TypeDecl", [base]))
 
             if is_typedef:
                 self.typedefs.add(declr.name)
-                nodes.append(_mk("Typedef", [type_node]))
+                nodes.append(self._mk("Typedef", [type_node]))
             elif (
                 allow_funcdef
                 and first
@@ -242,13 +243,13 @@ class Parser:
                 and self._check("{")
             ):
                 body = self._compound_statement()
-                decl = _mk("Decl", [type_node])
-                return [_mk("FuncDef", [decl, body])]
+                decl = self._mk("Decl", [type_node])
+                return [self._mk("FuncDef", [decl, body])]
             else:
                 children = [type_node]
                 if self._accept("="):
                     children.append(self._initializer())
-                nodes.append(_mk("Decl", children))
+                nodes.append(self._mk("Decl", children))
             first = False
             if self._accept(","):
                 continue
@@ -286,7 +287,7 @@ class Parser:
             return is_typedef, tag_node
         if not basic_words:
             raise self._unexpected("type specifier")
-        return is_typedef, _mk("IdentifierType", [])
+        return is_typedef, self._mk("IdentifierType", [])
 
     def _declarator_follows(self, off: int) -> bool:
         """Disambiguates 'T x;' (T is a typedef name) from 'x;' misread."""
@@ -307,24 +308,24 @@ class Parser:
                     value: list[AstNode] = []
                     if self._accept("="):
                         value.append(self._conditional_expression())
-                    enums.append(_mk("Enumerator", value))
+                    enums.append(self._mk("Enumerator", value))
                     if not self._accept(","):
                         break
                 self._expect("}")
-                return _mk("Enum", [_mk("EnumeratorList", enums)])
+                return self._mk("Enum", [self._mk("EnumeratorList", enums)])
             if not named:
                 raise self._error("anonymous enum requires a body")
-            return _mk("Enum", [])
+            return self._mk("Enum", [])
         kind = "Struct" if tag == "struct" else "Union"
         if self._accept("{"):
             members: list[AstNode] = []
             while not self._check("}"):
                 members.extend(self._struct_member_declaration())
             self._expect("}")
-            return _mk(kind, members)
+            return self._mk(kind, members)
         if not named:
             raise self._error(f"anonymous {tag} requires a body")
-        return _mk(kind, [])
+        return self._mk(kind, [])
 
     def _struct_member_declaration(self) -> list[AstNode]:
         _, base = self._declaration_specifiers()
@@ -333,7 +334,7 @@ class Parser:
             declr = self._declarator()
             if declr.name is None:
                 raise self._error("member declarator requires a name")
-            members.append(_mk("Decl", [declr.build(_mk("TypeDecl", [base]))]))
+            members.append(self._mk("Decl", [declr.build(self._mk("TypeDecl", [base]))]))
             if self._accept(","):
                 continue
             self._expect(";")
@@ -368,13 +369,13 @@ class Parser:
                     dim.append(self._assignment_expression())
                 self._expect("]")
                 suffixes.append(
-                    lambda t, d=tuple(dim): _mk("ArrayDecl", [t, *d])
+                    lambda t, d=tuple(dim): self._mk("ArrayDecl", [t, *d])
                 )
             elif self._accept("("):
                 params = self._parameter_list()
                 self._expect(")")
                 suffixes.append(
-                    lambda t, p=params: _mk("FuncDecl", ([p] if p else []) + [t])
+                    lambda t, p=params: self._mk("FuncDecl", ([p] if p else []) + [t])
                 )
             else:
                 break
@@ -382,7 +383,7 @@ class Parser:
         def build(base: AstNode, ptr_depth=ptr_depth, inner=inner, suffixes=suffixes) -> AstNode:
             t = base
             for _ in range(ptr_depth):
-                t = _mk("PtrDecl", [t])
+                t = self._mk("PtrDecl", [t])
             for wrap in reversed(suffixes):
                 t = wrap(t)
             if inner is not None:
@@ -404,21 +405,21 @@ class Parser:
         while True:
             _, base = self._declaration_specifiers()
             declr = self._declarator(abstract=True)
-            type_node = declr.build(_mk("TypeDecl", [base]))
+            type_node = declr.build(self._mk("TypeDecl", [base]))
             if declr.name is None:
-                params.append(_mk("Typename", [type_node]))
+                params.append(self._mk("Typename", [type_node]))
             else:
-                params.append(_mk("Decl", [type_node]))
+                params.append(self._mk("Decl", [type_node]))
             if not self._accept(","):
                 break
-        return _mk("ParamList", params)
+        return self._mk("ParamList", params)
 
     def _type_name(self) -> AstNode:
         _, base = self._declaration_specifiers()
         declr = self._declarator(abstract=True)
         if declr.name is not None:
             raise self._error("type name must not declare an identifier")
-        return _mk("Typename", [declr.build(_mk("TypeDecl", [base]))])
+        return self._mk("Typename", [declr.build(self._mk("TypeDecl", [base]))])
 
     # --- statements ---
 
@@ -433,7 +434,7 @@ class Parser:
             else:
                 items.append(self._statement())
         self._expect("}")
-        return _mk("Compound", items)
+        return self._mk("Compound", items)
 
     def _statement(self) -> AstNode:
         tok = self._peek()
@@ -444,7 +445,7 @@ class Parser:
             return self._compound_statement()
         if lex == ";":
             self._advance()
-            return _mk("EmptyStatement", [])
+            return self._mk("EmptyStatement", [])
         if lex == "if":
             return self._if_statement()
         if lex == "for":
@@ -454,7 +455,7 @@ class Parser:
             self._expect("(")
             cond = self._expression()
             self._expect(")")
-            return _mk("While", [cond, self._statement()])
+            return self._mk("While", [cond, self._statement()])
         if lex == "do":
             self._advance()
             body = self._statement()
@@ -463,29 +464,29 @@ class Parser:
             cond = self._expression()
             self._expect(")")
             self._expect(";")
-            return _mk("DoWhile", [cond, body])
+            return self._mk("DoWhile", [cond, body])
         if lex == "switch":
             return self._switch_statement()
         if lex == "break":
             self._advance()
             self._expect(";")
-            return _mk("Break", [])
+            return self._mk("Break", [])
         if lex == "continue":
             self._advance()
             self._expect(";")
-            return _mk("Continue", [])
+            return self._mk("Continue", [])
         if lex == "goto":
             self._advance()
             self._expect_identifier()
             self._expect(";")
-            return _mk("Goto", [])
+            return self._mk("Goto", [])
         if lex == "return":
             self._advance()
             expr: list[AstNode] = []
             if not self._check(";"):
                 expr.append(self._expression())
             self._expect(";")
-            return _mk("Return", expr)
+            return self._mk("Return", expr)
         if (
             tok.category == "identifier"
             and self._check(":", 1)
@@ -493,7 +494,7 @@ class Parser:
         ):
             self._advance()
             self._advance()
-            return _mk("Label", [self._statement()])
+            return self._mk("Label", [self._statement()])
         expr = self._expression()
         self._expect(";")
         return expr
@@ -507,7 +508,7 @@ class Parser:
         children = [cond, then]
         if self._accept("else"):
             children.append(self._statement())
-        return _mk("If", children)
+        return self._mk("If", children)
 
     def _for_statement(self) -> AstNode:
         self._expect("for")
@@ -515,7 +516,7 @@ class Parser:
         children: list[AstNode] = []
         if self._starts_type():
             decls = self._declaration()  # consumes the ';'
-            children.append(_mk("DeclList", decls))
+            children.append(self._mk("DeclList", decls))
         elif self._accept(";"):
             pass
         else:
@@ -528,7 +529,7 @@ class Parser:
             children.append(self._expression())
         self._expect(")")
         children.append(self._statement())
-        return _mk("For", children)
+        return self._mk("For", children)
 
     def _switch_statement(self) -> AstNode:
         self._expect("switch")
@@ -544,7 +545,7 @@ class Parser:
         def flush():
             nonlocal current
             if current is not None:
-                items.append(_mk(current[0], current[1]))
+                items.append(self._mk(current[0], current[1]))
                 current = None
 
         while not self._check("}"):
@@ -571,7 +572,7 @@ class Parser:
                     items.extend(stmts)
         flush()
         self._expect("}")
-        return _mk("Switch", [cond, _mk("Compound", items)])
+        return self._mk("Switch", [cond, self._mk("Compound", items)])
 
     # --- expressions ---
 
@@ -583,14 +584,14 @@ class Parser:
         exprs = [first]
         while self._accept(","):
             exprs.append(self._assignment_expression())
-        return _mk("ExprList", exprs)
+        return self._mk("ExprList", exprs)
 
     def _assignment_expression(self) -> AstNode:
         left = self._conditional_expression()
         if self._peek().lexeme in _ASSIGN_OPS:
             self._advance()
             right = self._assignment_expression()
-            return _mk("Assignment", [left, right])
+            return self._mk("Assignment", [left, right])
         return left
 
     def _conditional_expression(self) -> AstNode:
@@ -599,7 +600,7 @@ class Parser:
             iftrue = self._expression()
             self._expect(":")
             iffalse = self._conditional_expression()
-            return _mk("TernaryOp", [cond, iftrue, iffalse])
+            return self._mk("TernaryOp", [cond, iftrue, iffalse])
         return cond
 
     def _binary_expression(self, min_prec: int) -> AstNode:
@@ -613,7 +614,7 @@ class Parser:
                 break
             self._advance()
             right = self._binary_expression(prec + 1)
-            left = _mk("BinaryOp", [left, right])
+            left = self._mk("BinaryOp", [left, right])
         return left
 
     def _cast_expression(self) -> AstNode:
@@ -623,8 +624,8 @@ class Parser:
             self._expect(")")
             if self._check("{"):
                 init = self._initializer()
-                return _mk("CompoundLiteral", [type_name, init])
-            return _mk("Cast", [type_name, self._cast_expression()])
+                return self._mk("CompoundLiteral", [type_name, init])
+            return self._mk("Cast", [type_name, self._cast_expression()])
         return self._unary_expression()
 
     def _unary_expression(self) -> AstNode:
@@ -633,15 +634,15 @@ class Parser:
             raise self._error("expression expected")
         if tok.lexeme in _UNARY_PREFIX and tok.category == "operator":
             self._advance()
-            return _mk("UnaryOp", [self._cast_expression()])
+            return self._mk("UnaryOp", [self._cast_expression()])
         if tok.lexeme == "sizeof":
             self._advance()
             if self._check("(") and self._starts_type(1):
                 self._advance()
                 type_name = self._type_name()
                 self._expect(")")
-                return _mk("UnaryOp", [type_name])
-            return _mk("UnaryOp", [self._unary_expression()])
+                return self._mk("UnaryOp", [type_name])
+            return self._mk("UnaryOp", [self._unary_expression()])
         return self._postfix_expression()
 
     def _postfix_expression(self) -> AstNode:
@@ -652,7 +653,7 @@ class Parser:
                 self._advance()
                 subscript = self._expression()
                 self._expect("]")
-                expr = _mk("ArrayRef", [expr, subscript])
+                expr = self._mk("ArrayRef", [expr, subscript])
             elif tok.lexeme == "(":
                 self._advance()
                 args: list[AstNode] = []
@@ -660,16 +661,16 @@ class Parser:
                     call_args = [self._assignment_expression()]
                     while self._accept(","):
                         call_args.append(self._assignment_expression())
-                    args.append(_mk("ExprList", call_args))
+                    args.append(self._mk("ExprList", call_args))
                 self._expect(")")
-                expr = _mk("FuncCall", [expr] + args)
+                expr = self._mk("FuncCall", [expr] + args)
             elif tok.lexeme in (".", "->"):
                 self._advance()
                 self._expect_identifier()
-                expr = _mk("StructRef", [expr, _mk("ID", [])])
+                expr = self._mk("StructRef", [expr, self._mk("ID", [])])
             elif tok.lexeme in ("++", "--"):
                 self._advance()
-                expr = _mk("UnaryOp", [expr])
+                expr = self._mk("UnaryOp", [expr])
             else:
                 break
         return expr
@@ -678,10 +679,10 @@ class Parser:
         tok = self._peek()
         if tok.category == "identifier":
             self._advance()
-            return _mk("ID", [])
+            return self._mk("ID", [])
         if tok.category == "constant":
             self._advance()
-            return _mk("Constant", [])
+            return self._mk("Constant", [])
         if tok.lexeme == "(":
             self._advance()
             expr = self._expression()
@@ -697,23 +698,25 @@ class Parser:
                 if not self._accept(","):
                     break
             self._expect("}")
-            return _mk("InitList", items)
+            return self._mk("InitList", items)
         return self._assignment_expression()
 
 
-def parse_program(tokens: list[Token]) -> AstNode:
-    parser = Parser(tokens)
+def parse_program(tokens: list[Token], table: Optional[NodeTable] = None) -> AstNode:
+    """Parse a token list; the tree's nodes come from `table`, so trees parsed
+    through one table share their equal subtrees."""
+    parser = Parser(tokens, table)
     try:
         return parser.parse_translation_unit()
     except RecursionError:
         raise parser._error("nesting too deep") from None
 
 
-def parse_source(source: str) -> AstNode:
-    return parse_program(tokenize(source))
+def parse_source(source: str, table: Optional[NodeTable] = None) -> AstNode:
+    return parse_program(tokenize(source), table)
 
 
-def parse_file(path) -> AstNode:
+def parse_file(path, table: Optional[NodeTable] = None) -> AstNode:
     try:
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
@@ -723,4 +726,4 @@ def parse_file(path) -> AstNode:
         good = good.replace("\r\n", "\n").replace("\r", "\n")
         line = good.count("\n") + 1
         raise CParseError("not valid UTF-8", line, len(good) - good.rfind("\n")) from None
-    return parse_source(source)
+    return parse_source(source, table)

@@ -22,7 +22,6 @@ from .ast_core import (
     AstNode,
     LabeledProgram,
     NodeKind,
-    leaf_count,
     vocabulary,
 )
 
@@ -60,29 +59,51 @@ class NegativeSample:
         return self.base.coefficients
 
 
+def _extract(roots: list[AstNode]) -> list[TrainingSample]:
+    """One sample per non-leaf node of each root, in preorder.
+
+    Each distinct node (by identity) is counted and sampled once: one
+    post-order pass with an explicit stack, so any depth works, fills
+    `memo[id(node)] = (leaf count, sample)`. On hash-consed trees a subtree
+    shared by many parents is thus read once, and equal samples are the same
+    object. `roots` keeps every node alive, so no id is reused meanwhile.
+    """
+    memo: dict[int, tuple[int, TrainingSample | None]] = {}
+    interned: dict[TrainingSample, TrainingSample] = {}
+    samples: list[TrainingSample] = []
+    for root in roots:
+        stack = [(root, False)]
+        while stack:
+            node, ready = stack.pop()
+            if id(node) in memo:
+                continue
+            kids = node.children
+            if not kids:
+                memo[id(node)] = (1, None)
+            elif not ready:
+                stack.append((node, True))
+                stack.extend((child, False) for child in kids)
+            else:
+                leaves = [memo[id(child)][0] for child in kids]
+                total = sum(leaves)
+                sample = TrainingSample(
+                    parent=node.kind,
+                    children=tuple(child.kind for child in kids),
+                    coefficients=tuple(lc / total for lc in leaves),
+                )
+                memo[id(node)] = (total, interned.setdefault(sample, sample))
+        samples.extend(memo[id(n)][1] for n in root.walk() if n.children)
+    return samples
+
+
 def extract_samples(ast: AstNode) -> list[TrainingSample]:
     """One sample per non-leaf node, in preorder."""
-    samples: list[TrainingSample] = []
-    for node in ast.walk():
-        if node.is_leaf():
-            continue
-        child_leaves = [leaf_count(c) for c in node.children]
-        total = sum(child_leaves)
-        samples.append(
-            TrainingSample(
-                parent=node.kind,
-                children=tuple(c.kind for c in node.children),
-                coefficients=tuple(lc / total for lc in child_leaves),
-            )
-        )
-    return samples
+    return _extract([ast])
 
 
 def build_training_set(corpus: list[LabeledProgram]) -> list[TrainingSample]:
-    samples: list[TrainingSample] = []
-    for program in corpus:
-        samples.extend(extract_samples(program.ast))
-    return samples
+    """The samples of every program, in corpus order, each in preorder."""
+    return _extract([program.ast for program in corpus])
 
 
 def child_weight(n, i):

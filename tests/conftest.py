@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from astvec.ast_core import load_corpus
+from astvec.ast_core import AstNode, load_corpus
+from astvec.sampling import TrainingSample
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO / "tests" / "fixtures" / "golden"
@@ -47,3 +48,36 @@ def count_leaves_obj(obj: dict) -> int:
 
 def load_golden_obj(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def leaf_count(root: AstNode) -> int:
+    """Number of leaf descendants; a leaf counts itself as 1."""
+    total = 0
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        if n.children:
+            stack.extend(n.children)
+        else:
+            total += 1
+    return total
+
+
+def per_node_samples(tree: AstNode) -> list[TrainingSample]:
+    """Oracle for sample extraction: every non-leaf node in preorder, with its
+    children's leaves counted afresh at each node."""
+    samples = []
+    for n in tree.walk():
+        if n.children:
+            leaves = [leaf_count(c) for c in n.children]
+            samples.append(TrainingSample(
+                parent=n.kind,
+                children=tuple(c.kind for c in n.children),
+                coefficients=tuple(lc / sum(leaves) for lc in leaves),
+            ))
+    return samples
+
+
+def unshared(tree: AstNode) -> AstNode:
+    """A copy of `tree` with a new node object at every position."""
+    return AstNode(tree.kind, tuple(unshared(c) for c in tree.children))

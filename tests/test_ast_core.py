@@ -8,18 +8,25 @@ from astvec.ast_core import (
     AstNode,
     KIND_NAMES,
     LabeledProgram,
+    NodeTable,
     UnknownKindError,
     dump_ast,
     dump_corpus,
     kind_by_name,
-    leaf_count,
     load_ast,
     load_corpus,
     node,
     vocabulary,
 )
+from astvec.corpusgen import generate_corpus
 
-from conftest import SNIPPET_SRC, count_leaves_obj, load_golden_obj
+from conftest import (
+    CORPUS_PATH,
+    SNIPPET_SRC,
+    count_leaves_obj,
+    leaf_count,
+    load_golden_obj,
+)
 
 
 def trees(max_depth=4):
@@ -71,6 +78,43 @@ class TestLeafCount:
     def test_sum_over_children(self, tree):
         if tree.children:
             assert leaf_count(tree) == sum(leaf_count(c) for c in tree.children)
+
+
+def hash_consed(tree, table):
+    """`tree` rebuilt bottom-up through `table`."""
+    return table.node(tree.kind, [hash_consed(c, table) for c in tree.children])
+
+
+def assert_one_object_per_distinct_subtree(programs):
+    nodes = {id(n): n for p in programs for n in p.ast.walk()}
+    assert len({dump_ast(n) for n in nodes.values()}) == len(nodes)
+    assert len(nodes) < sum(1 for p in programs for _ in p.ast.walk())
+
+
+class TestNodeTable:
+    @given(trees())
+    def test_equals_plain_tree(self, tree):
+        shared = hash_consed(tree, NodeTable())
+        assert shared == tree
+        assert dump_ast(shared) == dump_ast(tree)
+
+    @given(trees(), trees())
+    def test_equal_subtrees_are_one_object(self, a, b):
+        table = NodeTable()
+        root = table.node(kind_by_name("Root"), [hash_consed(a, table), hash_consed(b, table)])
+        nodes = {id(n): n for n in root.walk()}
+        assert len({dump_ast(n) for n in nodes.values()}) == len(nodes)
+        left, right = root.children
+        assert (left is right) == (a == b)
+
+    def test_load_corpus_one_object_per_distinct_subtree(self):
+        text = CORPUS_PATH.read_text(encoding="utf-8")
+        programs = load_corpus(text)
+        assert dump_corpus(programs) == text
+        assert_one_object_per_distinct_subtree(programs)
+
+    def test_generate_corpus_one_object_per_distinct_subtree(self):
+        assert_one_object_per_distinct_subtree(generate_corpus(seed=3, per_class=10))
 
 
 class TestInterchange:

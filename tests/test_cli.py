@@ -340,10 +340,10 @@ class TestHostileInputs:
         (d / "good.c").write_text("int x;\n", encoding="utf-8")
         parse_file = cli.parse_file
 
-        def refuse_locked(path):
+        def refuse_locked(path, table=None):
             if path.name == "locked.c":
                 raise PermissionError(13, "Permission denied", str(path))
-            return parse_file(path)
+            return parse_file(path, table)
 
         monkeypatch.setattr(cli, "parse_file", refuse_locked)
         out = tmp_path / "c.jsonl"

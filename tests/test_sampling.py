@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 
-from astvec.ast_core import leaf_count, node, vocabulary
+from astvec.ast_core import VOCAB_SIZE, LabeledProgram, node, vocabulary
+from astvec.classify import node_histogram
 from astvec.sampling import (
     build_training_set,
     child_weight,
@@ -12,6 +15,7 @@ from astvec.sampling import (
     pack_samples,
 )
 
+from conftest import leaf_count, per_node_samples, unshared
 from test_ast_core import trees
 
 
@@ -122,6 +126,29 @@ class TestBuildTrainingSet:
 
     def test_single_program(self, corpus):
         assert build_training_set(corpus[:1]) == extract_samples(corpus[0].ast)
+
+    def test_shared_equals_unshared(self, corpus):
+        # the corpus fixture is hash-consed; the same trees, every node a new
+        # object, give the same samples in the same order
+        samples = build_training_set(corpus)
+        assert samples == build_training_set(
+            [dataclasses.replace(p, ast=unshared(p.ast)) for p in corpus])
+        assert samples == [s for p in corpus for s in per_node_samples(p.ast)]
+        assert len({id(s) for s in samples}) == len(set(samples))
+
+    def test_deep_chain(self):
+        # built bottom-up like test_ast_core's deep dump; far deeper than the
+        # recursion limit, and each level's leaf share differs
+        depth = 5000
+        tree = node("ID")
+        for level in range(depth):
+            tree = node("UnaryOp", tree) if level % 2 else node("BinaryOp", tree, node("ID"))
+        assert build_training_set([LabeledProgram(tree, "a", "s")]) == per_node_samples(tree)
+        counts = np.zeros(VOCAB_SIZE, dtype=np.int64)
+        for n in tree.walk():
+            counts[n.kind.id] += 1
+        histogram = node_histogram(tree)
+        assert histogram.dtype == np.int64 and histogram.tolist() == counts.tolist()
 
     def test_total_count_recount(self, corpus):
         # oracle: independent per-tree traversal counting non-leaf nodes
