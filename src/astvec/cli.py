@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: parse, corpus-build, train, nn, cluster, classify, export.
-Exit codes: 0 success, 1 usage error, 2 input/format error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 input/format error, 3 numerical failure,
+4 the training kernel cannot be compiled.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+EXIT_BUILD = 4
 
 
 class CliError(Exception):
@@ -160,6 +162,8 @@ def cmd_train(args) -> int:
         )
     except trainer.TrainingDiverged as exc:
         raise CliError(str(exc), EXIT_NUMERIC)
+    except trainer.KernelBuildError as exc:
+        raise CliError(str(exc), EXIT_BUILD)
     trainer.save_checkpoint(state, args.out)
     if args.loss_log:
         header = f"# seed={state.hyper.seed}\n"

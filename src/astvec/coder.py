@@ -8,7 +8,9 @@ All gradients here are exact and checked against finite differences in the
 test suite.
 
 Every function runs the coder through one batched forward pass over packed
-rows (see `sampling.pack_samples`).
+rows (see `sampling.pack_samples`). Training runs the same step in C
+(epoch.c); `gradient_and_hinge` is its reference, checked against finite
+differences here and against the kernel in the tests.
 """
 
 from __future__ import annotations
@@ -109,40 +111,18 @@ def init_params(hyper: Hyperparams, rng: np.random.Generator) -> ModelParams:
     )
 
 
-def _forward(ids: np.ndarray, coef: np.ndarray, params: ModelParams, ahead=None):
+def _forward(ids: np.ndarray, coef: np.ndarray, params: ModelParams):
     """The coder on a batch of packed rows: ids (..., 1+K), parent id then
     child ids; coef (..., 2, 1+K), broadcast against the rows.
-
-    With ahead = (velocity, drift), drift (..., 4) broadcast against the rows,
-    each row is coded at parameters mixed from params and the velocity:
-    drift[..., 0] params + drift[..., 1] velocity on the embeddings and b,
-    drift[..., 2] params + drift[..., 3] velocity on [W_l W_r].
 
     Returns (s, h, e): s (..., 2 N_f) the children's left- and right-weighted
     vector sums side by side, h = tanh([W_l W_r] s + b) the coded vectors and
     e the parent vectors minus h.
     """
-    if ahead is None:
-        vectors = params.embeddings.take(ids, axis=0)
-        s = (coef @ vectors).reshape(*ids.shape[:-1], -1)
-        z = s @ params.w.T + params.b
-        parents = vectors[..., 0, :]
-    else:
-        velocity, drift = ahead
-        n_f = params.n_f
-        # each slot's vector in params, then in the velocity, mixed by drift
-        both = np.stack([params.embeddings, velocity.embeddings], axis=1).take(ids, axis=0)
-        both = both.reshape(*ids.shape[:-1], -1, n_f)
-        mixed = coef[..., None] * drift[..., None, None, :2]
-        s = (mixed.reshape(*mixed.shape[:-2], -1) @ both).reshape(*ids.shape[:-1], -1)
-        parents = (drift[..., None, :2] @ both[..., :2, :])[..., 0, :]
-        # [W_l W_r] s in params, then in the velocity, mixed by drift
-        ws = s.reshape(-1, 2 * n_f) @ np.hstack([params.w.T, velocity.w.T])
-        ws = ws.reshape(*s.shape[:-1], 2, n_f)
-        b = drift[..., :2] @ np.stack([params.b, velocity.b])
-        z = (drift[..., None, 2:] @ ws)[..., 0, :] + b
-    h = np.tanh(z)
-    return s, h, parents - h
+    vectors = params.embeddings.take(ids, axis=0)
+    s = (coef @ vectors).reshape(*ids.shape[:-1], -1)
+    h = np.tanh(s @ params.w.T + params.b)
+    return s, h, vectors[..., 0, :] - h
 
 
 def _sample_rows(samples):
@@ -252,14 +232,3 @@ def gradient_and_hinge(
         np.add.at(grad.embeddings, ids, slots)
     return flat, hinge
 
-
-def lookahead_margins(pairs: np.ndarray, coef: np.ndarray, params: ModelParams,
-                      velocity: ModelParams, drift: np.ndarray,
-                      hyper: Hyperparams) -> np.ndarray:
-    """delta + d - d_c of each pair, the hinge before clipping at 0, with pair
-    k coded at the parameters drift[k] mixes from params and the velocity (see
-    `_forward`): pairs (P, 2, 1+K) as `gradient_and_hinge` takes them, coef
-    (P, 2, 1+K) and drift (P, 4)."""
-    _, _, e = _forward(pairs, coef[:, None], params, (velocity, drift[:, None]))
-    d = (e * e).sum(axis=-1)
-    return hyper.delta + d[:, 0] - d[:, 1]

@@ -12,14 +12,13 @@ function pointers nested deeper than one level, designated initializers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from .ast_core import AstNode, NodeTable, kind_by_name
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     # keyword | identifier | constant | operator | punctuation, or end: the
     # parser's end-of-input marker, placed just after the last real token
     category: str

@@ -13,7 +13,7 @@ from a single draw (`corrupt_packed`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,9 +31,16 @@ class TrainingSample:
     parent: NodeKind
     children: tuple[NodeKind, ...]
     coefficients: tuple[float, ...]
+    # the hash a frozen dataclass would recompute on every call, taken once
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         assert len(self.children) == len(self.coefficients) >= 1
+        object.__setattr__(
+            self, "_hash", hash((self.parent, self.children, self.coefficients)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)

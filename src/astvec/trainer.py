@@ -8,22 +8,27 @@ go before its steps. All randomness (init, shuffling, corruption) flows from
 a single seeded stream, so runs are reproducible bit for bit and resumable
 from checkpoints.
 
-Most pairs are inactive (hinge 0), and a run of inactive steps is a fixed
-linear map of (theta, velocity) (`inactive_powers`). So the epoch goes
-window by window: one look-ahead pass codes the next LOOKAHEAD pairs, each at
-the parameters the inactive steps before it would reach, the parameters jump
-in closed form to the first active pair, and that pair takes an ordinary
-step. This moves the parameters only in the last digits against stepping
-every pair.
+The model is written from scratch on numpy, plus one C kernel (epoch.c) that
+runs an epoch's steps: each step computes what `coder.gradient_and_hinge`
+and the momentum update compute, but an embedding row that a pair does not
+read is brought up to date in closed form only when a later pair reads it,
+or at the end of the epoch. The kernel is compiled with the system's `cc` on
+the first `train` call and cached beside its source.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
 import math
+import os
+import platform
+import shutil
 import time
 from dataclasses import asdict, dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -31,22 +36,17 @@ from .ast_core import KIND_NAMES, VOCAB_SIZE
 from .coder import (
     Hyperparams,
     ModelParams,
-    gradient_and_hinge,
+    gradient_and_hinge,  # not called here; the traced benchmark wraps this name
     init_params,
     l2_penalty,
     l2_rate,
-    lookahead_margins,
 )
 from .sampling import TrainingSample, pack_samples
-# An epoch's negatives are drawn through this name and each active step's pair
-# goes through gradient_and_hinge; the traced benchmark wraps both here.
+# An epoch's negatives are drawn through this name; the traced benchmark wraps
+# it here.
 from .sampling import corrupt_packed as corrupt
 
 CHECKPOINT_VERSION = 1
-
-# Pairs coded per look-ahead pass. Windows restart at each epoch, so an epoch
-# computes the same floats however the epochs are split across calls.
-LOOKAHEAD = 32
 
 CONVERGENCE_REL_TOL = 1e-4
 CONVERGENCE_PATIENCE = 3
@@ -134,39 +134,26 @@ def train(
 
     packed = pack_samples(samples)
     params = state.params
-    theta = params.flat
-    vel = state.velocity.flat
     rng = state.rng
     n = len(samples)
-    powers = inactive_powers(hyper, LOOKAHEAD)
-    # the parameters after k inactive steps, as coder._forward mixes them
-    drift = powers[:-1, :, 0, :].reshape(LOOKAHEAD, 4)
-
     report = TrainReport(first_epoch=state.epoch + 1)
     start = time.perf_counter()
 
     while state.epoch < limit and not has_converged(state.loss_history):
         order = rng.permutation(n) if shuffle else np.arange(n)
         rows, pairs = corrupt(packed, order, rng)
-        hinge_total = 0.0
-        t = 0
-        while t < n:
-            stop = min(t + LOOKAHEAD, n)
-            margins = lookahead_margins(pairs[t:stop], packed.coef[rows[t:stop]], params,
-                                        state.velocity, drift[: stop - t], hyper)
-            # the first pair with a hinge > 0, or a non-finite one
-            hits = np.flatnonzero(~(margins <= 0.0))
-            active = t + int(hits[0]) if len(hits) else stop
-            if active > t and not _skip_inactive(theta, vel, params.w_span,
-                                                 powers[active - t]):
-                # replay, so that the error names the step that overflowed
-                hinge_total = _steps(state, packed, rows, pairs, order,
-                                     range(t, active), hinge_total)
-            t = min(active + 1, stop)
-            hinge_total = _steps(state, packed, rows, pairs, order, range(active, t),
-                                 hinge_total)
+        hinge_total = ctypes.c_double()
+        failed = _epoch_kernel()(
+            params.flat, state.velocity.flat, params.embeddings.shape[0], hyper.n_f,
+            n, pairs.shape[2], pairs, rows, packed.coef, packed.n_children,
+            hyper.delta, l2_rate(hyper), hyper.alpha, hyper.epsilon,
+            ctypes.byref(hinge_total))
+        if failed == -2:
+            raise MemoryError("no memory for the epoch kernel's scratch arrays")
+        if failed >= 0:
+            raise TrainingDiverged(state.epoch, int(order[failed]))
 
-        mean_hinge = hinge_total / n
+        mean_hinge = hinge_total.value / n
         state.epoch += 1
         state.loss_history.append(mean_hinge)
         report.mean_hinge.append(mean_hinge)
@@ -177,53 +164,88 @@ def train(
     return state, report
 
 
-def _steps(state: TrainState, packed, rows, pairs, order, steps,
-           hinge_total: float) -> float:
-    """The SGD steps `steps` of the epoch one by one; hinge_total plus their
-    hinges."""
-    params, hyper = state.params, state.hyper
-    theta, vel = params.flat, state.velocity.flat
-    for step in steps:
-        grad, hinge = gradient_and_hinge(pairs[step], packed.coef[rows[step]], params, hyper)
-        hinge_total += hinge
-        vel *= hyper.epsilon
-        vel += grad
-        theta -= hyper.alpha * vel
-        if not (math.isfinite(hinge) and np.isfinite(theta).all()):
-            raise TrainingDiverged(state.epoch, int(order[step]))
-    return hinge_total
+class KernelBuildError(RuntimeError):
+    pass
 
 
-def inactive_powers(hyper: Hyperparams, steps: int) -> np.ndarray:
-    """M^k for k = 0..steps, (steps + 1, 2, 2, 2): the map that k momentum
-    steps apply to (theta, velocity) when every pair is inactive.
-
-    An inactive pair's gradient is only the l2 part, c theta on [W_l W_r] and
-    0 elsewhere, so the step v' = epsilon v + c theta, theta' = theta - alpha
-    v' is the same 2 x 2 map on every entry of a region: [k, 0] on the
-    embeddings and b (c = 0), [k, 1] on [W_l W_r].
-    """
-    a, eps = hyper.alpha, hyper.epsilon
-    powers = np.empty((steps + 1, 2, 2, 2))
-    powers[0] = np.eye(2)
-    for c, region in ((0.0, 0), (l2_rate(hyper), 1)):
-        m = np.array([[1.0 - a * c, -a * eps], [c, eps]])
-        for k in range(steps):
-            powers[k + 1, region] = m @ powers[k, region]
-    return powers
+# The epoch kernel is compiled on the first `train` call, not at import, into
+# __pycache__ beside its source, under a name hashed from all that changes
+# the binary: the source, the command, the compiler and the host CPU (for
+# -march=native). -ffp-contract=off and no -ffast-math keep its floats
+# independent of the instruction set.
+KERNEL_SOURCE = Path(__file__).with_name("epoch.c")
+COMPILE = ("cc", "-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
 
-def _skip_inactive(theta: np.ndarray, vel: np.ndarray, w_span: slice, power) -> bool:
-    """Apply `power`, the map of a run of inactive steps (one of
-    `inactive_powers`), to theta and vel in place; False, with both left as
-    they were, if that makes either non-finite."""
-    both = np.stack([theta, vel])
-    new = power[0] @ both
-    new[:, w_span] = power[1] @ both[:, w_span]
-    if not np.isfinite(new).all():
-        return False
-    theta[:], vel[:] = new
-    return True
+def _host_cpu() -> bytes:
+    """The first CPU's description, less its clock, which changes as it runs."""
+    try:
+        with open("/proc/cpuinfo", "rb") as fh:
+            first = fh.read().split(b"\n\n")[0]
+    except OSError:
+        return f"{platform.machine()} {platform.processor()}".encode()
+    return b"\n".join(line for line in first.splitlines()
+                      if not line.startswith(b"cpu MHz"))
+
+
+def _compiler() -> bytes:
+    path = shutil.which(COMPILE[0])
+    if path is None:
+        return b""
+    path = os.path.realpath(path)
+    return f"{path} {os.stat(path).st_mtime_ns}".encode()
+
+
+def _kernel_library() -> Path:
+    """The compiled kernel, built first if the cache lacks it."""
+    key = hashlib.sha256(b"\0".join([
+        KERNEL_SOURCE.read_bytes(), " ".join(COMPILE).encode(), _compiler(), _host_cpu(),
+    ])).hexdigest()
+    lib = KERNEL_SOURCE.parent / "__pycache__" / f"{KERNEL_SOURCE.stem}-{key[:16]}.so"
+    if lib.exists():
+        return lib
+    import subprocess  # only on a cache miss, which keeps import time down
+
+    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+    try:
+        lib.parent.mkdir(exist_ok=True)
+        proc = subprocess.run([*COMPILE, "-o", str(tmp), str(KERNEL_SOURCE), "-lm"],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            lines = proc.stderr.splitlines() or [f"exit status {proc.returncode}"]
+            raise KernelBuildError(
+                "cannot build the epoch kernel: "
+                + next((line for line in lines if "error" in line), lines[0]))
+        os.replace(tmp, lib)
+    except OSError as exc:
+        raise KernelBuildError(f"cannot build the epoch kernel: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
+    return lib
+
+
+@functools.cache
+def _epoch_kernel():
+    """`train_epoch` of epoch.c, compiled and loaded on the first call; its
+    argument types check every array's dtype and layout."""
+    from numpy.ctypeslib import ndpointer
+
+    try:
+        fn = ctypes.CDLL(str(_kernel_library())).train_epoch
+    except OSError as exc:
+        raise KernelBuildError(f"cannot load the epoch kernel: {exc}") from exc
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+    inout = ndpointer(np.float64, flags="C_CONTIGUOUS, WRITEABLE")
+    fn.argtypes = [
+        inout, inout, i64, i64, i64, i64,
+        ndpointer(np.uint8, ndim=3, flags="C_CONTIGUOUS"),
+        ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
+        ndpointer(np.float64, ndim=3, flags="C_CONTIGUOUS"),
+        ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
+        f64, f64, f64, f64, ctypes.POINTER(f64),
+    ]
+    fn.restype = i64
+    return fn
 
 
 PARAM_FIELDS = ("embeddings", "w_l", "w_r", "b")

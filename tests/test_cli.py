@@ -1,3 +1,4 @@
+import functools
 import json
 import logging
 import os
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from astvec import cli
+from astvec import cli, trainer
 from astvec.ast_core import dump_corpus, load_corpus
-from astvec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from astvec.cli import EXIT_BUILD, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from astvec.embedding_io import parse_embeddings
 from astvec.trainer import load_checkpoint
 
@@ -364,6 +365,27 @@ class TestHostileInputs:
                      "--epochs", "1"]) == EXIT_INPUT
         assert _problems(caplog) == [f"{corpus}{message}"]
         assert not (tmp_path / "m.json").exists()
+
+    # a compiler that is missing, or that rejects its command; a changed
+    # command is a different cache entry, so it is really run
+    @pytest.mark.parametrize("command,detail", [
+        (("astvec-no-such-cc",) + trainer.COMPILE[1:], "No such file or directory"),
+        (trainer.COMPILE + ("-no-such-flag",), "-no-such-flag"),
+    ], ids=["missing", "failing"])
+    def test_compiler_fails(self, tmp_path, caplog, capsys, small_corpus_file,
+                            monkeypatch, command, detail):
+        monkeypatch.setattr(trainer, "_epoch_kernel",
+                            functools.cache(trainer._epoch_kernel.__wrapped__))
+        monkeypatch.setattr(trainer, "COMPILE", command)
+        out = tmp_path / "m.json"
+        assert main(["train", "--corpus", str(small_corpus_file), "--out", str(out),
+                     "--epochs", "1"]) == EXIT_BUILD
+        [line] = _problems(caplog)
+        assert line.startswith("cannot build the epoch kernel: ") and detail in line
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+        assert not [p for p in trainer.KERNEL_SOURCE.parent.glob("__pycache__/*")
+                    if p.suffix not in (".pyc", ".so")]
 
 
 C_WORDS = ("int x y T ( ) { } [ ] ; , = + - * & ! ? : . -> ++ 1 2.5 'a' \"s\" if else "

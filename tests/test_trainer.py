@@ -1,16 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from astvec import trainer
-from astvec.ast_core import kind_by_name, node
-from astvec.coder import (
-    Hyperparams,
-    distance,
-    gradient_and_hinge,
-    init_params,
-    l2_rate,
-    lookahead_margins,
-)
+from astvec.ast_core import KIND_NAMES, VOCAB_SIZE, kind_by_name, node
+from astvec.coder import Hyperparams, gradient_and_hinge, init_params, l2_rate
 from astvec.sampling import (
     corrupt,
     corrupt_packed,
@@ -18,12 +12,10 @@ from astvec.sampling import (
     pack_samples,
 )
 from astvec.trainer import (
-    LOOKAHEAD,
     CheckpointError,
     TrainingDiverged,
     fresh_state,
     has_converged,
-    inactive_powers,
     load_checkpoint,
     loss_log_csv,
     save_checkpoint,
@@ -148,10 +140,11 @@ class TestTrain:
     @pytest.mark.parametrize("where", ["w_l", "embedding"])
     def test_divergence_names_the_step_sample(self, where):
         # every embedding row equal and no margin: a pair and its corrupted
-        # copy code alike, so the pairs are inactive and epoch 1 is one
-        # closed-form jump; in it, one entry of w_l, or of the embedding row
-        # of Goto, which no sample uses, starts near -max float with a
-        # velocity that pushes it past -max float in step OVERFLOW_STEP
+        # copy code alike, so the pairs are inactive; in epoch 1 one entry of
+        # w_l, which steps with every pair, or of the embedding row of Goto,
+        # which no sample uses and so is brought up to date in closed form,
+        # starts near -max float with a velocity that pushes it past -max
+        # float in step OVERFLOW_STEP
         hyper = Hyperparams(n_f=4, delta=0.0, epochs=3, seed=3)
         samples = _samples()
         state = fresh_state(hyper)
@@ -182,11 +175,11 @@ class TestTrain:
         assert order[step] != step  # the index names the sample, not the step
         assert (caught.value.epoch, caught.value.sample_index) == (1, int(order[step]))
 
-    # 7 pairs an epoch fit one look-ahead window, 70 span three; at the faster
-    # rate, coding a pair at the wrong step of a window flips some pair's
-    # activity. On the bundled corpus at n_f=4 the per-step loop itself moves
-    # by 0.18 within 3 epochs when its start moves by 1e-15, so no tolerance
-    # would hold there.
+    # 7 and 70 pairs an epoch; at the faster rate, coding a pair at the wrong
+    # parameters flips some pair's activity. The kernel rounds its sums
+    # unlike numpy, so the floats agree to a tolerance only. On the bundled
+    # corpus at n_f=4 the per-step loop itself moves by 0.18 within 3 epochs
+    # when its start moves by 1e-15, so no tolerance would hold there.
     @pytest.mark.parametrize("copies", [1, 10])
     @pytest.mark.parametrize("alpha,lam", [(0.003, 1e-4), (0.03, 0.1)])
     def test_matches_per_step_loop(self, copies, alpha, lam):
@@ -236,42 +229,59 @@ def inactive_step(theta, vel, w_span, hyper):
     theta -= hyper.alpha * vel
 
 
-# a penalty strong enough that the weight region's map differs visibly
-STEEP = Hyperparams(n_f=4, lam=0.5, alpha=0.05, epsilon=0.9)
+def test_inactive_epoch_equals_literal_steps():
+    # a margin below any distance difference makes every pair inactive, so an
+    # epoch is the l2 shrink and the momentum decay alone, step by step; the
+    # kernel instead jumps each embedding row over the steps that do not read
+    # it, one closed-form map per jump. The penalty is strong enough that the
+    # weights' map differs visibly, and with epsilon near 1 the velocities stay
+    # visible to the end.
+    hyper = Hyperparams(n_f=4, delta=-1e6, lam=0.5, alpha=0.05, epsilon=0.995,
+                        epochs=1, seed=4)
+    samples = _samples() * 150
+    n = len(samples)
+    assert n >= 1000
+    state = fresh_state(dataclasses.replace(hyper, delta=0.0))
+    state.hyper = hyper
+    state.velocity.flat[:] = np.random.default_rng(5).uniform(
+        -1, 1, state.velocity.flat.size)
+    theta, vel = state.params.flat.copy(), state.velocity.flat.copy()
+    for _ in range(n):
+        inactive_step(theta, vel, state.params.w_span, hyper)
+
+    # the epoch's pairs, drawn as train draws them: some row goes unread for
+    # far longer than a few dozen steps
+    draws = np.random.default_rng()
+    draws.bit_generator.state = state.rng.bit_generator.state
+    packed = pack_samples(samples)
+    rows, pairs = corrupt_packed(packed, draws.permutation(n), draws)
+    real = np.arange(pairs.shape[2]) <= packed.n_children[rows][:, None]
+    longest = max(
+        np.diff(np.flatnonzero(np.r_[True, ((pairs == sym) & real[:, None]).any(axis=(1, 2)),
+                                     True])).max()
+        for sym in range(VOCAB_SIZE))
+    assert longest > 100
+
+    state, report = train(samples, hyper, state=state)
+    assert report.mean_hinge == [0.0]
+    for got, want in ((state.params.flat, theta), (state.velocity.flat, vel)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_closed_form_equals_inactive_steps():
-    # k literal steps against one jump by the k-th power, for every k a
-    # window can jump
-    rng = np.random.default_rng(4)
-    start_theta = init_params(STEEP, rng)
-    start_vel = init_params(STEEP, rng)
-    powers = inactive_powers(STEEP, LOOKAHEAD)
-    theta, vel = start_theta.flat.copy(), start_vel.flat.copy()
-    w = start_theta.w_span
-    for k in range(LOOKAHEAD + 1):
-        jumped_theta, jumped_vel = start_theta.flat.copy(), start_vel.flat.copy()
-        assert trainer._skip_inactive(jumped_theta, jumped_vel, w, powers[k])
-        for got, want in ((jumped_theta, theta), (jumped_vel, vel)):
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        inactive_step(theta, vel, w, STEEP)
-
-
-def test_lookahead_codes_pair_k_after_k_inactive_steps():
-    rng = np.random.default_rng(5)
-    params, velocity = init_params(STEEP, rng), init_params(STEEP, rng)
-    samples = (_samples() * 5)[:LOOKAHEAD]
-    negatives = [corrupt(s, rng) for s in samples]
-    packed = pack_samples(x for pair in zip(samples, negatives) for x in pair)
-    pairs = packed.ids[packed.rows].reshape(LOOKAHEAD, 2, -1)
-    coef = packed.coef[packed.rows[0::2]]
-    drift = inactive_powers(STEEP, LOOKAHEAD)[:-1, :, 0, :].reshape(LOOKAHEAD, 4)
-    margins = lookahead_margins(pairs, coef, params, velocity, drift, STEEP)
-    vel = velocity.flat.copy()
-    for k, (s, neg) in enumerate(zip(samples, negatives)):
-        want = STEEP.delta + distance(s, params) - distance(neg, params)
-        assert abs(margins[k] - want) <= 1e-12 * max(1.0, abs(want))
-        inactive_step(params.flat, vel, params.w_span, STEEP)
+def test_wide_node_matches_per_step_loop():
+    # 80 dimensions and a node with 300 children: every scratch array of the
+    # kernel is sized from N_f and K, none is fixed
+    kinds = [kind for kind in KIND_NAMES if kind != "Root"]
+    wide = node("Compound", *(node(kinds[i % len(kinds)]) for i in range(300)))
+    samples = _samples() + extract_samples(node("FuncDef", node("ID"), wide))
+    hyper = Hyperparams(n_f=80, epochs=3, seed=2)
+    state, report = train(samples, hyper)
+    ref, hinges = per_step_train(samples, hyper)
+    assert max(len(s.children) for s in samples) == 300
+    assert 0 < min(report.mean_hinge)
+    np.testing.assert_allclose(state.params.flat, ref.params.flat, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(state.velocity.flat, ref.velocity.flat, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(report.mean_hinge, hinges, rtol=0, atol=1e-10)
 
 
 class TestCheckpoint:
