@@ -103,9 +103,11 @@ def kmeans_points(
     restart. Returns (labels, centroids, inertia)."""
     if not 1 <= k <= points.shape[0]:
         raise ValueError(f"k must be in 1..{points.shape[0]}")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         centroids = _kmeans_pp_init(points, k, rng)
         labels, centroids, inertia = _lloyd(points, centroids.copy())
         if best is None or inertia < best[2]:

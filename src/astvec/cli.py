@@ -97,6 +97,8 @@ def cmd_parse(args) -> int:
 
 def cmd_corpus_build(args) -> int:
     if args.generate:
+        if args.per_class < 1:
+            raise CliError("per-class must be >= 1", EXIT_USAGE)
         programs = corpusgen.generate_corpus(seed=args.seed, per_class=args.per_class)
     elif args.src_dir:
         root = Path(args.src_dir)
@@ -228,7 +230,11 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.epochs < 0:
+        raise CliError("epochs must be >= 0", EXIT_USAGE)
     corpus = _load_corpus_file(args.corpus)
+    if not corpus:
+        raise CliError("corpus holds no programs")
     labels = tuple(sorted({p.label for p in corpus}))
     try:
         spec = classify.split(corpus, seed=args.seed)

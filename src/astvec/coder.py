@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ast_core import VOCAB_SIZE
-from .sampling import NegativeSample, TrainingSample, pack_samples
+from .sampling import TrainingSample, pack_samples
 
 # Pairs per batch in `objective`, which bounds its working memory.
 OBJECTIVE_CHUNK = 256
@@ -125,23 +125,6 @@ def _forward(ids: np.ndarray, coef: np.ndarray, params: ModelParams):
     return s, h, vectors[..., 0, :] - h
 
 
-def _sample_rows(samples):
-    packed = pack_samples(samples)
-    return packed.ids[packed.rows], packed.coef[packed.rows]
-
-
-def code_children(sample, params: ModelParams) -> np.ndarray:
-    """tanh( sum_i l_i W_i vec(c_i) + b ) with W_i from child_weight."""
-    _, h, _ = _forward(*_sample_rows([sample]), params)
-    return h[0]
-
-
-def distance(sample, params: ModelParams) -> float:
-    """Squared Euclidean distance between the parent vector and the coded one."""
-    _, _, e = _forward(*_sample_rows([sample]), params)
-    return float(e[0] @ e[0])
-
-
 def hinge_loss(d: float, d_c: float, delta: float) -> float:
     return max(0.0, delta + d - d_c)
 
@@ -154,24 +137,13 @@ def l2_penalty(params: ModelParams, hyper: Hyperparams) -> float:
     )
 
 
-def pair_loss(
-    sample: TrainingSample,
-    negative: NegativeSample,
-    params: ModelParams,
-    hyper: Hyperparams,
-) -> float:
-    """Per-pair objective: hinge term plus the l2 share on W_l, W_r."""
-    d = distance(sample, params)
-    d_c = distance(negative, params)
-    return hinge_loss(d, d_c, hyper.delta) + l2_penalty(params, hyper)
-
-
 def objective(
-    pairs: list[tuple[TrainingSample, NegativeSample]],
+    pairs: list[tuple[TrainingSample, TrainingSample]],
     params: ModelParams,
     hyper: Hyperparams,
 ) -> float:
-    """(1/2N) sum of hinges + (lam/2M)(|W_l|_F^2 + |W_r|_F^2), M = 2 N_f^2.
+    """(1/2N) sum of hinges + (lam/2M)(|W_l|_F^2 + |W_r|_F^2), M = 2 N_f^2,
+    over N (sample, corrupted sample) pairs.
 
     Pairs are coded OBJECTIVE_CHUNK at a time, each distinct sample of a
     chunk once.
@@ -203,7 +175,8 @@ def gradient_and_hinge(
     params: ModelParams,
     hyper: Hyperparams,
 ) -> tuple[np.ndarray, float]:
-    """Exact gradient of pair_loss plus the hinge value of one pair.
+    """Exact gradient of one pair's objective, its hinge plus the l2 penalty,
+    and the hinge value.
 
     ids (2, 1+K) holds the packed row of the real sample, then that of its
     corrupted copy; coef (2, 1+K) is their shared row of child weights. The

@@ -2,9 +2,9 @@
 
 Every non-leaf node yields one sample: its kind, its children's kinds, and
 per-child coefficients equal to each child's share of the parent's leaves.
-A negative sample replaces exactly one symbol (parent or any child) with a
-different one drawn uniformly; the coefficients are kept, since corruption
-swaps a symbol without touching the tree shape.
+A negative is a sample too: the same sample with exactly one symbol (parent
+or any child) replaced by a different one drawn uniformly; the coefficients
+are kept, since corruption swaps a symbol without touching the tree shape.
 
 For training, the samples are packed once into arrays (`pack_samples`), so a
 negative is one id overwrite in a copied row and an epoch's corruptions come
@@ -13,6 +13,7 @@ from a single draw (`corrupt_packed`).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from .ast_core import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrainingSample:
     parent: NodeKind
     children: tuple[NodeKind, ...]
@@ -41,29 +42,6 @@ class TrainingSample:
 
     def __hash__(self) -> int:
         return self._hash
-
-
-@dataclass(frozen=True)
-class NegativeSample:
-    base: TrainingSample
-    corrupted_position: int  # 0 = parent, 1..n = child index
-    new_symbol: NodeKind
-
-    @property
-    def parent(self) -> NodeKind:
-        return self.new_symbol if self.corrupted_position == 0 else self.base.parent
-
-    @property
-    def children(self) -> tuple[NodeKind, ...]:
-        if self.corrupted_position == 0:
-            return self.base.children
-        kids = list(self.base.children)
-        kids[self.corrupted_position - 1] = self.new_symbol
-        return tuple(kids)
-
-    @property
-    def coefficients(self) -> tuple[float, ...]:
-        return self.base.coefficients
 
 
 def _extract(roots: list[AstNode]) -> list[TrainingSample]:
@@ -146,8 +124,8 @@ class PackedSamples:
     rows: np.ndarray  # (N,)
 
 
-def pack_samples(samples) -> PackedSamples:
-    """Pack samples, or anything with parent, children and coefficients."""
+def pack_samples(samples: Iterable[TrainingSample]) -> PackedSamples:
+    """Pack a sequence of samples; equal samples share one row."""
     index: dict = {}
     rows = np.array([index.setdefault(s, len(index)) for s in samples], dtype=np.intp)
     distinct = tuple(index)
@@ -184,16 +162,14 @@ def _replacement(draw, original):
     return draw + (draw >= original)
 
 
-def corrupt(sample: TrainingSample, rng: np.random.Generator) -> NegativeSample:
-    """Replace one uniformly chosen slot with a different uniformly chosen symbol."""
+def corrupt(sample: TrainingSample, rng: np.random.Generator) -> TrainingSample:
+    """The sample with one uniformly chosen slot replaced by a different
+    uniformly chosen symbol, and the same coefficients."""
     slot, draw = _draw_corruptions(np.array([len(sample.children)]), rng)
+    slots = [sample.parent, *sample.children]
     position = int(slot[0])
-    original = sample.parent if position == 0 else sample.children[position - 1]
-    return NegativeSample(
-        base=sample,
-        corrupted_position=position,
-        new_symbol=vocabulary()[int(_replacement(draw[0], original.id))],
-    )
+    slots[position] = vocabulary()[int(_replacement(draw[0], slots[position].id))]
+    return TrainingSample(slots[0], tuple(slots[1:]), sample.coefficients)
 
 
 def corrupt_packed(packed: PackedSamples, order: np.ndarray, rng: np.random.Generator):

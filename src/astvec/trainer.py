@@ -221,6 +221,10 @@ def _kernel_library() -> Path:
         raise KernelBuildError(f"cannot build the epoch kernel: {exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
+    # older builds are stale now; a process that loaded one keeps its mapping
+    for stale in lib.parent.glob(f"{KERNEL_SOURCE.stem}-*.so"):
+        if stale != lib:
+            stale.unlink(missing_ok=True)
     return lib
 
 

@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from astvec.ast_core import AstNode, load_corpus
-from astvec.sampling import TrainingSample
+from astvec.coder import Hyperparams, ModelParams, _forward, hinge_loss, l2_penalty
+from astvec.sampling import TrainingSample, pack_samples
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO / "tests" / "fixtures" / "golden"
@@ -81,3 +83,33 @@ def per_node_samples(tree: AstNode) -> list[TrainingSample]:
 def unshared(tree: AstNode) -> AstNode:
     """A copy of `tree` with a new node object at every position."""
     return AstNode(tree.kind, tuple(unshared(c) for c in tree.children))
+
+
+def _sample_rows(samples):
+    packed = pack_samples(samples)
+    return packed.ids[packed.rows], packed.coef[packed.rows]
+
+
+def code_children(sample: TrainingSample, params: ModelParams) -> np.ndarray:
+    """Oracle for one sample's coded vector:
+    tanh( sum_i l_i W_i vec(c_i) + b ) with W_i from child_weight."""
+    _, h, _ = _forward(*_sample_rows([sample]), params)
+    return h[0]
+
+
+def distance(sample: TrainingSample, params: ModelParams) -> float:
+    """Squared Euclidean distance between the parent vector and the coded one."""
+    _, _, e = _forward(*_sample_rows([sample]), params)
+    return float(e[0] @ e[0])
+
+
+def pair_loss(
+    sample: TrainingSample,
+    negative: TrainingSample,
+    params: ModelParams,
+    hyper: Hyperparams,
+) -> float:
+    """Per-pair objective: hinge term plus the l2 share on W_l, W_r."""
+    d = distance(sample, params)
+    d_c = distance(negative, params)
+    return hinge_loss(d, d_c, hyper.delta) + l2_penalty(params, hyper)

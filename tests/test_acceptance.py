@@ -7,6 +7,7 @@ structure, the classification comparison, determinism, the parser golden
 suite, and brute-force oracles.
 """
 
+import dataclasses
 import itertools
 import time
 
@@ -26,17 +27,9 @@ from astvec.classify import (
     train_classifier,
 )
 from astvec.cli import EXIT_INPUT, EXIT_OK, main
-from astvec.coder import (
-    Hyperparams,
-    distance,
-    hinge_loss,
-    init_params,
-    objective,
-    pair_loss,
-)
+from astvec.coder import Hyperparams, hinge_loss, init_params, objective
 from astvec.cparse import CParseError, parse_file
 from astvec.sampling import (
-    NegativeSample,
     build_training_set,
     child_weight,
     corrupt,
@@ -44,7 +37,9 @@ from astvec.sampling import (
 )
 from astvec.trainer import train
 
-from conftest import SNIPPET_SRC, golden_sources, invalid_sources
+from conftest import (
+    SNIPPET_SRC, distance, golden_sources, invalid_sources, pair_loss,
+)
 from test_coder import finite_difference_check, _zero_params
 
 CONTROL_FLOW = ("If", "For", "While", "Break", "Continue", "Switch", "Case")
@@ -140,7 +135,7 @@ class TestCriterion2Formulas:
         ok &= hinge_loss(0.7, 0.7, 1.0) == 1.0
 
         sample = extract_samples(tree)[0]
-        neg = NegativeSample(sample, 0, kind_by_name("Goto"))
+        neg = dataclasses.replace(sample, parent=kind_by_name("Goto"))
         params = _zero_params(1)
         params.w_l[:] = 3.0
         params.w_r[:] = 1.0
@@ -156,7 +151,7 @@ class TestCriterion3TrivialGuard:
         sample = extract_samples(tree)[0]
         zero = _zero_params(30)
         hyper = Hyperparams()
-        neg = NegativeSample(sample, 0, kind_by_name("Goto"))
+        neg = dataclasses.replace(sample, parent=kind_by_name("Goto"))
         trivial_ok = (
             distance(sample, zero) == 0.0
             and pair_loss(sample, neg, zero, hyper) == hyper.delta

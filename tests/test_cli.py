@@ -99,6 +99,13 @@ class TestCorpusBuild:
     def test_neither_flag_usage(self, tmp_path):
         assert main(["corpus-build", "--out", str(tmp_path / "x.jsonl")]) == EXIT_USAGE
 
+    def test_negative_per_class_usage(self, tmp_path, caplog):
+        out = tmp_path / "x.jsonl"
+        assert main(["corpus-build", "--generate", "--per-class", "-1",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert _problems(caplog) == ["per-class must be >= 1"]
+        assert not out.exists()
+
 
 class TestTrain:
     def test_seed_determinism(self, tmp_path, small_corpus_file):
@@ -387,6 +394,32 @@ class TestHostileInputs:
         assert not [p for p in trainer.KERNEL_SOURCE.parent.glob("__pycache__/*")
                     if p.suffix not in (".pyc", ".so")]
 
+    def test_new_kernel_build_deletes_stale(self, tmp_path, small_corpus_file, monkeypatch):
+        source = tmp_path / "epoch.c"
+        source.write_bytes(trainer.KERNEL_SOURCE.read_bytes())
+        monkeypatch.setattr(trainer, "KERNEL_SOURCE", source)
+        monkeypatch.setattr(trainer, "_epoch_kernel",
+                            functools.cache(trainer._epoch_kernel.__wrapped__))
+        cache = tmp_path / "__pycache__"
+        cache.mkdir()
+        (cache / "epoch-0000000000000000.so").write_bytes(b"stale")
+        other = cache / "epoch-1111111111111111.so.999999.tmp"  # another process's build
+        other.write_bytes(b"in progress")
+        assert main(["train", "--corpus", str(small_corpus_file),
+                     "--out", str(tmp_path / "m.json"), "--epochs", "1"]) == EXIT_OK
+        [build] = cache.glob("epoch-*.so")
+        assert build == trainer._kernel_library()
+        assert set(cache.iterdir()) == {build, other}
+
+    @pytest.mark.parametrize("data", [b"", b"\n  \n\n"], ids=["empty", "blank-lines"])
+    def test_empty_corpus_classify(self, tmp_path, caplog, capsys, data):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes(data)
+        assert main(["classify", "--corpus", str(corpus),
+                     "--out-dir", str(tmp_path / "cls")]) == EXIT_INPUT
+        assert _problems(caplog) == ["corpus holds no programs"]
+        assert "Traceback" not in capsys.readouterr().err
+
 
 C_WORDS = ("int x y T ( ) { } [ ] ; , = + - * & ! ? : . -> ++ 1 2.5 'a' \"s\" if else "
            "for while do switch case default break goto return sizeof struct "
@@ -436,6 +469,24 @@ def test_fuzz_train(fuzz_dir, data):
     corpus = fuzz_dir / "corpus.jsonl"
     corpus.write_bytes(data)
     code = main(["train", "--corpus", str(corpus), "--out", str(fuzz_dir / "m.json"),
+                 "--epochs", "1"])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_NUMERIC)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.binary(),
+    st.text().map(lambda t: t.encode("utf-8", "surrogatepass")),
+))
+@example(b"")
+@example(LATIN1_CORPUS)
+@example(DEEP_CORPUS)
+@example(b'{"label":"a","source_id":"s","ast":{"kind":"ID"}}\n' * 5)
+@example(b'{"label":"a","source_id":"s","ast":{"kind":"Nope"}}')
+def test_fuzz_classify(fuzz_dir, data):
+    corpus = fuzz_dir / "corpus.jsonl"
+    corpus.write_bytes(data)
+    code = main(["classify", "--corpus", str(corpus), "--out-dir", str(fuzz_dir / "cls"),
                  "--epochs", "1"])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_NUMERIC)
 
@@ -566,6 +617,14 @@ class TestCluster:
         assert main(["cluster", "--checkpoint", str(checkpoint_file),
                      "--k", "0", "--out", str(tmp_path / "c.csv")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("restarts", ["0", "-5"])
+    def test_bad_restarts(self, checkpoint_file, tmp_path, caplog, restarts):
+        out = tmp_path / "c.csv"
+        assert main(["cluster", "--checkpoint", str(checkpoint_file),
+                     "--restarts", restarts, "--out", str(out)]) == EXIT_USAGE
+        assert _problems(caplog) == ["restarts must be >= 1"]
+        assert not out.exists()
+
 
 class TestClassify:
     def test_runs_all_three(self, tmp_path, small_corpus_file, checkpoint_file, capsys):
@@ -593,6 +652,13 @@ class TestClassify:
         assert code == EXIT_OK
         assert (out_dir / "logistic_regression_curves.csv").exists()
         assert not (out_dir / "deep_pretrained_curves.csv").exists()
+
+    def test_negative_epochs_usage(self, tmp_path, small_corpus_file, caplog):
+        out_dir = tmp_path / "cls"
+        assert main(["classify", "--corpus", str(small_corpus_file),
+                     "--out-dir", str(out_dir), "--epochs", "-1"]) == EXIT_USAGE
+        assert _problems(caplog) == ["epochs must be >= 0"]
+        assert not out_dir.exists()
 
 
 class TestExport:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,16 +7,12 @@ from astvec.ast_core import kind_by_name, node, vocabulary
 from astvec.coder import (
     Hyperparams,
     ModelParams,
-    code_children,
-    distance,
     gradient_and_hinge,
     hinge_loss,
     init_params,
     objective,
-    pair_loss,
 )
 from astvec.sampling import (
-    NegativeSample,
     TrainingSample,
     build_training_set,
     child_weight,
@@ -22,6 +20,8 @@ from astvec.sampling import (
     extract_samples,
     pack_samples,
 )
+
+from conftest import code_children, distance, pair_loss
 
 
 def _sample(parent, children, coefficients=None):
@@ -198,7 +198,7 @@ def _pair(seed=0, n_f=2):
 class TestObjective:
     def test_zero_when_satisfied_and_unregularized(self):
         s, _ = _pair()
-        neg = NegativeSample(s, corrupted_position=0, new_symbol=kind_by_name("Goto"))
+        neg = dataclasses.replace(s, parent=kind_by_name("Goto"))
         p = _random_params(2)
         # inflate the corrupted distance by moving its parent far away
         hyper = Hyperparams(n_f=2, lam=0.0, delta=0.0)
@@ -303,7 +303,7 @@ def finite_difference_check(s, neg, params, hyper, step=1e-5):
 class TestGradient:
     def test_inactive_hinge_zero_grad(self):
         s, _ = _pair()
-        neg = NegativeSample(s, corrupted_position=0, new_symbol=kind_by_name("Goto"))
+        neg = dataclasses.replace(s, parent=kind_by_name("Goto"))
         p = _random_params(2)
         p.embeddings[neg.parent.id] += 100.0  # d_c huge, margin satisfied
         hyper = Hyperparams(n_f=2, lam=0.0)
@@ -327,7 +327,7 @@ class TestGradient:
         # the per-role gradients computed with artificially split roles
         parent = kind_by_name("Compound")
         s = TrainingSample(parent, (parent, kind_by_name("ID")), (0.5, 0.5))
-        neg = NegativeSample(s, corrupted_position=2, new_symbol=kind_by_name("For"))
+        neg = dataclasses.replace(s, children=(parent, kind_by_name("For")))
         p = _random_params(3, seed=9)
         hyper = Hyperparams(n_f=3, lam=0.0)
         g, _ = pair_step(s, neg, p, hyper)
@@ -338,7 +338,7 @@ class TestGradient:
         p2 = p.copy()
         p2.embeddings[scratch.id] = p.embeddings[parent.id]
         s2 = TrainingSample(parent, (scratch, kind_by_name("ID")), (0.5, 0.5))
-        neg2 = NegativeSample(s2, corrupted_position=2, new_symbol=kind_by_name("For"))
+        neg2 = dataclasses.replace(s2, children=(scratch, kind_by_name("For")))
         g2, _ = pair_step(s2, neg2, p2, hyper)
         combined = g2.embeddings[parent.id] + g2.embeddings[scratch.id]
         assert np.allclose(g.embeddings[parent.id], combined, atol=1e-12)

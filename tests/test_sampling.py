@@ -7,6 +7,7 @@ from hypothesis import given
 from astvec.ast_core import VOCAB_SIZE, LabeledProgram, node, vocabulary
 from astvec.classify import node_histogram
 from astvec.sampling import (
+    TrainingSample,
     build_training_set,
     child_weight,
     corrupt,
@@ -72,6 +73,15 @@ class TestExtract:
             assert min(s.coefficients) >= 1.0 / leaf_count(n) - 1e-12
 
 
+def _corrupted_slot(sample, neg):
+    """(position, new symbol) of the one slot where `neg` differs from
+    `sample`; position 0 is the parent, i the i-th child."""
+    base, swapped = [sample.parent, *sample.children], [neg.parent, *neg.children]
+    assert len(swapped) == len(base)
+    (position,) = [i for i, (a, b) in enumerate(zip(base, swapped)) if a != b]
+    return position, swapped[position]
+
+
 class TestCorrupt:
     @pytest.fixture
     def sample(self):
@@ -82,25 +92,17 @@ class TestCorrupt:
         rng = np.random.default_rng(7)
         for _ in range(200):
             neg = corrupt(sample, rng)
-            original = (
-                sample.parent
-                if neg.corrupted_position == 0
-                else sample.children[neg.corrupted_position - 1]
-            )
-            assert neg.new_symbol != original
+            assert isinstance(neg, TrainingSample)
+            # exactly one slot differs, so its new symbol is not the old one
+            _corrupted_slot(sample, neg)
             assert neg.coefficients == sample.coefficients
-            # untouched slots identical
-            slots_base = [sample.parent, *sample.children]
-            slots_neg = [neg.parent, *neg.children]
-            diffs = [i for i, (a, b) in enumerate(zip(slots_base, slots_neg)) if a != b]
-            assert diffs == [neg.corrupted_position]
 
     def test_position_uniform(self, sample):
         rng = np.random.default_rng(123)
         hits = np.zeros(3)
         n = 10_000
         for _ in range(n):
-            hits[corrupt(sample, rng).corrupted_position] += 1
+            hits[_corrupted_slot(sample, corrupt(sample, rng))[0]] += 1
         assert np.all(np.abs(hits / n - 1 / 3) < 0.02)
 
     def test_replacement_uniform_over_others(self, sample):
@@ -109,8 +111,8 @@ class TestCorrupt:
         counts = np.zeros(v)
         n = 40_000
         for _ in range(n):
-            neg = corrupt(sample, rng)
-            counts[neg.new_symbol.id] += 1
+            _, symbol = _corrupted_slot(sample, corrupt(sample, rng))
+            counts[symbol.id] += 1
         # each symbol is a valid replacement in some slot; none dominates
         assert counts.max() / n < 3.0 / (v - 1)
 
