@@ -5,11 +5,11 @@ A refactor that claims no behaviour change should leave this output unchanged:
 run it before and after the change and compare. In a temporary directory it
 runs, on data/corpus.jsonl and in-process: `train` (3 epochs), `train --resume`
 (a 4th epoch), `nn` for every symbol, `cluster --out --report`, `export`,
-`classify`, `corpus-build --generate`, and `corpus-build --src-dir` over the
-seed-0 generated sources written as <label>/<source_id>.c. It also writes
-parse.txt: for every fixture source under tests/fixtures, and for every prefix
-and suffix of each, the parser's tree or its error (class, line, column,
-message, expected).
+`classify`, `classify --no-fine-tune`, `corpus-build --generate`, and
+`corpus-build --src-dir` over the seed-0 generated sources written as
+<label>/<source_id>.c. It also writes parse.txt: for every fixture source under
+tests/fixtures, and for every prefix and suffix of each, the parser's tree or
+its error (class, line, column, message, expected).
 Run from anywhere:
 
     python3 scripts/artifact_digests.py
@@ -86,6 +86,8 @@ def write_artifacts(d: Path, src: Path) -> None:
     astvec("export", "--checkpoint", model, "--out", str(d / "embeddings.txt"))
     astvec("classify", "--corpus", str(CORPUS), "--checkpoint", model,
            "--out-dir", str(d / "classify"))
+    astvec("classify", "--corpus", str(CORPUS), "--checkpoint", model,
+           "--out-dir", str(d / "classify_frozen"), "--no-fine-tune")
     astvec("corpus-build", "--generate", "--out", str(d / "generated.jsonl"))
     write_sources(src)
     astvec("corpus-build", "--src-dir", str(src), "--out", str(d / "from_sources.jsonl"))

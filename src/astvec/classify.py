@@ -4,19 +4,18 @@ momentum, and the pretrained-vs-random embedding comparison.
 
 The deep model is a plain feed-forward net over the mean of node embeddings
 (the histogram, normalized, times the embedding table, which is trainable when
-fine-tuning is on). Logistic regression is the same machinery with no hidden
-layers over raw histogram counts.
+fine-tuning is on). Logistic regression is the same machinery with no table
+and no hidden layers, over raw histogram counts.
 """
 
 from __future__ import annotations
 
-import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ast_core import VOCAB_SIZE, AstNode, LabeledProgram
-from .coder import Hyperparams, ModelParams
 
 
 # --- features ---
@@ -85,19 +84,35 @@ class ClassifierConfig:
 
 @dataclass
 class ClassifierModel:
-    mode: str                      # counts | embed_mean
+    """A softmax classifier whose trained values are all views of one float64
+    buffer: `flat` holds the embedding table (V, N_f), if the model has one,
+    then W and b of each layer, so one array operation steps them all, and a
+    gradient or a velocity with the same layout is one flat array too. A
+    model without a table reads the histogram counts themselves.
+    """
+
     labels: tuple[str, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    mu: np.ndarray
-    sigma: np.ndarray
-    embed: np.ndarray | None = None  # (V, N_f), embed_mean mode only
+    shapes: list[tuple[int, ...]]  # of the table, if any, then of each W and b
+    flat: np.ndarray
+    mu: np.ndarray | None = None   # input standardization
+    sigma: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.embed, self.weights, self.biases = self.views(self.flat)
+
+    def views(self, flat: np.ndarray):
+        """(table or None, weights, biases) of `flat`, laid out like `self.flat`."""
+        ends = np.cumsum([math.prod(shape) for shape in self.shapes])
+        parts = [part.reshape(shape)
+                 for part, shape in zip(np.split(flat, ends[:-1]), self.shapes)]
+        table = parts.pop(0) if len(parts) % 2 else None
+        return table, parts[0::2], parts[1::2]
 
     def raw_input(self, X: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-        """(hist, x) for raw histogram rows X: hist, in embed_mean mode only,
-        the rows scaled to sum 1; x the input before standardization, the
-        mean node embedding hist @ embed or the counts themselves."""
-        if self.mode == "embed_mean":
+        """(hist, x) for raw histogram rows X: hist, for a model with a table
+        only, the rows scaled to sum 1; x the input before standardization,
+        the mean node embedding hist @ embed or the counts themselves."""
+        if self.embed is not None:
             hist = X / np.maximum(X.sum(axis=1, keepdims=True), 1.0)
             return hist, hist @ self.embed
         return None, X.astype(np.float64)
@@ -129,49 +144,39 @@ class TrainCurves:
 
 
 def _init_model(
-    mode: str,
     labels: tuple[str, ...],
     X: np.ndarray,
     config: ClassifierConfig,
-    init: str,
-    params: ModelParams | None,
+    embed: np.ndarray | int | None = None,
 ) -> ClassifierModel:
+    """The input layer is `embed`: None, the histogram counts; an array, a
+    pretrained table (copied); an int, the width of a random table, drawn
+    before the layer weights."""
     rng = np.random.default_rng(config.seed)
-    embed = None
-    if mode == "embed_mean":
-        if init == "pretrained":
-            if params is None:
-                raise ValueError("pretrained init requires coder params")
-            embed = params.embeddings.copy()
-        elif init == "random":
-            n_f = params.embeddings.shape[1] if params is not None else Hyperparams.n_f
-            r = np.sqrt(6.0 / (2.0 * n_f))
-            embed = rng.uniform(-r, r, size=(VOCAB_SIZE, n_f))
-        else:
-            raise ValueError(f"unknown init {init!r}")
-    model = ClassifierModel(mode=mode, labels=labels, weights=[], biases=[],
-                            mu=None, sigma=None, embed=embed)
+    if isinstance(embed, int):
+        r = np.sqrt(6.0 / (2.0 * embed))
+        embed = rng.uniform(-r, r, size=(VOCAB_SIZE, embed))
+    parts = [] if embed is None else [embed]
+    sizes = [X.shape[1] if embed is None else embed.shape[1], *config.hidden, len(labels)]
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        r = np.sqrt(6.0 / (fan_in + fan_out))
+        parts += [rng.uniform(-r, r, size=(fan_in, fan_out)), np.zeros(fan_out)]
+    model = ClassifierModel(labels, [part.shape for part in parts],
+                            np.concatenate([part.ravel() for part in parts]))
     # standardization constants from the training inputs
     _, x0 = model.raw_input(X)
     model.mu = x0.mean(axis=0)
     model.sigma = x0.std(axis=0)
     model.sigma[model.sigma == 0.0] = 1.0
-
-    sizes = [x0.shape[1], *config.hidden, len(labels)]
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        r = np.sqrt(6.0 / (fan_in + fan_out))
-        model.weights.append(rng.uniform(-r, r, size=(fan_in, fan_out)))
-        model.biases.append(np.zeros(fan_out))
     return model
 
 
 def loss_and_gradients(
     model: ClassifierModel, X: np.ndarray, y: np.ndarray, fine_tune: bool
 ):
-    """(loss, accuracy, grads_w, grads_b, grad_embed): the cross-entropy and
-    the accuracy of the model on (X, y), and exact gradients of the loss for
-    every trainable tensor (grad_embed is None unless fine-tuning an
-    embed_mean model)."""
+    """(loss, accuracy, grad): the cross-entropy and the accuracy of the
+    model on (X, y), and the exact gradient of the loss, laid out like
+    `model.flat` and 0 on the table unless fine-tuning."""
     n = X.shape[0]
     hist, activations = model.activations(X)
     probs = activations.pop()
@@ -181,22 +186,20 @@ def loss_and_gradients(
     onehot[np.arange(n), y] = 1.0
     delta = (probs - onehot) / n
 
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    grads_w[-1] = activations[-1].T @ delta
-    grads_b[-1] = delta.sum(axis=0)
+    grad = np.zeros_like(model.flat)
+    grad_embed, grads_w, grads_b = model.views(grad)
+    grads_w[-1][...] = activations[-1].T @ delta
+    grads_b[-1][...] = delta.sum(axis=0)
     upstream = delta @ model.weights[-1].T
     for layer in range(len(model.weights) - 2, -1, -1):
         dz = upstream * (1.0 - activations[layer + 1] ** 2)
-        grads_w[layer] = activations[layer].T @ dz
-        grads_b[layer] = dz.sum(axis=0)
+        grads_w[layer][...] = activations[layer].T @ dz
+        grads_b[layer][...] = dz.sum(axis=0)
         upstream = dz @ model.weights[layer].T
 
-    grad_embed = None
-    if model.mode == "embed_mean" and fine_tune:
-        dx = upstream / model.sigma
-        grad_embed = hist.T @ dx
-    return loss, accuracy, grads_w, grads_b, grad_embed
+    if grad_embed is not None and fine_tune:
+        grad_embed[...] = hist.T @ (upstream / model.sigma)
+    return loss, accuracy, grad
 
 
 def train_classifier(
@@ -204,61 +207,54 @@ def train_classifier(
     y: np.ndarray,
     labels: tuple[str, ...],
     config: ClassifierConfig,
-    mode: str = "counts",
-    init: str = "random",
-    params: ModelParams | None = None,
+    embed: np.ndarray | int | None = None,
     cv: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ClassifierModel, TrainCurves]:
     """Full-batch gradient descent with momentum on the softmax cross-entropy.
 
-    X rows are raw node-kind histograms in both modes; y holds label indices.
-    With a cv split, the returned model is the one of the epoch with the
-    lowest cv cross-entropy (the earliest, on a tie); without one, that of
-    the last epoch. The curves record every epoch.
+    X rows are raw node-kind histograms; y holds label indices; `embed`
+    selects the input as in `_init_model`. With a cv split, the returned
+    model is the one of the epoch with the lowest cv cross-entropy (the
+    earliest, on a tie); without one, that of the last epoch. The curves
+    record every epoch.
     """
     if X.shape[0] != len(y):
         raise ValueError("feature/label length mismatch")
-    model = _init_model(mode, labels, X, config, init, params)
-    vel_w = [np.zeros_like(W) for W in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
-    vel_e = np.zeros_like(model.embed) if model.embed is not None else None
+    model = _init_model(labels, X, config, embed)
+    velocity = np.zeros_like(model.flat)
 
-    best, best_xent = model, np.inf
+    best, best_xent = None, np.inf
     curves = TrainCurves()
     for epoch in range(config.epochs):
-        loss, acc, gw, gb, ge = loss_and_gradients(model, X, y, config.fine_tune)
+        loss, acc, grad = loss_and_gradients(model, X, y, config.fine_tune)
         if not np.isfinite(loss):
             raise RuntimeError(f"classifier diverged at epoch {epoch}")
         if epoch > 0:
             # this pass scored the model the previous epoch left
             curves.train_xent.append(loss)
             curves.train_acc.append(acc)
-        for i in range(len(model.weights)):
-            vel_w[i] = config.momentum * vel_w[i] + gw[i]
-            vel_b[i] = config.momentum * vel_b[i] + gb[i]
-            model.weights[i] -= config.lr * vel_w[i]
-            model.biases[i] -= config.lr * vel_b[i]
-        if ge is not None:
-            vel_e = config.momentum * vel_e + ge
-            model.embed -= config.lr * vel_e
+        velocity = config.momentum * velocity + grad
+        model.flat -= config.lr * velocity
 
         if cv is not None:
             acc_cv, xent_cv = evaluate(model, cv[0], cv[1])
             if xent_cv < best_xent:
-                best, best_xent = copy.deepcopy(model), xent_cv
+                best, best_xent = model.flat.copy(), xent_cv
             curves.cv_xent.append(xent_cv)
             curves.cv_acc.append(acc_cv)
     if config.epochs > 0:
         acc, xent = evaluate(model, X, y)
         curves.train_xent.append(xent)
         curves.train_acc.append(acc)
-    return (model if cv is None else best), curves
+    if best is not None:
+        model.flat[...] = best
+    return model, curves
 
 
 def _accuracy_and_xent(probs: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     n = probs.shape[0]
     accuracy = float((np.argmax(probs, axis=1) == np.asarray(y)).mean())
-    xent = float(-np.log(probs[np.arange(n), y] + 1e-300).mean())
+    xent = float(0.0 - np.log(probs[np.arange(n), y] + 1e-300).mean())  # never -0.0
     return accuracy, xent
 
 

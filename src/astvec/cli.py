@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 input/format error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import sys
@@ -73,25 +74,45 @@ def _hyper_from_args(args) -> Hyperparams:
     return hyper
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise CliError("seed must be >= 0", EXIT_USAGE)
+
+
+@contextlib.contextmanager
+def _os_errors(path):
+    """Turn an OSError on `path` into a one-line input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"{path}: {exc.strerror or exc}")
+
+
+def _write(path, text: str) -> None:
+    """Write `text` to `path`, or to stdout when there is no path."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with _os_errors(path):
+        Path(path).write_text(text, encoding="utf-8")
+    log.info("wrote %s", path)
+
+
 def cmd_parse(args) -> int:
     if not args.files:
         raise CliError("no input files", EXIT_USAGE)
+    if args.out_dir:
+        with _os_errors(args.out_dir):
+            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     for path in args.files:
         src = Path(path)
         try:
-            ast = parse_file(src)
-        except OSError as exc:
-            raise CliError(f"{src}: {exc.strerror or exc}")
+            with _os_errors(src):
+                ast = parse_file(src)
         except CParseError as exc:
             raise CliError(f"{src}:{exc.line}:{exc.column}: {exc.message}")
-        doc = dump_ast(ast) + "\n"
-        if args.out_dir:
-            out = Path(args.out_dir) / (src.stem + ".ast.json")
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(doc, encoding="utf-8")
-            log.info("wrote %s", out)
-        else:
-            sys.stdout.write(doc)
+        out = Path(args.out_dir) / (src.stem + ".ast.json") if args.out_dir else None
+        _write(out, dump_ast(ast) + "\n")
     return EXIT_OK
 
 
@@ -99,6 +120,7 @@ def cmd_corpus_build(args) -> int:
     if args.generate:
         if args.per_class < 1:
             raise CliError("per-class must be >= 1", EXIT_USAGE)
+        _check_seed(args.seed)
         programs = corpusgen.generate_corpus(seed=args.seed, per_class=args.per_class)
     elif args.src_dir:
         root = Path(args.src_dir)
@@ -123,16 +145,14 @@ def cmd_corpus_build(args) -> int:
             )
     else:
         raise CliError("pass --generate or --src-dir", EXIT_USAGE)
-    Path(args.out).write_text(dump_corpus(programs), encoding="utf-8")
-    log.info("wrote %d programs to %s", len(programs), args.out)
+    _write(args.out, dump_corpus(programs))
     return EXIT_OK
 
 
 def _load_corpus_file(path) -> list:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}")
+        with _os_errors(path):
+            text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: not valid UTF-8 at byte {exc.start}")
     try:
@@ -166,12 +186,11 @@ def cmd_train(args) -> int:
         raise CliError(str(exc), EXIT_NUMERIC)
     except trainer.KernelBuildError as exc:
         raise CliError(str(exc), EXIT_BUILD)
-    trainer.save_checkpoint(state, args.out)
+    with _os_errors(args.out):
+        trainer.save_checkpoint(state, args.out)
     if args.loss_log:
-        header = f"# seed={state.hyper.seed}\n"
-        Path(args.loss_log).write_text(
-            header + trainer.loss_log_csv(report), encoding="utf-8"
-        )
+        _write(args.loss_log,
+               f"# seed={state.hyper.seed}\n" + trainer.loss_log_csv(report))
     log.info(
         "trained %d epochs, final mean hinge %.6f -> %s",
         report.epochs_run,
@@ -183,9 +202,8 @@ def cmd_train(args) -> int:
 
 def _load_params(path):
     try:
-        return trainer.load_checkpoint(path)
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}")
+        with _os_errors(path):
+            return trainer.load_checkpoint(path)
     except trainer.CheckpointError as exc:
         raise CliError(f"{path}: {exc}")
 
@@ -206,6 +224,7 @@ def cmd_nn(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    _check_seed(args.seed)
     cp = _load_params(args.checkpoint)
     try:
         clustering = analysis.kmeans(
@@ -214,24 +233,16 @@ def cmd_cluster(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
     header = f"# seed={args.seed}\n"
-    if args.out:
-        Path(args.out).write_text(
-            header + analysis.clusters_csv(clustering), encoding="utf-8"
-        )
-        log.info("wrote %s", args.out)
-    else:
-        sys.stdout.write(analysis.clusters_csv(clustering))
+    _write(args.out, (header if args.out else "") + analysis.clusters_csv(clustering))
     if args.report:
-        Path(args.report).write_text(
-            header + analysis.render_report(cp.params, clustering), encoding="utf-8"
-        )
-        log.info("wrote %s", args.report)
+        _write(args.report, header + analysis.render_report(cp.params, clustering))
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
     if args.epochs < 0:
         raise CliError("epochs must be >= 0", EXIT_USAGE)
+    _check_seed(args.seed)
     corpus = _load_corpus_file(args.corpus)
     if not corpus:
         raise CliError("corpus holds no programs")
@@ -245,50 +256,39 @@ def cmd_classify(args) -> int:
     tr, cv, te = list(spec.train), list(spec.cv), list(spec.test)
 
     params = _load_params(args.checkpoint).params if args.checkpoint else None
-    config = classify.ClassifierConfig(
-        epochs=args.epochs, seed=args.seed, fine_tune=not args.no_fine_tune
-    )
-    lr_config = classify.ClassifierConfig(
-        hidden=(), epochs=args.epochs, seed=args.seed
-    )
-
-    runs = [("logistic_regression", "counts", "random", lr_config)]
+    config = classify.ClassifierConfig(epochs=args.epochs, seed=args.seed,
+                                       fine_tune=not args.no_fine_tune)
+    # the input layer: histogram counts, the pretrained table, a random one
+    runs = [("logistic_regression", dataclasses.replace(config, hidden=()), None)]
     if params is not None:
-        runs.append(("deep_pretrained", "embed_mean", "pretrained", config))
-        runs.append(("deep_random", "embed_mean", "random", config))
+        runs.append(("deep_pretrained", config, params.embeddings))
+        runs.append(("deep_random", config, params.n_f))
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _os_errors(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     summary = [f"# seed={args.seed}", "Program classification accuracy", "=" * 32]
     try:
-        for name, mode, init, cfg in runs:
+        for name, cfg, embed in runs:
             model, curves = classify.train_classifier(
-                X[tr], y[tr], labels, cfg, mode=mode, init=init, params=params,
-                cv=(X[cv], y[cv]),
+                X[tr], y[tr], labels, cfg, embed=embed, cv=(X[cv], y[cv]),
             )
             acc, xent = classify.evaluate(model, X[te], y[te])
-            (out_dir / f"{name}_curves.csv").write_text(
-                f"# seed={args.seed}\n" + classify.curves_csv(curves),
-                encoding="utf-8",
-            )
+            _write(out_dir / f"{name}_curves.csv",
+                   f"# seed={args.seed}\n" + classify.curves_csv(curves))
             summary.append(f"{name:24s} test accuracy {acc * 100:6.2f}%  xent {xent:.4f}")
     except RuntimeError as exc:
         raise CliError(str(exc), EXIT_NUMERIC)
     summary.append(f"{'random_guess':24s} test accuracy {100.0 / len(labels):6.2f}%")
     text = "\n".join(summary) + "\n"
-    (out_dir / "summary.txt").write_text(text, encoding="utf-8")
+    _write(out_dir / "summary.txt", text)
     sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
     cp = _load_params(args.checkpoint)
-    text = embedding_io.format_embeddings(cp.params.embeddings)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        log.info("wrote %s", args.out)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, embedding_io.format_embeddings(cp.params.embeddings))
     return EXIT_OK
 
 

@@ -53,6 +53,8 @@ class Hyperparams:
             raise ValueError("alpha must be >= 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class ModelParams:

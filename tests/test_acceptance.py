@@ -91,9 +91,9 @@ class TestCriterion1Gradients:
             n_f = 2 if trial % 2 == 0 else 4
             params = init_params(Hyperparams(n_f=n_f), np.random.default_rng(trial))
             config = ClassifierConfig(hidden=(4,), seed=trial, fine_tune=True)
-            model = _init_model("embed_mean", ("a", "b", "c"), X, config,
-                                "pretrained", params)
-            _, _, gw, gb, ge = loss_and_gradients(model, X, y, True)
+            model = _init_model(("a", "b", "c"), X, config, params.embeddings)
+            _, _, grad = loss_and_gradients(model, X, y, True)
+            ge, gw, gb = model.views(grad)
             for analytic, view in zip(gw + gb + [ge],
                                       model.weights + model.biases + [model.embed]):
                 flat = view.reshape(-1)
@@ -240,12 +240,10 @@ class TestCriterion7Classification:
             model, _ = train_classifier(X[tr], y[tr], labels, lr_cfg)
             accs["lr"].append(evaluate(model, X[te], y[te])[0])
             model, _ = train_classifier(X[tr], y[tr], labels, deep_cfg,
-                                        mode="embed_mean", init="pretrained",
-                                        params=params)
+                                        embed=params.embeddings)
             accs["pre"].append(evaluate(model, X[te], y[te])[0])
             model, _ = train_classifier(X[tr], y[tr], labels, deep_cfg,
-                                        mode="embed_mean", init="random",
-                                        params=params)
+                                        embed=params.n_f)
             accs["rand"].append(evaluate(model, X[te], y[te])[0])
         elapsed = time.perf_counter() - start
         lr = float(np.mean(accs["lr"]))

@@ -54,7 +54,7 @@ class TestFeatures:
     def test_counts_mode(self):
         program = LabeledProgram(ast=parse_file(SNIPPET_SRC), label="x", source_id="s")
         X = node_histogram(program.ast)[None, :]
-        model = _init_model("counts", ("x",), X, ClassifierConfig(), "random", None)
+        model = _init_model(("x",), X, ClassifierConfig())
         hist, x = model.raw_input(X)
         assert hist is None
         assert np.array_equal(x, X.astype(np.float64))
@@ -63,16 +63,10 @@ class TestFeatures:
         params = init_params(Hyperparams(n_f=3), np.random.default_rng(0))
         tree = node("BinaryOp", node("ID"), node("Constant"))
         X = node_histogram(tree)[None, :]
-        model = _init_model("embed_mean", ("x",), X, ClassifierConfig(), "pretrained",
-                            params)
+        model = _init_model(("x",), X, ClassifierConfig(), params.embeddings)
         ids = [kind_by_name(n).id for n in ("BinaryOp", "ID", "Constant")]
         expected = params.embeddings[ids].mean(axis=0)
         assert np.allclose(model.raw_input(X)[1][0], expected, atol=1e-12)
-
-    def test_embed_mean_requires_params(self):
-        X = node_histogram(node("ID"))[None, :]
-        with pytest.raises(ValueError):
-            _init_model("embed_mean", ("x",), X, ClassifierConfig(), "pretrained", None)
 
 
 def _toy_corpus(per_label=5, labels=("a", "b", "c", "d")):
@@ -219,36 +213,32 @@ class TestClassifier:
         X, y = _separable_data()
         params = init_params(Hyperparams(n_f=6), np.random.default_rng(2))
         config = ClassifierConfig(hidden=(8,), epochs=0, seed=0)
-        model, _ = train_classifier(
-            X, y, ("a", "b", "c"), config, mode="embed_mean",
-            init="pretrained", params=params,
-        )
+        model, _ = train_classifier(X, y, ("a", "b", "c"), config,
+                                    embed=params.embeddings)
         assert np.array_equal(model.embed, params.embeddings)
 
     def test_embed_mean_random_differs_from_pretrained(self):
         X, y = _separable_data()
         params = init_params(Hyperparams(n_f=6), np.random.default_rng(2))
         config = ClassifierConfig(hidden=(8,), epochs=0, seed=0)
-        a, _ = train_classifier(X, y, ("a", "b", "c"), config, mode="embed_mean",
-                                init="pretrained", params=params)
-        b, _ = train_classifier(X, y, ("a", "b", "c"), config, mode="embed_mean",
-                                init="random", params=params)
+        a, _ = train_classifier(X, y, ("a", "b", "c"), config, embed=params.embeddings)
+        b, _ = train_classifier(X, y, ("a", "b", "c"), config, embed=params.n_f)
         assert not np.array_equal(a.embed, b.embed)
 
     def test_no_fine_tune_freezes_embedding(self):
         X, y = _separable_data()
         params = init_params(Hyperparams(n_f=6), np.random.default_rng(3))
         config = ClassifierConfig(hidden=(8,), epochs=15, seed=0, fine_tune=False)
-        model, _ = train_classifier(X, y, ("a", "b", "c"), config, mode="embed_mean",
-                                    init="pretrained", params=params)
+        model, _ = train_classifier(X, y, ("a", "b", "c"), config,
+                                    embed=params.embeddings)
         assert np.array_equal(model.embed, params.embeddings)
 
     def test_fine_tune_moves_embedding(self):
         X, y = _separable_data()
         params = init_params(Hyperparams(n_f=6), np.random.default_rng(3))
         config = ClassifierConfig(hidden=(8,), epochs=15, seed=0, fine_tune=True)
-        model, _ = train_classifier(X, y, ("a", "b", "c"), config, mode="embed_mean",
-                                    init="pretrained", params=params)
+        model, _ = train_classifier(X, y, ("a", "b", "c"), config,
+                                    embed=params.embeddings)
         assert not np.array_equal(model.embed, params.embeddings)
 
     def test_length_mismatch(self):
@@ -280,10 +270,11 @@ class TestClassifierGradients:
         y = np.array([0, 1, 2, 0, 1, 2])
         params = init_params(Hyperparams(n_f=4), np.random.default_rng(1))
         config = ClassifierConfig(hidden=(5,), seed=2, fine_tune=fine_tune)
-        model = _init_model(mode, ("a", "b", "c"), X, config, "pretrained"
-                            if mode == "embed_mean" else "random", params)
+        model = _init_model(("a", "b", "c"), X, config,
+                            params.embeddings if mode == "embed_mean" else None)
 
-        loss, _, gw, gb, ge = loss_and_gradients(model, X, y, fine_tune)
+        loss, _, grad = loss_and_gradients(model, X, y, fine_tune)
+        ge, gw, gb = model.views(grad)
         step = 1e-6
 
         def numeric(view):
@@ -308,6 +299,8 @@ class TestClassifierGradients:
             num = numeric(model.embed)
             scale = np.maximum(np.abs(ge) + np.abs(num), 1e-6)
             assert np.max(np.abs(ge - num) / scale) < 1e-4
+        elif ge is not None:  # a frozen table takes a zero gradient
+            assert not ge.any()
 
 
 def test_curves_csv():

@@ -420,6 +420,45 @@ class TestHostileInputs:
         assert _problems(caplog) == ["corpus holds no programs"]
         assert "Traceback" not in capsys.readouterr().err
 
+    # an output path under a regular file, which no command can create
+    @pytest.mark.parametrize("command", ["parse", "corpus-build", "train", "cluster",
+                                         "classify", "export"])
+    def test_unwritable_output(self, tmp_path, caplog, capsys, small_corpus_file,
+                               checkpoint_file, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = str(blocker / "out")
+        argv = {
+            "parse": ["parse", str(SNIPPET_SRC), "-o", out],
+            "corpus-build": ["corpus-build", "--generate", "--per-class", "1",
+                             "--out", out],
+            "train": ["train", "--corpus", str(small_corpus_file), "--out", out,
+                      "--epochs", "1"],
+            "cluster": ["cluster", "--checkpoint", str(checkpoint_file), "--out", out],
+            "classify": ["classify", "--corpus", str(small_corpus_file),
+                         "--out-dir", out, "--epochs", "1"],
+            "export": ["export", "--checkpoint", str(checkpoint_file), "--out", out],
+        }[command]
+        assert main(argv) == EXIT_INPUT
+        assert _problems(caplog) == [f"{out}: Not a directory"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "corpus-build", "classify", "cluster"])
+    def test_negative_seed_usage(self, tmp_path, caplog, small_corpus_file,
+                                 checkpoint_file, command):
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--corpus", str(small_corpus_file), "--out", str(out)],
+            "corpus-build": ["corpus-build", "--generate", "--out", str(out)],
+            "classify": ["classify", "--corpus", str(small_corpus_file),
+                         "--out-dir", str(out)],
+            "cluster": ["cluster", "--checkpoint", str(checkpoint_file),
+                        "--out", str(out)],
+        }[command]
+        assert main(argv + ["--seed", "-1"]) == EXIT_USAGE
+        assert _problems(caplog) == ["seed must be >= 0"]
+        assert not out.exists()
+
 
 C_WORDS = ("int x y T ( ) { } [ ] ; , = + - * & ! ? : . -> ++ 1 2.5 'a' \"s\" if else "
            "for while do switch case default break goto return sizeof struct "
@@ -659,6 +698,16 @@ class TestClassify:
                      "--out-dir", str(out_dir), "--epochs", "-1"]) == EXIT_USAGE
         assert _problems(caplog) == ["epochs must be >= 0"]
         assert not out_dir.exists()
+
+    def test_one_label_xent_is_not_negative_zero(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes(b'{"label":"a","source_id":"s","ast":{"kind":"ID"}}\n' * 5)
+        out_dir = tmp_path / "cls"
+        assert main(["classify", "--corpus", str(corpus), "--out-dir", str(out_dir),
+                     "--epochs", "1"]) == EXIT_OK
+        summary = (out_dir / "summary.txt").read_text(encoding="utf-8")
+        assert "logistic_regression" in summary and "xent 0.0000" in summary
+        assert "-0.0000" not in summary
 
 
 class TestExport:
