@@ -9,7 +9,9 @@ runs, on data/corpus.jsonl and in-process: `train` (3 epochs), `train --resume`
 `corpus-build --src-dir` over the seed-0 generated sources written as
 <label>/<source_id>.c. It also writes parse.txt: for every fixture source under
 tests/fixtures, and for every prefix and suffix of each, the parser's tree or
-its error (class, line, column, message, expected).
+its error (class, line, column, message, expected). And it writes load.txt:
+for the corpus and for a fixed list of edited corpus lines, the corpus that
+`load_corpus` returns, dumped again, or its error (class and message).
 Run from anywhere:
 
     python3 scripts/artifact_digests.py
@@ -26,12 +28,47 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from astvec import cli, corpusgen  # noqa: E402
-from astvec.ast_core import KIND_NAMES, dump_ast  # noqa: E402
+from astvec.ast_core import (  # noqa: E402
+    KIND_NAMES,
+    AstFormatError,
+    dump_ast,
+    dump_corpus,
+    load_corpus,
+)
 from astvec.cparse import CParseError, parse_file, parse_source  # noqa: E402
 
 CORPUS = ROOT / "data" / "corpus.jsonl"
 FIXTURES = ROOT / "tests" / "fixtures"
 TRAIN_EPOCHS = 3
+
+LEAF = '{"kind":"ID","children":[]}'
+DEEP = '{"kind":"UnaryOp","children":[' * 899 + LEAF + "]}" * 899
+# Corpus lines that are not canonical or not valid, each placed between
+# canonical lines: keys reordered, spaced, missing or repeated, extra keys,
+# bad kinds and children, and nesting too deep to load.
+EDITED_LINES = [
+    '{"source_id":"s","label":"a","ast":{"children":[],"kind":"ID"}}',
+    '{ "label" : "a" , "source_id" : "s" , "ast" : { "kind" : "ID" , "children" : [ ] } }',
+    '{"label":"a","source_id":"s","ast":{"kind":"Return","children":[{"kind":"ID"}]}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"If","kind":"ID","children":[]}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"ID","children":[],"children":[' + LEAF + ']}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"ID","children":[],"x":1}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"Return","child":[' + LEAF + ']}}',
+    '{"label":"a","source_id":"s","ast":' + LEAF + ',"x":{"kind":"Bogus","children":[]}}',
+    '{"label":"a","source_id":"s","ast":' + LEAF + ',"kind":"ID","children":[]}',
+    LEAF,
+    '{"label":"a","source_id":"s","ast":{"kind":"Return","children":[{"kind":"Bogus"}]}}',
+    '{"label":"a","source_id":"s","ast":{"kind":3,"children":[]}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"ID","children":{}}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"Return","children":[1]}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"Return","children":[[]]}}',
+    '{"label":["x"],"source_id":"s","ast":' + LEAF + '}',
+    '{"label":"a","source_id":null,"ast":' + LEAF + '}',
+    '{"label":"a","source_id":"s"}',
+    '{"label":"a","source_id":"s","ast":' + LEAF,
+    '\ufeff{"label":"a","source_id":"s","ast":' + LEAF + '}',
+    '{"label":"a","source_id":"s","ast":' + DEEP + '}',
+]
 
 
 def astvec(*argv: str) -> str:
@@ -64,6 +101,21 @@ def parse_results() -> str:
     return "\n".join(lines) + "\n"
 
 
+def load_outcome(text: str) -> str:
+    try:
+        return dump_corpus(load_corpus(text))
+    except AstFormatError as exc:
+        return f"{type(exc).__name__} {exc}\n"
+
+
+def load_results() -> str:
+    corpus = CORPUS.read_text(encoding="utf-8")
+    lines = corpus.splitlines(keepends=True)
+    head, tail = "".join(lines[:2]), "".join(lines[2:4])
+    return load_outcome(corpus) + "".join(
+        load_outcome(head + line + "\n" + tail) for line in EDITED_LINES)
+
+
 def write_sources(src: Path) -> None:
     for label, source_id, text in corpusgen.generate_sources(seed=0):
         (src / label).mkdir(parents=True, exist_ok=True)
@@ -92,6 +144,7 @@ def write_artifacts(d: Path, src: Path) -> None:
     write_sources(src)
     astvec("corpus-build", "--src-dir", str(src), "--out", str(d / "from_sources.jsonl"))
     (d / "parse.txt").write_text(parse_results(), encoding="utf-8")
+    (d / "load.txt").write_text(load_results(), encoding="utf-8")
 
 
 def main() -> int:

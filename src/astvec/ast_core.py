@@ -134,6 +134,16 @@ def node(kind_name: str, *children: AstNode) -> AstNode:
     return AstNode(kind_by_name(kind_name), tuple(children))
 
 
+# The tallest tree a `NodeTable.decoder` builds. A taller one stays dicts, so
+# the loaders walk it with `_from_obj`, whose limit is the interpreter's
+# recursion limit: about 500 levels on Python 3.11, where `json`'s C scanner
+# counts against that limit too, while from 3.12 the scanner has its own. So
+# the one-pass loaders accept only trees the walk accepts, on any interpreter,
+# unless called with fewer than about 400 frames of recursion left. Corpus
+# trees here are about 15 levels tall.
+_DECODED_MAX_HEIGHT = 200
+
+
 class NodeTable:
     """Hash-consing constructor: one `AstNode` per distinct (kind, children).
 
@@ -145,6 +155,7 @@ class NodeTable:
 
     def __init__(self):
         self._nodes: dict[tuple, AstNode] = {}
+        self._heights: dict[int, int] = {}  # by identity, of nodes its decoders built
 
     def node(self, kind: NodeKind, children) -> AstNode:
         key = (kind.id, *map(id, children))
@@ -152,6 +163,43 @@ class NodeTable:
         if found is None:
             found = self._nodes[key] = AstNode(kind, tuple(children))
         return found
+
+    def decoder(self) -> json.JSONDecoder:
+        """A JSON decoder that builds canonical node objects into the table.
+
+        The decoder hands each object to its hook once the object's values
+        are decoded, children first. An object whose keys are exactly "kind"
+        then "children" is looked up under the same key as `node` uses: a hit
+        is the node, with no further check, since the table holds only trees
+        already accepted. On a miss, once per distinct subtree, a node is
+        built only if the kind is known and every child is a node this hook
+        built, no taller than `_DECODED_MAX_HEIGHT` with it. A child's
+        identity finds its height: no other live object has a node's
+        identity. Any other object stays a dict.
+        """
+        nodes, heights = self._nodes, self._heights
+
+        def node_or_dict(pairs):
+            if len(pairs) == 2:
+                (k, name), (c, kids) = pairs
+                if k == "kind" and c == "children" and name.__class__ is str \
+                        and kids.__class__ is list:
+                    kind = _BY_NAME.get(name)
+                    if kind is not None:
+                        key = (kind.id, *map(id, kids))
+                        found = nodes.get(key)
+                        if found is not None:
+                            return found
+                        kid_heights = [heights.get(id(kid)) for kid in kids]
+                        if None not in kid_heights:
+                            height = 1 + max(kid_heights, default=0)
+                            if height <= _DECODED_MAX_HEIGHT:
+                                found = nodes[key] = AstNode(kind, tuple(kids))
+                                heights[id(found)] = height
+                                return found
+            return dict(pairs)
+
+        return json.JSONDecoder(object_pairs_hook=node_or_dict)
 
 
 @dataclass(frozen=True)
@@ -224,10 +272,28 @@ def _loads(text: str, where: str = "") -> object:
         raise AstFormatError(f"{where}invalid JSON: {exc}") from exc
 
 
-def load_ast(text: str) -> AstNode:
-    """Parse an interchange document back into a tree."""
+def _decode(decoder: json.JSONDecoder, text: str) -> object:
+    """`decoder`'s result for `text`, or None where it fails: the walk then
+    decodes `text` again and reports the error."""
     try:
-        return _from_obj(_loads(text), "", NodeTable())
+        return decoder.decode(text)
+    except (ValueError, RecursionError):
+        return None
+
+
+def load_ast(text: str) -> AstNode:
+    """Parse an interchange document back into a tree.
+
+    A canonical document no taller than `_DECODED_MAX_HEIGHT` is built in
+    one decoding pass; any other is walked by `_from_obj`, which defines what
+    is valid and what error is raised.
+    """
+    table = NodeTable()
+    tree = _decode(table.decoder(), text)
+    if tree.__class__ is AstNode:
+        return tree
+    try:
+        return _from_obj(_loads(text), "", table)
     except RecursionError:  # json.loads and _from_obj recurse per nesting level
         raise AstFormatError("nesting too deep") from None
 
@@ -244,24 +310,39 @@ def dump_corpus(programs: list[LabeledProgram]) -> str:
 
 
 def load_corpus(text: str) -> list[LabeledProgram]:
-    """Parse a corpus document; its trees share one `NodeTable`."""
+    """Parse a corpus document; its trees share one `NodeTable`.
+
+    Lines end at "\r\n", "\r" or "\n" only: a JSON string may hold other
+    line breaks (U+0085, U+2028, U+2029) raw, but never these. A record of
+    canonical nodes, as `dump_corpus` writes them, is built in one decoding
+    pass, unless its tree is taller than `_DECODED_MAX_HEIGHT`; any other
+    line is decoded again and walked by `_from_obj`, with the same table.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     table = NodeTable()
+    decoder = table.decoder()
     programs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        where = f"corpus line {lineno}: "
-        try:
-            rec = _loads(line, where)
-            if not isinstance(rec, dict):
-                raise AstFormatError(f"{where}expected an object")
-            for key in ("label", "source_id", "ast"):
-                if key not in rec:
-                    raise AstFormatError(f"{where}missing {key!r}")
-                if key != "ast" and not isinstance(rec[key], str):
-                    raise AstFormatError(f"{where}{key!r} must be a string")
-            ast = _from_obj(rec["ast"], f"line {lineno}", table)
-        except RecursionError:  # json.loads and _from_obj recurse per nesting level
-            raise AstFormatError(f"{where}nesting too deep") from None
+        rec = _decode(decoder, line)
+        if rec.__class__ is dict and rec.get("ast").__class__ is AstNode \
+                and rec.get("label").__class__ is str \
+                and rec.get("source_id").__class__ is str:
+            ast = rec["ast"]
+        else:
+            where = f"corpus line {lineno}: "
+            try:
+                rec = _loads(line, where)
+                if not isinstance(rec, dict):
+                    raise AstFormatError(f"{where}expected an object")
+                for key in ("label", "source_id", "ast"):
+                    if key not in rec:
+                        raise AstFormatError(f"{where}missing {key!r}")
+                    if key != "ast" and not isinstance(rec[key], str):
+                        raise AstFormatError(f"{where}{key!r} must be a string")
+                ast = _from_obj(rec["ast"], f"line {lineno}", table)
+            except RecursionError:  # json.loads and _from_obj recurse per nesting level
+                raise AstFormatError(f"{where}nesting too deep") from None
         programs.append(LabeledProgram(ast=ast, label=rec["label"], source_id=rec["source_id"]))
     return programs

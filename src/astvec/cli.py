@@ -11,6 +11,8 @@ import argparse
 import contextlib
 import dataclasses
 import logging
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -88,14 +90,60 @@ def _os_errors(path):
         raise CliError(f"{path}: {exc.strerror or exc}")
 
 
-def _write(path, text: str) -> None:
-    """Write `text` to `path`, or to stdout when there is no path."""
-    if not path:
-        sys.stdout.write(text)
-        return
-    with _os_errors(path):
-        Path(path).write_text(text, encoding="utf-8")
-    log.info("wrote %s", path)
+def _put(content, path) -> None:
+    if callable(content):
+        content(path)
+    else:
+        Path(path).write_text(content, encoding="utf-8")
+
+
+def _write(*outputs) -> None:
+    """Write every (path, content) output, or none of them.
+
+    `content` is text, or a function that writes the output to the path it is
+    given. A new path, or one that names a regular file, is written to a
+    temporary beside it (beside the file a symlink names, if it is one) with
+    the file's permission bits; only once all are written are they renamed
+    into place, and on any failure they are deleted, so a failed command
+    leaves every such path as it was (a hard link to the old file keeps the
+    old content). A device, FIFO or pipe, such as /dev/null or /dev/stdout,
+    cannot be replaced: it is written in place, after the temporaries and
+    before any rename. An output without a path goes to stdout, last.
+    """
+    files = [(path, content) for path, content in outputs if path]
+    temps = {}  # index in files -> (temporary, the file it replaces)
+    try:
+        for i, (path, content) in enumerate(files):
+            with _os_errors(path):
+                try:
+                    mode = os.stat(path).st_mode
+                except FileNotFoundError:
+                    mode = None
+                if mode is not None and stat.S_ISDIR(mode):
+                    raise CliError(f"{path}: Is a directory")
+                if mode is None or stat.S_ISREG(mode):
+                    target = Path(os.path.realpath(path))
+                    tmp = target.with_name(f"{target.name}.{os.getpid()}.{i}.tmp")
+                    temps[i] = tmp, target
+                    _put(content, tmp)
+                    if mode is not None:
+                        os.chmod(tmp, stat.S_IMODE(mode))
+        for i, (path, content) in enumerate(files):
+            if i not in temps:
+                with _os_errors(path):
+                    _put(content, path)
+        for i, (tmp, target) in temps.items():
+            with _os_errors(files[i][0]):
+                tmp.replace(target)
+        for path, _ in files:
+            log.info("wrote %s", path)
+    finally:
+        for tmp, _ in temps.values():
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+    for path, content in outputs:
+        if not path:
+            sys.stdout.write(content)
 
 
 def cmd_parse(args) -> int:
@@ -104,6 +152,7 @@ def cmd_parse(args) -> int:
     if args.out_dir:
         with _os_errors(args.out_dir):
             Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    outputs = []
     for path in args.files:
         src = Path(path)
         try:
@@ -112,7 +161,8 @@ def cmd_parse(args) -> int:
         except CParseError as exc:
             raise CliError(f"{src}:{exc.line}:{exc.column}: {exc.message}")
         out = Path(args.out_dir) / (src.stem + ".ast.json") if args.out_dir else None
-        _write(out, dump_ast(ast) + "\n")
+        outputs.append((out, dump_ast(ast) + "\n"))
+    _write(*outputs)
     return EXIT_OK
 
 
@@ -145,7 +195,7 @@ def cmd_corpus_build(args) -> int:
             )
     else:
         raise CliError("pass --generate or --src-dir", EXIT_USAGE)
-    _write(args.out, dump_corpus(programs))
+    _write((args.out, dump_corpus(programs)))
     return EXIT_OK
 
 
@@ -186,11 +236,11 @@ def cmd_train(args) -> int:
         raise CliError(str(exc), EXIT_NUMERIC)
     except trainer.KernelBuildError as exc:
         raise CliError(str(exc), EXIT_BUILD)
-    with _os_errors(args.out):
-        trainer.save_checkpoint(state, args.out)
+    outputs = [(args.out, lambda path: trainer.save_checkpoint(state, path))]
     if args.loss_log:
-        _write(args.loss_log,
-               f"# seed={state.hyper.seed}\n" + trainer.loss_log_csv(report))
+        outputs.append((args.loss_log,
+                        f"# seed={state.hyper.seed}\n" + trainer.loss_log_csv(report)))
+    _write(*outputs)
     log.info(
         "trained %d epochs, final mean hinge %.6f -> %s",
         report.epochs_run,
@@ -233,9 +283,10 @@ def cmd_cluster(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
     header = f"# seed={args.seed}\n"
-    _write(args.out, (header if args.out else "") + analysis.clusters_csv(clustering))
+    outputs = [(args.out, (header if args.out else "") + analysis.clusters_csv(clustering))]
     if args.report:
-        _write(args.report, header + analysis.render_report(cp.params, clustering))
+        outputs.append((args.report, header + analysis.render_report(cp.params, clustering)))
+    _write(*outputs)
     return EXIT_OK
 
 
@@ -268,27 +319,27 @@ def cmd_classify(args) -> int:
     with _os_errors(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     summary = [f"# seed={args.seed}", "Program classification accuracy", "=" * 32]
+    curves_files = []
     try:
         for name, cfg, embed in runs:
             model, curves = classify.train_classifier(
                 X[tr], y[tr], labels, cfg, embed=embed, cv=(X[cv], y[cv]),
             )
             acc, xent = classify.evaluate(model, X[te], y[te])
-            _write(out_dir / f"{name}_curves.csv",
-                   f"# seed={args.seed}\n" + classify.curves_csv(curves))
+            curves_files.append((out_dir / f"{name}_curves.csv",
+                                 f"# seed={args.seed}\n" + classify.curves_csv(curves)))
             summary.append(f"{name:24s} test accuracy {acc * 100:6.2f}%  xent {xent:.4f}")
     except RuntimeError as exc:
         raise CliError(str(exc), EXIT_NUMERIC)
     summary.append(f"{'random_guess':24s} test accuracy {100.0 / len(labels):6.2f}%")
     text = "\n".join(summary) + "\n"
-    _write(out_dir / "summary.txt", text)
-    sys.stdout.write(text)
+    _write(*curves_files, (out_dir / "summary.txt", text), (None, text))
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
     cp = _load_params(args.checkpoint)
-    _write(args.out, embedding_io.format_embeddings(cp.params.embeddings))
+    _write((args.out, embedding_io.format_embeddings(cp.params.embeddings)))
     return EXIT_OK
 
 

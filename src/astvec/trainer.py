@@ -276,9 +276,9 @@ def save_checkpoint(state: TrainState, path) -> None:
         "velocity": _params_doc(state.velocity),
         "loss_history": state.loss_history,
     }
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))  # the C encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _typed(obj: dict, key: str, kind: type, where: str = ""):

@@ -1,8 +1,11 @@
+import contextlib
 import json
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from astvec import ast_core
 from astvec.ast_core import (
     AstFormatError,
     AstNode,
@@ -207,3 +210,237 @@ class TestCorpusFormat:
         for program in corpus:
             for n in program.ast.walk():
                 assert n.kind.name in KIND_NAMES
+
+
+class TestLineBreaks:
+    @pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029"], ids=["nel", "ls", "ps"])
+    def test_unicode_line_break_in_a_string(self, brk):
+        text = (f'{{"label":"a{brk}b","source_id":"s","ast":{{"kind":"ID","children":[]}}}}\n'
+                '{"label":"c","source_id":"s","ast":{"kind":"Bogus"}}\n')
+        with pytest.raises(UnknownKindError, match="^unknown node kind 'Bogus' at line 2$"):
+            load_corpus(text)
+        [program] = load_corpus(text.split("\n")[0])
+        assert program.label == f"a{brk}b"
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends(self, corpus, end):
+        text = dump_corpus(corpus).replace("\n", end)
+        assert load_corpus(text) == corpus
+        with pytest.raises(AstFormatError, match=f"^corpus line {len(corpus) + 2}: "):
+            load_corpus(text + end + "[]")
+
+
+# Differential test of the loader: the one-pass decoder against the walk alone.
+
+class Obj(list):
+    """A JSON object as its (key, value) pairs, in order and possibly repeated."""
+
+
+class Raw(str):
+    """JSON text to emit as it is."""
+
+
+def node_obj(tree):
+    return Obj([("kind", tree.kind.name), ("children", [node_obj(c) for c in tree.children])])
+
+
+def to_json(value, spaced=False, raw=False):
+    if isinstance(value, Raw):
+        return value
+    colon, comma = (": ", ", ") if spaced else (":", ",")
+    if isinstance(value, Obj):
+        return "{" + comma.join(json.dumps(k, ensure_ascii=not raw) + colon
+                                + to_json(v, spaced, raw) for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + comma.join(to_json(v, spaced, raw) for v in value) + "]"
+    return json.dumps(value, ensure_ascii=not raw)
+
+
+def deep_doc(depth):
+    """A chain of `depth` nodes, built as text: too deep for to_json."""
+    return Raw('{"kind":"UnaryOp","children":[' * (depth - 1) + '{"kind":"ID","children":[]}'
+               + "]}" * (depth - 1))
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3))
+KINDS = st.one_of(st.sampled_from(KIND_NAMES + ("Bogus",)), JSON_SCALARS,
+                  st.lists(JSON_SCALARS, max_size=2))
+CHILDREN = st.one_of(
+    JSON_SCALARS,
+    st.builds(Obj, st.just([])),
+    st.lists(st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=1),
+                       trees(2).map(node_obj)), max_size=3),
+)
+
+
+def edit_object(obj, draw, keys):
+    """One edit of a node or record object's pairs."""
+    how = draw(st.sampled_from(["reorder", "drop", "duplicate", "extra", "rename",
+                                "replace"]))
+    names = [k for k, _ in keys]
+    if how == "reorder":
+        obj.reverse()
+    elif how == "drop" and obj:
+        del obj[draw(st.integers(0, len(obj) - 1))]
+    elif how == "duplicate" and obj:
+        obj.insert(draw(st.integers(0, len(obj))), obj[draw(st.integers(0, len(obj) - 1))])
+    elif how == "extra":
+        key = draw(st.one_of(st.sampled_from(names), st.text(max_size=3)))
+        obj.insert(draw(st.integers(0, len(obj))), (key, draw(KINDS)))
+    elif how == "rename" and obj:
+        at = draw(st.integers(0, len(obj) - 1))
+        obj[at] = (draw(st.one_of(st.sampled_from(names), st.text(max_size=3))), obj[at][1])
+    else:
+        key, values = draw(st.sampled_from(keys))
+        obj[:] = [(k, draw(values) if k == key else v) for k, v in obj]
+
+
+NODE_KEYS = [("kind", KINDS), ("children", CHILDREN)]
+RECORD_KEYS = [("label", KINDS), ("source_id", KINDS), ("ast", CHILDREN),
+               ("kind", KINDS), ("children", CHILDREN)]
+
+
+def edit_node(tree_obj, draw):
+    """Edit one node of the tree, or put a deep chain in its place."""
+    nodes = [tree_obj]
+    for node_ in nodes:
+        nodes.extend(c for _, v in node_ if isinstance(v, list) for c in v)
+    target = nodes[draw(st.integers(0, len(nodes) - 1))]
+    if draw(st.integers(0, 5)) == 0:
+        target[:] = [("kind", "Return"), ("children", [deep_doc(draw(st.integers(1, 1000)))])]
+    else:
+        edit_object(target, draw, NODE_KEYS)
+
+
+@st.composite
+def corpus_texts(draw):
+    """A generated corpus, one line of it edited, with blank lines, spaced
+    separators and raw non-ASCII strings here and there."""
+    records = []
+    for tree, label in draw(st.lists(st.tuples(trees(), st.text(max_size=4)),
+                                     min_size=1, max_size=4)):
+        records.append(Obj([("label", label), ("source_id", "s"), ("ast", node_obj(tree))]))
+    record = records[draw(st.integers(0, len(records) - 1))]
+    where = draw(st.sampled_from(["node", "record", "none"]))
+    if where == "node":
+        edit_node(record[2][1], draw)
+    elif where == "record":
+        edit_object(record, draw, RECORD_KEYS)
+    lines = [to_json(r, draw(st.booleans()), draw(st.booleans())) for r in records]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    cut = draw(st.one_of(st.none(), st.integers(0, len(lines[-1]))))
+    if cut is not None:
+        lines[-1] = lines[-1][:cut]
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+def outcome(load, text, walk_alone=False):
+    """What `load` returns for `text`, dumped (equality of deep trees would
+    recurse too deep), or the class and message it raises. With `walk_alone`
+    the one-pass decoder is disabled, so every line is walked; the stack is
+    as deep either way, since the depth limit depends on it."""
+    skip_decoder = mock.patch.object(ast_core, "_decode", lambda decoder, text: None)
+    with skip_decoder if walk_alone else contextlib.nullcontext():
+        try:
+            result = load(text)
+        except AstFormatError as exc:
+            return type(exc), str(exc)
+    return dump_ast(result) if isinstance(result, AstNode) else dump_corpus(result)
+
+
+def assert_shared(trees_):
+    nodes = {id(n): n for tree in trees_ for n in tree.walk()}
+    assert len({dump_ast(n) for n in nodes.values()}) == len(nodes)
+
+
+MUTATED_CORPUS_LINES = [
+    '{"source_id":"s","label":"a","ast":{"children":[],"kind":"ID"}}',
+    '{ "label" : "a" , "source_id" : "s" , "ast" : { "kind" : "ID" , "children" : [ ] } }',
+    '{"label":"a","source_id":"s","ast":{"kind":"Return","children":[{"kind":"ID"}]}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"If","kind":"ID","children":[]}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"ID","children":[],"children":[{"kind":"ID","children":[]}]}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"ID","children":[],"x":1}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"Return","child":[{"kind":"ID","children":[]}]}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"ID","children":[]},"x":{"kind":"Bogus","children":[]}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"ID","children":[]},"kind":"ID","children":[]}',
+    '{"kind":"ID","children":[]}',
+    '{"label":"a","source_id":"s","ast":{"kind":"Bogus","children":[]}}',
+    '{"label":"a","source_id":"s","ast":{"kind":3,"children":[]}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"ID","children":{}}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"Return","children":[1]}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"Return","children":[[]]}}',
+    '{"label":["x"],"source_id":"s","ast":{"kind":"ID","children":[]}}',
+    '{"label":"a","source_id":"s","ast":{"kind":"ID","children":[]}',
+    '\ufeff{"label":"a","source_id":"s","ast":{"kind":"ID","children":[]}}',
+    '{"label":"a","source_id":"s","ast":' + deep_doc(900) + "}",
+]
+
+
+class TestOnePassLoader:
+    """`load_corpus` and `load_ast` build canonical lines in one decoding pass
+    and walk every other line: both must give what the walk alone gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpus_texts())
+    def test_load_corpus_equals_walk(self, text):
+        assert outcome(load_corpus, text) == outcome(load_corpus, text, walk_alone=True)
+        with contextlib.suppress(AstFormatError):
+            assert_shared(p.ast for p in load_corpus(text))
+
+    @pytest.mark.parametrize("line", MUTATED_CORPUS_LINES)
+    def test_mutated_line_equals_walk(self, corpus, line):
+        text = dump_corpus(corpus[:3]) + line + "\n" + dump_corpus(corpus[:5])
+        assert outcome(load_corpus, text) == outcome(load_corpus, text, walk_alone=True)
+        with contextlib.suppress(AstFormatError):
+            assert_shared(p.ast for p in load_corpus(text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_load_ast_equals_walk(self, data):
+        tree = node_obj(data.draw(trees()))
+        edit_node(tree, data.draw)
+        text = to_json(tree, data.draw(st.booleans()))
+        assert outcome(load_ast, text) == outcome(load_ast, text, walk_alone=True)
+        with contextlib.suppress(AstFormatError):
+            assert_shared([load_ast(text)])
+
+    def test_depths_around_the_limit(self):
+        # the walk's depth limit depends on the interpreter and the stack
+        def walk_accepts(depth):
+            return isinstance(outcome(load_ast, deep_doc(depth), walk_alone=True), str)
+
+        low, high = 1, 2000
+        assert walk_accepts(low) and not walk_accepts(high)
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if walk_accepts(mid) else (low, mid)
+        for depth in range(low - 20, high + 20):
+            doc = deep_doc(depth)
+            line = '{"label":"a","source_id":"s","ast":' + doc + "}"
+            for load, text in ((load_ast, doc), (load_corpus, line)):
+                assert outcome(load, text) == outcome(load, text, walk_alone=True), depth
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "over-cap"])
+    def test_taller_trees_are_walked(self, over):
+        doc = deep_doc(ast_core._DECODED_MAX_HEIGHT + over)
+        decoded = NodeTable().decoder().decode(doc)
+        assert isinstance(decoded, AstNode) == (not over)
+        line = '{"label":"a","source_id":"s","ast":' + doc + "}"
+        for load, text in ((load_ast, doc), (load_corpus, line)):
+            got = outcome(load, text)
+            assert isinstance(got, str) and got == outcome(load, text, walk_alone=True)
+
+    def test_walked_tall_tree_is_shared_with_a_canonical_line(self):
+        # the first line is walked; the second finds every node in the table
+        doc = deep_doc(ast_core._DECODED_MAX_HEIGHT + 50)
+        text = ('{"label":"a","source_id":"s","ast":' + doc + "}\n"
+                + '{"label":"b","source_id":"s","ast":' + doc + "}\n")
+        assert outcome(load_corpus, text) == outcome(load_corpus, text, walk_alone=True)
+        first, second = load_corpus(text)
+        assert first.ast is second.ast
+
+    def test_canonical_lines_are_not_walked(self, corpus):
+        text = dump_corpus(corpus)
+        with mock.patch.object(ast_core, "_from_obj", side_effect=AssertionError):
+            assert load_corpus(text) == corpus

@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -442,6 +443,87 @@ class TestHostileInputs:
         assert main(argv) == EXIT_INPUT
         assert _problems(caplog) == [f"{out}: Not a directory"]
         assert "Traceback" not in capsys.readouterr().err
+
+    # a later output that cannot be written: the earlier ones are not kept
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_train_writes_all_or_nothing(self, tmp_path, caplog, small_corpus_file,
+                                         existing):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = tmp_path / "m.json"
+        if existing:
+            out.write_text("an older checkpoint", encoding="utf-8")
+        assert main(["train", "--corpus", str(small_corpus_file), "--out", str(out),
+                     "--loss-log", str(blocker / "loss.csv"), "--epochs", "1"]) == EXIT_INPUT
+        assert _problems(caplog) == [f"{blocker / 'loss.csv'}: Not a directory"]
+        assert sorted(tmp_path.iterdir()) == sorted([blocker] + [out] * existing)
+        if existing:
+            assert out.read_text(encoding="utf-8") == "an older checkpoint"
+
+    def test_classify_writes_all_or_nothing(self, tmp_path, caplog, small_corpus_file,
+                                            checkpoint_file):
+        summary = tmp_path / "cls" / "summary.txt"
+        summary.mkdir(parents=True)
+        assert main(["classify", "--corpus", str(small_corpus_file),
+                     "--checkpoint", str(checkpoint_file),
+                     "--out-dir", str(summary.parent), "--epochs", "1"]) == EXIT_INPUT
+        assert _problems(caplog) == [f"{summary}: Is a directory"]
+        assert list(summary.parent.iterdir()) == [summary]
+
+    def test_output_symlink_is_written_through(self, tmp_path, checkpoint_file):
+        real = tmp_path / "real.txt"
+        real.write_text("old", encoding="utf-8")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        assert main(["export", "--checkpoint", str(checkpoint_file),
+                     "--out", str(link)]) == EXIT_OK
+        assert link.is_symlink() and sorted(tmp_path.iterdir()) == [link, real]
+        assert parse_embeddings(real.read_text(encoding="utf-8")).shape[0] == 44
+
+    def test_parse_writes_all_or_nothing(self, tmp_path, caplog):
+        bad = invalid_sources()[0]
+        out = tmp_path / "asts"
+        assert main(["parse", str(SNIPPET_SRC), str(bad), "-o", str(out)]) == EXIT_INPUT
+        assert len(_problems(caplog)) == 1
+        assert list(out.iterdir()) == []
+
+    def test_output_keeps_its_permission_bits(self, tmp_path, checkpoint_file):
+        out = tmp_path / "emb.txt"
+        out.write_text("old", encoding="utf-8")
+        out.chmod(0o640)
+        assert main(["export", "--checkpoint", str(checkpoint_file),
+                     "--out", str(out)]) == EXIT_OK
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert parse_embeddings(out.read_text(encoding="utf-8")).shape[0] == 44
+
+    # a FIFO, like a device, cannot be replaced by a renamed file
+    def test_fifo_output_is_written_in_place(self, tmp_path, checkpoint_file):
+        fifo = tmp_path / "emb.fifo"
+        os.mkfifo(fifo)
+        # open the reading end first, so the writer's open does not wait;
+        # the export is a few KB, less than the pipe holds
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["export", "--checkpoint", str(checkpoint_file),
+                         "--out", str(fifo)]) == EXIT_OK
+            text = os.read(reader, 1 << 16).decode("utf-8")
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode) and list(tmp_path.iterdir()) == [fifo]
+        assert parse_embeddings(text).shape[0] == 44
+
+    def test_dev_stdout_output_to_a_pipe(self, checkpoint_file):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "astvec.cli", "export",
+             "--checkpoint", str(checkpoint_file), "--out", "/dev/stdout"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert parse_embeddings(proc.stdout).shape[0] == 44
 
     @pytest.mark.parametrize("command", ["train", "corpus-build", "classify", "cluster"])
     def test_negative_seed_usage(self, tmp_path, caplog, small_corpus_file,
