@@ -11,7 +11,9 @@ runs, on data/corpus.jsonl and in-process: `train` (3 epochs), `train --resume`
 tests/fixtures, and for every prefix and suffix of each, the parser's tree or
 its error (class, line, column, message, expected). And it writes load.txt:
 for the corpus and for a fixed list of edited corpus lines, the corpus that
-`load_corpus` returns, dumped again, or its error (class and message).
+`load_corpus` returns, dumped again, or its error (class and message); then,
+for a fixed list of edited node documents, the tree `load_ast` returns, dumped
+again, or its error.
 Run from anywhere:
 
     python3 scripts/artifact_digests.py
@@ -33,6 +35,7 @@ from astvec.ast_core import (  # noqa: E402
     AstFormatError,
     dump_ast,
     dump_corpus,
+    load_ast,
     load_corpus,
 )
 from astvec.cparse import CParseError, parse_file, parse_source  # noqa: E402
@@ -43,6 +46,8 @@ TRAIN_EPOCHS = 3
 
 LEAF = '{"kind":"ID","children":[]}'
 DEEP = '{"kind":"UnaryOp","children":[' * 899 + LEAF + "]}" * 899
+DEEP_REORDERED = ('{"children":[' * 899 + '{"children":[],"kind":"ID"}'
+                  + '],"kind":"UnaryOp"}' * 899)
 # Corpus lines that are not canonical or not valid, each placed between
 # canonical lines: keys reordered, spaced, missing or repeated, extra keys,
 # bad kinds and children, and nesting too deep to load.
@@ -68,6 +73,30 @@ EDITED_LINES = [
     '{"label":"a","source_id":"s","ast":' + LEAF,
     '\ufeff{"label":"a","source_id":"s","ast":' + LEAF + '}',
     '{"label":"a","source_id":"s","ast":' + DEEP + '}',
+    '{"label":"a","source_id":"s","ast":' + DEEP_REORDERED + '}',
+]
+# Node documents, each loaded alone by `load_ast`: the edited "ast" values of
+# the lines above, an array, a byte order mark, a truncated document and the
+# two deep chains.
+EDITED_NODES = [
+    '{"children":[],"kind":"ID"}',
+    '{ "kind" : "ID" , "children" : [ ] }',
+    '{"kind":"Return","children":[{"kind":"ID"}]}',
+    '{"kind":"If","kind":"ID","children":[]}',
+    '{"children":"ID","kind":[]}',
+    '{"kind":"ID","children":[],"children":[' + LEAF + ']}',
+    '{"kind":"ID","children":[],"x":1}',
+    '{"kind":"Return","child":[' + LEAF + ']}',
+    '{"kind":"Return","children":[{"kind":"Bogus"}]}',
+    '{"kind":3,"children":[]}',
+    '{"kind":"ID","children":{}}',
+    '{"kind":"Return","children":[1]}',
+    '{"kind":"Return","children":[[]]}',
+    '[' + LEAF + ']',
+    '\ufeff' + LEAF,
+    LEAF[:-1],
+    DEEP,
+    DEEP_REORDERED,
 ]
 
 
@@ -101,9 +130,9 @@ def parse_results() -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_outcome(text: str) -> str:
+def load_outcome(load, dump, text: str) -> str:
     try:
-        return dump_corpus(load_corpus(text))
+        return dump(load(text))
     except AstFormatError as exc:
         return f"{type(exc).__name__} {exc}\n"
 
@@ -112,8 +141,12 @@ def load_results() -> str:
     corpus = CORPUS.read_text(encoding="utf-8")
     lines = corpus.splitlines(keepends=True)
     head, tail = "".join(lines[:2]), "".join(lines[2:4])
-    return load_outcome(corpus) + "".join(
-        load_outcome(head + line + "\n" + tail) for line in EDITED_LINES)
+    return "".join(
+        [load_outcome(load_corpus, dump_corpus, corpus)]
+        + [load_outcome(load_corpus, dump_corpus, head + line + "\n" + tail)
+           for line in EDITED_LINES]
+        + [load_outcome(load_ast, lambda tree: dump_ast(tree) + "\n", doc)
+           for doc in EDITED_NODES])
 
 
 def write_sources(src: Path) -> None:

@@ -117,9 +117,6 @@ class AstNode:
     kind: NodeKind
     children: tuple["AstNode", ...] = ()
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def walk(self) -> Iterator["AstNode"]:
         """Preorder traversal."""
         stack = [self]
@@ -134,16 +131,6 @@ def node(kind_name: str, *children: AstNode) -> AstNode:
     return AstNode(kind_by_name(kind_name), tuple(children))
 
 
-# The tallest tree a `NodeTable.decoder` builds. A taller one stays dicts, so
-# the loaders walk it with `_from_obj`, whose limit is the interpreter's
-# recursion limit: about 500 levels on Python 3.11, where `json`'s C scanner
-# counts against that limit too, while from 3.12 the scanner has its own. So
-# the one-pass loaders accept only trees the walk accepts, on any interpreter,
-# unless called with fewer than about 400 frames of recursion left. Corpus
-# trees here are about 15 levels tall.
-_DECODED_MAX_HEIGHT = 200
-
-
 class NodeTable:
     """Hash-consing constructor: one `AstNode` per distinct (kind, children).
 
@@ -155,7 +142,6 @@ class NodeTable:
 
     def __init__(self):
         self._nodes: dict[tuple, AstNode] = {}
-        self._heights: dict[int, int] = {}  # by identity, of nodes its decoders built
 
     def node(self, kind: NodeKind, children) -> AstNode:
         key = (kind.id, *map(id, children))
@@ -170,14 +156,11 @@ class NodeTable:
         The decoder hands each object to its hook once the object's values
         are decoded, children first. An object whose keys are exactly "kind"
         then "children" is looked up under the same key as `node` uses: a hit
-        is the node, with no further check, since the table holds only trees
-        already accepted. On a miss, once per distinct subtree, a node is
-        built only if the kind is known and every child is a node this hook
-        built, no taller than `_DECODED_MAX_HEIGHT` with it. A child's
-        identity finds its height: no other live object has a node's
-        identity. Any other object stays a dict.
+        is the node, as only nodes have the identities in a key. On a miss,
+        once per distinct subtree, a node is built if the kind is known and
+        every child is a node. Any other object stays a dict.
         """
-        nodes, heights = self._nodes, self._heights
+        nodes = self._nodes
 
         def node_or_dict(pairs):
             if len(pairs) == 2:
@@ -190,13 +173,9 @@ class NodeTable:
                         found = nodes.get(key)
                         if found is not None:
                             return found
-                        kid_heights = [heights.get(id(kid)) for kid in kids]
-                        if None not in kid_heights:
-                            height = 1 + max(kid_heights, default=0)
-                            if height <= _DECODED_MAX_HEIGHT:
-                                found = nodes[key] = AstNode(kind, tuple(kids))
-                                heights[id(found)] = height
-                                return found
+                        if all(kid.__class__ is AstNode for kid in kids):
+                            found = nodes[key] = AstNode(kind, tuple(kids))
+                            return found
             return dict(pairs)
 
         return json.JSONDecoder(object_pairs_hook=node_or_dict)
@@ -236,23 +215,46 @@ def _dump_tree(root: AstNode, out: list[str]) -> None:
 
 
 def _from_obj(obj: object, path: str, table: NodeTable) -> AstNode:
-    if not isinstance(obj, dict):
-        raise AstFormatError(f"expected object at {path or 'root'}, got {type(obj).__name__}")
-    if "kind" not in obj:
-        raise AstFormatError(f"missing 'kind' at {path or 'root'}")
-    name = obj["kind"]
-    if not isinstance(name, str):
-        raise AstFormatError(f"'kind' must be a string at {path or 'root'}")
-    if name not in _BY_NAME:
-        raise UnknownKindError(name, path or "root")
-    children = obj.get("children", [])
-    if not isinstance(children, list):
-        raise AstFormatError(f"'children' must be an array at {path or 'root'}")
-    kids = [
-        _from_obj(c, f"{path}/{i}" if path else str(i), table)
-        for i, c in enumerate(children)
-    ]
-    return table.node(_BY_NAME[name], kids)
+    """The tree a decoded document describes, built through `table`.
+
+    This walk defines what is valid, and the message and path of every
+    error. It checks objects in preorder with an explicit stack, so any depth
+    works, and takes a node the decoder built as valid. It then builds the
+    trees in reverse preorder, where each object's children are the last
+    trees built.
+    """
+    stack = [(obj, path)]
+    preorder: list = []  # a node, or (kind, number of children) for an object
+    while stack:
+        obj, path = stack.pop()
+        if obj.__class__ is AstNode:
+            preorder.append(obj)
+            continue
+        where = path or "root"
+        if not isinstance(obj, dict):
+            raise AstFormatError(f"expected object at {where}, got {type(obj).__name__}")
+        if "kind" not in obj:
+            raise AstFormatError(f"missing 'kind' at {where}")
+        name = obj["kind"]
+        if not isinstance(name, str):
+            raise AstFormatError(f"'kind' must be a string at {where}")
+        if name not in _BY_NAME:
+            raise UnknownKindError(name, where)
+        children = obj.get("children", [])
+        if not isinstance(children, list):
+            raise AstFormatError(f"'children' must be an array at {where}")
+        preorder.append((_BY_NAME[name], len(children)))
+        prefix = f"{path}/" if path else ""
+        stack.extend((children[i], f"{prefix}{i}") for i in reversed(range(len(children))))
+    built: list[AstNode] = []
+    for item in reversed(preorder):
+        if item.__class__ is not AstNode:
+            kind, n = item
+            first = len(built) - n
+            item = table.node(kind, built[first:][::-1])
+            del built[first:]
+        built.append(item)
+    return built[0]
 
 
 def dump_ast(root: AstNode) -> str:
@@ -265,37 +267,27 @@ def dump_ast(root: AstNode) -> str:
     return "".join(out)
 
 
-def _loads(text: str, where: str = "") -> object:
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # invalid JSON, or an integer too long to convert
-        raise AstFormatError(f"{where}invalid JSON: {exc}") from exc
-
-
-def _decode(decoder: json.JSONDecoder, text: str) -> object:
-    """`decoder`'s result for `text`, or None where it fails: the walk then
-    decodes `text` again and reports the error."""
+def _decode(decoder: json.JSONDecoder, text: str, where: str = "") -> object:
+    """`text` decoded by `decoder`; a failure raises the error `json.loads`
+    reports, as an `AstFormatError`."""
     try:
         return decoder.decode(text)
-    except (ValueError, RecursionError):
-        return None
+    except RecursionError:  # the decoder recurses per nesting level
+        raise AstFormatError(f"{where}nesting too deep") from None
+    except ValueError as exc:  # invalid JSON, or an integer too long to convert
+        if text.startswith("\ufeff"):  # json.loads checks first; decode just fails
+            exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        raise AstFormatError(f"{where}invalid JSON: {exc}") from exc
 
 
 def load_ast(text: str) -> AstNode:
     """Parse an interchange document back into a tree.
 
-    A canonical document no taller than `_DECODED_MAX_HEIGHT` is built in
-    one decoding pass; any other is walked by `_from_obj`, which defines what
-    is valid and what error is raised.
+    The document is decoded once, by a `NodeTable.decoder`, so a canonical
+    one is a tree already; `_from_obj` checks what any other decodes to.
     """
     table = NodeTable()
-    tree = _decode(table.decoder(), text)
-    if tree.__class__ is AstNode:
-        return tree
-    try:
-        return _from_obj(_loads(text), "", table)
-    except RecursionError:  # json.loads and _from_obj recurse per nesting level
-        raise AstFormatError("nesting too deep") from None
+    return _from_obj(_decode(table.decoder(), text), "", table)
 
 
 def dump_corpus(programs: list[LabeledProgram]) -> str:
@@ -313,10 +305,10 @@ def load_corpus(text: str) -> list[LabeledProgram]:
     """Parse a corpus document; its trees share one `NodeTable`.
 
     Lines end at "\r\n", "\r" or "\n" only: a JSON string may hold other
-    line breaks (U+0085, U+2028, U+2029) raw, but never these. A record of
-    canonical nodes, as `dump_corpus` writes them, is built in one decoding
-    pass, unless its tree is taller than `_DECODED_MAX_HEIGHT`; any other
-    line is decoded again and walked by `_from_obj`, with the same table.
+    line breaks (U+0085, U+2028, U+2029) raw, but never these. Each line is
+    decoded once, by one `NodeTable.decoder`, so a record of canonical
+    nodes, as `dump_corpus` writes them, holds its tree already; `_from_obj`
+    checks any other "ast", with the same table.
     """
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     table = NodeTable()
@@ -325,24 +317,17 @@ def load_corpus(text: str) -> list[LabeledProgram]:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        rec = _decode(decoder, line)
-        if rec.__class__ is dict and rec.get("ast").__class__ is AstNode \
-                and rec.get("label").__class__ is str \
-                and rec.get("source_id").__class__ is str:
-            ast = rec["ast"]
-        else:
-            where = f"corpus line {lineno}: "
-            try:
-                rec = _loads(line, where)
-                if not isinstance(rec, dict):
-                    raise AstFormatError(f"{where}expected an object")
-                for key in ("label", "source_id", "ast"):
-                    if key not in rec:
-                        raise AstFormatError(f"{where}missing {key!r}")
-                    if key != "ast" and not isinstance(rec[key], str):
-                        raise AstFormatError(f"{where}{key!r} must be a string")
-                ast = _from_obj(rec["ast"], f"line {lineno}", table)
-            except RecursionError:  # json.loads and _from_obj recurse per nesting level
-                raise AstFormatError(f"{where}nesting too deep") from None
+        where = f"corpus line {lineno}: "
+        rec = _decode(decoder, line, where)
+        if rec.__class__ is AstNode:  # a node object: its keys are "kind" and "children"
+            raise AstFormatError(f"{where}missing 'label'")
+        if not isinstance(rec, dict):
+            raise AstFormatError(f"{where}expected an object")
+        for key in ("label", "source_id", "ast"):
+            if key not in rec:
+                raise AstFormatError(f"{where}missing {key!r}")
+            if key != "ast" and not isinstance(rec[key], str):
+                raise AstFormatError(f"{where}{key!r} must be a string")
+        ast = _from_obj(rec["ast"], f"line {lineno}", table)
         programs.append(LabeledProgram(ast=ast, label=rec["label"], source_id=rec["source_id"]))
     return programs

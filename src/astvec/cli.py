@@ -108,9 +108,16 @@ def _write(*outputs) -> None:
     leaves every such path as it was (a hard link to the old file keeps the
     old content). A device, FIFO or pipe, such as /dev/null or /dev/stdout,
     cannot be replaced: it is written in place, after the temporaries and
-    before any rename. An output without a path goes to stdout, last.
+    before any rename. An output without a path goes to stdout, last. Two
+    paths that resolve to one file are a usage error, and nothing is written.
     """
     files = [(path, content) for path, content in outputs if path]
+    named: set[str] = set()
+    for path, _ in files:
+        real = os.path.realpath(path)
+        if real in named:
+            raise CliError(f"{path}: another output writes the same file", EXIT_USAGE)
+        named.add(real)
     temps = {}  # index in files -> (temporary, the file it replaces)
     try:
         for i, (path, content) in enumerate(files):

@@ -81,11 +81,6 @@ def _extract(roots: list[AstNode]) -> list[TrainingSample]:
     return samples
 
 
-def extract_samples(ast: AstNode) -> list[TrainingSample]:
-    """One sample per non-leaf node, in preorder."""
-    return _extract([ast])
-
-
 def build_training_set(corpus: list[LabeledProgram]) -> list[TrainingSample]:
     """The samples of every program, in corpus order, each in preorder."""
     return _extract([program.ast for program in corpus])

@@ -4,9 +4,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from astvec.ast_core import AstNode, load_corpus
+from astvec.ast_core import (
+    KIND_NAMES,
+    AstFormatError,
+    AstNode,
+    LabeledProgram,
+    NodeTable,
+    UnknownKindError,
+    kind_by_name,
+    load_corpus,
+)
 from astvec.coder import Hyperparams, ModelParams, _forward, hinge_loss, l2_penalty
-from astvec.sampling import TrainingSample, pack_samples
+from astvec.sampling import TrainingSample, build_training_set, pack_samples
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO / "tests" / "fixtures" / "golden"
@@ -65,6 +74,11 @@ def leaf_count(root: AstNode) -> int:
     return total
 
 
+def extract_samples(tree: AstNode) -> list[TrainingSample]:
+    """The samples of one tree, as `build_training_set` extracts them."""
+    return build_training_set([LabeledProgram(tree, "", "")])
+
+
 def per_node_samples(tree: AstNode) -> list[TrainingSample]:
     """Oracle for sample extraction: every non-leaf node in preorder, with its
     children's leaves counted afresh at each node."""
@@ -113,3 +127,65 @@ def pair_loss(
     d = distance(sample, params)
     d_c = distance(negative, params)
     return hinge_loss(d, d_c, hyper.delta) + l2_penalty(params, hyper)
+
+
+# Oracle for `load_ast` and `load_corpus`: `json.loads`, then a recursive walk
+# of what it returns. Both recurse per nesting level, so its depth limit is not
+# the loaders'; everything else it accepts or rejects exactly as they do.
+
+def _reference_tree(obj, path: str, table: NodeTable) -> AstNode:
+    if not isinstance(obj, dict):
+        raise AstFormatError(f"expected object at {path or 'root'}, got {type(obj).__name__}")
+    if "kind" not in obj:
+        raise AstFormatError(f"missing 'kind' at {path or 'root'}")
+    name = obj["kind"]
+    if not isinstance(name, str):
+        raise AstFormatError(f"'kind' must be a string at {path or 'root'}")
+    if name not in KIND_NAMES:
+        raise UnknownKindError(name, path or "root")
+    children = obj.get("children", [])
+    if not isinstance(children, list):
+        raise AstFormatError(f"'children' must be an array at {path or 'root'}")
+    kids = [
+        _reference_tree(c, f"{path}/{i}" if path else str(i), table)
+        for i, c in enumerate(children)
+    ]
+    return table.node(kind_by_name(name), kids)
+
+
+def _reference_loads(text: str, where: str = ""):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise AstFormatError(f"{where}invalid JSON: {exc}") from exc
+
+
+def reference_load_ast(text: str) -> AstNode:
+    try:
+        return _reference_tree(_reference_loads(text), "", NodeTable())
+    except RecursionError:
+        raise AstFormatError("nesting too deep") from None
+
+
+def reference_load_corpus(text: str) -> list[LabeledProgram]:
+    table = NodeTable()
+    programs = []
+    for lineno, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"),
+                                  start=1):
+        if not line.strip():
+            continue
+        where = f"corpus line {lineno}: "
+        try:
+            rec = _reference_loads(line, where)
+            if not isinstance(rec, dict):
+                raise AstFormatError(f"{where}expected an object")
+            for key in ("label", "source_id", "ast"):
+                if key not in rec:
+                    raise AstFormatError(f"{where}missing {key!r}")
+                if key != "ast" and not isinstance(rec[key], str):
+                    raise AstFormatError(f"{where}{key!r} must be a string")
+            ast = _reference_tree(rec["ast"], f"line {lineno}", table)
+        except RecursionError:
+            raise AstFormatError(f"{where}nesting too deep") from None
+        programs.append(LabeledProgram(ast=ast, label=rec["label"], source_id=rec["source_id"]))
+    return programs

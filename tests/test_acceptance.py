@@ -33,12 +33,11 @@ from astvec.sampling import (
     build_training_set,
     child_weight,
     corrupt,
-    extract_samples,
 )
 from astvec.trainer import train
 
 from conftest import (
-    SNIPPET_SRC, distance, golden_sources, invalid_sources, pair_loss,
+    SNIPPET_SRC, distance, extract_samples, golden_sources, invalid_sources, pair_loss,
 )
 from test_coder import finite_difference_check, _zero_params
 

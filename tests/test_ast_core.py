@@ -5,7 +5,6 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from astvec import ast_core
 from astvec.ast_core import (
     AstFormatError,
     AstNode,
@@ -29,6 +28,8 @@ from conftest import (
     count_leaves_obj,
     leaf_count,
     load_golden_obj,
+    reference_load_ast,
+    reference_load_corpus,
 )
 
 
@@ -123,7 +124,7 @@ class TestNodeTable:
 class TestInterchange:
     def test_root_leaf(self):
         tree = load_ast('{"kind": "Root", "children": []}')
-        assert tree.kind.name == "Root" and tree.is_leaf()
+        assert tree.kind.name == "Root" and not tree.children
 
     def test_root_dump(self):
         assert dump_ast(node("Root")) == '{"kind":"Root","children":[]}'
@@ -230,7 +231,7 @@ class TestLineBreaks:
             load_corpus(text + end + "[]")
 
 
-# Differential test of the loader: the one-pass decoder against the walk alone.
+# Differential test of the loaders against the reference loaders in conftest.
 
 class Obj(list):
     """A JSON object as its (key, value) pairs, in order and possibly repeated."""
@@ -256,10 +257,18 @@ def to_json(value, spaced=False, raw=False):
     return json.dumps(value, ensure_ascii=not raw)
 
 
-def deep_doc(depth):
-    """A chain of `depth` nodes, built as text: too deep for to_json."""
+def deep_doc(depth, reordered=False):
+    """A chain of `depth` nodes, built as text: too deep for to_json. With
+    `reordered`, each object lists "children" before "kind"."""
+    if reordered:
+        return Raw('{"children":[' * (depth - 1) + '{"children":[],"kind":"ID"}'
+                   + '],"kind":"UnaryOp"}' * (depth - 1))
     return Raw('{"kind":"UnaryOp","children":[' * (depth - 1) + '{"kind":"ID","children":[]}'
                + "]}" * (depth - 1))
+
+
+def record(ast_text, label="a"):
+    return f'{{"label":"{label}","source_id":"s","ast":{ast_text}}}'
 
 
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3))
@@ -335,18 +344,22 @@ def corpus_texts(draw):
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
 
 
-def outcome(load, text, walk_alone=False):
+def outcome(load, text):
     """What `load` returns for `text`, dumped (equality of deep trees would
-    recurse too deep), or the class and message it raises. With `walk_alone`
-    the one-pass decoder is disabled, so every line is walked; the stack is
-    as deep either way, since the depth limit depends on it."""
-    skip_decoder = mock.patch.object(ast_core, "_decode", lambda decoder, text: None)
-    with skip_decoder if walk_alone else contextlib.nullcontext():
-        try:
-            result = load(text)
-        except AstFormatError as exc:
-            return type(exc), str(exc)
+    recurse too deep), or the class and message it raises."""
+    try:
+        result = load(text)
+    except AstFormatError as exc:
+        return type(exc), str(exc)
     return dump_ast(result) if isinstance(result, AstNode) else dump_corpus(result)
+
+
+def assert_same_outcome(load, reference, text):
+    """`load` and `reference` give the same outcome for `text`, unless either
+    finds it nested too deep: the two depth limits differ."""
+    got, want = outcome(load, text), outcome(reference, text)
+    if not any(isinstance(o, tuple) and o[1].endswith("nesting too deep") for o in (got, want)):
+        assert got == want
 
 
 def assert_shared(trees_):
@@ -359,6 +372,7 @@ MUTATED_CORPUS_LINES = [
     '{ "label" : "a" , "source_id" : "s" , "ast" : { "kind" : "ID" , "children" : [ ] } }',
     '{"label":"a","source_id":"s","ast":{"kind":"Return","children":[{"kind":"ID"}]}}',
     '{"label":"a","source_id":"s","ast":{"kind":"If","kind":"ID","children":[]}}',
+    '{"label":"a","source_id":"s","ast":{"children":"ID","kind":[]}}',
     '{"label":"a","source_id":"s","ast":{"kind":"ID","children":[],"children":[{"kind":"ID","children":[]}]}}',
     '{"label":"a","source_id":"s","ast":{"kind":"ID","children":[],"x":1}}',
     '{"label":"a","source_id":"s","ast":{"kind":"Return","child":[{"kind":"ID","children":[]}]}}',
@@ -373,74 +387,91 @@ MUTATED_CORPUS_LINES = [
     '{"label":["x"],"source_id":"s","ast":{"kind":"ID","children":[]}}',
     '{"label":"a","source_id":"s","ast":{"kind":"ID","children":[]}',
     '\ufeff{"label":"a","source_id":"s","ast":{"kind":"ID","children":[]}}',
-    '{"label":"a","source_id":"s","ast":' + deep_doc(900) + "}",
+    record(deep_doc(900)),
 ]
 
 
 class TestOnePassLoader:
-    """`load_corpus` and `load_ast` build canonical lines in one decoding pass
-    and walk every other line: both must give what the walk alone gives."""
+    """`load_corpus` and `load_ast` decode each line once and walk what the
+    decoder leaves: they must give what the reference loaders give."""
 
     @settings(max_examples=150, deadline=None)
     @given(corpus_texts())
-    def test_load_corpus_equals_walk(self, text):
-        assert outcome(load_corpus, text) == outcome(load_corpus, text, walk_alone=True)
+    def test_load_corpus_equals_reference(self, text):
+        assert_same_outcome(load_corpus, reference_load_corpus, text)
         with contextlib.suppress(AstFormatError):
             assert_shared(p.ast for p in load_corpus(text))
 
     @pytest.mark.parametrize("line", MUTATED_CORPUS_LINES)
-    def test_mutated_line_equals_walk(self, corpus, line):
+    def test_mutated_line_equals_reference(self, corpus, line):
         text = dump_corpus(corpus[:3]) + line + "\n" + dump_corpus(corpus[:5])
-        assert outcome(load_corpus, text) == outcome(load_corpus, text, walk_alone=True)
+        assert_same_outcome(load_corpus, reference_load_corpus, text)
         with contextlib.suppress(AstFormatError):
             assert_shared(p.ast for p in load_corpus(text))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_load_ast_equals_walk(self, data):
+    def test_load_ast_equals_reference(self, data):
         tree = node_obj(data.draw(trees()))
         edit_node(tree, data.draw)
         text = to_json(tree, data.draw(st.booleans()))
-        assert outcome(load_ast, text) == outcome(load_ast, text, walk_alone=True)
+        assert_same_outcome(load_ast, reference_load_ast, text)
         with contextlib.suppress(AstFormatError):
             assert_shared([load_ast(text)])
 
-    def test_depths_around_the_limit(self):
-        # the walk's depth limit depends on the interpreter and the stack
-        def walk_accepts(depth):
-            return isinstance(outcome(load_ast, deep_doc(depth), walk_alone=True), str)
+    @pytest.mark.parametrize("load,wrap", [(load_ast, str), (load_corpus, record)],
+                             ids=["load_ast", "load_corpus"])
+    def test_chains_up_to_the_depth_limit(self, load, wrap):
+        # The decoder's depth limit depends on the interpreter and on the
+        # stack, so it is found by bisection, and every chain is loaded
+        # through `chain`, at one stack depth.
+        def chain(depth, reordered):
+            return outcome(load, wrap(deep_doc(depth, reordered)))
 
-        low, high = 1, 2000
-        assert walk_accepts(low) and not walk_accepts(high)
-        while high - low > 1:
-            mid = (low + high) // 2
-            low, high = (mid, high) if walk_accepts(mid) else (low, mid)
-        for depth in range(low - 20, high + 20):
-            doc = deep_doc(depth)
-            line = '{"label":"a","source_id":"s","ast":' + doc + "}"
-            for load, text in ((load_ast, doc), (load_corpus, line)):
-                assert outcome(load, text) == outcome(load, text, walk_alone=True), depth
+        deepest = []
+        for reordered in (False, True):
+            low, high = 1, 2000
+            assert isinstance(chain(low, reordered), str)
+            assert not isinstance(chain(high, reordered), str)
+            while high - low > 1:
+                mid = (low + high) // 2
+                low, high = (mid, high) if isinstance(chain(mid, reordered), str) else (low, mid)
+            deepest.append(low)
+        assert abs(deepest[0] - deepest[1]) <= 2
+        for depth in range(1, min(deepest) + 1):
+            want = outcome(load, wrap(deep_doc(depth)))
+            assert want == (deep_doc(depth) if load is load_ast
+                            else wrap(deep_doc(depth)) + "\n"), depth
+            assert chain(depth, False) == chain(depth, True) == want, depth
+        too_deep = "nesting too deep" if load is load_ast else "corpus line 1: nesting too deep"
+        for depth in range(max(deepest) + 1, max(deepest) + 20):
+            for reordered in (False, True):
+                assert chain(depth, reordered) == (AstFormatError, too_deep), depth
 
-    @pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "over-cap"])
-    def test_taller_trees_are_walked(self, over):
-        doc = deep_doc(ast_core._DECODED_MAX_HEIGHT + over)
-        decoded = NodeTable().decoder().decode(doc)
-        assert isinstance(decoded, AstNode) == (not over)
-        line = '{"label":"a","source_id":"s","ast":' + doc + "}"
-        for load, text in ((load_ast, doc), (load_corpus, line)):
-            got = outcome(load, text)
-            assert isinstance(got, str) and got == outcome(load, text, walk_alone=True)
+    @pytest.mark.parametrize("line", MUTATED_CORPUS_LINES)
+    def test_each_line_is_decoded_once(self, corpus, line):
+        lines = dump_corpus(corpus[:5]).splitlines()
+        lines.insert(3, line)
+        decode = json.JSONDecoder.decode
+        with mock.patch.object(json.JSONDecoder, "decode", autospec=True,
+                               side_effect=decode) as spy:
+            failed = isinstance(outcome(load_corpus, "\n".join(lines)), tuple)
+            outcome(load_ast, line)
+        decoded = [call.args[1] for call in spy.call_args_list]
+        assert decoded == (lines[:4] if failed else lines) + [line]
 
-    def test_walked_tall_tree_is_shared_with_a_canonical_line(self):
-        # the first line is walked; the second finds every node in the table
-        doc = deep_doc(ast_core._DECODED_MAX_HEIGHT + 50)
-        text = ('{"label":"a","source_id":"s","ast":' + doc + "}\n"
-                + '{"label":"b","source_id":"s","ast":' + doc + "}\n")
-        assert outcome(load_corpus, text) == outcome(load_corpus, text, walk_alone=True)
-        first, second = load_corpus(text)
-        assert first.ast is second.ast
+    def test_tall_canonical_lines_share_nodes(self):
+        # 300 levels, 20 times as tall as the bundled corpus' trees
+        canonical, reordered = deep_doc(300), deep_doc(300, reordered=True)
+        text = "\n".join([record(canonical, "a"), record(reordered, "b"),
+                          record(canonical, "c")])
+        assert_same_outcome(load_corpus, reference_load_corpus, text)
+        first, second, third = load_corpus(text)
+        assert first.ast is second.ast is third.ast
+        assert_shared([first.ast])
 
-    def test_canonical_lines_are_not_walked(self, corpus):
+    def test_canonical_lines_are_built_by_the_decoder(self, corpus):
         text = dump_corpus(corpus)
-        with mock.patch.object(ast_core, "_from_obj", side_effect=AssertionError):
+        with mock.patch.object(NodeTable, "node", side_effect=AssertionError):
             assert load_corpus(text) == corpus
+            assert outcome(load_ast, deep_doc(300)) == deep_doc(300)

@@ -487,6 +487,42 @@ class TestHostileInputs:
         assert len(_problems(caplog)) == 1
         assert list(out.iterdir()) == []
 
+    # two outputs naming one file: one of them would be lost
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_train_out_is_loss_log(self, tmp_path, caplog, small_corpus_file, existing):
+        out = tmp_path / "m.json"
+        if existing:
+            out.write_text("an older checkpoint", encoding="utf-8")
+        assert main(["train", "--corpus", str(small_corpus_file), "--out", str(out),
+                     "--loss-log", str(out), "--epochs", "1"]) == EXIT_USAGE
+        assert _problems(caplog) == [f"{out}: another output writes the same file"]
+        assert sorted(tmp_path.iterdir()) == [out] * existing
+        if existing:
+            assert out.read_text(encoding="utf-8") == "an older checkpoint"
+
+    @pytest.mark.parametrize("through_link", [False, True], ids=["same-path", "symlink"])
+    def test_cluster_out_is_report(self, tmp_path, caplog, checkpoint_file, through_link):
+        out = tmp_path / "r.txt"
+        report = out
+        if through_link:
+            report = tmp_path / "link.txt"
+            report.symlink_to(out)
+        assert main(["cluster", "--checkpoint", str(checkpoint_file), "--out", str(out),
+                     "--report", str(report)]) == EXIT_USAGE
+        assert _problems(caplog) == [f"{report}: another output writes the same file"]
+        assert sorted(tmp_path.iterdir()) == [report] * through_link
+
+    def test_parse_sources_with_one_stem(self, tmp_path, caplog):
+        for name in ("x", "y"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "a.c").write_text(SNIPPET_SRC.read_text(encoding="utf-8"),
+                                                 encoding="utf-8")
+        out = tmp_path / "d"
+        assert main(["parse", "-o", str(out), str(tmp_path / "x" / "a.c"),
+                     str(tmp_path / "y" / "a.c")]) == EXIT_USAGE
+        assert _problems(caplog) == [f"{out / 'a.ast.json'}: another output writes the same file"]
+        assert list(out.iterdir()) == []
+
     def test_output_keeps_its_permission_bits(self, tmp_path, checkpoint_file):
         out = tmp_path / "emb.txt"
         out.write_text("old", encoding="utf-8")

@@ -17,11 +17,10 @@ from astvec.sampling import (
     build_training_set,
     child_weight,
     corrupt,
-    extract_samples,
     pack_samples,
 )
 
-from conftest import code_children, distance, pair_loss
+from conftest import code_children, distance, extract_samples, pair_loss
 
 
 def _sample(parent, children, coefficients=None):

@@ -53,7 +53,7 @@ class TestTokenize:
 class TestParseShapes:
     def test_empty_source(self):
         tree = parse_source("")
-        assert tree.kind.name == "Root" and tree.is_leaf()
+        assert tree.kind.name == "Root" and not tree.children
 
     def test_simple_decl_chain(self):
         tree = parse_source("int x;")

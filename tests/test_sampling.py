@@ -12,11 +12,10 @@ from astvec.sampling import (
     child_weight,
     corrupt,
     corrupt_packed,
-    extract_samples,
     pack_samples,
 )
 
-from conftest import leaf_count, per_node_samples, unshared
+from conftest import extract_samples, leaf_count, per_node_samples, unshared
 from test_ast_core import trees
 
 
@@ -127,7 +126,7 @@ class TestBuildTrainingSet:
         assert build_training_set([]) == []
 
     def test_single_program(self, corpus):
-        assert build_training_set(corpus[:1]) == extract_samples(corpus[0].ast)
+        assert build_training_set(corpus[:1]) == per_node_samples(corpus[0].ast)
 
     def test_shared_equals_unshared(self, corpus):
         # the corpus fixture is hash-consed; the same trees, every node a new

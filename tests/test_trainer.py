@@ -8,7 +8,6 @@ from astvec.coder import Hyperparams, gradient_and_hinge, init_params, l2_rate
 from astvec.sampling import (
     corrupt,
     corrupt_packed,
-    extract_samples,
     pack_samples,
 )
 from astvec.trainer import (
@@ -22,6 +21,8 @@ from astvec.trainer import (
     train,
     vocabulary_fingerprint,
 )
+
+from conftest import extract_samples
 
 
 def _samples():
