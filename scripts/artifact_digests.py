@@ -13,7 +13,9 @@ its error (class, line, column, message, expected). And it writes load.txt:
 for the corpus and for a fixed list of edited corpus lines, the corpus that
 `load_corpus` returns, dumped again, or its error (class and message); then,
 for a fixed list of edited node documents, the tree `load_ast` returns, dumped
-again, or its error.
+again, or its error. And it writes depth.txt: for each construct in
+`NESTING` (tests/conftest.py), the deepest nesting up to 2,000 that parses,
+bisected; it moves with every frame a change adds to a recursive path.
 Run from anywhere:
 
     python3 scripts/artifact_digests.py
@@ -27,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from astvec import cli, corpusgen  # noqa: E402
 from astvec.ast_core import (  # noqa: E402
@@ -39,10 +41,12 @@ from astvec.ast_core import (  # noqa: E402
     load_corpus,
 )
 from astvec.cparse import CParseError, parse_file, parse_source  # noqa: E402
+from conftest import NESTING  # noqa: E402
 
 CORPUS = ROOT / "data" / "corpus.jsonl"
 FIXTURES = ROOT / "tests" / "fixtures"
 TRAIN_EPOCHS = 3
+MAX_DEPTH = 2000
 
 LEAF = '{"kind":"ID","children":[]}'
 DEEP = '{"kind":"UnaryOp","children":[' * 899 + LEAF + "]}" * 899
@@ -130,6 +134,29 @@ def parse_results() -> str:
     return "\n".join(lines) + "\n"
 
 
+def deepest(make) -> int:
+    """The deepest nesting of make(n), 1 <= n <= MAX_DEPTH, that parses; any
+    error but "nesting too deep" is raised."""
+    def parses(n: int) -> bool:
+        try:
+            parse_source(make(n))
+            return True
+        except CParseError as exc:
+            if exc.message != "nesting too deep":
+                raise
+            return False
+
+    lo, hi = 1, MAX_DEPTH + 1  # make(lo) parses; make(hi) does not, or is past the cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if parses(mid) else (lo, mid)
+    return lo
+
+
+def depth_results() -> str:
+    return "".join(f"{name} {deepest(make)}\n" for name, make in NESTING.items())
+
+
 def load_outcome(load, dump, text: str) -> str:
     try:
         return dump(load(text))
@@ -178,6 +205,7 @@ def write_artifacts(d: Path, src: Path) -> None:
     astvec("corpus-build", "--src-dir", str(src), "--out", str(d / "from_sources.jsonl"))
     (d / "parse.txt").write_text(parse_results(), encoding="utf-8")
     (d / "load.txt").write_text(load_results(), encoding="utf-8")
+    (d / "depth.txt").write_text(depth_results(), encoding="utf-8")
 
 
 def main() -> int:

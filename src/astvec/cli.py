@@ -45,6 +45,14 @@ class CliError(Exception):
         super().__init__(message)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a usage error, in one line, instead of
+    printing the usage and exiting 2; subparsers are built from this class."""
+
+    def error(self, message):
+        raise CliError(message, EXIT_USAGE)
+
+
 # (flag, Hyperparams field, type, help); an unset flag takes the field's default
 HYPER_FLAGS = (
     ("--dim", "n_f", int, "embedding dimension"),
@@ -154,8 +162,6 @@ def _write(*outputs) -> None:
 
 
 def cmd_parse(args) -> int:
-    if not args.files:
-        raise CliError("no input files", EXIT_USAGE)
     if args.out_dir:
         with _os_errors(args.out_dir):
             Path(args.out_dir).mkdir(parents=True, exist_ok=True)
@@ -174,12 +180,14 @@ def cmd_parse(args) -> int:
 
 
 def cmd_corpus_build(args) -> int:
+    if args.per_class < 1:
+        raise CliError("per-class must be >= 1", EXIT_USAGE)
+    _check_seed(args.seed)
+    if args.src_dir == "":  # Path("") would be the working directory
+        raise CliError("--src-dir must not be empty", EXIT_USAGE)
     if args.generate:
-        if args.per_class < 1:
-            raise CliError("per-class must be >= 1", EXIT_USAGE)
-        _check_seed(args.seed)
         programs = corpusgen.generate_corpus(seed=args.seed, per_class=args.per_class)
-    elif args.src_dir:
+    else:
         root = Path(args.src_dir)
         if not root.is_dir():
             raise CliError(f"{root}: not a directory")
@@ -200,8 +208,6 @@ def cmd_corpus_build(args) -> int:
             programs.append(
                 LabeledProgram(ast=ast, label=label, source_id=c_path.stem)
             )
-    else:
-        raise CliError("pass --generate or --src-dir", EXIT_USAGE)
     _write((args.out, dump_corpus(programs)))
     return EXIT_OK
 
@@ -351,22 +357,23 @@ def cmd_export(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="astvec",
         description="Learn and evaluate vector representations of C AST node kinds",
     )
     parser.add_argument("-v", "--verbose", action="store_true")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse C files to AST documents")
-    p.add_argument("files", nargs="*")
+    p.add_argument("files", nargs="+")
     p.add_argument("-o", "--out-dir")
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("corpus-build", help="build a labeled corpus file")
-    p.add_argument("--src-dir", help="directory with <label>/<name>.c files")
-    p.add_argument("--generate", action="store_true",
-                   help="generate the bundled synthetic corpus")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--src-dir", help="directory with <label>/<name>.c files")
+    source.add_argument("--generate", action="store_true",
+                        help="generate the bundled synthetic corpus")
     p.add_argument("--per-class", type=int, default=55)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -415,17 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(message)s",
-        stream=sys.stderr,
-    )
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+    logging.basicConfig(format="%(levelname)s %(message)s", stream=sys.stderr)
     try:
+        args = build_parser().parse_args(argv)
+        logging.getLogger().setLevel(logging.DEBUG if args.verbose else logging.INFO)
         return args.func(args)
     except CliError as exc:
         log.error("%s", exc)

@@ -12,8 +12,7 @@ function pointers nested deeper than one level, designated initializers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .ast_core import AstNode, NodeTable, kind_by_name
 
@@ -122,15 +121,6 @@ _ASSIGN_OPS = frozenset(
 _UNARY_PREFIX = frozenset(["+", "-", "*", "&", "!", "~", "++", "--"])
 
 
-@dataclass
-class _Declarator:
-    """A parsed declarator: a name (None if abstract) and a builder that wraps
-    the inner type node in the Ptr/Array/Func modifier chain."""
-
-    name: Optional[str]
-    build: Callable[[AstNode], AstNode]
-
-
 class Parser:
     """One instance per parse; holds the token cursor and typedef-name table,
     and builds its nodes through `table` (a fresh one if not given)."""
@@ -163,9 +153,8 @@ class Parser:
         return CParseError(message, tok.line, tok.column, expected)
 
     def _advance(self) -> Token:
+        """Callers check the current token first, so it is never the end."""
         tok = self.tokens[self.pos]
-        if tok.category == "end":
-            raise self._error("token expected")
         self.pos += 1
         return tok
 
@@ -227,13 +216,9 @@ class Parser:
         nodes: list[AstNode] = []
         first = True
         while True:
-            declr = self._declarator()
-            if declr.name is None:
-                raise self._error("declarator requires a name")
-            type_node = declr.build(self._mk("TypeDecl", [base]))
-
+            name, type_node = self._declarator(base)
             if is_typedef:
-                self.typedefs.add(declr.name)
+                self.typedefs.add(name)
                 nodes.append(self._mk("Typedef", [type_node]))
             elif (
                 allow_funcdef
@@ -294,13 +279,13 @@ class Parser:
         return tok.category == "identifier" or tok.lexeme in ("*", "(", ";", ",", ")", "[")
 
     def _struct_union_enum_specifier(self) -> AstNode:
-        tok = self._advance()  # struct | union | enum
-        tag = tok.lexeme
+        tag = self._advance().lexeme  # struct | union | enum
         named = self._peek().category == "identifier"
         if named:
             self._advance()  # tag name, dropped
-        if tag == "enum":
-            if self._accept("{"):
+        children: list[AstNode] = []
+        if self._accept("{"):
+            if tag == "enum":
                 enums: list[AstNode] = []
                 while not self._check("}"):
                     self._expect_identifier()
@@ -310,30 +295,20 @@ class Parser:
                     enums.append(self._mk("Enumerator", value))
                     if not self._accept(","):
                         break
-                self._expect("}")
-                return self._mk("Enum", [self._mk("EnumeratorList", enums)])
-            if not named:
-                raise self._error("anonymous enum requires a body")
-            return self._mk("Enum", [])
-        kind = "Struct" if tag == "struct" else "Union"
-        if self._accept("{"):
-            members: list[AstNode] = []
-            while not self._check("}"):
-                members.extend(self._struct_member_declaration())
+                children.append(self._mk("EnumeratorList", enums))
+            else:
+                while not self._check("}"):
+                    children.extend(self._struct_member_declaration())
             self._expect("}")
-            return self._mk(kind, members)
-        if not named:
+        elif not named:
             raise self._error(f"anonymous {tag} requires a body")
-        return self._mk(kind, [])
+        return self._mk(tag.capitalize(), children)
 
     def _struct_member_declaration(self) -> list[AstNode]:
         _, base = self._declaration_specifiers()
         members: list[AstNode] = []
         while True:
-            declr = self._declarator()
-            if declr.name is None:
-                raise self._error("member declarator requires a name")
-            members.append(self._mk("Decl", [declr.build(self._mk("TypeDecl", [base]))]))
+            members.append(self._mk("Decl", [self._declarator(base)[1]]))
             if self._accept(","):
                 continue
             self._expect(";")
@@ -341,55 +316,52 @@ class Parser:
 
     # --- declarators ---
 
-    def _declarator(self, abstract: bool = False) -> _Declarator:
-        ptr_depth = 0
+    def _declarator(
+        self, base: AstNode, abstract: bool = False
+    ) -> tuple[Optional[str], AstNode]:
+        """Returns the declared name (None if abstract) and its type: the
+        declarator's modifiers wrapped around TypeDecl(base)."""
+        name, modifiers = self._modifiers(abstract)
+        t = self._mk("TypeDecl", [base])
+        for kind, before, after in modifiers:
+            t = self._mk(kind, [*before, t, *after])
+        return name, t
+
+    def _modifiers(self, abstract: bool) -> tuple[Optional[str], list]:
+        """Parses a declarator into its name and its modifiers, innermost first:
+        (kind, children before the type, children after it) for each."""
+        modifiers = []
         while self._accept("*"):
             while self._peek().lexeme in QUALIFIERS:
                 self._advance()
-            ptr_depth += 1
+            modifiers.append(("PtrDecl", (), ()))
 
         name: Optional[str] = None
-        inner: Optional[_Declarator] = None
+        nested = []  # a parenthesized declarator's modifiers wrap all of ours
         if self._peek().category == "identifier":
             name = self._advance().lexeme
         elif self._check("(") and self._nested_declarator_follows():
             self._advance()
-            inner = self._declarator(abstract=abstract)
-            name = inner.name
+            name, nested = self._modifiers(abstract)
             self._expect(")")
         elif not abstract:
             raise self._unexpected("declarator")
 
-        suffixes: list[Callable[[AstNode], AstNode]] = []
+        suffixes = []
         while True:
             if self._accept("["):
                 dim: list[AstNode] = []
                 if not self._check("]"):
                     dim.append(self._assignment_expression())
                 self._expect("]")
-                suffixes.append(
-                    lambda t, d=tuple(dim): self._mk("ArrayDecl", [t, *d])
-                )
+                suffixes.append(("ArrayDecl", (), dim))
             elif self._accept("("):
                 params = self._parameter_list()
                 self._expect(")")
-                suffixes.append(
-                    lambda t, p=params: self._mk("FuncDecl", ([p] if p else []) + [t])
-                )
+                suffixes.append(("FuncDecl", [params] if params else [], ()))
             else:
                 break
-
-        def build(base: AstNode, ptr_depth=ptr_depth, inner=inner, suffixes=suffixes) -> AstNode:
-            t = base
-            for _ in range(ptr_depth):
-                t = self._mk("PtrDecl", [t])
-            for wrap in reversed(suffixes):
-                t = wrap(t)
-            if inner is not None:
-                t = inner.build(t)
-            return t
-
-        return _Declarator(name=name, build=build)
+        return name, modifiers + suffixes[::-1] + nested
 
     def _nested_declarator_follows(self) -> bool:
         """After '(', distinguish a parenthesized declarator from a parameter
@@ -403,9 +375,8 @@ class Parser:
         params: list[AstNode] = []
         while True:
             _, base = self._declaration_specifiers()
-            declr = self._declarator(abstract=True)
-            type_node = declr.build(self._mk("TypeDecl", [base]))
-            if declr.name is None:
+            name, type_node = self._declarator(base, abstract=True)
+            if name is None:
                 params.append(self._mk("Typename", [type_node]))
             else:
                 params.append(self._mk("Decl", [type_node]))
@@ -414,11 +385,14 @@ class Parser:
         return self._mk("ParamList", params)
 
     def _type_name(self) -> AstNode:
+        """A parenthesized type name, as in a cast or sizeof."""
+        self._expect("(")
         _, base = self._declaration_specifiers()
-        declr = self._declarator(abstract=True)
-        if declr.name is not None:
+        name, type_node = self._declarator(base, abstract=True)
+        if name is not None:
             raise self._error("type name must not declare an identifier")
-        return self._mk("Typename", [declr.build(self._mk("TypeDecl", [base]))])
+        self._expect(")")
+        return self._mk("Typename", [type_node])
 
     # --- statements ---
 
@@ -446,7 +420,11 @@ class Parser:
             self._advance()
             return self._mk("EmptyStatement", [])
         if lex == "if":
-            return self._if_statement()
+            self._advance()
+            children = [self._parenthesized(), self._statement()]
+            if self._accept("else"):
+                children.append(self._statement())
+            return self._mk("If", children)
         if lex == "for":
             return self._for_statement()
         if lex == "while":
@@ -465,7 +443,8 @@ class Parser:
             self._expect(";")
             return self._mk("DoWhile", [cond, body])
         if lex == "switch":
-            return self._switch_statement()
+            self._advance()
+            return self._switch_body(self._parenthesized())
         if lex == "break":
             self._advance()
             self._expect(";")
@@ -498,16 +477,15 @@ class Parser:
         self._expect(";")
         return expr
 
-    def _if_statement(self) -> AstNode:
-        self._expect("if")
+    def _parenthesized(self) -> AstNode:
+        """An if or switch condition. Each nesting level of a construct costs
+        the interpreter's stack one frame per call on its path, so the while
+        and do conditions and parenthesized expressions stay inline, and the
+        if and switch conditions are parsed from _statement's frame."""
         self._expect("(")
-        cond = self._expression()
+        expr = self._expression()
         self._expect(")")
-        then = self._statement()
-        children = [cond, then]
-        if self._accept("else"):
-            children.append(self._statement())
-        return self._mk("If", children)
+        return expr
 
     def _for_statement(self) -> AstNode:
         self._expect("for")
@@ -530,48 +508,35 @@ class Parser:
         children.append(self._statement())
         return self._mk("For", children)
 
-    def _switch_statement(self) -> AstNode:
-        self._expect("switch")
-        self._expect("(")
-        cond = self._expression()
-        self._expect(")")
+    def _switch_body(self, cond: AstNode) -> AstNode:
         self._expect("{")
         # statements after a case/default label re-parent under that label,
-        # mirroring the reference tree shape
-        items: list[AstNode] = []
-        current: Optional[tuple[str, list[AstNode]]] = None
-
-        def flush():
-            nonlocal current
-            if current is not None:
-                items.append(self._mk(current[0], current[1]))
-                current = None
-
+        # mirroring the reference tree shape; an open label is [kind, children]
+        # in `items`, and becomes a node when the body closes
+        items: list = []
         while not self._check("}"):
             if self._at_end():
                 raise self._error("unterminated switch body", expected="'}'")
             if self._accept("case"):
-                flush()
                 expr = self._conditional_expression()
                 self._expect(":")
-                current = ("Case", [expr])
+                items.append(["Case", [expr]])
             elif self._accept("default"):
-                flush()
                 self._expect(":")
-                current = ("Default", [])
+                items.append(["Default", []])
             else:
                 stmts = (
                     self._declaration()
                     if self._starts_type()
                     else [self._statement()]
                 )
-                if current is not None:
-                    current[1].extend(stmts)
+                if items and isinstance(items[-1], list):
+                    items[-1][1].extend(stmts)
                 else:
                     items.extend(stmts)
-        flush()
         self._expect("}")
-        return self._mk("Switch", [cond, self._mk("Compound", items)])
+        body = [self._mk(*item) if isinstance(item, list) else item for item in items]
+        return self._mk("Switch", [cond, self._mk("Compound", body)])
 
     # --- expressions ---
 
@@ -618,9 +583,7 @@ class Parser:
 
     def _cast_expression(self) -> AstNode:
         if self._check("(") and self._starts_type(1):
-            self._advance()
             type_name = self._type_name()
-            self._expect(")")
             if self._check("{"):
                 init = self._initializer()
                 return self._mk("CompoundLiteral", [type_name, init])
@@ -637,10 +600,7 @@ class Parser:
         if tok.lexeme == "sizeof":
             self._advance()
             if self._check("(") and self._starts_type(1):
-                self._advance()
-                type_name = self._type_name()
-                self._expect(")")
-                return self._mk("UnaryOp", [type_name])
+                return self._mk("UnaryOp", [self._type_name()])
             return self._mk("UnaryOp", [self._unary_expression()])
         return self._postfix_expression()
 

@@ -49,6 +49,30 @@ def invalid_sources():
     return sorted(INVALID_DIR.glob("*.c"))
 
 
+# Valid C with one construct nested n deep, for each construct whose nesting
+# the parser's recursion bounds. scripts/artifact_digests.py bisects each
+# one's deepest parse; tests/test_cparse.py holds a floor under it.
+NESTING = {
+    "parentheses": lambda n: "int x = " + "(" * n + "1" + ")" * n + ";",
+    "calls": lambda n: "int x = " + "f(" * n + "1" + ")" * n + ";",
+    "sizeof": lambda n: "int x = " + "sizeof(" * n + "1" + ")" * n + ";",
+    "subscripts": lambda n: "int x = " + "a[" * n + "0" + "]" * n + ";",
+    "blocks": lambda n: "void f(void) " + "{" * (n + 1) + "}" * (n + 1),
+    "switch": lambda n: "void f(void) {" + "switch (x) {" * n + "}" * (n + 1),
+    "if": lambda n: "void f(void) {" + "if (x) " * n + "; }",
+    "while": lambda n: "void f(void) {" + "while (x) " * n + "; }",
+    "do": lambda n: "void f(void) {" + "do " * n + ";" + " while (x);" * n + " }",
+    "for": lambda n: "void f(void) {" + "for (;;) " * n + "; }",
+    "labels": lambda n: "void f(void) {" + "l: " * n + "; }",
+    "structs": lambda n: "struct {" * n + " int x; " + "} a;" * n,
+    "pointer declarators": lambda n: "int " + "(*" * n + "p" + ")" * n + ";",
+    "casts": lambda n: "int x = " + "(int)" * n + "1;",
+    "unary": lambda n: "int x = " + "!" * n + "1;",
+    "ternary": lambda n: "int x = " + "x ? 1 : " * n + "0;",
+    "initializer lists": lambda n: "int x[1] = " + "{" * n + "1" + "}" * n + ";",
+}
+
+
 def count_leaves_obj(obj: dict) -> int:
     """Independent leaf counter over the raw interchange JSON."""
     children = obj["children"]

@@ -74,6 +74,41 @@ def test_no_command_usage():
     assert main([]) == EXIT_USAGE
 
 
+class TestUsageErrors:
+    """A command line that argparse rejects exits 1 with one logged line,
+    like every other usage error, and `main` returns instead of exiting."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--corpus", "c.jsonl"],
+         "the following arguments are required: --out"),
+        (["train", "--corpus", "c.jsonl", "--out", "m.json", "--epochs", "abc"],
+         "argument --epochs: invalid int value: 'abc'"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ], ids=["missing-flag", "malformed-int", "unknown-command"])
+    def test_returns_usage(self, caplog, argv, message):
+        assert main(argv) == EXIT_USAGE
+        [line] = _problems(caplog)
+        assert line.startswith(message)
+
+    def test_one_stderr_line(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        proc = subprocess.run([sys.executable, "-m", "astvec.cli", "train"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.splitlines() == [
+            "ERROR the following arguments are required: --corpus, --out"
+        ]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: astvec")
+
+
 class TestCorpusBuild:
     def test_generate_deterministic(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -99,6 +134,27 @@ class TestCorpusBuild:
 
     def test_neither_flag_usage(self, tmp_path):
         assert main(["corpus-build", "--out", str(tmp_path / "x.jsonl")]) == EXIT_USAGE
+
+    def test_generate_and_src_dir_usage(self, tmp_path, caplog):
+        out = tmp_path / "x.jsonl"
+        assert main(["corpus-build", "--generate", "--src-dir", str(tmp_path),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert _problems(caplog) == [
+            "argument --src-dir: not allowed with argument --generate"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--per-class", "0"], "per-class must be >= 1"),
+        (["--seed", "-5"], "seed must be >= 0"),
+        (["--src-dir", ""], "--src-dir must not be empty"),
+    ], ids=["per-class", "seed", "empty-src-dir"])
+    def test_src_dir_range_usage(self, tmp_path, caplog, flags, message):
+        out = tmp_path / "x.jsonl"
+        assert main(["corpus-build", "--src-dir", str(tmp_path), "--out", str(out),
+                     *flags]) == EXIT_USAGE
+        assert _problems(caplog) == [message]
+        assert not out.exists()
 
     def test_negative_per_class_usage(self, tmp_path, caplog):
         out = tmp_path / "x.jsonl"
@@ -288,7 +344,7 @@ def test_malformed_checkpoint_exit_2(tmp_path, small_corpus_file, checkpoint_fil
 DEEP_C = {
     "parentheses": "int x = " + "(" * 900 + "1" + ")" * 900 + ";\n",
     "not": "int x = " + "!" * 900 + "1;\n",
-    "else-if": "void f(void) { if (a) ;" + " else if (a) ;" * 600 + " }\n",
+    "else-if": "void f(void) { if (a) ;" + " else if (a) ;" * 1200 + " }\n",
     "sum": "int x = " + "+".join(["a"] * 2000) + ";\n",
     "assignment-chain": "void f(void) { " + "a = " * 600 + "1; }\n",
 }
