@@ -15,7 +15,8 @@ for the corpus and for a fixed list of edited corpus lines, the corpus that
 for a fixed list of edited node documents, the tree `load_ast` returns, dumped
 again, or its error. And it writes depth.txt: for each construct in
 `NESTING` (tests/conftest.py), the deepest nesting up to 2,000 that parses,
-bisected; it moves with every frame a change adds to a recursive path.
+bisected, or ">=2000" for a construct that still parses at the cap; it moves
+with every frame a change adds to a recursive path.
 Run from anywhere:
 
     python3 scripts/artifact_digests.py
@@ -134,9 +135,10 @@ def parse_results() -> str:
     return "\n".join(lines) + "\n"
 
 
-def deepest(make) -> int:
-    """The deepest nesting of make(n), 1 <= n <= MAX_DEPTH, that parses; any
-    error but "nesting too deep" is raised."""
+def deepest(make) -> str:
+    """The deepest nesting of make(n), 1 <= n <= MAX_DEPTH, that parses, or
+    ">=MAX_DEPTH" if make(MAX_DEPTH) parses: the cap is not a limit. Any error
+    but "nesting too deep" is raised."""
     def parses(n: int) -> bool:
         try:
             parse_source(make(n))
@@ -150,7 +152,7 @@ def deepest(make) -> int:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if parses(mid) else (lo, mid)
-    return lo
+    return str(lo) if lo < MAX_DEPTH else f">={MAX_DEPTH}"
 
 
 def depth_results() -> str:

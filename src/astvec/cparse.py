@@ -100,23 +100,20 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-# Binary operator precedence (C standard); higher binds tighter.
-_BINOP_PREC = {
-    "||": 1,
-    "&&": 2,
-    "|": 3,
-    "^": 4,
-    "&": 5,
-    "==": 6, "!=": 6,
-    "<": 7, ">": 7, "<=": 7, ">=": 7,
-    "<<": 8, ">>": 8,
-    "+": 9, "-": 9,
-    "*": 10, "/": 10, "%": 10,
+# Infix operators by level, lowest first; a higher level binds tighter.
+# Assignment and ?: group right to left, the ten binary levels of the C
+# standard left to right. The comma, below them all, is read by _expression at
+# its lowest level only.
+_COMMA, _ASSIGN, _TERNARY = range(3)
+_INFIX = {
+    op: prec
+    for prec, ops in enumerate(
+        ["= += -= *= /= %= &= ^= |= <<= >>=", "?", "||", "&&", "|", "^", "&",
+         "== !=", "< > <= >=", "<< >>", "+ -", "* / %"],
+        start=_ASSIGN,
+    )
+    for op in ops.split()
 }
-
-_ASSIGN_OPS = frozenset(
-    ["=", "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=", "<<=", ">>="]
-)
 
 _UNARY_PREFIX = frozenset(["+", "-", "*", "&", "!", "~", "++", "--"])
 
@@ -291,7 +288,7 @@ class Parser:
                     self._expect_identifier()
                     value: list[AstNode] = []
                     if self._accept("="):
-                        value.append(self._conditional_expression())
+                        value.append(self._expression(_TERNARY))
                     enums.append(self._mk("Enumerator", value))
                     if not self._accept(","):
                         break
@@ -352,7 +349,7 @@ class Parser:
             if self._accept("["):
                 dim: list[AstNode] = []
                 if not self._check("]"):
-                    dim.append(self._assignment_expression())
+                    dim.append(self._expression(_ASSIGN))
                 self._expect("]")
                 suffixes.append(("ArrayDecl", (), dim))
             elif self._accept("("):
@@ -429,17 +426,12 @@ class Parser:
             return self._for_statement()
         if lex == "while":
             self._advance()
-            self._expect("(")
-            cond = self._expression()
-            self._expect(")")
-            return self._mk("While", [cond, self._statement()])
+            return self._mk("While", [self._parenthesized(), self._statement()])
         if lex == "do":
             self._advance()
             body = self._statement()
             self._expect("while")
-            self._expect("(")
-            cond = self._expression()
-            self._expect(")")
+            cond = self._parenthesized()
             self._expect(";")
             return self._mk("DoWhile", [cond, body])
         if lex == "switch":
@@ -478,10 +470,9 @@ class Parser:
         return expr
 
     def _parenthesized(self) -> AstNode:
-        """An if or switch condition. Each nesting level of a construct costs
-        the interpreter's stack one frame per call on its path, so the while
-        and do conditions and parenthesized expressions stay inline, and the
-        if and switch conditions are parsed from _statement's frame."""
+        """The condition of an if, switch, while or do. It returns before the
+        statement's body is parsed, so it is not on a statement's recursive
+        path and costs one frame at the innermost level only."""
         self._expect("(")
         expr = self._expression()
         self._expect(")")
@@ -518,7 +509,7 @@ class Parser:
             if self._at_end():
                 raise self._error("unterminated switch body", expected="'}'")
             if self._accept("case"):
-                expr = self._conditional_expression()
+                expr = self._expression(_TERNARY)
                 self._expect(":")
                 items.append(["Case", [expr]])
             elif self._accept("default"):
@@ -540,114 +531,102 @@ class Parser:
 
     # --- expressions ---
 
-    def _expression(self) -> AstNode:
-        """Full expression; comma sequences collapse into ExprList."""
-        first = self._assignment_expression()
-        if not self._check(","):
-            return first
-        exprs = [first]
-        while self._accept(","):
-            exprs.append(self._assignment_expression())
-        return self._mk("ExprList", exprs)
-
-    def _assignment_expression(self) -> AstNode:
-        left = self._conditional_expression()
-        if self._peek().lexeme in _ASSIGN_OPS:
-            self._advance()
-            right = self._assignment_expression()
-            return self._mk("Assignment", [left, right])
-        return left
-
-    def _conditional_expression(self) -> AstNode:
-        cond = self._binary_expression(1)
-        if self._accept("?"):
-            iftrue = self._expression()
-            self._expect(":")
-            iffalse = self._conditional_expression()
-            return self._mk("TernaryOp", [cond, iftrue, iffalse])
-        return cond
-
-    def _binary_expression(self, min_prec: int) -> AstNode:
-        left = self._cast_expression()
+    def _expression(self, min_prec: int = _COMMA) -> AstNode:
+        """Precedence climbing over _INFIX: an operand, then each infix
+        operator of level min_prec or higher with its right operand. At the
+        lowest level, a comma sequence collapses into one ExprList. A nesting
+        level costs two frames, this one and _operand's."""
+        left = self._operand()
         while True:
-            tok = self._peek()
-            if tok.category != "operator":
-                break
-            prec = _BINOP_PREC.get(tok.lexeme)
+            prec = _INFIX.get(self._peek().lexeme)
             if prec is None or prec < min_prec:
                 break
             self._advance()
-            right = self._binary_expression(prec + 1)
-            left = self._mk("BinaryOp", [left, right])
-        return left
+            if prec == _ASSIGN:
+                left = self._mk("Assignment", [left, self._expression(_ASSIGN)])
+            elif prec == _TERNARY:
+                iftrue = self._expression()
+                self._expect(":")
+                left = self._mk("TernaryOp", [left, iftrue, self._expression(_TERNARY)])
+            else:
+                left = self._mk("BinaryOp", [left, self._expression(prec + 1)])
+        if min_prec > _COMMA or not self._check(","):
+            return left
+        exprs = [left]
+        while self._accept(","):
+            exprs.append(self._expression(_ASSIGN))
+        return self._mk("ExprList", exprs)
 
-    def _cast_expression(self) -> AstNode:
-        if self._check("(") and self._starts_type(1):
-            type_name = self._type_name()
-            if self._check("{"):
-                init = self._initializer()
-                return self._mk("CompoundLiteral", [type_name, init])
-            return self._mk("Cast", [type_name, self._cast_expression()])
-        return self._unary_expression()
-
-    def _unary_expression(self) -> AstNode:
-        tok = self._peek()
-        if tok.category == "end":
-            raise self._error("expression expected")
-        if tok.lexeme in _UNARY_PREFIX and tok.category == "operator":
-            self._advance()
-            return self._mk("UnaryOp", [self._cast_expression()])
-        if tok.lexeme == "sizeof":
-            self._advance()
-            if self._check("(") and self._starts_type(1):
-                return self._mk("UnaryOp", [self._type_name()])
-            return self._mk("UnaryOp", [self._unary_expression()])
-        return self._postfix_expression()
-
-    def _postfix_expression(self) -> AstNode:
-        expr = self._primary_expression()
+    def _operand(self) -> AstNode:
+        """A cast or unary expression. Its prefix operators and casts are read
+        in a loop, outermost first, then folded around the primary expression
+        and its postfix operators, innermost first, so they cost no frames."""
+        prefixes = []  # (kind, children before the operand), outermost first
+        postfix = True  # sizeof(type) takes no postfix operator
         while True:
             tok = self._peek()
-            if tok.lexeme == "[":
+            if tok.lexeme == "(" and self._starts_type(1):
+                type_name = self._type_name()
+                if self._check("{"):
+                    expr = self._mk("CompoundLiteral", [type_name, self._initializer()])
+                    break
+                prefixes.append(("Cast", [type_name]))
+            elif tok.lexeme in _UNARY_PREFIX:
+                self._advance()
+                prefixes.append(("UnaryOp", []))
+            elif tok.lexeme == "sizeof":
+                self._advance()
+                if self._check("(") and self._starts_type(1):
+                    expr = self._mk("UnaryOp", [self._type_name()])
+                    postfix = False
+                    break
+                prefixes.append(("UnaryOp", []))
+            elif tok.category == "identifier":
+                self._advance()
+                expr = self._mk("ID", [])
+                break
+            elif tok.category == "constant":
+                self._advance()
+                expr = self._mk("Constant", [])
+                break
+            elif tok.lexeme == "(":
+                self._advance()
+                expr = self._expression()
+                self._expect(")")
+                break
+            elif tok.category == "end":
+                raise self._error("expression expected")
+            else:
+                raise self._unexpected("expression")
+        while postfix:
+            lex = self._peek().lexeme
+            if lex == "[":
                 self._advance()
                 subscript = self._expression()
                 self._expect("]")
                 expr = self._mk("ArrayRef", [expr, subscript])
-            elif tok.lexeme == "(":
+            elif lex == "(":
                 self._advance()
                 args: list[AstNode] = []
                 if not self._check(")"):
-                    call_args = [self._assignment_expression()]
+                    call_args = [self._expression(_ASSIGN)]
                     while self._accept(","):
-                        call_args.append(self._assignment_expression())
+                        call_args.append(self._expression(_ASSIGN))
                     args.append(self._mk("ExprList", call_args))
                 self._expect(")")
                 expr = self._mk("FuncCall", [expr] + args)
-            elif tok.lexeme in (".", "->"):
+            elif lex in (".", "->"):
                 self._advance()
                 self._expect_identifier()
                 expr = self._mk("StructRef", [expr, self._mk("ID", [])])
-            elif tok.lexeme in ("++", "--"):
+            elif lex in ("++", "--"):
                 self._advance()
                 expr = self._mk("UnaryOp", [expr])
             else:
                 break
+        for kind, before in reversed(prefixes):
+            expr = self._mk(kind, [*before, expr])
         return expr
-
-    def _primary_expression(self) -> AstNode:
-        tok = self._peek()
-        if tok.category == "identifier":
-            self._advance()
-            return self._mk("ID", [])
-        if tok.category == "constant":
-            self._advance()
-            return self._mk("Constant", [])
-        if tok.lexeme == "(":
-            self._advance()
-            expr = self._expression()
-            self._expect(")")
-            return expr
-        raise self._unexpected("expression")
 
     def _initializer(self) -> AstNode:
         if self._accept("{"):
@@ -658,7 +637,7 @@ class Parser:
                     break
             self._expect("}")
             return self._mk("InitList", items)
-        return self._assignment_expression()
+        return self._expression(_ASSIGN)
 
 
 def parse_program(tokens: list[Token], table: Optional[NodeTable] = None) -> AstNode:

@@ -344,6 +344,7 @@ def test_malformed_checkpoint_exit_2(tmp_path, small_corpus_file, checkpoint_fil
 DEEP_C = {
     "parentheses": "int x = " + "(" * 900 + "1" + ")" * 900 + ";\n",
     "not": "int x = " + "!" * 900 + "1;\n",
+    "casts": "int x = " + "(int)" * 900 + "1;\n",
     "else-if": "void f(void) { if (a) ;" + " else if (a) ;" * 1200 + " }\n",
     "sum": "int x = " + "+".join(["a"] * 2000) + ";\n",
     "assignment-chain": "void f(void) { " + "a = " * 600 + "1; }\n",
@@ -361,7 +362,7 @@ def _problems(caplog):
 
 class TestHostileInputs:
     # the column is where the stack ran out, so it depends on the caller's depth
-    @pytest.mark.parametrize("name", ["parentheses", "not", "else-if"])
+    @pytest.mark.parametrize("name", ["parentheses", "else-if"])
     def test_too_deep_c(self, tmp_path, caplog, name):
         path = tmp_path / "deep.c"
         path.write_text(DEEP_C[name], encoding="utf-8")
@@ -370,7 +371,9 @@ class TestHostileInputs:
         assert re.fullmatch(re.escape(str(path)) + r":1:\d+: nesting too deep", line)
 
     @pytest.mark.parametrize("name,kind", [("sum", "BinaryOp"),
-                                           ("assignment-chain", "Assignment")])
+                                           ("assignment-chain", "Assignment"),
+                                           ("not", "UnaryOp"),
+                                           ("casts", "Cast")])
     def test_deep_valid_c(self, tmp_path, caplog, capsys, name, kind):
         path = tmp_path / "deep.c"
         path.write_text(DEEP_C[name], encoding="utf-8")
@@ -378,7 +381,9 @@ class TestHostileInputs:
         assert _problems(caplog) == []
         out = capsys.readouterr().out
         assert out.startswith('{"kind":"Root"') and out.endswith("]}\n")
-        assert out.count(f'"{kind}"') == DEEP_C[name].count("+" if kind == "BinaryOp" else "=")
+        # one node of `kind` per token of the source that makes one
+        token = {"BinaryOp": "+", "Assignment": "=", "UnaryOp": "!", "Cast": "(int)"}[kind]
+        assert out.count(f'"{kind}"') == DEEP_C[name].count(token)
 
     def test_latin1_parse(self, tmp_path, caplog):
         path = tmp_path / "latin1.c"
@@ -657,6 +662,7 @@ def fuzz_dir(tmp_path_factory):
 @example(b'char *s = "open;')
 @example(DEEP_C["parentheses"].encode())
 @example(DEEP_C["not"].encode())
+@example(DEEP_C["casts"].encode())
 @example(DEEP_C["else-if"].encode())
 @example(DEEP_C["sum"].encode())
 @example(DEEP_C["assignment-chain"].encode())
