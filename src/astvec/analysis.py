@@ -1,35 +1,20 @@
-"""Qualitative evaluation of learned embeddings: nearest-neighbor queries over
-Euclidean distance and k-means clustering (Lloyd iterations, k-means++ seeding,
-best of several restarts)."""
+"""Qualitative evaluation of learned embeddings, read from the embedding table
+(row i is the vector of kind id i): nearest-neighbor queries over Euclidean
+distance and k-means clustering (Lloyd iterations, k-means++ seeding, best of
+several restarts)."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ast_core import NodeKind, kind_by_name, vocabulary
-from .coder import ModelParams
-
-
-@dataclass(frozen=True)
-class NeighborList:
-    query: NodeKind
-    ranked: tuple[tuple[NodeKind, float], ...]
-
-
-@dataclass(frozen=True)
-class Clustering:
-    k: int
-    assignment: dict[int, int]  # kind id -> cluster id
-    centroids: np.ndarray       # (k, N_f)
-    inertia: float
 
 
 def nearest_neighbors(
-    params: ModelParams, query: NodeKind | str, top: int | None = None
-) -> NeighborList:
-    """Rank all other symbols by Euclidean distance to the query's vector.
+    embeddings: np.ndarray, query: NodeKind | str, top: int | None = None
+) -> list[tuple[NodeKind, float]]:
+    """All other symbols as (kind, Euclidean distance to the query's vector),
+    nearest first, the first `top` of them.
 
     Ties break by vocabulary id so the ranking is deterministic.
     """
@@ -40,13 +25,11 @@ def nearest_neighbors(
         top = len(vocab) - 1
     if not 1 <= top <= len(vocab) - 1:
         raise ValueError(f"top must be in 1..{len(vocab) - 1}")
-    q_vec = params.embeddings[query.id]
-    dists = np.linalg.norm(params.embeddings - q_vec, axis=1)
+    dists = np.linalg.norm(embeddings - embeddings[query.id], axis=1)
     order = sorted(
         (k for k in vocab if k.id != query.id), key=lambda k: (dists[k.id], k.id)
     )
-    ranked = tuple((k, float(dists[k.id])) for k in order[:top])
-    return NeighborList(query=query, ranked=ranked)
+    return [(k, float(dists[k.id])) for k in order[:top]]
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -96,11 +79,15 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int = 300,
     return labels, centroids, inertia
 
 
-def kmeans_points(
+def kmeans(
     points: np.ndarray, k: int, restarts: int = 16, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Best-of-restarts Lloyd's over arbitrary points; ties keep the earlier
-    restart. Returns (labels, centroids, inertia)."""
+    """Best-of-restarts Lloyd's over the rows of `points`, such as the
+    embedding table; ties keep the earlier restart.
+
+    Returns (labels, centroids, inertia): the cluster of each row, the (k, N)
+    centroids and the sum of squared distances to them.
+    """
     if not 1 <= k <= points.shape[0]:
         raise ValueError(f"k must be in 1..{points.shape[0]}")
     if restarts < 1:
@@ -115,36 +102,29 @@ def kmeans_points(
     return best
 
 
-def kmeans(
-    params: ModelParams, k: int, restarts: int = 16, seed: int = 0
-) -> Clustering:
-    labels, centroids, inertia = kmeans_points(
-        params.embeddings, k, restarts=restarts, seed=seed
-    )
-    assignment = {kind.id: int(labels[kind.id]) for kind in vocabulary()}
-    return Clustering(k=k, assignment=assignment, centroids=centroids, inertia=inertia)
-
-
-def clusters_csv(clustering: Clustering) -> str:
+def clusters_csv(labels: np.ndarray) -> str:
+    """The cluster of each symbol, `labels` indexed by kind id."""
     lines = ["symbol,cluster"]
     for kind in vocabulary():
-        lines.append(f"{kind.name},{clustering.assignment[kind.id]}")
+        lines.append(f"{kind.name},{labels[kind.id]}")
     return "\n".join(lines) + "\n"
 
 
-def render_report(params: ModelParams, clustering: Clustering, top: int = 5) -> str:
-    """Plain-text report: a neighbor table row per symbol plus the clustering."""
+def render_report(
+    embeddings: np.ndarray, clustering: tuple[np.ndarray, np.ndarray, float], top: int = 5
+) -> str:
+    """Plain-text report: a neighbor table row per symbol plus the clustering,
+    a `kmeans` result over `embeddings`."""
+    labels, centroids, inertia = clustering
     lines = ["Nearest neighbors (Euclidean)", "=" * 32]
     for kind in vocabulary():
-        nl = nearest_neighbors(params, kind, top=top)
-        names = ", ".join(other.name for other, _ in nl.ranked)
+        ranked = nearest_neighbors(embeddings, kind, top=top)
+        names = ", ".join(other.name for other, _ in ranked)
         lines.append(f"{kind.name:16s} -> {names}")
-    lines += ["", f"k-means clustering (k={clustering.k})", "=" * 32]
-    for j in range(clustering.k):
-        members = [
-            kind.name for kind in vocabulary() if clustering.assignment[kind.id] == j
-        ]
+    lines += ["", f"k-means clustering (k={len(centroids)})", "=" * 32]
+    for j in range(len(centroids)):
+        members = [kind.name for kind in vocabulary() if labels[kind.id] == j]
         body = ", ".join(members) if members else "(empty)"
         lines.append(f"cluster {j}: {body}")
-    lines.append(f"inertia: {clustering.inertia:.6f}")
+    lines.append(f"inertia: {inertia:.6f}")
     return "\n".join(lines) + "\n"

@@ -267,6 +267,30 @@ def dump_ast(root: AstNode) -> str:
     return "".join(out)
 
 
+# The tallest tree a corpus line is sure to load back, a leaf being height 1.
+# The decoder recurses per nesting level and reads about 494 levels from a
+# shallow stack, fewer from a deeper one; this leaves room for the caller's.
+MAX_LOAD_HEIGHT = 400
+
+
+def tree_height(root: AstNode, memo: dict[int, int]) -> int:
+    """The nodes on the longest path from `root` down to a leaf.
+
+    `memo` maps id(node) to its height and may be shared between trees whose
+    nodes stay alive meanwhile (as a `NodeTable` keeps them), so each
+    distinct node is measured once. An explicit stack, so any depth works.
+    """
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            memo[id(node)] = 1 + max((memo[id(c)] for c in node.children), default=0)
+        elif id(node) not in memo:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children)
+    return memo[id(root)]
+
+
 def _decode(decoder: json.JSONDecoder, text: str, where: str = "") -> object:
     """`text` decoded by `decoder`; a failure raises the error `json.loads`
     reports, as an `AstFormatError`."""

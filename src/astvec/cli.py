@@ -20,15 +20,19 @@ import numpy as np
 
 from . import analysis, classify, corpusgen, embedding_io, trainer
 from .ast_core import (
+    MAX_LOAD_HEIGHT,
     AstFormatError,
     LabeledProgram,
     NodeTable,
+    UnknownKindError,
     dump_ast,
     dump_corpus,
     load_corpus,
+    tree_height,
 )
 from .coder import Hyperparams
 from .cparse import CParseError, parse_file
+from .sampling import build_training_set
 
 log = logging.getLogger("astvec")
 
@@ -192,6 +196,7 @@ def cmd_corpus_build(args) -> int:
         if not root.is_dir():
             raise CliError(f"{root}: not a directory")
         table = NodeTable()  # the corpus's trees share their equal subtrees
+        heights: dict[int, int] = {}  # id(node) -> height, over the table's nodes
         programs = []
         for c_path in sorted(root.rglob("*.c")):
             label = c_path.parent.name
@@ -204,6 +209,11 @@ def cmd_corpus_build(args) -> int:
                 log.warning(
                     "skipping %s: %s:%s: %s", c_path, exc.line, exc.column, exc.message
                 )
+                continue
+            height = tree_height(ast, heights)
+            if height > MAX_LOAD_HEIGHT:
+                log.warning("skipping %s: tree height %d exceeds the loadable %d",
+                            c_path, height, MAX_LOAD_HEIGHT)
                 continue
             programs.append(
                 LabeledProgram(ast=ast, label=label, source_id=c_path.stem)
@@ -225,8 +235,6 @@ def _load_corpus_file(path) -> list:
 
 
 def cmd_train(args) -> int:
-    from .sampling import build_training_set
-
     samples = build_training_set(_load_corpus_file(args.corpus))
     if not samples:
         raise CliError("corpus yields no training samples")
@@ -272,33 +280,31 @@ def _load_params(path):
 
 
 def cmd_nn(args) -> int:
-    cp = _load_params(args.checkpoint)
-    from .ast_core import UnknownKindError
-
+    embeddings = _load_params(args.checkpoint).params.embeddings
     try:
-        result = analysis.nearest_neighbors(cp.params, args.symbol, args.top)
+        ranked = analysis.nearest_neighbors(embeddings, args.symbol, args.top)
     except UnknownKindError as exc:
         raise CliError(str(exc))
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
-    for rank, (kind, dist) in enumerate(result.ranked, start=1):
+    for rank, (kind, dist) in enumerate(ranked, start=1):
         print(f"{rank}\t{kind.name}\t{dist:.6f}")
     return EXIT_OK
 
 
 def cmd_cluster(args) -> int:
     _check_seed(args.seed)
-    cp = _load_params(args.checkpoint)
+    embeddings = _load_params(args.checkpoint).params.embeddings
     try:
         clustering = analysis.kmeans(
-            cp.params, k=args.k, restarts=args.restarts, seed=args.seed
+            embeddings, k=args.k, restarts=args.restarts, seed=args.seed
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
     header = f"# seed={args.seed}\n"
-    outputs = [(args.out, (header if args.out else "") + analysis.clusters_csv(clustering))]
+    outputs = [(args.out, (header if args.out else "") + analysis.clusters_csv(clustering[0]))]
     if args.report:
-        outputs.append((args.report, header + analysis.render_report(cp.params, clustering)))
+        outputs.append((args.report, header + analysis.render_report(embeddings, clustering)))
     _write(*outputs)
     return EXIT_OK
 

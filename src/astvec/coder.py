@@ -97,9 +97,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams.of_flat(self.flat.copy(), self.n_f)
 
-    def allclose(self, other: "ModelParams", **kw) -> bool:
-        return np.allclose(self.flat, other.flat, **kw)
-
 
 def init_params(hyper: Hyperparams, rng: np.random.Generator) -> ModelParams:
     """Uniform init in [-r, r] with r = sqrt(6 / (fan_in + fan_out)) = sqrt(6/2N_f)."""

@@ -1,11 +1,11 @@
 """Text export of the embedding table: header "V N_f", then one line per
-symbol with full-precision values, so a write/read round trip is exact."""
+symbol with full-precision values, so each value reads back exactly."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ast_core import KIND_NAMES, VOCAB_SIZE
+from .ast_core import KIND_NAMES
 
 
 def format_embeddings(embeddings: np.ndarray) -> str:
@@ -16,28 +16,3 @@ def format_embeddings(embeddings: np.ndarray) -> str:
         lines.append(f"{KIND_NAMES[i]} {values}")
     return "\n".join(lines) + "\n"
 
-
-def parse_embeddings(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty embedding file")
-    try:
-        v, n_f = map(int, lines[0].split())
-    except ValueError as exc:
-        raise ValueError(f"bad embedding header: {lines[0]!r}") from exc
-    if v != VOCAB_SIZE:
-        raise ValueError(f"expected {VOCAB_SIZE} symbols, header says {v}")
-    if len(lines) != v + 1:
-        raise ValueError(f"expected {v} symbol lines, got {len(lines) - 1}")
-    out = np.empty((v, n_f))
-    for row, line in enumerate(lines[1:]):
-        fields = line.split()
-        if len(fields) != n_f + 1:
-            raise ValueError(f"line {row + 2}: expected {n_f + 1} fields")
-        name = fields[0]
-        if name != KIND_NAMES[row]:
-            raise ValueError(
-                f"line {row + 2}: expected symbol {KIND_NAMES[row]!r}, got {name!r}"
-            )
-        out[row] = [float(x) for x in fields[1:]]
-    return out

@@ -1,7 +1,7 @@
 """Training-sample extraction, packing and negative-sample corruption.
 
-Every non-leaf node yields one sample: its kind, its children's kinds, and
-per-child coefficients equal to each child's share of the parent's leaves.
+Every non-leaf node yields one sample: its kind id, its children's kind ids,
+and per-child coefficients equal to each child's share of the parent's leaves.
 A negative is a sample too: the same sample with exactly one symbol (parent
 or any child) replaced by a different one drawn uniformly; the coefficients
 are kept, since corruption swaps a symbol without touching the tree shape.
@@ -14,34 +14,20 @@ from a single draw (`corrupt_packed`).
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .ast_core import (
-    VOCAB_SIZE,
-    AstNode,
-    LabeledProgram,
-    NodeKind,
-    vocabulary,
-)
+from .ast_core import VOCAB_SIZE, AstNode, LabeledProgram
 
 
-@dataclass(frozen=True, slots=True)
-class TrainingSample:
-    parent: NodeKind
-    children: tuple[NodeKind, ...]
+class TrainingSample(NamedTuple):
+    """The values of one packed row: kind ids and the children's leaf shares."""
+
+    parent: int
+    children: tuple[int, ...]
     coefficients: tuple[float, ...]
-    # the hash a frozen dataclass would recompute on every call, taken once
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        assert len(self.children) == len(self.coefficients) >= 1
-        object.__setattr__(
-            self, "_hash", hash((self.parent, self.children, self.coefficients)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 def _extract(roots: list[AstNode]) -> list[TrainingSample]:
@@ -72,9 +58,9 @@ def _extract(roots: list[AstNode]) -> list[TrainingSample]:
                 leaves = [memo[id(child)][0] for child in kids]
                 total = sum(leaves)
                 sample = TrainingSample(
-                    parent=node.kind,
-                    children=tuple(child.kind for child in kids),
-                    coefficients=tuple(lc / total for lc in leaves),
+                    node.kind.id,
+                    tuple(child.kind.id for child in kids),
+                    tuple(lc / total for lc in leaves),
                 )
                 memo[id(node)] = (total, interned.setdefault(sample, sample))
         samples.extend(memo[id(n)][1] for n in root.walk() if n.children)
@@ -109,10 +95,9 @@ class PackedSamples:
     `coef[r, 0, j]` and `coef[r, 1, j]` are the left and right weights of
     slot j of that row (`child_weight` times the child's leaf share), and 0
     for the parent slot and for padding, so neither adds to the coded vector.
-    Sample i of the sequence is row `rows[i]`, which holds `distinct[rows[i]]`.
+    Sample i of the sequence is row `rows[i]`; rows are in order of first use.
     """
 
-    distinct: tuple  # (R,) the samples, each once, in order of first use
     ids: np.ndarray  # (R, 1 + K)
     coef: np.ndarray  # (R, 2, 1 + K)
     n_children: np.ndarray  # (R,)
@@ -127,17 +112,17 @@ def pack_samples(samples: Iterable[TrainingSample]) -> PackedSamples:
     n_children = np.array([len(s.children) for s in distinct], dtype=np.intp)
     ids = np.zeros((len(distinct), 1 + n_children.max(initial=0)), dtype=ID_DTYPE)
     coef = np.zeros((len(distinct), 2, ids.shape[1]))
-    ids[:, 0] = [s.parent.id for s in distinct]
+    ids[:, 0] = [s.parent for s in distinct]
     # one entry per child: its row, its 1-based position and its leaf share
     row = np.repeat(np.arange(len(distinct)), n_children)
     first = np.repeat(np.cumsum(n_children) - n_children, n_children)
     position = np.arange(len(row)) - first + 1
-    ids[row, position] = [c.id for s in distinct for c in s.children]
+    ids[row, position] = [c for s in distinct for c in s.children]
     share = np.array([l for s in distinct for l in s.coefficients])
     left, right = child_weight(n_children[row], position)
     coef[row, 0, position] = share * left
     coef[row, 1, position] = share * right
-    return PackedSamples(distinct, ids, coef, n_children, rows)
+    return PackedSamples(ids, coef, n_children, rows)
 
 
 def _draw_corruptions(n_children: np.ndarray, rng: np.random.Generator):
@@ -163,7 +148,7 @@ def corrupt(sample: TrainingSample, rng: np.random.Generator) -> TrainingSample:
     slot, draw = _draw_corruptions(np.array([len(sample.children)]), rng)
     slots = [sample.parent, *sample.children]
     position = int(slot[0])
-    slots[position] = vocabulary()[int(_replacement(draw[0], slots[position].id))]
+    slots[position] = int(_replacement(draw[0], slots[position]))
     return TrainingSample(slots[0], tuple(slots[1:]), sample.coefficients)
 
 

@@ -111,8 +111,8 @@ def per_node_samples(tree: AstNode) -> list[TrainingSample]:
         if n.children:
             leaves = [leaf_count(c) for c in n.children]
             samples.append(TrainingSample(
-                parent=n.kind,
-                children=tuple(c.kind for c in n.children),
+                parent=n.kind.id,
+                children=tuple(c.kind.id for c in n.children),
                 coefficients=tuple(lc / sum(leaves) for lc in leaves),
             ))
     return samples

@@ -7,14 +7,13 @@ structure, the classification comparison, determinism, the parser golden
 suite, and brute-force oracles.
 """
 
-import dataclasses
 import itertools
 import time
 
 import numpy as np
 import pytest
 
-from astvec.analysis import kmeans, kmeans_points, nearest_neighbors
+from astvec.analysis import kmeans, nearest_neighbors
 from astvec.ast_core import dump_ast, kind_by_name, node, vocabulary
 from astvec.classify import (
     ClassifierConfig,
@@ -134,7 +133,7 @@ class TestCriterion2Formulas:
         ok &= hinge_loss(0.7, 0.7, 1.0) == 1.0
 
         sample = extract_samples(tree)[0]
-        neg = dataclasses.replace(sample, parent=kind_by_name("Goto"))
+        neg = sample._replace(parent=kind_by_name("Goto").id)
         params = _zero_params(1)
         params.w_l[:] = 3.0
         params.w_r[:] = 1.0
@@ -150,7 +149,7 @@ class TestCriterion3TrivialGuard:
         sample = extract_samples(tree)[0]
         zero = _zero_params(30)
         hyper = Hyperparams()
-        neg = dataclasses.replace(sample, parent=kind_by_name("Goto"))
+        neg = sample._replace(parent=kind_by_name("Goto").id)
         trivial_ok = (
             distance(sample, zero) == 0.0
             and pair_loss(sample, neg, zero, hyper) == hyper.delta
@@ -181,7 +180,7 @@ class TestCriterion5Neighbors:
         for state, _ in runs.values():
             top5 = {
                 name: {k.name for k, _ in
-                       nearest_neighbors(state.params, name, top=5).ranked}
+                       nearest_neighbors(state.params.embeddings, name, top=5)}
                 for name in ("ID", "For", "While", "If", "Break")
             }
             constant_ok = "Constant" in top5["ID"]
@@ -194,14 +193,14 @@ class TestCriterion5Neighbors:
         _verdict(5, "neighbor structure", good >= 3)
 
 
-def _co_cluster_rate(assignment, group_a, group_b=None):
+def _co_cluster_rate(labels, group_a, group_b=None):
     if group_b is None:
         pairs = list(itertools.combinations(group_a, 2))
     else:
         pairs = [(a, b) for a in group_a for b in group_b]
     same = sum(
         1 for a, b in pairs
-        if assignment[kind_by_name(a).id] == assignment[kind_by_name(b).id]
+        if labels[kind_by_name(a).id] == labels[kind_by_name(b).id]
     )
     return same / len(pairs)
 
@@ -212,11 +211,9 @@ class TestCriterion6Clustering:
         within = []
         cross = []
         for seed, (state, _) in runs.items():
-            clustering = kmeans(state.params, k=3, seed=seed)
-            within.append(_co_cluster_rate(clustering.assignment, CONTROL_FLOW))
-            cross.append(
-                _co_cluster_rate(clustering.assignment, CONTROL_FLOW, DECLARATIONS)
-            )
+            labels, _, _ = kmeans(state.params.embeddings, k=3, seed=seed)
+            within.append(_co_cluster_rate(labels, CONTROL_FLOW))
+            cross.append(_co_cluster_rate(labels, CONTROL_FLOW, DECLARATIONS))
         diff = float(np.mean(within) - np.mean(cross))
         _verdict(6, "clustering structure", diff >= 0.2)
 
@@ -328,7 +325,7 @@ class TestCriterion10BruteForce:
         # k-means on <= 12 points vs exhaustive partition search
         rng = np.random.default_rng(17)
         pts = rng.normal(size=(10, 2))
-        _, _, inertia = kmeans_points(pts, k=3, restarts=32, seed=0)
+        _, _, inertia = kmeans(pts, k=3, restarts=32, seed=0)
         best = np.inf
         for labels in itertools.product(range(3), repeat=10):
             total = 0.0

@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 from astvec.analysis import (
-    Clustering,
     clusters_csv,
     kmeans,
-    kmeans_points,
     _lloyd,
     nearest_neighbors,
     render_report,
 )
-from astvec.coder import Hyperparams, ModelParams, init_params
+from astvec.coder import Hyperparams, init_params
 from astvec.ast_core import kind_by_name, vocabulary
 
 
-def _params_with_rows(rows: dict[str, list[float]], n_f: int, far: float = 1e3):
+def _table(n_f: int, seed: int) -> np.ndarray:
+    return init_params(Hyperparams(n_f=n_f), np.random.default_rng(seed)).embeddings
+
+
+def _table_with_rows(rows: dict[str, list[float]], n_f: int, far: float = 1e3):
     """Embedding table where the named rows are set and all the rest are pushed
     far away along distinct directions."""
     v = len(vocabulary())
@@ -29,70 +31,56 @@ def _params_with_rows(rows: dict[str, list[float]], n_f: int, far: float = 1e3):
             bump += far
     for name, vec in rows.items():
         emb[kind_by_name(name).id] = vec
-    return ModelParams(
-        embeddings=emb,
-        w_l=np.zeros((n_f, n_f)),
-        w_r=np.zeros((n_f, n_f)),
-        b=np.zeros(n_f),
-    )
+    return emb
 
 
 class TestNearestNeighbors:
     def test_hand_geometry(self):
-        p = _params_with_rows(
+        emb = _table_with_rows(
             {"ID": [0.0, 0.0], "Constant": [1.0, 0.0], "BinaryOp": [0.0, 2.0]},
             n_f=2,
         )
-        nl = nearest_neighbors(p, "ID", top=2)
-        assert [k.name for k, _ in nl.ranked] == ["Constant", "BinaryOp"]
-        assert nl.ranked[0][1] == pytest.approx(1.0, abs=1e-12)
-        assert nl.ranked[1][1] == pytest.approx(2.0, abs=1e-12)
+        ranked = nearest_neighbors(emb, "ID", top=2)
+        assert [k.name for k, _ in ranked] == ["Constant", "BinaryOp"]
+        assert ranked[0][1] == pytest.approx(1.0, abs=1e-12)
+        assert ranked[1][1] == pytest.approx(2.0, abs=1e-12)
 
     def test_query_excluded(self):
-        p = init_params(Hyperparams(n_f=4), np.random.default_rng(0))
-        nl = nearest_neighbors(p, "For")
-        assert all(k.name != "For" for k, _ in nl.ranked)
-        assert len(nl.ranked) == 43
+        ranked = nearest_neighbors(_table(4, 0), "For")
+        assert all(k.name != "For" for k, _ in ranked)
+        assert len(ranked) == 43
 
     def test_translation_invariance(self):
-        p = init_params(Hyperparams(n_f=4), np.random.default_rng(1))
-        shifted = p.copy()
-        shifted.embeddings += 17.5
-        a = nearest_neighbors(p, "If", top=10)
-        b = nearest_neighbors(shifted, "If", top=10)
-        assert [k.name for k, _ in a.ranked] == [k.name for k, _ in b.ranked]
-        for (_, da), (_, db) in zip(a.ranked, b.ranked):
+        emb = _table(4, 1)
+        a = nearest_neighbors(emb, "If", top=10)
+        b = nearest_neighbors(emb + 17.5, "If", top=10)
+        assert [k.name for k, _ in a] == [k.name for k, _ in b]
+        for (_, da), (_, db) in zip(a, b):
             assert da == pytest.approx(db, abs=1e-9)
 
     def test_tie_break_by_id(self):
         v = len(vocabulary())
-        p = ModelParams(
-            embeddings=np.zeros((v, 2)),
-            w_l=np.zeros((2, 2)),
-            w_r=np.zeros((2, 2)),
-            b=np.zeros(2),
-        )
-        nl = nearest_neighbors(p, vocabulary()[5])
-        ids = [k.id for k, _ in nl.ranked]
+        ranked = nearest_neighbors(np.zeros((v, 2)), vocabulary()[5])
+        ids = [k.id for k, _ in ranked]
         assert ids == [i for i in range(v) if i != 5]
 
     def test_top_validation(self):
-        p = init_params(Hyperparams(n_f=2), np.random.default_rng(0))
+        emb = _table(2, 0)
         with pytest.raises(ValueError):
-            nearest_neighbors(p, "ID", top=0)
+            nearest_neighbors(emb, "ID", top=0)
         with pytest.raises(ValueError):
-            nearest_neighbors(p, "ID", top=44)
+            nearest_neighbors(emb, "ID", top=44)
 
     def test_matches_brute_force(self):
-        p = init_params(Hyperparams(n_f=6), np.random.default_rng(7))
+        emb = _table(6, 7)
         q = kind_by_name("While")
         # oracle: plain loop over every other row
         dists = sorted(
-            (float(np.sqrt(np.sum((p.embeddings[k.id] - p.embeddings[q.id]) ** 2))), k.id)
+            (float(np.sqrt(np.sum((emb[k.id] - emb[q.id]) ** 2))), k.id)
         for k in vocabulary() if k.id != q.id
         )
-        nl = nearest_neighbors(p, q)
-        assert [(d, k.id) for k, d in nl.ranked] == pytest.approx(
+        ranked = nearest_neighbors(emb, q)
+        assert [(d, k.id) for k, d in ranked] == pytest.approx(
             [(d, i) for d, i in dists]
         )
 
@@ -115,7 +103,7 @@ def _brute_force_best_partition(points, k):
 class TestKmeans:
     def test_k1_mean(self):
         pts = np.random.default_rng(0).normal(size=(10, 3))
-        labels, centroids, inertia = kmeans_points(pts, k=1, seed=0)
+        labels, centroids, inertia = kmeans(pts, k=1, seed=0)
         assert np.allclose(centroids[0], pts.mean(axis=0), atol=1e-12)
         assert inertia == pytest.approx(
             float(np.sum((pts - pts.mean(axis=0)) ** 2)), rel=1e-12
@@ -123,7 +111,7 @@ class TestKmeans:
 
     def test_k_equals_n_zero_inertia(self):
         pts = np.arange(12, dtype=float).reshape(6, 2)
-        labels, _, inertia = kmeans_points(pts, k=6, seed=1)
+        labels, _, inertia = kmeans(pts, k=6, seed=1)
         assert inertia == pytest.approx(0.0, abs=1e-18)
         assert len(set(labels.tolist())) == 6
 
@@ -132,7 +120,7 @@ class TestKmeans:
         a = rng.normal(loc=0.0, scale=0.05, size=(5, 2))
         b = rng.normal(loc=10.0, scale=0.05, size=(5, 2))
         pts = np.vstack([a, b])
-        labels, _, inertia = kmeans_points(pts, k=2, seed=0)
+        labels, _, inertia = kmeans(pts, k=2, seed=0)
         assert len(set(labels[:5].tolist())) == 1
         assert len(set(labels[5:].tolist())) == 1
         assert labels[0] != labels[5]
@@ -141,7 +129,7 @@ class TestKmeans:
     def test_small_matches_brute_force(self):
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(8, 2))
-        _, _, inertia = kmeans_points(pts, k=3, restarts=32, seed=0)
+        _, _, inertia = kmeans(pts, k=3, restarts=32, seed=0)
         oracle = _brute_force_best_partition(pts, 3)
         assert inertia <= oracle * (1 + 1e-9) + 1e-12
         assert inertia >= oracle * (1 - 1e-9) - 1e-12
@@ -151,7 +139,7 @@ class TestKmeans:
         pts = rng.normal(size=(30, 4))
         prev = np.inf
         for restarts in (1, 2, 4, 8, 16):
-            _, _, inertia = kmeans_points(pts, k=4, restarts=restarts, seed=11)
+            _, _, inertia = kmeans(pts, k=4, restarts=restarts, seed=11)
             assert inertia <= prev + 1e-12
             prev = inertia
 
@@ -164,45 +152,44 @@ class TestKmeans:
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_deterministic(self):
-        p = init_params(Hyperparams(n_f=5), np.random.default_rng(2))
-        a = kmeans(p, k=3, seed=4)
-        b = kmeans(p, k=3, seed=4)
-        assert a.assignment == b.assignment
-        assert a.inertia == b.inertia
+        emb = _table(5, 2)
+        a = kmeans(emb, k=3, seed=4)
+        b = kmeans(emb, k=3, seed=4)
+        assert np.array_equal(a[0], b[0])
+        assert a[2] == b[2]
 
     def test_assignment_covers_vocabulary(self):
-        p = init_params(Hyperparams(n_f=5), np.random.default_rng(2))
-        c = kmeans(p, k=3, seed=0)
-        assert sorted(c.assignment) == [k.id for k in vocabulary()]
-        assert set(c.assignment.values()) <= set(range(3))
+        labels, _, _ = kmeans(_table(5, 2), k=3, seed=0)
+        assert labels.shape == (len(vocabulary()),)
+        assert set(labels.tolist()) <= set(range(3))
 
     def test_k_validation(self):
-        p = init_params(Hyperparams(n_f=2), np.random.default_rng(0))
+        emb = _table(2, 0)
         with pytest.raises(ValueError):
-            kmeans(p, k=0)
+            kmeans(emb, k=0)
         with pytest.raises(ValueError):
-            kmeans(p, k=45)
+            kmeans(emb, k=45)
 
 
 @pytest.fixture(scope="module")
-def params():
-    return init_params(Hyperparams(n_f=4), np.random.default_rng(8))
+def embeddings():
+    return _table(4, 8)
 
 
 class TestReports:
-    def test_clusters_csv_rows(self, params):
-        clustering = kmeans(params, k=3, seed=0)
-        lines = clusters_csv(clustering).strip().split("\n")
+    def test_clusters_csv_rows(self, embeddings):
+        labels, _, _ = kmeans(embeddings, k=3, seed=0)
+        lines = clusters_csv(labels).strip().split("\n")
         assert lines[0] == "symbol,cluster"
         assert len(lines) == 45
         names = [line.split(",")[0] for line in lines[1:]]
         assert names == [k.name for k in vocabulary()]
 
-    def test_render_report_regenerates_identically(self, params):
-        assert (render_report(params, kmeans(params, k=3, seed=3))
-                == render_report(params, kmeans(params, k=3, seed=3)))
+    def test_render_report_regenerates_identically(self, embeddings):
+        assert (render_report(embeddings, kmeans(embeddings, k=3, seed=3))
+                == render_report(embeddings, kmeans(embeddings, k=3, seed=3)))
 
-    def test_render_report_mentions_all_symbols(self, params):
-        text = render_report(params, kmeans(params, k=3))
+    def test_render_report_mentions_all_symbols(self, embeddings):
+        text = render_report(embeddings, kmeans(embeddings, k=3))
         for k in vocabulary():
             assert k.name in text

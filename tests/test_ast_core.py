@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from astvec.ast_core import (
+    MAX_LOAD_HEIGHT,
     AstFormatError,
     AstNode,
     KIND_NAMES,
@@ -18,6 +19,7 @@ from astvec.ast_core import (
     load_ast,
     load_corpus,
     node,
+    tree_height,
     vocabulary,
 )
 from astvec.corpusgen import generate_corpus
@@ -177,6 +179,48 @@ class TestInterchange:
             load_ast(doc)
         with pytest.raises(AstFormatError, match="^corpus line 2: nesting too deep$"):
             load_corpus('\n{"label":"a","source_id":"s","ast":' + doc + "}")
+
+
+def _height(tree: AstNode) -> int:
+    """Oracle for `tree_height`: recursive, so for shallow trees only."""
+    return 1 + max(map(_height, tree.children), default=0)
+
+
+def _nested(frames: int, call):
+    """`call()` with `frames` more frames on the stack."""
+    return call() if frames == 0 else _nested(frames - 1, call)
+
+
+class TestTreeHeight:
+    @given(trees())
+    def test_matches_recursive_oracle(self, tree):
+        assert tree_height(tree, {}) == _height(tree)
+
+    def test_memo_is_shared_between_trees(self):
+        table = NodeTable()
+        leaf = table.node(kind_by_name("ID"), [])
+        pair = table.node(kind_by_name("BinaryOp"), [leaf, leaf])
+        root = table.node(kind_by_name("Return"), [pair])
+        memo: dict[int, int] = {}
+        assert tree_height(pair, memo) == 2 and len(memo) == 2
+        assert tree_height(root, memo) == 3 and len(memo) == 3
+
+    def test_deep_chain(self):
+        tree = node("ID")
+        for _ in range(4999):
+            tree = node("UnaryOp", tree)
+        assert tree_height(tree, {}) == 5000
+
+    def test_max_load_height_loads_from_a_deeper_stack(self):
+        # a corpus line of the tallest tree corpus-build keeps loads back,
+        # also with 100 more frames on the stack than here
+        tree = node("ID")
+        for _ in range(MAX_LOAD_HEIGHT - 1):
+            tree = node("UnaryOp", tree)
+        assert tree_height(tree, {}) == MAX_LOAD_HEIGHT
+        text = dump_corpus([LabeledProgram(tree, "a", "s")])
+        [program] = _nested(100, lambda: load_corpus(text))
+        assert dump_ast(program.ast) == dump_ast(tree)
 
 
 class TestCorpusFormat:

@@ -14,10 +14,15 @@ from hypothesis import example, given, settings, strategies as st
 from astvec import cli, trainer
 from astvec.ast_core import dump_corpus, load_corpus
 from astvec.cli import EXIT_BUILD, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from astvec.embedding_io import parse_embeddings
 from astvec.trainer import load_checkpoint
 
 from conftest import CORPUS_PATH, REPO, SNIPPET_SRC, invalid_sources
+
+
+def read_export(text: str) -> np.ndarray:
+    """The table an `export` wrote, each value read with float()."""
+    return np.array([[float(x) for x in line.split()[1:]]
+                     for line in text.splitlines()[1:]])
 
 
 @pytest.fixture(scope="module")
@@ -402,6 +407,21 @@ class TestHostileInputs:
         assert _problems(caplog) == [f"skipping {d / 'bad.c'}: 2:8: not valid UTF-8"]
         assert [p.source_id for p in load_corpus(out.read_text(encoding="utf-8"))] == ["good"]
 
+    def test_too_tall_corpus_build_skips(self, tmp_path, caplog):
+        # the source parses, but its tree is taller than a corpus line loads
+        d = tmp_path / "src" / "lab"
+        d.mkdir(parents=True)
+        (d / "tall.c").write_text("int x = " + "!" * 900 + "1;\n", encoding="utf-8")
+        (d / "good.c").write_text("int f(int a) { return a + 1; }\n", encoding="utf-8")
+        out = tmp_path / "c.jsonl"
+        assert main(["corpus-build", "--src-dir", str(tmp_path / "src"),
+                     "--out", str(out)]) == EXIT_OK
+        assert _problems(caplog) == [
+            f"skipping {d / 'tall.c'}: tree height 903 exceeds the loadable 400"]
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1
+        assert main(["train", "--corpus", str(out), "--out", str(tmp_path / "m.json"),
+                     "--dim", "4", "--epochs", "2"]) == EXIT_OK
+
     def test_unreadable_corpus_build_skips(self, tmp_path, caplog, monkeypatch):
         # a directory named like a C file, and a file open() refuses
         d = tmp_path / "src" / "lab"
@@ -539,7 +559,7 @@ class TestHostileInputs:
         assert main(["export", "--checkpoint", str(checkpoint_file),
                      "--out", str(link)]) == EXIT_OK
         assert link.is_symlink() and sorted(tmp_path.iterdir()) == [link, real]
-        assert parse_embeddings(real.read_text(encoding="utf-8")).shape[0] == 44
+        assert read_export(real.read_text(encoding="utf-8")).shape[0] == 44
 
     def test_parse_writes_all_or_nothing(self, tmp_path, caplog):
         bad = invalid_sources()[0]
@@ -591,7 +611,7 @@ class TestHostileInputs:
         assert main(["export", "--checkpoint", str(checkpoint_file),
                      "--out", str(out)]) == EXIT_OK
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
-        assert parse_embeddings(out.read_text(encoding="utf-8")).shape[0] == 44
+        assert read_export(out.read_text(encoding="utf-8")).shape[0] == 44
 
     # a FIFO, like a device, cannot be replaced by a renamed file
     def test_fifo_output_is_written_in_place(self, tmp_path, checkpoint_file):
@@ -607,7 +627,7 @@ class TestHostileInputs:
         finally:
             os.close(reader)
         assert stat.S_ISFIFO(fifo.stat().st_mode) and list(tmp_path.iterdir()) == [fifo]
-        assert parse_embeddings(text).shape[0] == 44
+        assert read_export(text).shape[0] == 44
 
     def test_dev_stdout_output_to_a_pipe(self, checkpoint_file):
         env = dict(os.environ)
@@ -620,7 +640,7 @@ class TestHostileInputs:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == EXIT_OK, proc.stderr
-        assert parse_embeddings(proc.stdout).shape[0] == 44
+        assert read_export(proc.stdout).shape[0] == 44
 
     @pytest.mark.parametrize("command", ["train", "corpus-build", "classify", "cluster"])
     def test_negative_seed_usage(self, tmp_path, caplog, small_corpus_file,
@@ -895,5 +915,5 @@ class TestExport:
         out = tmp_path / "emb.txt"
         assert main(["export", "--checkpoint", str(checkpoint_file),
                      "--out", str(out)]) == EXIT_OK
-        emb = parse_embeddings(out.read_text(encoding="utf-8"))
+        emb = read_export(out.read_text(encoding="utf-8"))
         assert np.array_equal(emb, load_checkpoint(checkpoint_file).params.embeddings)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -24,10 +22,10 @@ from conftest import code_children, distance, extract_samples, pair_loss
 
 
 def _sample(parent, children, coefficients=None):
-    kids = tuple(kind_by_name(c) for c in children)
+    kids = tuple(kind_by_name(c).id for c in children)
     if coefficients is None:
         coefficients = tuple(1.0 / len(kids) for _ in kids)
-    return TrainingSample(kind_by_name(parent), kids, tuple(coefficients))
+    return TrainingSample(kind_by_name(parent).id, kids, tuple(coefficients))
 
 
 def _zero_params(n_f):
@@ -49,7 +47,7 @@ class TestInit:
         h = Hyperparams(n_f=8, seed=3)
         a = init_params(h, np.random.default_rng(h.seed))
         b = init_params(h, np.random.default_rng(h.seed))
-        assert a.allclose(b, atol=0)
+        assert np.array_equal(a.flat, b.flat)
 
     def test_range_for_default_dim(self):
         h = Hyperparams(n_f=30)
@@ -127,10 +125,10 @@ class TestCodeChildren:
             n_f = int(rng.integers(1, 5))
             n = int(rng.integers(1, 5))
             p = _random_params(n_f, seed=int(rng.integers(1 << 30)))
-            kids = [vocabulary()[int(rng.integers(44))] for _ in range(n)]
+            kids = [int(rng.integers(44)) for _ in range(n)]
             raw = rng.random(n) + 0.1
             coeffs = tuple(raw / raw.sum())
-            s = TrainingSample(vocabulary()[0], tuple(kids), coeffs)
+            s = TrainingSample(0, tuple(kids), coeffs)
             # oracle: literal elementwise recomputation
             z = p.b.copy()
             for i in range(1, n + 1):
@@ -139,7 +137,7 @@ class TestCodeChildren:
                 else:
                     left, right = (n - i) / (n - 1), (i - 1) / (n - 1)
                 w_i = left * p.w_l + right * p.w_r
-                z += coeffs[i - 1] * (w_i @ p.embeddings[kids[i - 1].id])
+                z += coeffs[i - 1] * (w_i @ p.embeddings[kids[i - 1]])
             assert np.allclose(code_children(s, p), np.tanh(z), atol=1e-12)
 
     def test_output_strictly_inside_unit_box(self):
@@ -158,13 +156,13 @@ class TestDistance:
     def test_exact_match_zero(self):
         p = _random_params(3, seed=2)
         s = _sample("BinaryOp", ["ID", "Constant"])
-        p.embeddings[s.parent.id] = code_children(s, p)
+        p.embeddings[s.parent] = code_children(s, p)
         assert distance(s, p) == pytest.approx(0.0, abs=1e-15)
 
     def test_squared_norm(self):
         p = _zero_params(2)
         s = _sample("BinaryOp", ["ID", "Constant"])
-        p.embeddings[s.parent.id] = [1.0, 0.0]
+        p.embeddings[s.parent] = [1.0, 0.0]
         assert distance(s, p) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -197,11 +195,11 @@ def _pair(seed=0, n_f=2):
 class TestObjective:
     def test_zero_when_satisfied_and_unregularized(self):
         s, _ = _pair()
-        neg = dataclasses.replace(s, parent=kind_by_name("Goto"))
+        neg = s._replace(parent=kind_by_name("Goto").id)
         p = _random_params(2)
         # inflate the corrupted distance by moving its parent far away
         hyper = Hyperparams(n_f=2, lam=0.0, delta=0.0)
-        p.embeddings[neg.parent.id] += 100.0
+        p.embeddings[neg.parent] += 100.0
         assert objective([(s, neg)], p, hyper) == 0.0
 
     def test_penalty_only_hand_case(self):
@@ -244,8 +242,8 @@ class TestObjective:
                 zip(sample.children, sample.coefficients), start=1
             ):
                 left, right = child_weight(n, i)
-                z += share * ((left * p.w_l + right * p.w_r) @ p.embeddings[child.id])
-            e = p.embeddings[sample.parent.id] - np.tanh(z)
+                z += share * ((left * p.w_l + right * p.w_r) @ p.embeddings[child])
+            e = p.embeddings[sample.parent] - np.tanh(z)
             return float(e @ e)
 
         rng = np.random.default_rng(8)
@@ -277,11 +275,7 @@ def finite_difference_check(s, neg, params, hyper, step=1e-5):
     """Max relative error of the analytic gradient vs central differences,
     over every weight and bias and the embedding rows the pair touches."""
     grad, _ = pair_step(s, neg, params, hyper)
-    touched = sorted(
-        {s.parent.id, neg.parent.id}
-        | {c.id for c in s.children}
-        | {c.id for c in neg.children}
-    )
+    touched = sorted({s.parent, neg.parent, *s.children, *neg.children})
     n_f = params.n_f
     coords = [i * n_f + j for i in touched for j in range(n_f)]
     coords += range(params.embeddings.size, params.flat.size)
@@ -302,9 +296,9 @@ def finite_difference_check(s, neg, params, hyper, step=1e-5):
 class TestGradient:
     def test_inactive_hinge_zero_grad(self):
         s, _ = _pair()
-        neg = dataclasses.replace(s, parent=kind_by_name("Goto"))
+        neg = s._replace(parent=kind_by_name("Goto").id)
         p = _random_params(2)
-        p.embeddings[neg.parent.id] += 100.0  # d_c huge, margin satisfied
+        p.embeddings[neg.parent] += 100.0  # d_c huge, margin satisfied
         hyper = Hyperparams(n_f=2, lam=0.0)
         g, hinge = pair_step(s, neg, p, hyper)
         assert hinge == 0.0
@@ -324,23 +318,23 @@ class TestGradient:
     def test_shared_symbol_accumulates(self):
         # parent also appears as a child: its row gradient is the sum of
         # the per-role gradients computed with artificially split roles
-        parent = kind_by_name("Compound")
-        s = TrainingSample(parent, (parent, kind_by_name("ID")), (0.5, 0.5))
-        neg = dataclasses.replace(s, children=(parent, kind_by_name("For")))
+        parent = kind_by_name("Compound").id
+        s = TrainingSample(parent, (parent, kind_by_name("ID").id), (0.5, 0.5))
+        neg = s._replace(children=(parent, kind_by_name("For").id))
         p = _random_params(3, seed=9)
         hyper = Hyperparams(n_f=3, lam=0.0)
         g, _ = pair_step(s, neg, p, hyper)
 
         # split roles: give the child occurrence a scratch symbol with an
         # identical embedding row
-        scratch = kind_by_name("Goto")
+        scratch = kind_by_name("Goto").id
         p2 = p.copy()
-        p2.embeddings[scratch.id] = p.embeddings[parent.id]
-        s2 = TrainingSample(parent, (scratch, kind_by_name("ID")), (0.5, 0.5))
-        neg2 = dataclasses.replace(s2, children=(scratch, kind_by_name("For")))
+        p2.embeddings[scratch] = p.embeddings[parent]
+        s2 = TrainingSample(parent, (scratch, kind_by_name("ID").id), (0.5, 0.5))
+        neg2 = s2._replace(children=(scratch, kind_by_name("For").id))
         g2, _ = pair_step(s2, neg2, p2, hyper)
-        combined = g2.embeddings[parent.id] + g2.embeddings[scratch.id]
-        assert np.allclose(g.embeddings[parent.id], combined, atol=1e-12)
+        combined = g2.embeddings[parent] + g2.embeddings[scratch]
+        assert np.allclose(g.embeddings[parent], combined, atol=1e-12)
 
     def test_hinge_value_returned(self):
         s, neg = _pair()

@@ -1,14 +1,14 @@
 import numpy as np
-import pytest
 
 from astvec.ast_core import KIND_NAMES
 from astvec.coder import Hyperparams, init_params
-from astvec.embedding_io import format_embeddings, parse_embeddings
+from astvec.embedding_io import format_embeddings
 
 
 def test_round_trip_exact():
     emb = init_params(Hyperparams(n_f=7), np.random.default_rng(0)).embeddings
-    again = parse_embeddings(format_embeddings(emb))
+    rows = format_embeddings(emb).splitlines()[1:]
+    again = np.array([[float(x) for x in row.split()[1:]] for row in rows])
     assert np.array_equal(again, emb)
 
 
@@ -17,41 +17,3 @@ def test_header_and_names():
     lines = format_embeddings(emb).strip().split("\n")
     assert lines[0] == "44 2"
     assert [ln.split()[0] for ln in lines[1:]] == list(KIND_NAMES)
-
-
-def test_rejects_empty():
-    with pytest.raises(ValueError):
-        parse_embeddings("")
-
-
-def test_rejects_bad_header():
-    with pytest.raises(ValueError):
-        parse_embeddings("forty-four 2\n")
-
-
-def test_rejects_wrong_vocab_size():
-    with pytest.raises(ValueError):
-        parse_embeddings("3 2\nA 0 0\nB 0 0\nC 0 0\n")
-
-
-def test_rejects_missing_lines():
-    text = format_embeddings(np.zeros((44, 2)))
-    truncated = "\n".join(text.strip().split("\n")[:-1]) + "\n"
-    with pytest.raises(ValueError):
-        parse_embeddings(truncated)
-
-
-def test_rejects_wrong_symbol_order():
-    text = format_embeddings(np.zeros((44, 2)))
-    lines = text.strip().split("\n")
-    lines[1], lines[2] = lines[2], lines[1]
-    with pytest.raises(ValueError):
-        parse_embeddings("\n".join(lines) + "\n")
-
-
-def test_rejects_short_row():
-    text = format_embeddings(np.zeros((44, 3)))
-    lines = text.strip().split("\n")
-    lines[5] = " ".join(lines[5].split()[:-1])
-    with pytest.raises(ValueError):
-        parse_embeddings("\n".join(lines) + "\n")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from astvec.ast_core import VOCAB_SIZE, LabeledProgram, node, vocabulary
+from astvec.ast_core import KIND_NAMES, VOCAB_SIZE, LabeledProgram, node, vocabulary
 from astvec.classify import node_histogram
+from astvec.coder import Hyperparams, init_params, objective
 from astvec.sampling import (
     TrainingSample,
     build_training_set,
@@ -33,8 +34,8 @@ class TestExtract:
     def test_two_leaves_half_half(self):
         tree = node("BinaryOp", node("ID"), node("Constant"))
         (s,) = extract_samples(tree)
-        assert s.parent.name == "BinaryOp"
-        assert [c.name for c in s.children] == ["ID", "Constant"]
+        assert KIND_NAMES[s.parent] == "BinaryOp"
+        assert [KIND_NAMES[c] for c in s.children] == ["ID", "Constant"]
         assert s.coefficients == (0.5, 0.5)
 
     def test_unbalanced_leaves(self):
@@ -52,7 +53,7 @@ class TestExtract:
             node("Constant"),
         )
         samples = extract_samples(tree)
-        assert [s.parent.name for s in samples] == ["Root", "Decl", "TypeDecl"]
+        assert [KIND_NAMES[s.parent] for s in samples] == ["Root", "Decl", "TypeDecl"]
 
     @given(trees())
     def test_coefficient_invariants(self, tree):
@@ -111,7 +112,7 @@ class TestCorrupt:
         n = 40_000
         for _ in range(n):
             _, symbol = _corrupted_slot(sample, corrupt(sample, rng))
-            counts[symbol.id] += 1
+            counts[symbol] += 1
         # each symbol is a valid replacement in some slot; none dominates
         assert counts.max() / n < 3.0 / (v - 1)
 
@@ -163,16 +164,15 @@ class TestPack:
     def test_expands_to_training_set(self, corpus):
         samples = build_training_set(corpus)
         packed = pack_samples(samples)
-        assert [packed.distinct[r] for r in packed.rows] == samples
-        assert len(set(packed.distinct)) == len(packed.distinct) < len(samples)
+        distinct = list(dict.fromkeys(samples))
+        assert [distinct[r] for r in packed.rows] == samples
+        assert len(packed.ids) == len(distinct) < len(samples)
         width = packed.ids.shape[1] - 1
         assert width == max(len(s.children) for s in samples)
-        for r, s in enumerate(packed.distinct):
+        for r, s in enumerate(distinct):
             n = len(s.children)
             assert packed.n_children[r] == n
-            assert packed.ids[r].tolist() == (
-                [s.parent.id] + [c.id for c in s.children] + [0] * (width - n)
-            )
+            assert packed.ids[r].tolist() == [s.parent, *s.children] + [0] * (width - n)
             weights = [child_weight(n, i) for i in range(1, n + 1)]
             assert packed.coef[r, 0].tolist() == (
                 [0.0] + [l * w[0] for l, w in zip(s.coefficients, weights)]
@@ -208,9 +208,20 @@ class TestPack:
         _, pairs = corrupt_packed(packed, order, a)
         v = len(vocabulary())
         for t, i in enumerate(order):
-            slots = [samples[i].parent.id] + [c.id for c in samples[i].children]
+            slots = [samples[i].parent, *samples[i].children]
             position = int(b.integers(0, len(slots)))
             draw = int(b.integers(0, v - 1))
             slots[position] = draw + (draw >= slots[position])
             assert pairs[t, 1, : len(slots)].tolist() == slots
         assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_bundled_corpus_pin(corpus):
+    # the sample counts and the objective of the bundled corpus, as the
+    # benchmark reads them: a change to how samples are held must keep all three
+    samples = build_training_set(corpus)
+    assert (len(samples), len(set(samples))) == (12_159, 295)
+    rng = np.random.default_rng(1)
+    pairs = [(s, corrupt(s, rng)) for s in samples]
+    params = init_params(Hyperparams(), np.random.default_rng(0))
+    assert objective(pairs, params, Hyperparams()) == 0.501112683119344
