@@ -18,24 +18,82 @@
    epochs are split across calls.
 
    Built without -ffast-math and with -ffp-contract=off, so every sum is done
-   in the order written and the floats do not depend on the instruction set.
-   Sums over a vector use LANES independent partial sums, which vectorise
-   without reordering any addition.
+   in the order written and the floats do not depend on the instruction set
+   or the vector width. Sums over a vector use LANES independent partial sums,
+   which vectorise without reordering any addition. tanh is `tanh_fixed`
+   below, not libm's: it is made of additions, multiplications, one division
+   and bit moves in a fixed order, so its floats do not depend on them
+   either, and with no call and no branch its loop vectorises. It is at most
+   3 ulp from libm's tanh, measured on [-20, 20] in steps of 1e-5 and on a
+   grid dense near 0 (tests/test_trainer.py holds it to that).
 */
 
-#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
 #define LANES 8
 #define EXPONENT 0x7ff0000000000000ULL
+#define SIGN 0x8000000000000000ULL
 
-static inline int nonfinite(double x)
+static inline uint64_t to_bits(double x)
 {
     uint64_t bits;
     memcpy(&bits, &x, sizeof bits);
-    return (bits & EXPONENT) == EXPONENT;
+    return bits;
+}
+
+static inline double from_bits(uint64_t bits)
+{
+    double x;
+    memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
+static inline int nonfinite(double x)
+{
+    return (to_bits(x) & EXPONENT) == EXPONENT;
+}
+
+/* tanh x = -m / (m + 2) with the sign of x, where m = expm1(-2 |x|).
+   expm1 y = 2^k expm1(r) + (2^k - 1) with y = k ln2 + r, |r| <= ln2 / 2:
+   k is rounded by adding and subtracting 1.5 2^52 (floor would stop the
+   loop vectorising), whose sum holds k in its low bits, from which 2^k is
+   put together; ln2 is split so that k ln2_hi is exact; expm1 r is its
+   Taylor series to r^13, whose remainder is below 0.1 ulp. |x| is clamped
+   at TANH_LIMIT, beyond which tanh rounds to 1 and below which 2^k is
+   normal; the clamp keeps a NaN, which then runs through as a NaN. +-0 and
+   +-inf give +-0 and +-1. */
+#define TANH_LIMIT 20.0
+#define ROUND 0x1.8p52
+#define INV_LN2 0x1.71547652b82fep0
+#define LN2_HI 0x1.62e42fee00000p-1
+#define LN2_LO 0x1.a39ef35793c76p-33
+
+static inline double tanh_fixed(double x)
+{
+    const uint64_t sign = to_bits(x) & SIGN;
+    double ax = from_bits(to_bits(x) & ~SIGN);
+    ax = ax > TANH_LIMIT ? TANH_LIMIT : ax;
+    const double y = -2.0 * ax;
+    const double shifted = y * INV_LN2 + ROUND;
+    const double k = shifted - ROUND;
+    const double scale = from_bits((to_bits(shifted) + 1023) << 52);
+    const double r = (y - k * LN2_HI) - k * LN2_LO;
+    /* expm1 r = r + r^2 q */
+    const double q = 1.0 / 2 + r * (1.0 / 6 + r * (1.0 / 24 + r * (1.0 / 120
+        + r * (1.0 / 720 + r * (1.0 / 5040 + r * (1.0 / 40320 + r * (1.0 / 362880
+        + r * (1.0 / 3628800 + r * (1.0 / 39916800 + r * (1.0 / 479001600
+        + r * (1.0 / 6227020800)))))))))));
+    const double m = (scale - 1.0) + scale * (r + r * r * q);
+    return from_bits((to_bits(-m / (m + 2.0)) & ~SIGN) | sign);
+}
+
+/* tanh_fixed of x[0..n), into y; for the tests. */
+void tanh_array(const double *x, double *y, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        y[i] = tanh_fixed(x[i]);
 }
 
 static double dot(const double *x, const double *y, int64_t n)
@@ -183,7 +241,7 @@ int64_t train_epoch(double *theta, double *vel, int64_t n_symbols, int64_t n_f,
                 for (int64_t i = 0; i < n_f; i++)
                     hp[i] = dot(w + i * n_s, sp, n_s) + b[i];
                 for (int64_t i = 0; i < n_f; i++)  /* apart, so the sums overlap */
-                    hp[i] = tanh(hp[i]);
+                    hp[i] = tanh_fixed(hp[i]);
             }
             const double *parent = theta + ids[pi][0] * n_f;
             for (int64_t i = 0; i < n_f; i++)

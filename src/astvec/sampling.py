@@ -145,10 +145,9 @@ def _replacement(draw, original):
 def corrupt(sample: TrainingSample, rng: np.random.Generator) -> TrainingSample:
     """The sample with one uniformly chosen slot replaced by a different
     uniformly chosen symbol, and the same coefficients."""
-    slot, draw = _draw_corruptions(np.array([len(sample.children)]), rng)
     slots = [sample.parent, *sample.children]
-    position = int(slot[0])
-    slots[position] = int(_replacement(draw[0], slots[position]))
+    position = int(rng.integers(0, len(slots)))
+    slots[position] = _replacement(int(rng.integers(0, VOCAB_SIZE - 1)), slots[position])
     return TrainingSample(slots[0], tuple(slots[1:]), sample.coefficients)
 
 

@@ -183,8 +183,11 @@ class TestPack:
                 + [0.0] * (width - n)
             )
 
-    def test_corrupt_packed_matches_corrupt(self, corpus):
-        samples = build_training_set(corpus[:10])
+    # the first ten programs, then the whole bundled corpus, whose widest rows
+    # give the slot draw its widest range
+    @pytest.mark.parametrize("programs", [10, None])
+    def test_corrupt_packed_matches_corrupt(self, corpus, programs):
+        samples = build_training_set(corpus[:programs])
         packed = pack_samples(samples)
         order = np.random.default_rng(0).permutation(len(samples))
         a, b = np.random.default_rng(4), np.random.default_rng(4)
@@ -193,9 +196,10 @@ class TestPack:
         for t, i in enumerate(order):
             neg = corrupt(samples[i], b)
             assert pairs[t, 0].tolist() == packed.ids[packed.rows[i]].tolist()
-            assert pairs[t, 1].tolist() == pack_samples([neg]).ids[0].tolist() + [0] * (
+            assert pairs[t, 1].tolist() == [neg.parent, *neg.children] + [0] * (
                 pairs.shape[2] - 1 - len(neg.children)
             )
+            assert neg.coefficients == samples[i].coefficients
         assert a.bit_generator.state == b.bit_generator.state
 
     def test_one_draw_matches_two_scalar_draws_per_sample(self, corpus):

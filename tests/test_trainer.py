@@ -1,18 +1,27 @@
+import ctypes
 import dataclasses
+import math
+import subprocess
 
 import numpy as np
 import pytest
 
+from astvec import trainer
 from astvec.ast_core import KIND_NAMES, VOCAB_SIZE, kind_by_name, node
 from astvec.coder import Hyperparams, gradient_and_hinge, init_params, l2_rate
 from astvec.sampling import (
+    build_training_set,
     corrupt,
     corrupt_packed,
     pack_samples,
 )
 from astvec.trainer import (
+    COMPILE,
+    KERNEL_SOURCE,
     CheckpointError,
     TrainingDiverged,
+    _epoch_kernel,
+    _kernel_library,
     fresh_state,
     has_converged,
     load_checkpoint,
@@ -282,6 +291,67 @@ def test_wide_node_matches_per_step_loop():
     np.testing.assert_allclose(state.params.flat, ref.params.flat, rtol=0, atol=1e-10)
     np.testing.assert_allclose(state.velocity.flat, ref.velocity.flat, rtol=0, atol=1e-10)
     np.testing.assert_allclose(report.mean_hinge, hinges, rtol=0, atol=1e-10)
+
+
+# The largest distance, in units in the last place, of the kernel's tanh from
+# libm's, as measured on a grid of [-20, 20] in steps of 1e-5 and the grids
+# below; epoch.c states it.
+TANH_ULP = 3
+
+
+def _tanh_grid():
+    ln2 = math.log(2)
+    # y = -2|x| is reduced by k ln2, and k changes where y / ln2 is a half
+    boundaries = np.array([(j + 0.5) * ln2 / 2 for j in range(60)])
+    around = np.arange(-200, 201)
+    x = np.concatenate([
+        np.arange(-21, 21, 1e-4),
+        np.geomspace(5e-324, 1, 20_001),  # dense near 0, subnormals too
+        (boundaries[:, None] + around * np.spacing(boundaries)[:, None]).ravel(),
+        (boundaries[:, None] + np.linspace(-1e-6, 1e-6, 201)).ravel(),
+        np.linspace(19, 21, 20_001),
+        [25.0, 1e3, 1e300, np.finfo(float).max, np.inf, 0.0],
+    ])
+    return np.concatenate([x, -x, [np.nan]])
+
+
+def test_kernel_tanh_is_near_libm():
+    fn = ctypes.CDLL(str(_kernel_library())).tanh_array
+    array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    fn.argtypes = [array, array, ctypes.c_int64]
+    fn.restype = None
+    x = _tanh_grid()
+    got = np.empty_like(x)
+    fn(x, got, len(x))
+    want = np.array([math.tanh(v) for v in x])
+    assert np.array_equal(np.isnan(got), np.isnan(x))  # the hinge check sees a NaN
+    x, got, want = x[~np.isnan(x)], got[~np.isnan(x)], want[~np.isnan(x)]
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # same sign: the distance of the bit patterns counts the doubles between
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= TANH_ULP
+    exact = (x == 0) | (np.abs(x) >= 20)  # +-0, and +-1 from 20 to inf
+    assert np.array_equal(got[exact], want[exact])
+
+
+def test_kernel_floats_do_not_depend_on_the_build(tmp_path, monkeypatch, corpus):
+    # the kernel's build with the vector width of this host, then without it,
+    # then at -O2: two epochs of the bundled corpus give the same parameters,
+    # velocity and mean hinges, byte for byte
+    portable = tuple(flag for flag in COMPILE if flag != "-march=native")
+    commands = [COMPILE, portable,
+                tuple("-O2" if flag == "-O3" else flag for flag in portable)]
+    samples = build_training_set(corpus)
+    runs = []
+    for i, command in enumerate(commands):
+        lib = tmp_path / f"epoch{i}.so"
+        subprocess.run([*command, "-o", str(lib), str(KERNEL_SOURCE), "-lm"], check=True)
+        fn = ctypes.CDLL(str(lib)).train_epoch
+        fn.argtypes, fn.restype = _epoch_kernel().argtypes, _epoch_kernel().restype
+        monkeypatch.setattr(trainer, "_epoch_kernel", lambda fn=fn: fn)
+        state, report = train(samples, Hyperparams(epochs=2, seed=0))
+        runs.append((state.params.flat.tobytes(), state.velocity.flat.tobytes(),
+                     np.array(report.mean_hinge).tobytes()))
+    assert runs[0] == runs[1] == runs[2]
 
 
 class TestCheckpoint:
