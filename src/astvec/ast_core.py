@@ -12,8 +12,7 @@ equal subtrees are the same object.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 # Closed, ordered vocabulary of node kinds. Index in this tuple is the kind id
 # and must stay stable: embedding tables, checkpoints and fixtures rely on it.
@@ -117,13 +116,16 @@ class AstNode:
     kind: NodeKind
     children: tuple["AstNode", ...] = ()
 
-    def walk(self) -> Iterator["AstNode"]:
-        """Preorder traversal."""
+    def walk(self) -> list["AstNode"]:
+        """The nodes in preorder, listed with an explicit stack, so any depth
+        works."""
+        order: list[AstNode] = []
         stack = [self]
         while stack:
             node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+            order.append(node)
+            stack += node.children[::-1]
+        return order
 
 
 def node(kind_name: str, *children: AstNode) -> AstNode:

@@ -12,9 +12,28 @@ function pointers nested deeper than one level, designated initializers.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from typing import NamedTuple, Optional
 
-from .ast_core import AstNode, NodeTable, kind_by_name
+from .ast_core import AstNode, NodeTable, vocabulary
+
+
+class SourceLines:
+    """Where the lines of one source start, found the first time a position
+    in it is read: by an error, the end of input or a test."""
+
+    __slots__ = ("source", "_starts")
+
+    def __init__(self, source: str):
+        self.source = source
+        self._starts: Optional[list[int]] = None
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """The 1-based (line, column) of `offset`."""
+        if self._starts is None:
+            self._starts = [0, *(m.end() for m in re.finditer("\n", self.source))]
+        line = bisect_right(self._starts, offset)
+        return line, offset - self._starts[line - 1] + 1
 
 
 class Token(NamedTuple):
@@ -22,8 +41,16 @@ class Token(NamedTuple):
     # parser's end-of-input marker, placed just after the last real token
     category: str
     lexeme: str
-    line: int
-    column: int
+    offset: int
+    lines: SourceLines
+
+    @property
+    def line(self) -> int:
+        return self.lines.position(self.offset)[0]
+
+    @property
+    def column(self) -> int:
+        return self.lines.position(self.offset)[1]
 
 
 class CParseError(Exception):
@@ -64,40 +91,40 @@ _TOKEN_RE = re.compile(
   | (?P<identifier>[A-Za-z_]\w*)
   | (?P<operator>>>=|<<=|\.\.\.|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[+\-*/%&^|]=|[+\-*/%<>=&|^!~?:.])
   | (?P<punctuation>[()\[\]{};,])
+  | (?P<error>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
 
 
 def tokenize(source: str) -> list[Token]:
+    """The tokens of `source`, by one scan: whitespace and comments are
+    matched and dropped, and the last alternative, `error`, stops the scan
+    at the first character no token starts with."""
+    lines = SourceLines(source)
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            col = pos - line_start + 1
-            ch = source[pos]
-            if ch == '"':
-                raise TokenizeError("unterminated string literal", line, col)
-            if source.startswith("/*", pos):
-                raise TokenizeError("unterminated comment", line, col)
-            raise TokenizeError(f"illegal character {ch!r}", line, col)
+    append = tokens.append
+    new = tuple.__new__  # Token(...) less the frame of its __new__
+    for m in _TOKEN_RE.finditer(source):
         category = m.lastgroup
-        text = m.group()
-        # whitespace and comments are dropped, but line accounting still runs
-        if category != "skip":
-            if category == "identifier" and text in KEYWORDS:
-                category = "keyword"
-            tokens.append(Token(category, text, line, pos - line_start + 1))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            line_start = pos + text.rindex("\n") + 1
-        pos = m.end()
+        if category == "skip":
+            continue
+        text = m[0]
+        if text in KEYWORDS:  # only the identifier alternative matches one
+            category = "keyword"
+        elif category == "error":
+            raise _scan_error(text, *lines.position(m.start()))
+        append(new(Token, (category, text, m.start(), lines)))
     return tokens
+
+
+def _scan_error(ch: str, line: int, column: int) -> TokenizeError:
+    if ch == '"':
+        return TokenizeError("unterminated string literal", line, column)
+    return TokenizeError(f"illegal character {ch!r}", line, column)
+
+
+_KINDS = {kind.name: kind for kind in vocabulary()}
 
 
 # Infix operators by level, lowest first; a higher level binds tighter.
@@ -118,6 +145,15 @@ _INFIX = {
 _UNARY_PREFIX = frozenset(["+", "-", "*", "&", "!", "~", "++", "--"])
 
 
+class _End(NamedTuple):
+    """The end of input: on the last token's first line, just past its text."""
+
+    category: str
+    lexeme: str
+    line: int
+    column: int
+
+
 class Parser:
     """One instance per parse; holds the token cursor and typedef-name table,
     and builds its nodes through `table` (a fresh one if not given)."""
@@ -125,15 +161,17 @@ class Parser:
     def __init__(self, tokens: list[Token], table: Optional[NodeTable] = None):
         # Two end tokens: lookahead is at most one token past the cursor, and
         # the cursor never moves past the first end token.
-        last = tokens[-1] if tokens else Token("end", "", 1, 1)
-        end = Token("end", "", last.line, last.column + len(last.lexeme))
+        end: object = _End("end", "", 1, 1)
+        if tokens:
+            last = tokens[-1]
+            end = _End("end", "", last.line, last.column + len(last.lexeme))
         self.tokens = tokens + [end, end]
         self.pos = 0
         self.typedefs: set[str] = set()
         self.table = table if table is not None else NodeTable()
 
     def _mk(self, kind_name: str, children: list[AstNode]) -> AstNode:
-        return self.table.node(kind_by_name(kind_name), children)
+        return self.table.node(_KINDS[kind_name], children)
 
     # --- cursor helpers ---
 

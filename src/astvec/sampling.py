@@ -63,7 +63,7 @@ def _extract(roots: list[AstNode]) -> list[TrainingSample]:
                     tuple(lc / total for lc in leaves),
                 )
                 memo[id(node)] = (total, interned.setdefault(sample, sample))
-        samples.extend(memo[id(n)][1] for n in root.walk() if n.children)
+        samples += [memo[id(n)][1] for n in root.walk() if n.children]
     return samples
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from astvec.ast_core import (
     kind_by_name,
     load_corpus,
 )
+from astvec.cparse import KEYWORDS, TokenizeError
 from astvec.coder import Hyperparams, ModelParams, _forward, hinge_loss, l2_penalty
 from astvec.sampling import TrainingSample, build_training_set, pack_samples
 
@@ -213,3 +215,56 @@ def reference_load_corpus(text: str) -> list[LabeledProgram]:
             raise AstFormatError(f"{where}nesting too deep") from None
         programs.append(LabeledProgram(ast=ast, label=rec["label"], source_id=rec["source_id"]))
     return programs
+
+
+# Oracle for `cparse.tokenize`: one `match` per token and per run of
+# whitespace or comments, with lines counted as it goes. It gives each token
+# as (category, lexeme, line, column).
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<skip>\s+|//[^\n]*|/\*.*?\*/)
+  | (?P<constant>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?[fFlL]?|\d+[eE][+-]?\d+[fFlL]?
+      | (0[xX][0-9a-fA-F]+|\d+)([uU][lL]{0,2}|[lL]{1,2}[uU]?)?
+      | '(\\.|[^\\'])+'
+      | "(\\.|[^\\"])*")
+  | (?P<identifier>[A-Za-z_]\w*)
+  | (?P<operator>>>=|<<=|\.\.\.|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[+\-*/%&^|]=|[+\-*/%<>=&|^!~?:.])
+  | (?P<punctuation>[()\[\]{};,])
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    tokens = []
+    pos = 0
+    line = 1
+    line_start = 0
+    while pos < len(source):
+        m = _REFERENCE_TOKEN_RE.match(source, pos)
+        if m is None:
+            col = pos - line_start + 1
+            if source[pos] == '"':
+                raise TokenizeError("unterminated string literal", line, col)
+            raise TokenizeError(f"illegal character {source[pos]!r}", line, col)
+        category = m.lastgroup
+        text = m.group()
+        if category != "skip":
+            if category == "identifier" and text in KEYWORDS:
+                category = "keyword"
+            tokens.append((category, text, line, pos - line_start + 1))
+        nl = text.count("\n")
+        if nl:
+            line += nl
+            line_start = pos + text.rindex("\n") + 1
+        pos = m.end()
+    return tokens
+
+
+def reference_walk(root: AstNode):
+    """Oracle for `AstNode.walk`: the preorder, as a generator."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))

@@ -32,6 +32,7 @@ from conftest import (
     load_golden_obj,
     reference_load_ast,
     reference_load_corpus,
+    reference_walk,
 )
 
 
@@ -95,6 +96,28 @@ def assert_one_object_per_distinct_subtree(programs):
     nodes = {id(n): n for p in programs for n in p.ast.walk()}
     assert len({dump_ast(n) for n in nodes.values()}) == len(nodes)
     assert len(nodes) < sum(1 for p in programs for _ in p.ast.walk())
+
+
+class TestWalk:
+    def assert_same_order(self, root):
+        assert [id(n) for n in root.walk()] == [id(n) for n in reference_walk(root)]
+
+    def test_hash_consed_corpus(self, corpus):
+        for program in corpus:
+            self.assert_same_order(program.ast)
+
+    @given(trees(), trees())
+    def test_shared_subtrees(self, a, b):
+        table = NodeTable()
+        a, b = hash_consed(a, table), hash_consed(b, table)
+        self.assert_same_order(table.node(kind_by_name("Root"), [a, b, a]))
+
+    def test_any_depth(self):
+        tree = node("ID")
+        for _ in range(5000):
+            tree = node("UnaryOp", tree, node("ID"))
+        assert len(tree.walk()) == 10001
+        self.assert_same_order(tree)
 
 
 class TestNodeTable:

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from astvec import corpusgen
 from astvec.ast_core import KIND_NAMES, dump_ast
 from astvec.cparse import (
     CParseError,
@@ -10,7 +12,13 @@ from astvec.cparse import (
     tokenize,
 )
 
-from conftest import NESTING, SNIPPET_SRC, golden_sources, invalid_sources
+from conftest import (
+    NESTING,
+    SNIPPET_SRC,
+    golden_sources,
+    invalid_sources,
+    reference_tokenize,
+)
 
 
 class TestTokenize:
@@ -48,6 +56,51 @@ class TestTokenize:
         with pytest.raises(TokenizeError) as exc:
             tokenize("int x = 1 @ 2;")
         assert (exc.value.line, exc.value.column) == (1, 11)
+
+
+# Pieces of C and of what is not C, for text that stresses the scan: comments
+# open and closed, strings and characters across lines, illegal characters.
+C_FRAGMENTS = ["int", "x", "_y2", "if", "1", "0x1fUL", "2.5e-3f", ".5", "'a'", "'\\''",
+               '"s"', '"', "'", "\\", "@", "$", "`", "/*", "*/", "//", "/", "*", "\n",
+               " ", "\t", "\r", "+", "+=", ">>=", "->", "...", ".", "(", ")", "{", "}",
+               ";", ",", "\u00e9", "\u00a0"]
+
+
+def outcome(tokens_of, source):
+    """A tokenizer's tokens as (category, lexeme, line, column), or its error
+    as (class, message, line, column)."""
+    try:
+        return tokens_of(source)
+    except TokenizeError as exc:
+        return (type(exc).__name__, exc.message, exc.line, exc.column)
+
+
+def positions(source):
+    return [(t.category, t.lexeme, t.line, t.column) for t in tokenize(source)]
+
+
+def assert_matches_oracle(source):
+    assert outcome(positions, source) == outcome(reference_tokenize, source)
+
+
+class TestTokenizeOracle:
+    @pytest.mark.parametrize("src", golden_sources() + invalid_sources(), ids=lambda p: p.name)
+    def test_fixture_prefixes(self, src):
+        text = src.read_text(encoding="utf-8")
+        for i in range(len(text) + 1):
+            assert_matches_oracle(text[:i])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generated_sources(self, seed):
+        for _, _, text in corpusgen.generate_sources(seed):
+            assert_matches_oracle(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(C_FRAGMENTS)).map("".join))
+    @example('int x = "a\\\nb"; @')
+    @example("x\n\n  'a\\\n'  \"\\\"\n")
+    def test_c_like_text(self, source):
+        assert_matches_oracle(source)
 
 
 class TestParseShapes:
