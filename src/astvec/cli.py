@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, classify, corpusgen, embedding_io, trainer
+from . import analysis, classify, corpusgen, embedding_io, sampling, trainer
 from .ast_core import (
     MAX_LOAD_HEIGHT,
     AstFormatError,
@@ -32,7 +32,6 @@ from .ast_core import (
 )
 from .coder import Hyperparams
 from .cparse import CParseError, parse_file
-from .sampling import build_training_set
 
 log = logging.getLogger("astvec")
 
@@ -235,7 +234,7 @@ def _load_corpus_file(path) -> list:
 
 
 def cmd_train(args) -> int:
-    samples = build_training_set(_load_corpus_file(args.corpus))
+    samples = sampling.build_training_set(_load_corpus_file(args.corpus))
     if not samples:
         raise CliError("corpus yields no training samples")
     hyper = _hyper_from_args(args)

@@ -209,7 +209,7 @@ def _kernel_library() -> Path:
     tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
     try:
         lib.parent.mkdir(exist_ok=True)
-        proc = subprocess.run([*COMPILE, "-o", str(tmp), str(KERNEL_SOURCE), "-lm"],
+        proc = subprocess.run([*COMPILE, "-o", str(tmp), str(KERNEL_SOURCE)],
                               capture_output=True, text=True)
         if proc.returncode != 0:
             lines = proc.stderr.splitlines() or [f"exit status {proc.returncode}"]

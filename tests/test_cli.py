@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from astvec import cli, trainer
+from astvec import cli, sampling, trainer
 from astvec.ast_core import dump_corpus, load_corpus
 from astvec.cli import EXIT_BUILD, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from astvec.trainer import load_checkpoint
@@ -181,6 +181,22 @@ class TestTrain:
             assert code == EXIT_OK
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_extracts_samples_through_the_module(self, tmp_path, small_corpus_file,
+                                                 monkeypatch):
+        # called by its module attribute, so a wrapper on it sees the call
+        calls = []
+        extract = sampling.build_training_set
+
+        def counting(corpus):
+            calls.append(len(corpus))
+            return extract(corpus)
+
+        monkeypatch.setattr(sampling, "build_training_set", counting)
+        code = main(["train", "--corpus", str(small_corpus_file),
+                     "--out", str(tmp_path / "cp.json"), "--dim", "4", "--epochs", "1"])
+        assert code == EXIT_OK
+        assert calls == [24]
 
     def test_zero_epochs(self, tmp_path, small_corpus_file):
         path = tmp_path / "cp.json"

@@ -344,7 +344,7 @@ def test_kernel_floats_do_not_depend_on_the_build(tmp_path, monkeypatch, corpus)
     runs = []
     for i, command in enumerate(commands):
         lib = tmp_path / f"epoch{i}.so"
-        subprocess.run([*command, "-o", str(lib), str(KERNEL_SOURCE), "-lm"], check=True)
+        subprocess.run([*command, "-o", str(lib), str(KERNEL_SOURCE)], check=True)
         fn = ctypes.CDLL(str(lib)).train_epoch
         fn.argtypes, fn.restype = _epoch_kernel().argtypes, _epoch_kernel().restype
         monkeypatch.setattr(trainer, "_epoch_kernel", lambda fn=fn: fn)
