@@ -84,6 +84,7 @@ QUALIFIERS = frozenset("const static extern register volatile".split())
 _TOKEN_RE = re.compile(
     r"""
     (?P<skip>\s+|//[^\n]*|/\*.*?\*/)
+  | (?P<open_comment>/\*)
   | (?P<constant>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?[fFlL]?|\d+[eE][+-]?\d+[fFlL]?
       | (0[xX][0-9a-fA-F]+|\d+)([uU][lL]{0,2}|[lL]{1,2}[uU]?)?
       | '(\\.|[^\\'])+'
@@ -99,8 +100,9 @@ _TOKEN_RE = re.compile(
 
 def tokenize(source: str) -> list[Token]:
     """The tokens of `source`, by one scan: whitespace and comments are
-    matched and dropped, and the last alternative, `error`, stops the scan
-    at the first character no token starts with."""
+    matched and dropped. A comment that is never closed matches
+    `open_comment`, and the last alternative, `error`, matches the first
+    character no token starts with; either stops the scan."""
     lines = SourceLines(source)
     tokens: list[Token] = []
     append = tokens.append
@@ -112,16 +114,18 @@ def tokenize(source: str) -> list[Token]:
         text = m[0]
         if text in KEYWORDS:  # only the identifier alternative matches one
             category = "keyword"
-        elif category == "error":
+        elif category == "error" or category == "open_comment":
             raise _scan_error(text, *lines.position(m.start()))
         append(new(Token, (category, text, m.start(), lines)))
     return tokens
 
 
-def _scan_error(ch: str, line: int, column: int) -> TokenizeError:
-    if ch == '"':
+def _scan_error(text: str, line: int, column: int) -> TokenizeError:
+    if text == "/*":
+        return TokenizeError("unterminated comment", line, column)
+    if text == '"':
         return TokenizeError("unterminated string literal", line, column)
-    return TokenizeError(f"illegal character {ch!r}", line, column)
+    return TokenizeError(f"illegal character {text!r}", line, column)
 
 
 _KINDS = {kind.name: kind for kind in vocabulary()}

@@ -412,6 +412,12 @@ class TestHostileInputs:
         assert main(["parse", str(path)]) == EXIT_INPUT
         assert _problems(caplog) == [f"{path}:2:8: not valid UTF-8"]
 
+    def test_open_comment_parse(self, tmp_path, caplog):
+        path = tmp_path / "open.c"
+        path.write_text("int x; /* open", encoding="utf-8")
+        assert main(["parse", str(path)]) == EXIT_INPUT
+        assert _problems(caplog) == [f"{path}:1:8: unterminated comment"]
+
     def test_latin1_corpus_build_skips(self, tmp_path, caplog):
         d = tmp_path / "src" / "lab"
         d.mkdir(parents=True)

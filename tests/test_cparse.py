@@ -52,6 +52,17 @@ class TestTokenize:
             tokenize('char *s = "oops;\n')
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("src,line,column", [
+        ("int x; /* open", 1, 8),
+        ("int x; /* closed */\n  /* open */ /* again", 2, 14),
+        ("x /*/", 1, 3),
+    ])
+    def test_unterminated_comment(self, src, line, column):
+        with pytest.raises(TokenizeError) as exc:
+            tokenize(src)
+        assert (exc.value.message, exc.value.line, exc.value.column) == (
+            "unterminated comment", line, column)
+
     def test_illegal_character(self):
         with pytest.raises(TokenizeError) as exc:
             tokenize("int x = 1 @ 2;")
@@ -80,7 +91,16 @@ def positions(source):
 
 
 def assert_matches_oracle(source):
-    assert outcome(positions, source) == outcome(reference_tokenize, source)
+    """The oracle reads a comment that is never closed as '/' and '*'; there
+    the scan must stop, after the same tokens as the oracle's before it."""
+    got = outcome(positions, source)
+    if got[:2] == ("TokenizeError", "unterminated comment"):
+        *_, line, column = got
+        line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+        start = line_starts[line - 1] + column - 1
+        assert source.startswith("/*", start) and "*/" not in source[start + 2:]
+        got, source = outcome(positions, source[:start]), source[:start]
+    assert got == outcome(reference_tokenize, source)
 
 
 class TestTokenizeOracle:
