@@ -149,15 +149,6 @@ _INFIX = {
 _UNARY_PREFIX = frozenset(["+", "-", "*", "&", "!", "~", "++", "--"])
 
 
-class _End(NamedTuple):
-    """The end of input: on the last token's first line, just past its text."""
-
-    category: str
-    lexeme: str
-    line: int
-    column: int
-
-
 class Parser:
     """One instance per parse; holds the token cursor and typedef-name table,
     and builds its nodes through `table` (a fresh one if not given)."""
@@ -165,10 +156,8 @@ class Parser:
     def __init__(self, tokens: list[Token], table: Optional[NodeTable] = None):
         # Two end tokens: lookahead is at most one token past the cursor, and
         # the cursor never moves past the first end token.
-        end: object = _End("end", "", 1, 1)
-        if tokens:
-            last = tokens[-1]
-            end = _End("end", "", last.line, last.column + len(last.lexeme))
+        last = tokens[-1] if tokens else Token("end", "", 0, SourceLines(""))
+        end = Token("end", "", last.offset + len(last.lexeme), last.lines)
         self.tokens = tokens + [end, end]
         self.pos = 0
         self.typedefs: set[str] = set()

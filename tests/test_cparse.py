@@ -68,6 +68,11 @@ class TestTokenize:
             tokenize("int x = 1 @ 2;")
         assert (exc.value.line, exc.value.column) == (1, 11)
 
+    def test_position_after_a_string_across_lines(self):
+        with pytest.raises(TokenizeError) as exc:
+            tokenize('int x = "a\\\nb"; @')
+        assert (exc.value.line, exc.value.column) == (2, 5)
+
 
 # Pieces of C and of what is not C, for text that stresses the scan: comments
 # open and closed, strings and characters across lines, illegal characters.
@@ -280,6 +285,8 @@ END = "unexpected end of input: "
                  "identifier", id="after-goto"),
     pytest.param("int f(", "unexpected end of input", 1, 7, "type specifier",
                  id="empty-parameter-list"),
+    pytest.param('char *s = "a\\\nb"', "unexpected end of input", 2, 3, "';'",
+                 id="after-a-string-across-lines"),
 ])
 def test_truncated_source_error(src, message, line, column, expected):
     with pytest.raises(CParseError) as exc:
