@@ -78,7 +78,7 @@ class NodeKind:
 _VOCAB: tuple[NodeKind, ...] = tuple(
     NodeKind(i, name) for i, name in enumerate(KIND_NAMES)
 )
-_BY_NAME: dict[str, NodeKind] = {k.name: k for k in _VOCAB}
+KINDS_BY_NAME: dict[str, NodeKind] = {k.name: k for k in _VOCAB}
 
 
 def vocabulary() -> tuple[NodeKind, ...]:
@@ -89,7 +89,7 @@ def vocabulary() -> tuple[NodeKind, ...]:
 def kind_by_name(name: str) -> NodeKind:
     """Look up a kind by symbolic name; raises UnknownKindError if absent."""
     try:
-        return _BY_NAME[name]
+        return KINDS_BY_NAME[name]
     except KeyError:
         raise UnknownKindError(name) from None
 
@@ -169,7 +169,7 @@ class NodeTable:
                 (k, name), (c, kids) = pairs
                 if k == "kind" and c == "children" and name.__class__ is str \
                         and kids.__class__ is list:
-                    kind = _BY_NAME.get(name)
+                    kind = KINDS_BY_NAME.get(name)
                     if kind is not None:
                         key = (kind.id, *map(id, kids))
                         found = nodes.get(key)
@@ -240,12 +240,12 @@ def _from_obj(obj: object, path: str, table: NodeTable) -> AstNode:
         name = obj["kind"]
         if not isinstance(name, str):
             raise AstFormatError(f"'kind' must be a string at {where}")
-        if name not in _BY_NAME:
+        if name not in KINDS_BY_NAME:
             raise UnknownKindError(name, where)
         children = obj.get("children", [])
         if not isinstance(children, list):
             raise AstFormatError(f"'children' must be an array at {where}")
-        preorder.append((_BY_NAME[name], len(children)))
+        preorder.append((KINDS_BY_NAME[name], len(children)))
         prefix = f"{path}/" if path else ""
         stack.extend((children[i], f"{prefix}{i}") for i in reversed(range(len(children))))
     built: list[AstNode] = []

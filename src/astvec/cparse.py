@@ -15,7 +15,7 @@ import re
 from bisect import bisect_right
 from typing import NamedTuple, Optional
 
-from .ast_core import AstNode, NodeTable, vocabulary
+from .ast_core import KINDS_BY_NAME, AstNode, NodeTable
 
 
 class SourceLines:
@@ -128,9 +128,6 @@ def _scan_error(text: str, line: int, column: int) -> TokenizeError:
     return TokenizeError(f"illegal character {text!r}", line, column)
 
 
-_KINDS = {kind.name: kind for kind in vocabulary()}
-
-
 # Infix operators by level, lowest first; a higher level binds tighter.
 # Assignment and ?: group right to left, the ten binary levels of the C
 # standard left to right. The comma, below them all, is read by _expression at
@@ -164,7 +161,7 @@ class Parser:
         self.table = table if table is not None else NodeTable()
 
     def _mk(self, kind_name: str, children: list[AstNode]) -> AstNode:
-        return self.table.node(_KINDS[kind_name], children)
+        return self.table.node(KINDS_BY_NAME[kind_name], children)
 
     # --- cursor helpers ---
 
