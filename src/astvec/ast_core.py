@@ -12,7 +12,7 @@ equal subtrees are the same object.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Closed, ordered vocabulary of node kinds. Index in this tuple is the kind id
 # and must stay stable: embedding tables, checkpoints and fixtures rely on it.
@@ -108,13 +108,36 @@ class UnknownKindError(AstFormatError):
         super().__init__(f"unknown node kind {name!r}{where}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AstNode:
     """Ordered, immutable tree of node kinds. Immutability is what lets a
-    `NodeTable` share one node between many parents and trees."""
+    `NodeTable` share one node between many parents and trees.
+
+    `height` (a leaf is 1) and `leaves` are set from the children when the
+    node is made, so through a table once per distinct subtree. They take
+    no part in equality, hash or repr.
+    """
 
     kind: NodeKind
     children: tuple["AstNode", ...] = ()
+    height: int = field(init=False, compare=False, repr=False)
+    leaves: int = field(init=False, compare=False, repr=False)
+
+    def __init__(self, kind: NodeKind, children: tuple["AstNode", ...] = ()):
+        # Every recursive parse path ends in making a node, so this costs no
+        # more stack than the generated __init__: no __post_init__, and no
+        # comprehension, max() or sum(), which count against the recursion
+        # limit.
+        height, leaves = 0, 0
+        for child in children:
+            if child.height > height:
+                height = child.height
+            leaves += child.leaves
+        put = object.__setattr__
+        put(self, "kind", kind)
+        put(self, "children", children)
+        put(self, "height", height + 1)
+        put(self, "leaves", leaves or 1)
 
     def walk(self) -> list["AstNode"]:
         """The nodes in preorder, listed with an explicit stack, so any depth
@@ -269,28 +292,10 @@ def dump_ast(root: AstNode) -> str:
     return "".join(out)
 
 
-# The tallest tree a corpus line is sure to load back, a leaf being height 1.
+# The tallest tree (`AstNode.height`) a corpus line is sure to load back.
 # The decoder recurses per nesting level and reads about 494 levels from a
 # shallow stack, fewer from a deeper one; this leaves room for the caller's.
 MAX_LOAD_HEIGHT = 400
-
-
-def tree_height(root: AstNode, memo: dict[int, int]) -> int:
-    """The nodes on the longest path from `root` down to a leaf.
-
-    `memo` maps id(node) to its height and may be shared between trees whose
-    nodes stay alive meanwhile (as a `NodeTable` keeps them), so each
-    distinct node is measured once. An explicit stack, so any depth works.
-    """
-    stack = [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            memo[id(node)] = 1 + max((memo[id(c)] for c in node.children), default=0)
-        elif id(node) not in memo:
-            stack.append((node, True))
-            stack.extend((child, False) for child in node.children)
-    return memo[id(root)]
 
 
 def _decode(decoder: json.JSONDecoder, text: str, where: str = "") -> object:

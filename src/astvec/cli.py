@@ -28,7 +28,6 @@ from .ast_core import (
     dump_ast,
     dump_corpus,
     load_corpus,
-    tree_height,
 )
 from .coder import Hyperparams
 from .cparse import CParseError, parse_file
@@ -195,7 +194,6 @@ def cmd_corpus_build(args) -> int:
         if not root.is_dir():
             raise CliError(f"{root}: not a directory")
         table = NodeTable()  # the corpus's trees share their equal subtrees
-        heights: dict[int, int] = {}  # id(node) -> height, over the table's nodes
         programs = []
         for c_path in sorted(root.rglob("*.c")):
             label = c_path.parent.name
@@ -209,10 +207,9 @@ def cmd_corpus_build(args) -> int:
                     "skipping %s: %s:%s: %s", c_path, exc.line, exc.column, exc.message
                 )
                 continue
-            height = tree_height(ast, heights)
-            if height > MAX_LOAD_HEIGHT:
+            if ast.height > MAX_LOAD_HEIGHT:
                 log.warning("skipping %s: tree height %d exceeds the loadable %d",
-                            c_path, height, MAX_LOAD_HEIGHT)
+                            c_path, ast.height, MAX_LOAD_HEIGHT)
                 continue
             programs.append(
                 LabeledProgram(ast=ast, label=label, source_id=c_path.stem)

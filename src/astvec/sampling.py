@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ast_core import VOCAB_SIZE, AstNode, LabeledProgram
+from .ast_core import VOCAB_SIZE, LabeledProgram
 
 
 class TrainingSample(NamedTuple):
@@ -30,46 +30,32 @@ class TrainingSample(NamedTuple):
     coefficients: tuple[float, ...]
 
 
-def _extract(roots: list[AstNode]) -> list[TrainingSample]:
-    """One sample per non-leaf node of each root, in preorder.
+def build_training_set(corpus: list[LabeledProgram]) -> list[TrainingSample]:
+    """The samples of every program, in corpus order, each in preorder.
 
-    Each distinct node (by identity) is counted and sampled once: one
-    post-order pass with an explicit stack, so any depth works, fills
-    `memo[id(node)] = (leaf count, sample)`. On hash-consed trees a subtree
-    shared by many parents is thus read once, and equal samples are the same
-    object. `roots` keeps every node alive, so no id is reused meanwhile.
+    Each distinct node (by identity) is sampled once, from its children's
+    `leaves` over its own, so on hash-consed trees a subtree shared by many
+    parents is read once; equal samples are the same object. The corpus
+    keeps every node alive, so no id is reused meanwhile.
     """
-    memo: dict[int, tuple[int, TrainingSample | None]] = {}
+    made: dict[int, TrainingSample] = {}
     interned: dict[TrainingSample, TrainingSample] = {}
     samples: list[TrainingSample] = []
-    for root in roots:
-        stack = [(root, False)]
-        while stack:
-            node, ready = stack.pop()
-            if id(node) in memo:
-                continue
+    for program in corpus:
+        for node in program.ast.walk():
             kids = node.children
             if not kids:
-                memo[id(node)] = (1, None)
-            elif not ready:
-                stack.append((node, True))
-                stack.extend((child, False) for child in kids)
-            else:
-                leaves = [memo[id(child)][0] for child in kids]
-                total = sum(leaves)
+                continue
+            sample = made.get(id(node))
+            if sample is None:
                 sample = TrainingSample(
                     node.kind.id,
                     tuple(child.kind.id for child in kids),
-                    tuple(lc / total for lc in leaves),
+                    tuple(child.leaves / node.leaves for child in kids),
                 )
-                memo[id(node)] = (total, interned.setdefault(sample, sample))
-        samples += [memo[id(n)][1] for n in root.walk() if n.children]
+                sample = made[id(node)] = interned.setdefault(sample, sample)
+            samples.append(sample)
     return samples
-
-
-def build_training_set(corpus: list[LabeledProgram]) -> list[TrainingSample]:
-    """The samples of every program, in corpus order, each in preorder."""
-    return _extract([program.ast for program in corpus])
 
 
 def child_weight(n, i):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 from unittest import mock
 
@@ -19,7 +20,6 @@ from astvec.ast_core import (
     load_ast,
     load_corpus,
     node,
-    tree_height,
     vocabulary,
 )
 from astvec.corpusgen import generate_corpus
@@ -33,6 +33,7 @@ from conftest import (
     reference_load_ast,
     reference_load_corpus,
     reference_walk,
+    unshared,
 )
 
 
@@ -205,8 +206,13 @@ class TestInterchange:
 
 
 def _height(tree: AstNode) -> int:
-    """Oracle for `tree_height`: recursive, so for shallow trees only."""
+    """Oracle for `AstNode.height`: recursive, so for shallow trees only."""
     return 1 + max(map(_height, tree.children), default=0)
+
+
+def _leaves(tree: AstNode) -> int:
+    """Oracle for `AstNode.leaves`: recursive, so for shallow trees only."""
+    return sum(map(_leaves, tree.children)) if tree.children else 1
 
 
 def _nested(frames: int, call):
@@ -214,25 +220,42 @@ def _nested(frames: int, call):
     return call() if frames == 0 else _nested(frames - 1, call)
 
 
-class TestTreeHeight:
-    @given(trees())
-    def test_matches_recursive_oracle(self, tree):
-        assert tree_height(tree, {}) == _height(tree)
+class TestNodeFacts:
+    def assert_facts(self, tree):
+        for n in tree.walk():
+            assert (n.height, n.leaves) == (_height(n), _leaves(n))
 
-    def test_memo_is_shared_between_trees(self):
-        table = NodeTable()
-        leaf = table.node(kind_by_name("ID"), [])
-        pair = table.node(kind_by_name("BinaryOp"), [leaf, leaf])
-        root = table.node(kind_by_name("Return"), [pair])
-        memo: dict[int, int] = {}
-        assert tree_height(pair, memo) == 2 and len(memo) == 2
-        assert tree_height(root, memo) == 3 and len(memo) == 3
+    @given(trees())
+    def test_match_recursive_oracles(self, tree):
+        self.assert_facts(tree)
+        self.assert_facts(hash_consed(tree, NodeTable()))
+
+    def test_corpus_shared_and_unshared(self, corpus):
+        for program in corpus:
+            self.assert_facts(program.ast)
+            self.assert_facts(unshared(program.ast))
+
+    def test_leaf(self):
+        assert (node("ID").height, node("ID").leaves) == (1, 1)
 
     def test_deep_chain(self):
         tree = node("ID")
         for _ in range(4999):
-            tree = node("UnaryOp", tree)
-        assert tree_height(tree, {}) == 5000
+            tree = node("UnaryOp", tree, node("Constant"))
+        assert (tree.height, tree.leaves) == (5000, 5000)
+
+    @given(trees())
+    def test_equality_and_hash_ignore_the_facts(self, tree):
+        shared = hash_consed(tree, NodeTable())
+        assert shared == tree and hash(shared) == hash(tree)
+        assert repr(shared) == repr(tree)
+
+    def test_frozen(self):
+        tree = node("ID")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree.height = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree.leaves = 2
 
     def test_max_load_height_loads_from_a_deeper_stack(self):
         # a corpus line of the tallest tree corpus-build keeps loads back,
@@ -240,7 +263,7 @@ class TestTreeHeight:
         tree = node("ID")
         for _ in range(MAX_LOAD_HEIGHT - 1):
             tree = node("UnaryOp", tree)
-        assert tree_height(tree, {}) == MAX_LOAD_HEIGHT
+        assert tree.height == MAX_LOAD_HEIGHT
         text = dump_corpus([LabeledProgram(tree, "a", "s")])
         [program] = _nested(100, lambda: load_corpus(text))
         assert dump_ast(program.ast) == dump_ast(tree)
