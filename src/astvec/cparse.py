@@ -115,17 +115,25 @@ def tokenize(source: str) -> list[Token]:
         if text in KEYWORDS:  # only the identifier alternative matches one
             category = "keyword"
         elif category == "error" or category == "open_comment":
-            raise _scan_error(text, *lines.position(m.start()))
+            raise _scan_error(m, lines)
         append(new(Token, (category, text, m.start(), lines)))
     return tokens
 
 
-def _scan_error(text: str, line: int, column: int) -> TokenizeError:
+def _scan_error(m: re.Match, lines: SourceLines) -> TokenizeError:
+    """The error for a match of `open_comment` or `error`; a quote there
+    starts no literal the constant alternative accepts."""
+    text, start = m[0], m.start()
     if text == "/*":
-        return TokenizeError("unterminated comment", line, column)
-    if text == '"':
-        return TokenizeError("unterminated string literal", line, column)
-    return TokenizeError(f"illegal character {text!r}", line, column)
+        message = "unterminated comment"
+    elif text == '"':
+        message = "unterminated string literal"
+    elif text == "'":
+        empty = m.string.startswith("''", start)
+        message = "empty character constant" if empty else "unterminated character constant"
+    else:
+        message = f"illegal character {text!r}"
+    return TokenizeError(message, *lines.position(start))
 
 
 # Infix operators by level, lowest first; a higher level binds tighter.

@@ -246,6 +246,10 @@ def reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
             col = pos - line_start + 1
             if source[pos] == '"':
                 raise TokenizeError("unterminated string literal", line, col)
+            if source[pos] == "'":
+                empty = source.startswith("''", pos)
+                raise TokenizeError(("empty" if empty else "unterminated")
+                                    + " character constant", line, col)
             raise TokenizeError(f"illegal character {source[pos]!r}", line, col)
         category = m.lastgroup
         text = m.group()

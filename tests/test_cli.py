@@ -418,6 +418,16 @@ class TestHostileInputs:
         assert main(["parse", str(path)]) == EXIT_INPUT
         assert _problems(caplog) == [f"{path}:1:8: unterminated comment"]
 
+    @pytest.mark.parametrize("src,message", [
+        ("char c = 'a;", "unterminated character constant"),
+        ("char c = '';", "empty character constant"),
+    ])
+    def test_bad_character_constant_parse(self, tmp_path, caplog, src, message):
+        path = tmp_path / "char.c"
+        path.write_text(src, encoding="utf-8")
+        assert main(["parse", str(path)]) == EXIT_INPUT
+        assert _problems(caplog) == [f"{path}:1:10: {message}"]
+
     def test_latin1_corpus_build_skips(self, tmp_path, caplog):
         d = tmp_path / "src" / "lab"
         d.mkdir(parents=True)

@@ -63,6 +63,18 @@ class TestTokenize:
         assert (exc.value.message, exc.value.line, exc.value.column) == (
             "unterminated comment", line, column)
 
+    @pytest.mark.parametrize("src,message,column", [
+        ("char c = 'a;", "unterminated character constant", 10),
+        ("char c = '\\';", "unterminated character constant", 10),
+        ("char c = 'a", "unterminated character constant", 10),
+        ("char c = '';", "empty character constant", 10),
+        ("char c = 'a'; char d = '';", "empty character constant", 24),
+    ])
+    def test_bad_character_constant(self, src, message, column):
+        with pytest.raises(TokenizeError) as exc:
+            tokenize(src)
+        assert (exc.value.message, exc.value.line, exc.value.column) == (message, 1, column)
+
     def test_illegal_character(self):
         with pytest.raises(TokenizeError) as exc:
             tokenize("int x = 1 @ 2;")
