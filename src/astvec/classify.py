@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ast_core import VOCAB_SIZE, AstNode, LabeledProgram
+from .coder import uniform_init
 
 
 # --- features ---
@@ -153,14 +154,12 @@ def _init_model(
     pretrained table (copied); an int, the width of a random table, drawn
     before the layer weights."""
     rng = np.random.default_rng(config.seed)
-    if isinstance(embed, int):
-        r = np.sqrt(6.0 / (2.0 * embed))
-        embed = rng.uniform(-r, r, size=(VOCAB_SIZE, embed))
+    if isinstance(embed, int):  # drawn as the untrained coder's table is
+        embed = uniform_init(rng, (VOCAB_SIZE, embed), embed, embed)
     parts = [] if embed is None else [embed]
     sizes = [X.shape[1] if embed is None else embed.shape[1], *config.hidden, len(labels)]
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        r = np.sqrt(6.0 / (fan_in + fan_out))
-        parts += [rng.uniform(-r, r, size=(fan_in, fan_out)), np.zeros(fan_out)]
+        parts += [uniform_init(rng, (fan_in, fan_out), fan_in, fan_out), np.zeros(fan_out)]
     model = ClassifierModel(labels, [part.shape for part in parts],
                             np.concatenate([part.ravel() for part in parts]))
     # standardization constants from the training inputs

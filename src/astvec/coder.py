@@ -98,15 +98,20 @@ class ModelParams:
         return ModelParams.of_flat(self.flat.copy(), self.n_f)
 
 
+def uniform_init(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
+    """Uniform draws in [-r, r] with r = sqrt(6 / (fan_in + fan_out))."""
+    r = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-r, r, size=shape)
+
+
 def init_params(hyper: Hyperparams, rng: np.random.Generator) -> ModelParams:
-    """Uniform init in [-r, r] with r = sqrt(6 / (fan_in + fan_out)) = sqrt(6/2N_f)."""
+    """Every parameter drawn by `uniform_init` with fan_in = fan_out = N_f."""
     n_f = hyper.n_f
-    r = np.sqrt(6.0 / (2.0 * n_f))
     return ModelParams(
-        embeddings=rng.uniform(-r, r, size=(VOCAB_SIZE, n_f)),
-        w_l=rng.uniform(-r, r, size=(n_f, n_f)),
-        w_r=rng.uniform(-r, r, size=(n_f, n_f)),
-        b=rng.uniform(-r, r, size=n_f),
+        embeddings=uniform_init(rng, (VOCAB_SIZE, n_f), n_f, n_f),
+        w_l=uniform_init(rng, (n_f, n_f), n_f, n_f),
+        w_r=uniform_init(rng, (n_f, n_f), n_f, n_f),
+        b=uniform_init(rng, n_f, n_f, n_f),
     )
 
 
@@ -128,10 +133,15 @@ def hinge_loss(d: float, d_c: float, delta: float) -> float:
     return max(0.0, delta + d - d_c)
 
 
+def l2_rate(hyper: Hyperparams) -> float:
+    """c in the l2 penalty's gradient c [W_l W_r], c = lam / 2 N_f^2."""
+    return hyper.lam / (2.0 * hyper.n_f**2)
+
+
 def l2_penalty(params: ModelParams, hyper: Hyperparams) -> float:
-    """(lam/2M)(|W_l|_F^2 + |W_r|_F^2), M = 2 N_f^2."""
-    m = 2.0 * hyper.n_f**2
-    return (hyper.lam / (2.0 * m)) * (
+    """(lam/2M)(|W_l|_F^2 + |W_r|_F^2), M = 2 N_f^2, which is c/2 times the
+    squared norms, c the `l2_rate`."""
+    return l2_rate(hyper) / 2.0 * (
         float(np.sum(params.w_l**2)) + float(np.sum(params.w_r**2))
     )
 
@@ -157,11 +167,6 @@ def objective(
         d = (e * e).sum(axis=1)[packed.rows].reshape(-1, 2)
         total += float(np.maximum(0.0, hyper.delta + d[:, 0] - d[:, 1]).sum())
     return total / (2.0 * len(pairs)) + l2_penalty(params, hyper)
-
-
-def l2_rate(hyper: Hyperparams) -> float:
-    """c in the l2 penalty's gradient c [W_l W_r], c = lam / 2 N_f^2."""
-    return hyper.lam / (2.0 * hyper.n_f**2)
 
 
 # d(d - d_c)/d(e) is 2e on the real row of a pair and -2e on the corrupted one.
