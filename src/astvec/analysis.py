@@ -51,15 +51,12 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int = 300,
-           trace: list | None = None):
+def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int = 300):
     k = centroids.shape[0]
     labels = None
     for _ in range(max_iter):
         d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(d2, axis=1)
-        if trace is not None:
-            trace.append(float(d2[np.arange(len(points)), new_labels].sum()))
         for j in range(k):
             mask = new_labels == j
             if np.any(mask):

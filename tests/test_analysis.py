@@ -146,10 +146,11 @@ class TestKmeans:
     def test_lloyd_trace_nonincreasing(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(40, 3))
-        centroids = pts[rng.choice(40, size=4, replace=False)].copy()
-        trace = []
-        _lloyd(pts, centroids, trace=trace)
+        c0 = pts[rng.choice(40, size=4, replace=False)]
+        # the inertia after 0, 1, 2, ... iterations from the same start
+        trace = [_lloyd(pts, c0.copy(), max_iter=i)[2] for i in range(12)]
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+        assert trace[-1] < trace[0]
 
     def test_deterministic(self):
         emb = _table(5, 2)
