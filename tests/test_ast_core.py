@@ -235,9 +235,6 @@ class TestNodeFacts:
             self.assert_facts(program.ast)
             self.assert_facts(unshared(program.ast))
 
-    def test_leaf(self):
-        assert (node("ID").height, node("ID").leaves) == (1, 1)
-
     def test_deep_chain(self):
         tree = node("ID")
         for _ in range(4999):
