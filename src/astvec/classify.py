@@ -6,12 +6,18 @@ The deep model is a plain feed-forward net over the mean of node embeddings
 (the histogram, normalized, times the embedding table, which is trainable when
 fine-tuning is on). Logistic regression is the same machinery with no table
 and no hidden layers, over raw histogram counts.
+
+A split is trained and scored as a `Batch`: each distinct (histogram, label)
+row once, weighted by how often it occurs. Many programs of a corpus share a
+tree, so this is the same loss, accuracy and gradient as over every row, for
+less work.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +67,33 @@ def split(corpus: list[LabeledProgram], seed: int) -> SplitSpec:
     return SplitSpec(train=tuple(sorted(train)), cv=tuple(sorted(cv)), test=tuple(sorted(test)))
 
 
-# --- loss ---
+# --- batches ---
+
+
+class Batch(NamedTuple):
+    """The rows a classifier is trained or scored on: each distinct (raw
+    histogram, label) row once, in order of first appearance, with how often
+    it occurs. The loss, the accuracy and the gradient weight a row by
+    count / n, so they equal those over all n rows."""
+
+    X: np.ndarray       # the distinct raw histogram rows, float64
+    y: np.ndarray       # the label id of each
+    counts: np.ndarray  # how often each occurs
+    hist: np.ndarray    # X scaled to sum 1 per row; a row of zeros stays 0
+
+    @classmethod
+    def of(cls, X: np.ndarray, y: np.ndarray) -> Batch:
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        y = np.asarray(y)
+        if X.shape[0] != len(y):
+            raise ValueError("feature/label length mismatch")
+        first: dict[tuple[bytes, int], int] = {}
+        firsts = [first.setdefault((row.tobytes(), label), i)
+                  for i, (row, label) in enumerate(zip(X, y.tolist()))]
+        keep, counts = np.unique(np.array(firsts, dtype=np.intp), return_counts=True)
+        X = X[keep]
+        return cls(X, y[keep], counts,
+                   X / np.maximum(X.sum(axis=1, keepdims=True), 1.0))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -99,41 +131,39 @@ class ClassifierModel:
     sigma: np.ndarray | None = None
 
     def __post_init__(self):
+        ends = np.cumsum([math.prod(shape) for shape in self.shapes]).tolist()
+        self._spans = list(zip([0, *ends], ends, self.shapes))
         self.embed, self.weights, self.biases = self.views(self.flat)
 
     def views(self, flat: np.ndarray):
         """(table or None, weights, biases) of `flat`, laid out like `self.flat`."""
-        ends = np.cumsum([math.prod(shape) for shape in self.shapes])
-        parts = [part.reshape(shape)
-                 for part, shape in zip(np.split(flat, ends[:-1]), self.shapes)]
+        parts = [flat[start:end].reshape(shape) for start, end, shape in self._spans]
         table = parts.pop(0) if len(parts) % 2 else None
         return table, parts[0::2], parts[1::2]
 
-    def raw_input(self, X: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-        """(hist, x) for raw histogram rows X: hist, for a model with a table
-        only, the rows scaled to sum 1; x the input before standardization,
-        the mean node embedding hist @ embed or the counts themselves."""
-        if self.embed is not None:
-            hist = X / np.maximum(X.sum(axis=1, keepdims=True), 1.0)
-            return hist, hist @ self.embed
-        return None, X.astype(np.float64)
+    def raw_input(self, batch: Batch) -> np.ndarray:
+        """The input before standardization: the mean node embedding
+        hist @ embed, or the counts themselves for a model without a table."""
+        return batch.X if self.embed is None else batch.hist @ self.embed
 
-    def activations(self, X: np.ndarray) -> tuple[np.ndarray | None, list[np.ndarray]]:
-        """(hist, outputs): hist as in `raw_input`, and the output of every
-        layer on X, the standardized input first and the class probabilities
-        last."""
-        hist, x = self.raw_input(X)
-        a = (x - self.mu) / self.sigma
+    def activations(self, batch: Batch) -> list[np.ndarray]:
+        """The output of every layer on the batch's rows, the standardized
+        input first and the class probabilities last."""
+        a = (self.raw_input(batch) - self.mu) / self.sigma
         outputs = [a]
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.tanh(a @ W + b)
+            a = a @ W
+            a += b
+            np.tanh(a, out=a)
             outputs.append(a)
-        outputs.append(_softmax(a @ self.weights[-1] + self.biases[-1]))
-        return hist, outputs
+        logits = a @ self.weights[-1]
+        logits += self.biases[-1]
+        outputs.append(_softmax(logits))
+        return outputs
 
-    def forward(self, X: np.ndarray) -> np.ndarray:
-        """Class probabilities; X holds raw histogram rows."""
-        return self.activations(X)[1][-1]
+    def forward(self, batch: Batch) -> np.ndarray:
+        """Class probabilities of the batch's rows."""
+        return self.activations(batch)[-1]
 
 
 @dataclass
@@ -146,7 +176,7 @@ class TrainCurves:
 
 def _init_model(
     labels: tuple[str, ...],
-    X: np.ndarray,
+    batch: Batch,
     config: ClassifierConfig,
     embed: np.ndarray | int | None = None,
 ) -> ClassifierModel:
@@ -157,47 +187,53 @@ def _init_model(
     if isinstance(embed, int):  # drawn as the untrained coder's table is
         embed = uniform_init(rng, (VOCAB_SIZE, embed), embed, embed)
     parts = [] if embed is None else [embed]
-    sizes = [X.shape[1] if embed is None else embed.shape[1], *config.hidden, len(labels)]
+    sizes = [batch.X.shape[1] if embed is None else embed.shape[1],
+             *config.hidden, len(labels)]
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         parts += [uniform_init(rng, (fan_in, fan_out), fan_in, fan_out), np.zeros(fan_out)]
     model = ClassifierModel(labels, [part.shape for part in parts],
                             np.concatenate([part.ravel() for part in parts]))
-    # standardization constants from the training inputs
-    _, x0 = model.raw_input(X)
-    model.mu = x0.mean(axis=0)
-    model.sigma = x0.std(axis=0)
-    model.sigma[model.sigma == 0.0] = 1.0
+    # standardization constants: the mean and std over every training row
+    x0 = model.raw_input(batch)
+    n = batch.counts.sum()
+    model.mu = batch.counts @ x0 / n
+    model.sigma = np.sqrt(batch.counts @ (x0 - model.mu) ** 2 / n)
+    # a constant input has std 0, which rounding in mu can make 1e-17
+    model.sigma[(x0 == x0[:1]).all(axis=0)] = 1.0
     return model
 
 
-def loss_and_gradients(
-    model: ClassifierModel, X: np.ndarray, y: np.ndarray, fine_tune: bool
-):
+def loss_and_gradients(model: ClassifierModel, batch: Batch, fine_tune: bool):
     """(loss, accuracy, grad): the cross-entropy and the accuracy of the
-    model on (X, y), and the exact gradient of the loss, laid out like
+    model on the batch, and the exact gradient of the loss, laid out like
     `model.flat` and 0 on the table unless fine-tuning."""
-    n = X.shape[0]
-    hist, activations = model.activations(X)
+    activations = model.activations(batch)
     probs = activations.pop()
-    accuracy, loss = _accuracy_and_xent(probs, y)
+    accuracy, loss = _accuracy_and_xent(probs, batch.y, batch.counts)
 
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), y] = 1.0
-    delta = (probs - onehot) / n
+    delta = probs  # (probs - one-hot labels) * count / n
+    delta[np.arange(len(batch.y)), batch.y] -= 1.0
+    delta *= (batch.counts / batch.counts.sum())[:, None]
 
     grad = np.zeros_like(model.flat)
     grad_embed, grads_w, grads_b = model.views(grad)
-    grads_w[-1][...] = activations[-1].T @ delta
-    grads_b[-1][...] = delta.sum(axis=0)
-    upstream = delta @ model.weights[-1].T
-    for layer in range(len(model.weights) - 2, -1, -1):
-        dz = upstream * (1.0 - activations[layer + 1] ** 2)
-        grads_w[layer][...] = activations[layer].T @ dz
+    table = grad_embed is not None and fine_tune
+    dz = delta
+    for layer in range(len(model.weights) - 1, -1, -1):
+        a = activations[layer]
+        grads_w[layer][...] = a.T @ dz
         grads_b[layer][...] = dz.sum(axis=0)
+        if layer == 0 and not table:
+            break
         upstream = dz @ model.weights[layer].T
+        if layer > 0:  # back through tanh: a is spent, so it takes 1 - a**2
+            np.square(a, out=a)
+            np.subtract(1.0, a, out=a)
+            upstream *= a
+            dz = upstream
 
-    if grad_embed is not None and fine_tune:
-        grad_embed[...] = hist.T @ (upstream / model.sigma)
+    if table:
+        grad_embed[...] = batch.hist.T @ (upstream / model.sigma)
     return loss, accuracy, grad
 
 
@@ -212,37 +248,41 @@ def train_classifier(
     """Full-batch gradient descent with momentum on the softmax cross-entropy.
 
     X rows are raw node-kind histograms; y holds label indices; `embed`
-    selects the input as in `_init_model`. With a cv split, the returned
-    model is the one of the epoch with the lowest cv cross-entropy (the
-    earliest, on a tie); without one, that of the last epoch. The curves
-    record every epoch.
+    selects the input as in `_init_model`. The training and cv rows are each
+    made a `Batch` once, so every epoch passes over the distinct rows only,
+    weighted by their counts. With a cv split, the returned model is the one
+    of the epoch with the lowest cv cross-entropy (the earliest, on a tie);
+    without one, that of the last epoch. The curves record every epoch.
     """
-    if X.shape[0] != len(y):
-        raise ValueError("feature/label length mismatch")
-    model = _init_model(labels, X, config, embed)
+    train = Batch.of(X, y)
+    if cv is not None:
+        cv = Batch.of(*cv)
+    model = _init_model(labels, train, config, embed)
     velocity = np.zeros_like(model.flat)
 
     best, best_xent = None, np.inf
     curves = TrainCurves()
     for epoch in range(config.epochs):
-        loss, acc, grad = loss_and_gradients(model, X, y, config.fine_tune)
+        loss, acc, grad = loss_and_gradients(model, train, config.fine_tune)
         if not np.isfinite(loss):
             raise RuntimeError(f"classifier diverged at epoch {epoch}")
         if epoch > 0:
             # this pass scored the model the previous epoch left
             curves.train_xent.append(loss)
             curves.train_acc.append(acc)
-        velocity = config.momentum * velocity + grad
-        model.flat -= config.lr * velocity
+        velocity *= config.momentum
+        velocity += grad
+        np.multiply(velocity, config.lr, out=grad)
+        model.flat -= grad
 
         if cv is not None:
-            acc_cv, xent_cv = evaluate(model, cv[0], cv[1])
+            acc_cv, xent_cv = evaluate(model, cv)
             if xent_cv < best_xent:
                 best, best_xent = model.flat.copy(), xent_cv
             curves.cv_xent.append(xent_cv)
             curves.cv_acc.append(acc_cv)
     if config.epochs > 0:
-        acc, xent = evaluate(model, X, y)
+        acc, xent = evaluate(model, train)
         curves.train_xent.append(xent)
         curves.train_acc.append(acc)
     if best is not None:
@@ -250,18 +290,21 @@ def train_classifier(
     return model, curves
 
 
-def _accuracy_and_xent(probs: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    n = probs.shape[0]
-    accuracy = float((np.argmax(probs, axis=1) == np.asarray(y)).mean())
-    xent = float(0.0 - np.log(probs[np.arange(n), y] + 1e-300).mean())  # never -0.0
+def _accuracy_and_xent(
+    probs: np.ndarray, y: np.ndarray, counts: np.ndarray
+) -> tuple[float, float]:
+    """(accuracy, cross-entropy) of rows with class probabilities `probs`
+    and labels `y`, each counted `counts` times; the accuracy is exact."""
+    n = counts.sum()
+    accuracy = float(counts[np.argmax(probs, axis=1) == y].sum() / n)
+    log_p = np.log(probs[np.arange(len(y)), y] + 1e-300)
+    xent = float(0.0 - counts @ log_p / n)  # never -0.0
     return accuracy, xent
 
 
-def evaluate(
-    model: ClassifierModel, X: np.ndarray, y: np.ndarray
-) -> tuple[float, float]:
+def evaluate(model: ClassifierModel, batch: Batch) -> tuple[float, float]:
     """(accuracy fraction, cross-entropy); argmax ties break to the lowest index."""
-    return _accuracy_and_xent(model.forward(X), y)
+    return _accuracy_and_xent(model.forward(batch), batch.y, batch.counts)
 
 
 def curves_csv(curves: TrainCurves) -> str:

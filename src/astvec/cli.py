@@ -333,14 +333,18 @@ def cmd_classify(args) -> int:
     out_dir = Path(args.out_dir)
     with _os_errors(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    summary = [f"# seed={args.seed}", "Program classification accuracy", "=" * 32]
+    distinct = [len(classify.Batch.of(X[part], y[part]).y) for part in (tr, cv)]
+    test = classify.Batch.of(X[te], y[te])
+    summary = [f"# seed={args.seed}",
+               f"# distinct rows: train {distinct[0]}, cv {distinct[1]}, test {len(test.y)}",
+               "Program classification accuracy", "=" * 32]
     curves_files = []
     try:
         for name, cfg, embed in runs:
             model, curves = classify.train_classifier(
                 X[tr], y[tr], labels, cfg, embed=embed, cv=(X[cv], y[cv]),
             )
-            acc, xent = classify.evaluate(model, X[te], y[te])
+            acc, xent = classify.evaluate(model, test)
             curves_files.append((out_dir / f"{name}_curves.csv",
                                  f"# seed={args.seed}\n" + classify.curves_csv(curves)))
             summary.append(f"{name:24s} test accuracy {acc * 100:6.2f}%  xent {xent:.4f}")

@@ -87,8 +87,8 @@ _TOKEN_RE = re.compile(
   | (?P<open_comment>/\*)
   | (?P<constant>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?[fFlL]?|\d+[eE][+-]?\d+[fFlL]?
       | (0[xX][0-9a-fA-F]+|\d+)([uU][lL]{0,2}|[lL]{1,2}[uU]?)?
-      | '(\\.|[^\\'])+'
-      | "(\\.|[^\\"])*")
+      | '(\\.|[^\\'\n])+'
+      | "(\\.|[^\\"\n])*")
   | (?P<identifier>[A-Za-z_]\w*)
   | (?P<operator>>>=|<<=|\.\.\.|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[+\-*/%&^|]=|[+\-*/%<>=&|^!~?:.])
   | (?P<punctuation>[()\[\]{};,])

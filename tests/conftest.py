@@ -155,6 +155,41 @@ def pair_loss(
     return hinge_loss(d, d_c, hyper.delta) + l2_penalty(params, hyper)
 
 
+# Oracle for `classify.loss_and_gradients`: the same loss, accuracy and
+# gradient computed over every row of X, repeats included, with no `Batch`.
+def reference_loss_and_gradients(model, X: np.ndarray, y: np.ndarray, fine_tune: bool):
+    n = X.shape[0]
+    hist = X / np.maximum(X.sum(axis=1, keepdims=True), 1.0)
+    x = X.astype(np.float64) if model.embed is None else hist @ model.embed
+    activations = [(x - model.mu) / model.sigma]
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        activations.append(np.tanh(activations[-1] @ W + b))
+    logits = activations[-1] @ model.weights[-1] + model.biases[-1]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    accuracy = float((np.argmax(probs, axis=1) == y).mean())
+    loss = float(-np.log(probs[np.arange(n), y] + 1e-300).mean())
+
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(n), y] = 1.0
+    delta = (probs - onehot) / n
+
+    grad = np.zeros_like(model.flat)
+    grad_embed, grads_w, grads_b = model.views(grad)
+    grads_w[-1][...] = activations[-1].T @ delta
+    grads_b[-1][...] = delta.sum(axis=0)
+    upstream = delta @ model.weights[-1].T
+    for layer in range(len(model.weights) - 2, -1, -1):
+        dz = upstream * (1.0 - activations[layer + 1] ** 2)
+        grads_w[layer][...] = activations[layer].T @ dz
+        grads_b[layer][...] = dz.sum(axis=0)
+        upstream = dz @ model.weights[layer].T
+
+    if grad_embed is not None and fine_tune:
+        grad_embed[...] = hist.T @ (upstream / model.sigma)
+    return loss, accuracy, grad
+
+
 # Oracle for `load_ast` and `load_corpus`: `json.loads`, then a recursive walk
 # of what it returns. Both recurse per nesting level, so its depth limit is not
 # the loaders'; everything else it accepts or rejects exactly as they do.
@@ -225,8 +260,8 @@ _REFERENCE_TOKEN_RE = re.compile(
     (?P<skip>\s+|//[^\n]*|/\*.*?\*/)
   | (?P<constant>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?[fFlL]?|\d+[eE][+-]?\d+[fFlL]?
       | (0[xX][0-9a-fA-F]+|\d+)([uU][lL]{0,2}|[lL]{1,2}[uU]?)?
-      | '(\\.|[^\\'])+'
-      | "(\\.|[^\\"])*")
+      | '(\\.|[^\\'\n])+'
+      | "(\\.|[^\\"\n])*")
   | (?P<identifier>[A-Za-z_]\w*)
   | (?P<operator>>>=|<<=|\.\.\.|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[+\-*/%&^|]=|[+\-*/%<>=&|^!~?:.])
   | (?P<punctuation>[()\[\]{};,])

@@ -16,6 +16,7 @@ import pytest
 from astvec.analysis import kmeans, nearest_neighbors
 from astvec.ast_core import dump_ast, kind_by_name, node, vocabulary
 from astvec.classify import (
+    Batch,
     ClassifierConfig,
     _accuracy_and_xent,
     _init_model,
@@ -37,6 +38,7 @@ from astvec.trainer import train
 
 from conftest import (
     SNIPPET_SRC, distance, extract_samples, golden_sources, invalid_sources, pair_loss,
+    reference_loss_and_gradients,
 )
 from test_coder import finite_difference_check, _zero_params
 
@@ -81,16 +83,18 @@ class TestCriterion1Gradients:
                 neg = corrupt(sample, rng)
                 worst = max(worst, finite_difference_check(sample, neg, params, hyper))
                 count += 1
-        # classifier side: the remaining instances
-        X = rng.integers(1, 4, size=(6, 44)).astype(np.float64)
-        y = np.array([0, 1, 2, 0, 1, 2])
+        # classifier side: the remaining instances, on rows repeated 1-3 times
+        rows = [0, 0, 1, 2, 2, 2, 3, 4, 4, 5]
+        X = rng.integers(1, 4, size=(6, 44)).astype(np.float64)[rows]
+        y = np.array([0, 1, 2, 0, 1, 2])[rows]
+        batch = Batch.of(X, y)
         step = 1e-5
         for trial in range(20):
             n_f = 2 if trial % 2 == 0 else 4
             params = init_params(Hyperparams(n_f=n_f), np.random.default_rng(trial))
             config = ClassifierConfig(hidden=(4,), seed=trial, fine_tune=True)
-            model = _init_model(("a", "b", "c"), X, config, params.embeddings)
-            _, _, grad = loss_and_gradients(model, X, y, True)
+            model = _init_model(("a", "b", "c"), batch, config, params.embeddings)
+            _, _, grad = loss_and_gradients(model, batch, True)
             ge, gw, gb = model.views(grad)
             for analytic, view in zip(gw + gb + [ge],
                                       model.weights + model.biases + [model.embed]):
@@ -101,9 +105,10 @@ class TestCriterion1Gradients:
                 for j in picks:
                     orig = flat[j]
                     flat[j] = orig + step
-                    up, *_ = loss_and_gradients(model, X, y, True)
+                    # differences of the loss over every row, repeats included
+                    up, *_ = reference_loss_and_gradients(model, X, y, True)
                     flat[j] = orig - step
-                    down, *_ = loss_and_gradients(model, X, y, True)
+                    down, *_ = reference_loss_and_gradients(model, X, y, True)
                     flat[j] = orig
                     num = (up - down) / (2 * step)
                     scale = max(abs(analytic.reshape(-1)[j]) + abs(num), 1e-6)
@@ -231,16 +236,17 @@ class TestCriterion7Classification:
         for seed in range(3):
             spec = split(corpus, seed=seed)
             tr, te = list(spec.train), list(spec.test)
+            test = Batch.of(X[te], y[te])
             lr_cfg = ClassifierConfig(hidden=(), epochs=300, seed=seed)
             deep_cfg = ClassifierConfig(epochs=300, seed=seed)
             model, _ = train_classifier(X[tr], y[tr], labels, lr_cfg)
-            accs["lr"].append(evaluate(model, X[te], y[te])[0])
+            accs["lr"].append(evaluate(model, test)[0])
             model, _ = train_classifier(X[tr], y[tr], labels, deep_cfg,
                                         embed=params.embeddings)
-            accs["pre"].append(evaluate(model, X[te], y[te])[0])
+            accs["pre"].append(evaluate(model, test)[0])
             model, _ = train_classifier(X[tr], y[tr], labels, deep_cfg,
                                         embed=params.n_f)
-            accs["rand"].append(evaluate(model, X[te], y[te])[0])
+            accs["rand"].append(evaluate(model, test)[0])
         elapsed = time.perf_counter() - start
         lr = float(np.mean(accs["lr"]))
         pre = float(np.mean(accs["pre"]))
@@ -342,7 +348,7 @@ class TestCriterion10BruteForce:
         probs /= probs.sum(axis=1, keepdims=True)
         y = rng.integers(0, 4, size=8)
         manual = -sum(np.log(probs[i, y[i]]) for i in range(8)) / 8
-        ok &= abs(_accuracy_and_xent(probs, y)[1] - manual) < 1e-12
+        ok &= abs(_accuracy_and_xent(probs, y, np.ones(8, int))[1] - manual) < 1e-12
 
         # histograms vs per-node tally; sample counts vs non-leaf recount
         for program in corpus[:20]:

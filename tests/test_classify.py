@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from astvec import classify
 from astvec.ast_core import (
     LabeledProgram,
     kind_by_name,
@@ -11,6 +13,7 @@ from astvec.ast_core import (
     vocabulary,
 )
 from astvec.classify import (
+    Batch,
     ClassifierConfig,
     curves_csv,
     evaluate,
@@ -25,7 +28,9 @@ from astvec.classify import (
 from astvec.coder import Hyperparams, init_params
 from astvec.cparse import parse_file
 
-from conftest import SNIPPET_SRC, count_leaves_obj, load_golden_obj
+from conftest import (
+    SNIPPET_SRC, count_leaves_obj, load_golden_obj, reference_loss_and_gradients,
+)
 
 
 class TestFeatures:
@@ -54,19 +59,18 @@ class TestFeatures:
     def test_counts_mode(self):
         program = LabeledProgram(ast=parse_file(SNIPPET_SRC), label="x", source_id="s")
         X = node_histogram(program.ast)[None, :]
-        model = _init_model(("x",), X, ClassifierConfig())
-        hist, x = model.raw_input(X)
-        assert hist is None
-        assert np.array_equal(x, X.astype(np.float64))
+        batch = Batch.of(X, [0])
+        model = _init_model(("x",), batch, ClassifierConfig())
+        assert np.array_equal(model.raw_input(batch), X.astype(np.float64))
 
     def test_embed_mean_hand_case(self):
         params = init_params(Hyperparams(n_f=3), np.random.default_rng(0))
         tree = node("BinaryOp", node("ID"), node("Constant"))
-        X = node_histogram(tree)[None, :]
-        model = _init_model(("x",), X, ClassifierConfig(), params.embeddings)
+        batch = Batch.of(node_histogram(tree)[None, :], [0])
+        model = _init_model(("x",), batch, ClassifierConfig(), params.embeddings)
         ids = [kind_by_name(n).id for n in ("BinaryOp", "ID", "Constant")]
         expected = params.embeddings[ids].mean(axis=0)
-        assert np.allclose(model.raw_input(X)[1][0], expected, atol=1e-12)
+        assert np.allclose(model.raw_input(batch)[0], expected, atol=1e-12)
 
 
 def _toy_corpus(per_label=5, labels=("a", "b", "c", "d")):
@@ -119,18 +123,19 @@ class TestSplit:
 class TestCrossEntropy:
     def test_perfect_one_hot(self):
         probs = np.eye(3)
-        assert _accuracy_and_xent(probs, np.array([0, 1, 2]))[1] == 0.0
+        assert _accuracy_and_xent(probs, np.array([0, 1, 2]), np.ones(3, int))[1] == 0.0
 
     def test_uniform(self):
         probs = np.full((6, 4), 0.25)
-        assert _accuracy_and_xent(probs, np.zeros(6, dtype=int))[1] == pytest.approx(
+        y = np.zeros(6, dtype=int)
+        assert _accuracy_and_xent(probs, y, np.ones(6, int))[1] == pytest.approx(
             np.log(4.0), abs=1e-12
         )
 
     def test_hand_oracle(self):
         probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1]])
         expected = -(np.log(0.7) + np.log(0.8)) / 2.0
-        assert _accuracy_and_xent(probs, np.array([0, 1]))[1] == pytest.approx(
+        assert _accuracy_and_xent(probs, np.array([0, 1]), np.ones(2, int))[1] == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -160,7 +165,7 @@ class TestClassifier:
         X, y = _separable_data()
         config = ClassifierConfig(hidden=(), epochs=200, lr=0.1, seed=0)
         model, curves = train_classifier(X, y, ("a", "b", "c"), config)
-        acc, xent = evaluate(model, X, y)
+        acc, xent = evaluate(model, Batch.of(X, y))
         assert acc == 1.0
         assert curves.train_xent[-1] < curves.train_xent[0]
 
@@ -168,7 +173,7 @@ class TestClassifier:
         X, y = _separable_data()
         config = ClassifierConfig(hidden=(16, 16), epochs=200, lr=0.05, seed=0)
         model, _ = train_classifier(X, y, ("a", "b", "c"), config)
-        acc, _ = evaluate(model, X, y)
+        acc, _ = evaluate(model, Batch.of(X, y))
         assert acc == 1.0
 
     def test_cv_returns_best_epoch(self):
@@ -179,16 +184,16 @@ class TestClassifier:
         model, curves = train_classifier(X, y, ("a", "b", "c"), config, cv=cv)
         assert len(curves.cv_xent) == len(curves.train_xent) == 60
         assert curves.cv_xent[-1] > 10 * min(curves.cv_xent)
-        assert evaluate(model, *cv)[1] == min(curves.cv_xent)
+        assert evaluate(model, Batch.of(*cv))[1] == min(curves.cv_xent)
         # without a cv split the last epoch's model comes back
         last, _ = train_classifier(X, y, ("a", "b", "c"), config)
-        assert evaluate(last, *cv)[1] == curves.cv_xent[-1]
+        assert evaluate(last, Batch.of(*cv))[1] == curves.cv_xent[-1]
 
     def test_zero_epochs_near_chance(self):
         X, y = _separable_data()
         config = ClassifierConfig(hidden=(8,), epochs=0, seed=0)
         model, curves = train_classifier(X, y, ("a", "b", "c"), config)
-        _, xent = evaluate(model, X, y)
+        _, xent = evaluate(model, Batch.of(X, y))
         assert curves.train_xent == [] and curves.train_acc == []
         # untouched random net should sit near the uniform baseline
         assert abs(xent - np.log(3.0)) < 1.0
@@ -198,7 +203,7 @@ class TestClassifier:
         for epochs in (1, 2, 3):
             model, _ = train_classifier(X, y, ("a", "b", "c"),
                                         dataclasses.replace(config, epochs=epochs))
-            acc, xent = evaluate(model, X, y)
+            acc, xent = evaluate(model, Batch.of(X, y))
             assert (curves.train_acc[epochs - 1], curves.train_xent[epochs - 1]) == (acc, xent)
 
     def test_deterministic(self):
@@ -250,12 +255,104 @@ class TestClassifier:
         X, y = _separable_data()
         config = ClassifierConfig(hidden=(8,), epochs=30, seed=1)
         model, _ = train_classifier(X, y, ("a", "b", "c"), config)
-        probs = model.forward(X)
+        # rows repeated 1-3 times, each run of repeats in place
+        rows = np.repeat(np.arange(len(y)), 1 + np.arange(len(y)) % 3)
+        X, y = X[rows], y[rows]
+        batch = Batch.of(X, y)
+        probs = np.repeat(model.forward(batch), batch.counts, axis=0)
         hits = sum(int(np.argmax(p) == t) for p, t in zip(probs, y))
-        acc, xent = evaluate(model, X, y)
-        assert acc == pytest.approx(hits / len(y), abs=1e-15)
+        acc, xent = evaluate(model, batch)
+        assert acc == hits / len(y)
         manual = -sum(np.log(p[t] + 1e-300) for p, t in zip(probs, y)) / len(y)
         assert xent == pytest.approx(manual, rel=1e-12)
+
+    def test_one_call_per_epoch_through_the_module(self, monkeypatch):
+        # the bench counts these calls through wrappers on the module
+        calls = {"loss_and_gradients": 0, "evaluate": 0}
+        for name in calls:
+            def counting(*args, _name=name, _inner=getattr(classify, name)):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(classify, name, counting)
+        X, y = _separable_data(n_per=4)
+        config = ClassifierConfig(hidden=(4,), epochs=7, seed=0)
+        train_classifier(X, y, ("a", "b", "c"), config, cv=(X, y))
+        assert calls == {"loss_and_gradients": 7, "evaluate": 8}
+
+    @pytest.mark.parametrize("embed", [None, 6])
+    def test_doubled_rows_give_the_same_model(self, embed):
+        X, y = _separable_data()
+        X[1], y[1] = X[0], y[0]
+        config = ClassifierConfig(hidden=(8, 8), epochs=25, seed=3)
+        cv = _separable_data(seed=1)
+        once, curves = train_classifier(X, y, ("a", "b", "c"), config, embed, cv)
+        twice, twice_curves = train_classifier(np.repeat(X, 2, axis=0), np.repeat(y, 2),
+                                               ("a", "b", "c"), config, embed, cv)
+        assert np.array_equal(once.flat, twice.flat)
+        assert np.array_equal(once.mu, twice.mu) and np.array_equal(once.sigma, twice.sigma)
+        assert curves == twice_curves
+
+
+class TestBatch:
+    def test_distinct_rows_in_order_of_first_appearance(self):
+        X = np.array([[2.0, 0.0], [1.0, 1.0], [2.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+        y = np.array([1, 0, 1, 2, 2, 0])
+        batch = Batch.of(X, y)
+        # the same histogram under another label is another row
+        assert batch.X.tolist() == [[2.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]
+        assert batch.y.tolist() == [1, 0, 2, 0]
+        assert batch.counts.tolist() == [2, 1, 2, 1]
+        assert batch.hist.tolist() == [[1.0, 0.0], [0.5, 0.5], [0.5, 0.5], [0.0, 0.0]]
+
+
+def assert_matches_row_oracle(model, X, y, fine_tune):
+    """The batch's loss, accuracy and gradient equal the row-wise oracle's
+    over every row: the accuracy exactly, the loss and the gradient (as one
+    vector, in the max norm) to 1e-12 relative."""
+    loss, acc, grad = loss_and_gradients(model, Batch.of(X, y), fine_tune)
+    want_loss, want_acc, want_grad = reference_loss_and_gradients(model, X, y, fine_tune)
+    assert acc == want_acc
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+
+class TestRowOracle:
+    @pytest.mark.parametrize("embed,fine_tune", [(None, False), (30, False), (30, True)])
+    def test_bundled_corpus(self, corpus, embed, fine_tune):
+        labels = tuple(sorted({p.label for p in corpus}))
+        X = np.stack([node_histogram(p.ast) for p in corpus]).astype(np.float64)
+        y = np.array([labels.index(p.label) for p in corpus])
+        train = list(split(corpus, seed=0).train)
+        X, y = X[train], y[train]
+        batch = Batch.of(X, y)
+        assert len(batch.y) < len(y)  # the bundled corpus repeats programs
+        hidden = () if embed is None else ClassifierConfig.hidden
+        model = _init_model(labels, batch, ClassifierConfig(hidden=hidden), embed)
+        assert_matches_row_oracle(model, X, y, fine_tune)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.integers(1, 5),
+        picks=st.lists(st.integers(0, 4), min_size=1, max_size=14),
+        hidden=st.sampled_from([(), (3,), (5, 4)]),
+        embed=st.sampled_from([None, 3]),
+        fine_tune=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_hypothesis_rows(self, base, picks, hidden, embed, fine_tune, seed):
+        rng = np.random.default_rng(seed)
+        distinct = rng.integers(0, 4, size=(base, 44)).astype(np.float64)
+        labels = rng.integers(0, 3, size=base)
+        rows = [pick % base for pick in picks]
+        X, y = distinct[rows], labels[rows]
+        config = ClassifierConfig(hidden=hidden, seed=seed)
+        batch = Batch.of(X, y)
+        model = _init_model(("a", "b", "c"), batch, config, embed)
+        # Standardizing an input whose spread is 1e-4 of its size turns an ulp
+        # of it (the two sides multiply by the table in batches of different
+        # heights) into 1e4 ulps; such an input is left out.
+        assume(np.max(np.abs(model.raw_input(batch)) / model.sigma) <= 1e3)
+        assert_matches_row_oracle(model, X, y, fine_tune)
 
 
 class TestClassifierGradients:
@@ -268,12 +365,18 @@ class TestClassifierGradients:
         rng = np.random.default_rng(0)
         X = rng.integers(1, 4, size=(6, 44)).astype(np.float64)
         y = np.array([0, 1, 2, 0, 1, 2])
+        # rows repeated 1-3 times: the batch weights them by count, and the
+        # differences are taken of the row-wise loss over every row
+        rows = [0, 1, 1, 2, 3, 3, 3, 4, 5, 5]
+        X, y = X[rows], y[rows]
+        batch = Batch.of(X, y)
+        assert sorted(set(batch.counts.tolist())) == [1, 2, 3]
         params = init_params(Hyperparams(n_f=4), np.random.default_rng(1))
         config = ClassifierConfig(hidden=(5,), seed=2, fine_tune=fine_tune)
-        model = _init_model(("a", "b", "c"), X, config,
+        model = _init_model(("a", "b", "c"), batch, config,
                             params.embeddings if mode == "embed_mean" else None)
 
-        loss, _, grad = loss_and_gradients(model, X, y, fine_tune)
+        loss, _, grad = loss_and_gradients(model, batch, fine_tune)
         ge, gw, gb = model.views(grad)
         step = 1e-6
 
@@ -284,9 +387,9 @@ class TestClassifierGradients:
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + step
-                up, *_ = loss_and_gradients(model, X, y, fine_tune)
+                up, *_ = reference_loss_and_gradients(model, X, y, fine_tune)
                 flat[j] = orig - step
-                down, *_ = loss_and_gradients(model, X, y, fine_tune)
+                down, *_ = reference_loss_and_gradients(model, X, y, fine_tune)
                 flat[j] = orig
                 res[j] = (up - down) / (2 * step)
             return out

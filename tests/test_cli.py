@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from astvec import cli, sampling, trainer
+from astvec import classify, cli, sampling, trainer
 from astvec.ast_core import dump_corpus, load_corpus
 from astvec.cli import EXIT_BUILD, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from astvec.trainer import load_checkpoint
@@ -913,6 +913,30 @@ class TestClassify:
             if name != "random_guess":
                 assert (out_dir / f"{name}_curves.csv").exists()
         assert summary.startswith("# seed=0")
+
+    def test_distinct_rows_and_calls_through_the_module(
+            self, tmp_path, small_corpus_file, checkpoint_file, monkeypatch):
+        # the bench counts these calls through wrappers on the module
+        calls = {"loss_and_gradients": 0, "evaluate": 0}
+        for name in calls:
+            def counting(*args, _name=name, _inner=getattr(classify, name)):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(classify, name, counting)
+        out_dir = tmp_path / "cls"
+        assert main(["classify", "--corpus", str(small_corpus_file),
+                     "--checkpoint", str(checkpoint_file),
+                     "--out-dir", str(out_dir), "--epochs", "4"]) == EXIT_OK
+        # three models, each one loss pass an epoch, one cv pass an epoch,
+        # one last train pass and one test pass
+        assert calls == {"loss_and_gradients": 3 * 4, "evaluate": 3 * (4 + 2)}
+
+        corpus = load_corpus(small_corpus_file.read_text(encoding="utf-8"))
+        spec = classify.split(corpus, seed=0)
+        distinct = [len({(classify.node_histogram(corpus[i].ast).tobytes(), corpus[i].label)
+                         for i in part}) for part in (spec.train, spec.cv, spec.test)]
+        line = (out_dir / "summary.txt").read_text(encoding="utf-8").splitlines()[1]
+        assert line == "# distinct rows: train {}, cv {}, test {}".format(*distinct)
 
     def test_without_checkpoint_lr_only(self, tmp_path, small_corpus_file):
         out_dir = tmp_path / "cls"

@@ -47,10 +47,16 @@ class TestTokenize:
         toks = tokenize("int x; // trailing\n/* block\n comment */ int y;")
         assert [t.lexeme for t in toks] == ["int", "x", ";", "int", "y", ";"]
 
-    def test_unterminated_string(self):
+    @pytest.mark.parametrize("src", [
+        'char *s = "oops;\n',
+        # a literal ends at a raw newline, so the next line's quotes open none
+        'char *s = "oops;\nint y = "x";',
+    ])
+    def test_unterminated_string(self, src):
         with pytest.raises(TokenizeError) as exc:
-            tokenize('char *s = "oops;\n')
-        assert exc.value.line == 1
+            tokenize(src)
+        assert (exc.value.message, exc.value.line, exc.value.column) == (
+            "unterminated string literal", 1, 11)
 
     @pytest.mark.parametrize("src,line,column", [
         ("int x; /* open", 1, 8),
@@ -67,6 +73,7 @@ class TestTokenize:
         ("char c = 'a;", "unterminated character constant", 10),
         ("char c = '\\';", "unterminated character constant", 10),
         ("char c = 'a", "unterminated character constant", 10),
+        ("char c = 'a\n';", "unterminated character constant", 10),
         ("char c = '';", "empty character constant", 10),
         ("char c = 'a'; char d = '';", "empty character constant", 24),
     ])
