@@ -16,15 +16,21 @@ for a fixed list of edited node documents, the tree `load_ast` returns, dumped
 again, or its error. And it writes depth.txt: for each construct in
 `NESTING` (tests/conftest.py), the deepest nesting up to 2,000 that parses,
 bisected, or ">=2000" for a construct that still parses at the cap; it moves
-with every frame a change adds to a recursive path.
+with every frame a change adds to a recursive path. And it writes state.txt:
+for model.json and resumed.json as `trainer.load_checkpoint` reads them, the
+sha256 of the parameters' and the velocity's float64 bytes, the epoch, the
+loss history, the RNG state and the hyperparameters, so a change to the
+checkpoint's format alone leaves state.txt as it was.
 Run from anywhere:
 
     python3 scripts/artifact_digests.py
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -32,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from astvec import cli, corpusgen  # noqa: E402
+from astvec import cli, corpusgen, trainer  # noqa: E402
 from astvec.ast_core import (  # noqa: E402
     KIND_NAMES,
     AstFormatError,
@@ -178,6 +184,22 @@ def load_results() -> str:
            for doc in EDITED_NODES])
 
 
+def state_results(*paths: Path) -> str:
+    lines = []
+    for path in paths:
+        state = trainer.load_checkpoint(path)
+        fields = {
+            "params": hashlib.sha256(state.params.flat.tobytes()).hexdigest(),
+            "velocity": hashlib.sha256(state.velocity.flat.tobytes()).hexdigest(),
+            "epoch": state.epoch,
+            "loss_history": repr(state.loss_history),
+            "rng_state": json.dumps(state.rng.bit_generator.state, sort_keys=True),
+            "hyper": json.dumps(dataclasses.asdict(state.hyper), sort_keys=True),
+        }
+        lines += [f"{path.name} {name} {value}\n" for name, value in fields.items()]
+    return "".join(lines)
+
+
 def write_sources(src: Path) -> None:
     for label, source_id, text in corpusgen.generate_sources(seed=0):
         (src / label).mkdir(parents=True, exist_ok=True)
@@ -208,6 +230,8 @@ def write_artifacts(d: Path, src: Path) -> None:
     (d / "parse.txt").write_text(parse_results(), encoding="utf-8")
     (d / "load.txt").write_text(load_results(), encoding="utf-8")
     (d / "depth.txt").write_text(depth_results(), encoding="utf-8")
+    (d / "state.txt").write_text(state_results(d / "model.json", d / "resumed.json"),
+                                 encoding="utf-8")
 
 
 def main() -> int:

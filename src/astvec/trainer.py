@@ -18,6 +18,7 @@ the first `train` call and cached beside its source.
 
 from __future__ import annotations
 
+import base64
 import ctypes
 import functools
 import hashlib
@@ -46,7 +47,7 @@ from .sampling import TrainingSample, pack_samples
 # it here.
 from .sampling import corrupt_packed as corrupt
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 CONVERGENCE_REL_TOL = 1e-4
 CONVERGENCE_PATIENCE = 3
@@ -252,20 +253,21 @@ def _epoch_kernel():
     return fn
 
 
-PARAM_FIELDS = ("embeddings", "w_l", "w_r", "b")
-
 # The largest parameter magnitude a checkpoint may hold. Squared distances and
 # k-means weights over the embedding table stay finite far beyond it; a value
 # near the float limit overflows them (one 1e308 entry made `cluster` fail).
 PARAM_LIMIT = 1e100
 
 
-def _params_doc(p: ModelParams) -> dict:
-    return {name: getattr(p, name).tolist() for name in PARAM_FIELDS}
+def _params_doc(p: ModelParams) -> str:
+    """`p.flat` as little-endian float64 bytes, base64-encoded."""
+    return base64.b64encode(p.flat.astype("<f8", copy=False)).decode("ascii")
 
 
 def save_checkpoint(state: TrainState, path) -> None:
-    """Canonical JSON container; floats round-trip exactly via repr."""
+    """Canonical JSON container; the parameters and the velocity are each one
+    base64 string of `ModelParams.flat` as little-endian float64, so they
+    round-trip bit for bit."""
     doc = {
         "version": CHECKPOINT_VERSION,
         "hyper": asdict(state.hyper),
@@ -292,23 +294,22 @@ def _typed(obj: dict, key: str, kind: type, where: str = ""):
 
 
 def _read_params(doc: dict, key: str, n_f: int) -> ModelParams:
-    obj = _typed(doc, key, dict)
-    shapes = {"embeddings": (VOCAB_SIZE, n_f), "w_l": (n_f, n_f), "w_r": (n_f, n_f),
-              "b": (n_f,)}
-    arrays = {}
-    for name in PARAM_FIELDS:
-        try:
-            a = np.array(obj.get(name), dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CheckpointError(f"{key}.{name}: {exc}") from exc
-        if a.shape != shapes[name]:
-            raise CheckpointError(
-                f"{key}.{name} has shape {a.shape}, expected {shapes[name]}")
-        if not (np.abs(a) <= PARAM_LIMIT).all():
-            raise CheckpointError(
-                f"{key}.{name} holds a value that is not finite or beyond {PARAM_LIMIT:g}")
-        arrays[name] = a
-    return ModelParams(**arrays)
+    """The parameters saved under doc[key], which is taken out of `doc` so
+    that its text is freed once decoded."""
+    _typed(doc, key, str)
+    size = 8 * (VOCAB_SIZE * n_f + 2 * n_f * n_f + n_f)  # before any decoding
+    try:
+        raw = base64.b64decode(doc.pop(key), validate=True)
+    except ValueError as exc:  # binascii.Error, or a character beyond ASCII
+        raise CheckpointError(f"{key}: not base64: {exc}") from exc
+    if len(raw) != size:
+        raise CheckpointError(f"{key} holds {len(raw)} bytes, expected {size}")
+    flat = np.frombuffer(raw, "<f8").astype(np.float64)
+    del raw
+    if not (np.abs(flat) <= PARAM_LIMIT).all():
+        raise CheckpointError(
+            f"{key} holds a value that is not finite or beyond {PARAM_LIMIT:g}")
+    return ModelParams.of_flat(flat, n_f)
 
 
 def load_checkpoint(path) -> TrainState:
@@ -342,6 +343,9 @@ def load_checkpoint(path) -> TrainState:
     loss_history = _typed(doc, "loss_history", list)
     if not all(type(v) is float and math.isfinite(v) for v in loss_history):
         raise CheckpointError("loss_history must hold finite floats")
+    if len(loss_history) != epoch:
+        raise CheckpointError(
+            f"loss_history holds {len(loss_history)} values for {epoch} epochs")
     rng = np.random.default_rng()
     try:
         rng.bit_generator.state = _typed(doc, "rng_state", dict)

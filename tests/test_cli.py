@@ -1,3 +1,4 @@
+import base64
 import functools
 import json
 import logging
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from astvec import classify, cli, sampling, trainer
 from astvec.ast_core import dump_corpus, load_corpus
+from astvec.coder import ModelParams
 from astvec.cli import EXIT_BUILD, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from astvec.trainer import load_checkpoint
 
@@ -23,6 +25,16 @@ def read_export(text: str) -> np.ndarray:
     """The table an `export` wrote, each value read with float()."""
     return np.array([[float(x) for x in line.split()[1:]]
                      for line in text.splitlines()[1:]])
+
+
+def _astvec_process(*argv: str) -> subprocess.CompletedProcess:
+    """`astvec <argv>` as its own process, so a traceback would show."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return subprocess.run([sys.executable, "-m", "astvec.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.fixture(scope="module")
@@ -96,12 +108,7 @@ class TestUsageErrors:
         assert line.startswith(message)
 
     def test_one_stderr_line(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])]
-        )
-        proc = subprocess.run([sys.executable, "-m", "astvec.cli", "train"],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = _astvec_process("train")
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr.splitlines() == [
             "ERROR the following arguments are required: --corpus, --out"
@@ -236,16 +243,9 @@ class TestTrain:
         ("--lr", "nan"), ("--margin", "inf"), ("--lambda", "nan"), ("--momentum", "-inf"),
     ])
     def test_non_finite_hyper_usage(self, tmp_path, small_corpus_file, flag, value):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])]
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "astvec.cli", "train",
-             "--corpus", str(small_corpus_file), "--out", str(tmp_path / "cp.json"),
-             "--epochs", "1", f"{flag}={value}"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _astvec_process("train", "--corpus", str(small_corpus_file),
+                               "--out", str(tmp_path / "cp.json"), "--epochs", "1",
+                               f"{flag}={value}")
         assert proc.returncode == EXIT_USAGE
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
@@ -324,40 +324,95 @@ def _put(value, *keys):
     return edit
 
 
+def _decoded(text: str) -> np.ndarray:
+    """A checkpoint's "params" or "velocity" string as its flat float64 buffer."""
+    return np.frombuffer(base64.b64decode(text), "<f8").copy()
+
+
+def _encoded(raw) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _edit_flat(change, key):
+    """An edit of doc[key]'s decoded flat buffer, re-encoded; `change` edits
+    the buffer in place, seen as `ModelParams`."""
+    def edit(doc):
+        params = ModelParams.of_flat(_decoded(doc[key]), doc["hyper"]["n_f"])
+        change(params)
+        doc[key] = _encoded(params.flat.astype("<f8"))
+    return edit
+
+
+def _as_version_1(doc):
+    """The document in the version-1 layout: each parameter set a dict of
+    nested lists of floats."""
+    for key in ("params", "velocity"):
+        p = ModelParams.of_flat(_decoded(doc[key]), doc["hyper"]["n_f"])
+        doc[key] = {name: getattr(p, name).tolist()
+                    for name in ("embeddings", "w_l", "w_r", "b")}
+    doc["version"] = 1
+
+
+def _assert_one_line_exit_2(proc, path):
+    assert proc.returncode == EXIT_INPUT
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert str(path) in proc.stderr
+
+
+def _set(**fields):
+    return lambda doc: doc.update(fields)
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda doc: [1, 2], id="json-list"),
     pytest.param(_drop("vocab_fingerprint"), id="no-fingerprint"),
     pytest.param(_drop("hyper", "seed"), id="no-hyper-seed"),
-    pytest.param(_put(lambda b: b[:-1], "params", "b"), id="short-b"),
+    pytest.param(_put(lambda t: _encoded(_decoded(t)[:-1].astype("<f8")), "params"),
+                 id="short-b"),
     pytest.param(_put("x", "hyper", "n_f"), id="n_f-string"),
+    pytest.param(_put(10**9, "hyper", "n_f"), id="huge-n_f"),
     pytest.param(_put(-1, "hyper", "alpha"), id="negative-alpha"),
-    pytest.param(_put(lambda w: [[float("nan")] * len(w[0])] * len(w),
-                      "velocity", "w_l"), id="nan-velocity"),
-    pytest.param(_put(lambda b: [1e308] + b[1:], "params", "b"), id="huge-b"),
+    pytest.param(_edit_flat(lambda p: p.w_l.fill(float("nan")), "velocity"),
+                 id="nan-velocity"),
+    pytest.param(_edit_flat(lambda p: p.b.put(0, 1e308), "params"), id="huge-b"),
+    pytest.param(_put("not base64!", "params"), id="not-base64"),
+    pytest.param(_put("\u00e9" * 8, "velocity"), id="non-ascii-payload"),
+    pytest.param(_put(lambda t: _encoded(base64.b64decode(t)[:-8]), "velocity"),
+                 id="payload-8-bytes-short"),
+    pytest.param(_put(lambda t: _encoded(base64.b64decode(t) + bytes(8)), "velocity"),
+                 id="payload-8-bytes-long"),
+    pytest.param(_put(lambda t: _decoded(t).tolist(), "params"), id="list-payload"),
+    pytest.param(_as_version_1, id="version-1"),
     pytest.param(_put(True, "epoch"), id="bool-epoch"),
     pytest.param(_put({}, "rng_state"), id="empty-rng-state"),
     pytest.param(_put(lambda h: h + ["0.5"], "loss_history"), id="string-loss"),
+    # resumed as converged, it trained 0 epochs and exited 0
+    pytest.param(_set(epoch=2, loss_history=[0.5] * 4), id="losses-beyond-epoch"),
+    # its loss-log rows were numbered from 51
+    pytest.param(_set(epoch=50, loss_history=[0.5, 0.25]), id="losses-short-of-epoch"),
 ])
 def test_malformed_checkpoint_exit_2(tmp_path, small_corpus_file, checkpoint_file, edit):
     doc = json.loads(checkpoint_file.read_text(encoding="utf-8"))
     doc = edit(doc) or doc
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "astvec.cli", "train",
-         "--corpus", str(small_corpus_file), "--out", str(tmp_path / "cp.json"),
-         "--resume", str(bad), "--epochs", "4"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == EXIT_INPUT
-    assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.strip().splitlines()) == 1
-    assert str(bad) in proc.stderr
+    proc = _astvec_process("train", "--corpus", str(small_corpus_file),
+                           "--out", str(tmp_path / "cp.json"), "--resume", str(bad),
+                           "--epochs", "4")
+    _assert_one_line_exit_2(proc, bad)
     assert not (tmp_path / "cp.json").exists()
+
+
+def test_version_1_checkpoint_nn_exit_2(tmp_path, checkpoint_file):
+    doc = json.loads(checkpoint_file.read_text(encoding="utf-8"))
+    _as_version_1(doc)
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(doc), encoding="utf-8")
+    proc = _astvec_process("nn", "--checkpoint", str(old), "--symbol", "If")
+    _assert_one_line_exit_2(proc, old)
+    assert proc.stderr.strip().endswith("unsupported checkpoint version 1")
+    assert proc.stdout == ""
 
 
 # Sources and corpora that once ended in a traceback: each C file is either
@@ -662,15 +717,8 @@ class TestHostileInputs:
         assert read_export(text).shape[0] == 44
 
     def test_dev_stdout_output_to_a_pipe(self, checkpoint_file):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])]
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "astvec.cli", "export",
-             "--checkpoint", str(checkpoint_file), "--out", "/dev/stdout"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _astvec_process("export", "--checkpoint", str(checkpoint_file),
+                               "--out", "/dev/stdout")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert read_export(proc.stdout).shape[0] == 44
 
@@ -775,11 +823,10 @@ def _mutated(data, text: bytes) -> bytes:
     how = data.draw(st.sampled_from(["number", "field", "truncate", "bytes"]))
     if how == "number":  # one parameter entry, the kind of edit most likely to load
         doc = json.loads(text)
-        rows = doc[data.draw(st.sampled_from(["params", "velocity"]))][
-            data.draw(st.sampled_from(["embeddings", "w_l", "w_r", "b"]))]
-        if isinstance(rows[0], list):
-            rows = rows[data.draw(st.integers(0, len(rows) - 1))]
-        rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(st.floats())
+        key = data.draw(st.sampled_from(["params", "velocity"]))
+        flat = _decoded(doc[key])
+        flat[data.draw(st.integers(0, flat.size - 1))] = data.draw(st.floats())
+        doc[key] = _encoded(flat.astype("<f8"))
         return json.dumps(doc).encode()
     if how == "field":
         doc = json.loads(text)

@@ -1,5 +1,7 @@
+import base64
 import ctypes
 import dataclasses
+import json
 import math
 import subprocess
 
@@ -16,8 +18,10 @@ from astvec.sampling import (
     pack_samples,
 )
 from astvec.trainer import (
+    CHECKPOINT_VERSION,
     COMPILE,
     KERNEL_SOURCE,
+    PARAM_LIMIT,
     CheckpointError,
     TrainingDiverged,
     _epoch_kernel,
@@ -362,6 +366,20 @@ class TestCheckpoint:
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_round_trip_bit_exact(self, tmp_path):
+        state, _ = train(_samples(), HYPER)
+        edges = [-0.0, 5e-324, -5e-324, PARAM_LIMIT, -PARAM_LIMIT]
+        state.params.flat[:len(edges)] = edges
+        state.velocity.flat[-len(edges):] = edges
+        p = tmp_path / "cp.json"
+        save_checkpoint(state, p)
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        loaded = load_checkpoint(p)
+        for key in ("params", "velocity"):
+            flat = getattr(state, key).flat
+            assert getattr(loaded, key).flat.tobytes() == flat.tobytes()
+            assert doc[key] == base64.b64encode(flat.astype("<f8").tobytes()).decode()
+
     def test_resume_bit_identical(self, tmp_path):
         samples = _samples()
         hyper = Hyperparams(n_f=4, epochs=6, seed=11)
@@ -402,7 +420,8 @@ class TestCheckpoint:
         p = tmp_path / "cp.json"
         save_checkpoint(state, p)
         p.write_text(
-            p.read_text(encoding="utf-8").replace('"version":1', '"version":99'),
+            p.read_text(encoding="utf-8").replace(
+                f'"version":{CHECKPOINT_VERSION}', '"version":99'),
             encoding="utf-8",
         )
         with pytest.raises(CheckpointError):
