@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.decoder import scanstring
 
 # Closed, ordered vocabulary of node kinds. Index in this tuple is the kind id
 # and must stay stable: embedding tables, checkpoints and fixtures rely on it.
@@ -293,7 +294,7 @@ def dump_ast(root: AstNode) -> str:
 
 
 # The tallest tree (`AstNode.height`) a corpus line is sure to load back.
-# The decoder recurses per nesting level and reads about 494 levels from a
+# The decoder recurses per nesting level and reads about 495 levels from a
 # shallow stack, fewer from a deeper one; this leaves room for the caller's.
 MAX_LOAD_HEIGHT = 400
 
@@ -332,22 +333,55 @@ def dump_corpus(programs: list[LabeledProgram]) -> str:
     return "".join(out)
 
 
+def _canonical_parts(line: str):
+    """(label, source_id, ast text) of a line of `dump_corpus`'s shape,
+    `{"label":<string>,"source_id":<string>,"ast":<text>}`, with the two
+    strings decoded; None for any other line."""
+    if not (line.startswith('{"label":"') and line.endswith("}")):
+        return None
+    try:
+        label, end = scanstring(line, 10)
+        if not line.startswith(',"source_id":"', end):
+            return None
+        source_id, end = scanstring(line, end + 14)
+    except ValueError:
+        return None
+    if not line.startswith(',"ast":', end):
+        return None
+    return label, source_id, line[end + 7:-1]
+
+
 def load_corpus(text: str) -> list[LabeledProgram]:
     """Parse a corpus document; its trees share one `NodeTable`.
 
     Lines end at "\r\n", "\r" or "\n" only: a JSON string may hold other
-    line breaks (U+0085, U+2028, U+2029) raw, but never these. Each line is
-    decoded once, by one `NodeTable.decoder`, so a record of canonical
-    nodes, as `dump_corpus` writes them, holds its tree already; `_from_obj`
-    checks any other "ast", with the same table.
+    line breaks (U+0085, U+2028, U+2029) raw, but never these. A line of
+    `dump_corpus`'s shape is split into its label, source_id and ast text,
+    and each distinct ast text is decoded once, on its own, by one
+    `NodeTable.decoder`, so canonical nodes are a tree already; `_from_obj`
+    checks any other. Every other line, and one whose ast text does not load
+    alone, is decoded whole and checked as a record, with the same table.
     """
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     table = NodeTable()
     decoder = table.decoder()
+    trees: dict[str, AstNode] = {}  # ast text -> its tree
     programs = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
+        parts = _canonical_parts(line)
+        if parts is not None:
+            label, source_id, ast_text = parts
+            ast = trees.get(ast_text)
+            if ast is None:
+                try:
+                    ast = trees[ast_text] = _from_obj(_decode(decoder, ast_text), "", table)
+                except AstFormatError:
+                    pass  # the whole line, below, gives the error and where it is
+            if ast is not None:
+                programs.append(LabeledProgram(ast=ast, label=label, source_id=source_id))
+                continue
         where = f"corpus line {lineno}: "
         rec = _decode(decoder, line, where)
         if rec.__class__ is AstNode:  # a node object: its keys are "kind" and "children"

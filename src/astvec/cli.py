@@ -18,12 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, classify, corpusgen, embedding_io, sampling, trainer
+from . import analysis, classify, corpusgen, cparse, embedding_io, sampling, trainer
 from .ast_core import (
     MAX_LOAD_HEIGHT,
     AstFormatError,
     LabeledProgram,
-    NodeTable,
     UnknownKindError,
     dump_ast,
     dump_corpus,
@@ -193,12 +192,18 @@ def cmd_corpus_build(args) -> int:
         root = Path(args.src_dir)
         if not root.is_dir():
             raise CliError(f"{root}: not a directory")
-        table = NodeTable()  # the corpus's trees share their equal subtrees
+        # the corpus's trees share their equal subtrees, and a source text
+        # read again is not parsed again
+        parse = cparse.ParseMemo()
         programs = []
-        for c_path in sorted(root.rglob("*.c")):
+        paths = sorted(root.rglob("*.c"))
+        read = 0
+        for c_path in paths:
             label = c_path.parent.name
             try:
-                ast = parse_file(c_path, table)
+                source = cparse.read_source(c_path)
+                read += 1
+                ast = parse(source)
             except OSError as exc:
                 log.warning("skipping %s: %s", c_path, exc.strerror or exc)
                 continue
@@ -214,6 +219,8 @@ def cmd_corpus_build(args) -> int:
             programs.append(
                 LabeledProgram(ast=ast, label=label, source_id=c_path.stem)
             )
+        log.info("read %d sources: %d repeat an earlier one's text, %d skipped",
+                 read, read - len(parse.parsed), len(paths) - len(programs))
     _write((args.out, dump_corpus(programs)))
     return EXIT_OK
 

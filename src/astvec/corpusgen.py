@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ast_core import LabeledProgram, NodeTable
-from .cparse import parse_source
+from .ast_core import LabeledProgram
+from .cparse import ParseMemo
 
 CLASS_LABELS = ("accumulate", "sorting", "matrix", "strings")
 
@@ -339,10 +339,11 @@ def generate_sources(seed: int = 0, per_class: int = 55) -> list[tuple[str, str,
 
 
 def generate_corpus(seed: int = 0, per_class: int = 55) -> list[LabeledProgram]:
-    """The generated sources, parsed; the trees share one `NodeTable`."""
-    table = NodeTable()
+    """The generated sources, parsed; the trees share one `NodeTable`, and a
+    source generated again is not parsed again."""
+    parse = ParseMemo()
     programs = []
     for label, source_id, source in generate_sources(seed, per_class):
-        ast = parse_source(source, table)
+        ast = parse(source)
         programs.append(LabeledProgram(ast=ast, label=label, source_id=source_id))
     return programs

@@ -690,14 +690,45 @@ def parse_source(source: str, table: Optional[NodeTable] = None) -> AstNode:
     return parse_program(tokenize(source), table)
 
 
-def parse_file(path, table: Optional[NodeTable] = None) -> AstNode:
+def read_source(path) -> str:
+    """The text of a source file, read as `open` reads UTF-8 text."""
     try:
         with open(path, encoding="utf-8") as fh:
-            source = fh.read()
+            return fh.read()
     except UnicodeDecodeError as exc:
         # the first bad byte's position, with newlines read as open() reads them
         good = exc.object[: exc.start].decode("utf-8")
         good = good.replace("\r\n", "\n").replace("\r", "\n")
         line = good.count("\n") + 1
         raise CParseError("not valid UTF-8", line, len(good) - good.rfind("\n")) from None
-    return parse_source(source, table)
+
+
+def parse_file(path, table: Optional[NodeTable] = None) -> AstNode:
+    return parse_source(read_source(path), table)
+
+
+class ParseMemo:
+    """`parse_source` through a table of its own, once per distinct source
+    text.
+
+    Calling it with a text seen before returns the tree made the first time,
+    or raises a copy of the error raised then. `parsed` maps each text to its
+    tree or its error; an error is stored without its traceback, so it keeps
+    no parser frame or token alive.
+    """
+
+    def __init__(self):
+        self.table = NodeTable()
+        self.parsed: dict[str, AstNode | CParseError] = {}
+
+    def __call__(self, source: str) -> AstNode:
+        found = self.parsed.get(source)
+        if found is None:
+            try:
+                found = parse_source(source, self.table)
+            except CParseError as exc:
+                found = exc.with_traceback(None)
+            self.parsed[source] = found
+        if found.__class__ is AstNode:
+            return found
+        raise found.__class__(found.message, found.line, found.column, found.expected)

@@ -35,14 +35,22 @@ def build_training_set(corpus: list[LabeledProgram]) -> list[TrainingSample]:
 
     Each distinct node (by identity) is sampled once, from its children's
     `leaves` over its own, so on hash-consed trees a subtree shared by many
-    parents is read once; equal samples are the same object. The corpus
-    keeps every node alive, so no id is reused meanwhile.
+    parents is read once; equal samples are the same object. A program whose
+    root was walked before repeats that walk's samples. The corpus keeps
+    every node alive, so no id is reused meanwhile.
     """
     made: dict[int, TrainingSample] = {}
     interned: dict[TrainingSample, TrainingSample] = {}
+    walked: dict[int, tuple[int, int]] = {}  # id of a root -> its slice of samples
     samples: list[TrainingSample] = []
     for program in corpus:
-        for node in program.ast.walk():
+        root = program.ast
+        span = walked.get(id(root))
+        if span is not None:
+            samples += samples[span[0]:span[1]]
+            continue
+        start = len(samples)
+        for node in root.walk():
             kids = node.children
             if not kids:
                 continue
@@ -55,6 +63,7 @@ def build_training_set(corpus: list[LabeledProgram]) -> list[TrainingSample]:
                 )
                 sample = made[id(node)] = interned.setdefault(sample, sample)
             samples.append(sample)
+        walked[id(root)] = start, len(samples)
     return samples
 
 

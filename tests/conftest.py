@@ -105,6 +105,29 @@ def extract_samples(tree: AstNode) -> list[TrainingSample]:
     return build_training_set([LabeledProgram(tree, "", "")])
 
 
+def reference_build_training_set(corpus: list[LabeledProgram]) -> list[TrainingSample]:
+    """Oracle for `build_training_set`: every program walked in preorder,
+    however often its root repeats, each distinct node sampled once and equal
+    samples interned."""
+    made: dict[int, TrainingSample] = {}
+    interned: dict[TrainingSample, TrainingSample] = {}
+    samples: list[TrainingSample] = []
+    for program in corpus:
+        for n in program.ast.walk():
+            if not n.children:
+                continue
+            sample = made.get(id(n))
+            if sample is None:
+                sample = TrainingSample(
+                    n.kind.id,
+                    tuple(c.kind.id for c in n.children),
+                    tuple(c.leaves / n.leaves for c in n.children),
+                )
+                sample = made[id(n)] = interned.setdefault(sample, sample)
+            samples.append(sample)
+    return samples
+
+
 def per_node_samples(tree: AstNode) -> list[TrainingSample]:
     """Oracle for sample extraction: every non-leaf node in preorder, with its
     children's leaves counted afresh at each node."""

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import re
 from unittest import mock
 
 import pytest
@@ -478,9 +479,20 @@ MUTATED_CORPUS_LINES = [
 ]
 
 
+# A line of dump_corpus's shape: its label, its source_id and its ast text.
+CANONICAL_LINE = re.compile(r'\{"label":("(?:[^"\\]|\\.)*"),"source_id":("(?:[^"\\]|\\.)*"),'
+                            r'"ast":(.*)\}', re.DOTALL)
+
+# Labels with escapes, a raw line separator, non-ASCII and the text that
+# follows a source_id.
+LABELS = st.lists(st.sampled_from(['"', "\\", "\n", "\u2028", "\u00e9", "\u5b57",
+                                   ',"ast":', "a"]), max_size=4).map("".join)
+
+
 class TestOnePassLoader:
-    """`load_corpus` and `load_ast` decode each line once and walk what the
-    decoder leaves: they must give what the reference loaders give."""
+    """`load_corpus` decodes each distinct ast text of a canonical line once
+    and each other line once, `load_ast` its document once, and both walk
+    what the decoder leaves: they must give what the reference loaders give."""
 
     @settings(max_examples=150, deadline=None)
     @given(corpus_texts())
@@ -536,16 +548,66 @@ class TestOnePassLoader:
                 assert chain(depth, reordered) == (AstFormatError, too_deep), depth
 
     @pytest.mark.parametrize("line", MUTATED_CORPUS_LINES)
-    def test_each_line_is_decoded_once(self, corpus, line):
-        lines = dump_corpus(corpus[:5]).splitlines()
+    def test_each_ast_text_is_decoded_once(self, corpus, line):
+        # a line of dump_corpus's shape has its ast text decoded alone, once
+        # per distinct text; any other line, and one whose ast text does not
+        # load alone, is decoded whole, once
+        lines = dump_corpus(corpus[:5] + corpus[:2]).splitlines()
         lines.insert(3, line)
+        text = "\n".join(lines)
+        failed = isinstance(outcome(load_corpus, text), tuple)
+        expected, loaded = [], set()
+        for each in lines:
+            match = CANONICAL_LINE.fullmatch(each)
+            if match and match[3] in loaded:
+                continue
+            if match:
+                expected.append(match[3])
+                if isinstance(outcome(load_ast, match[3]), str):
+                    loaded.add(match[3])
+                    continue
+            expected.append(each)
+            if failed and each == line:
+                break
         decode = json.JSONDecoder.decode
         with mock.patch.object(json.JSONDecoder, "decode", autospec=True,
                                side_effect=decode) as spy:
-            failed = isinstance(outcome(load_corpus, "\n".join(lines)), tuple)
+            outcome(load_corpus, text)
             outcome(load_ast, line)
         decoded = [call.args[1] for call in spy.call_args_list]
-        assert decoded == (lines[:4] if failed else lines) + [line]
+        assert decoded == expected + [line]
+        assert len(loaded) < len(lines) - 1  # the corpus repeats ast texts
+        assert_same_outcome(load_corpus, reference_load_corpus, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(trees(), min_size=1, max_size=3),
+           st.lists(st.tuples(st.integers(0, 2), LABELS, st.booleans()),
+                    min_size=1, max_size=6))
+    def test_repeated_ast_texts_under_other_labels(self, pool, rows):
+        texts = [dump_ast(pool[pick % len(pool)]) for pick, _, _ in rows]
+        text = "\n".join(
+            to_json(Obj([("label", label), ("source_id", label[::-1]), ("ast", Raw(ast))]),
+                    raw=raw)
+            for ast, (_, label, raw) in zip(texts, rows))
+        assert_same_outcome(load_corpus, reference_load_corpus, text)
+        programs = load_corpus(text)
+        assert [p.label for p in programs] == [label for _, label, _ in rows]
+        for ast, program in zip(texts, programs):
+            assert program.ast is programs[texts.index(ast)].ast
+
+    # the messages the whole-line loader gives, so the column of invalid JSON
+    # is the column in the line, not in its ast text
+    @pytest.mark.parametrize("ast,error", [
+        ('{"kind":"Return","children":[{"kind":"Bogus","children":[]}]}',
+         (UnknownKindError, "unknown node kind 'Bogus' at line 3/0")),
+        ('{"kind":"Return","children":[{"kind":"ID","children":[],}]}',
+         (AstFormatError, "corpus line 3: invalid JSON: Expecting property name "
+                          "enclosed in double quotes: line 1 column 92 (char 91)")),
+    ], ids=["unknown-kind", "bad-json"])
+    def test_canonical_line_errors_as_before(self, ast, error):
+        leaf = '{"kind":"ID","children":[]}'
+        text = "\n".join([record(leaf), record(leaf, "b"), record(ast)])
+        assert outcome(load_corpus, text) == error
 
     def test_tall_canonical_lines_share_nodes(self):
         # 300 levels, 20 times as tall as the bundled corpus' trees

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from astvec import classify, cli, sampling, trainer
-from astvec.ast_core import dump_corpus, load_corpus
+from astvec import classify, cli, cparse, sampling, trainer
+from astvec.ast_core import LabeledProgram, dump_corpus, load_corpus
 from astvec.coder import ModelParams
 from astvec.cli import EXIT_BUILD, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from astvec.trainer import load_checkpoint
@@ -143,6 +143,44 @@ class TestCorpusBuild:
         assert code == EXIT_OK
         corpus = load_corpus(out.read_text(encoding="utf-8"))
         assert [p.label for p in corpus] == ["label_a"]
+
+    def test_src_dir_copies_parsed_once(self, tmp_path, caplog, capsys, monkeypatch):
+        # byte copies of a valid and of an invalid file, under two labels
+        valid, invalid = b"int f(int a) { return a + 1; }\n", b"int x = ;\n"
+        files = {"a/one.c": valid, "a/two.c": valid, "b/three.c": valid,
+                 "a/bad.c": invalid, "b/worse.c": invalid, "b/other.c": b"int y;\n"}
+        src = tmp_path / "src"
+        for name, data in files.items():
+            (src / name).parent.mkdir(parents=True, exist_ok=True)
+            (src / name).write_bytes(data)
+        memos, dumped = [], []
+
+        class KeptMemo(cparse.ParseMemo):
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
+
+        monkeypatch.setattr(cparse, "ParseMemo", KeptMemo)
+        monkeypatch.setattr(cli, "dump_corpus",
+                            lambda programs: dumped.append(programs) or dump_corpus(programs))
+        caplog.set_level(logging.INFO)
+        out = tmp_path / "c.jsonl"
+        assert main(["corpus-build", "--src-dir", str(src), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        # each file parsed with a fresh table of its own gives the same corpus
+        kept = sorted(p for p in src.rglob("*.c") if p.read_bytes() != invalid)
+        assert out.read_text(encoding="utf-8") == dump_corpus(
+            [LabeledProgram(cparse.parse_file(p), p.parent.name, p.stem) for p in kept])
+        [programs] = dumped
+        assert [p.source_id for p in programs] == ["one", "two", "other", "three"]
+        assert programs[0].ast is programs[1].ast is programs[3].ast
+        assert _problems(caplog) == [
+            f"skipping {src / 'a' / 'bad.c'}: 1:9: unexpected punctuation ';'",
+            f"skipping {src / 'b' / 'worse.c'}: 1:9: unexpected punctuation ';'"]
+        assert "read 6 sources: 3 repeat an earlier one's text, 2 skipped" in caplog.messages
+        [memo] = memos
+        [error] = [e for e in memo.parsed.values() if isinstance(e, cparse.CParseError)]
+        assert error.__traceback__ is None
 
     def test_neither_flag_usage(self, tmp_path):
         assert main(["corpus-build", "--out", str(tmp_path / "x.jsonl")]) == EXIT_USAGE
@@ -515,14 +553,14 @@ class TestHostileInputs:
         (d / "dir.c").mkdir(parents=True)
         (d / "locked.c").write_text("int y;\n", encoding="utf-8")
         (d / "good.c").write_text("int x;\n", encoding="utf-8")
-        parse_file = cli.parse_file
+        read_source = cparse.read_source
 
-        def refuse_locked(path, table=None):
+        def refuse_locked(path):
             if path.name == "locked.c":
                 raise PermissionError(13, "Permission denied", str(path))
-            return parse_file(path, table)
+            return read_source(path)
 
-        monkeypatch.setattr(cli, "parse_file", refuse_locked)
+        monkeypatch.setattr(cparse, "read_source", refuse_locked)
         out = tmp_path / "c.jsonl"
         assert main(["corpus-build", "--src-dir", str(tmp_path / "src"),
                      "--out", str(out)]) == EXIT_OK

@@ -16,6 +16,16 @@ def test_sources_compile():
         parse_source(src)  # must not raise
 
 
+def test_repeated_sources_share_one_tree():
+    sources = generate_sources(seed=1, per_class=20)
+    corpus = generate_corpus(seed=1, per_class=20)
+    first = {}
+    for (_, _, src), program in zip(sources, corpus):
+        assert program.ast is first.setdefault(src, program.ast)
+        assert program.ast == parse_source(src)  # a fresh table of its own
+    assert len(first) < len(corpus)
+
+
 def test_deterministic():
     a = generate_corpus(seed=2, per_class=4)
     b = generate_corpus(seed=2, per_class=4)

@@ -5,6 +5,7 @@ from astvec import corpusgen
 from astvec.ast_core import KIND_NAMES, dump_ast
 from astvec.cparse import (
     CParseError,
+    ParseMemo,
     TokenizeError,
     parse_file,
     parse_program,
@@ -315,6 +316,31 @@ def test_truncated_source_error(src, message, line, column, expected):
     assert (err.message, err.line, err.column, err.expected) == (
         message, line, column, expected
     )
+
+
+@pytest.mark.parametrize("bad", ["int x = ;", "int x = 1 @ 2;"], ids=["parse", "tokenize"])
+def test_parse_memo_parses_a_text_once(bad):
+    good = "int f(int a) { return a + 1; }"
+    parse = ParseMemo()
+    tree = parse(good)
+    assert parse("".join(list(good))) is tree  # an equal text, not the same str
+    assert tree == parse_source(good)
+    with pytest.raises(CParseError) as fresh:
+        parse_source(bad)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(CParseError) as exc:
+            parse("".join(list(bad)))
+        raised.append(exc.value)
+    stored = parse.parsed[bad]
+    assert len(parse.parsed) == 2
+    assert stored.__traceback__ is None
+    for err in (stored, *raised):
+        assert type(err) is type(fresh.value)
+        assert (str(err), err.message, err.line, err.column, err.expected) == (
+            str(fresh.value), fresh.value.message, fresh.value.line, fresh.value.column,
+            fresh.value.expected)
+    assert raised[0] is not raised[1] and stored not in raised
 
 
 def test_end_tokens_not_returned():

@@ -2,9 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from astvec.ast_core import KIND_NAMES, VOCAB_SIZE, LabeledProgram, node, vocabulary
+from astvec.ast_core import (
+    KIND_NAMES,
+    VOCAB_SIZE,
+    LabeledProgram,
+    dump_corpus,
+    load_corpus,
+    node,
+    vocabulary,
+)
 from astvec.classify import node_histogram
 from astvec.coder import Hyperparams, init_params, objective
 from astvec.sampling import (
@@ -16,7 +24,13 @@ from astvec.sampling import (
     pack_samples,
 )
 
-from conftest import extract_samples, leaf_count, per_node_samples, unshared
+from conftest import (
+    extract_samples,
+    leaf_count,
+    per_node_samples,
+    reference_build_training_set,
+    unshared,
+)
 from test_ast_core import trees
 
 
@@ -122,6 +136,15 @@ class TestCorrupt:
         assert a == b
 
 
+def assert_same_samples(got, want):
+    """Equal samples in the same order, where two positions hold one object
+    exactly when they do in `want`."""
+    assert got == want
+    first_got, first_want = {}, {}
+    assert ([first_got.setdefault(id(s), i) for i, s in enumerate(got)]
+            == [first_want.setdefault(id(s), i) for i, s in enumerate(want)])
+
+
 class TestBuildTrainingSet:
     def test_empty(self):
         assert build_training_set([]) == []
@@ -151,6 +174,20 @@ class TestBuildTrainingSet:
             counts[n.kind.id] += 1
         histogram = node_histogram(tree)
         assert histogram.dtype == np.int64 and histogram.tolist() == counts.tolist()
+
+    def test_repeated_roots_equal_the_walk(self, corpus):
+        # the bundled corpus holds 220 programs but 125 distinct trees
+        assert len({id(p.ast) for p in corpus}) < len(corpus)
+        assert_same_samples(build_training_set(corpus), reference_build_training_set(corpus))
+
+    @given(st.lists(trees(), min_size=1, max_size=3),
+           st.lists(st.integers(0, 2), min_size=1, max_size=8), st.booleans())
+    def test_repeated_programs_equal_the_walk(self, pool, picks, hash_consed):
+        programs = [LabeledProgram(pool[i % len(pool)], "a", "s") for i in picks]
+        if hash_consed:
+            programs = load_corpus(dump_corpus(programs))
+        assert_same_samples(build_training_set(programs),
+                            reference_build_training_set(programs))
 
     def test_total_count_recount(self, corpus):
         # oracle: independent per-tree traversal counting non-leaf nodes
