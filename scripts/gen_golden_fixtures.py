@@ -14,23 +14,15 @@ from pathlib import Path
 from pycparser import c_parser
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "fixtures" / "golden"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-
-def convert(node) -> dict:
-    kind = type(node).__name__
-    if kind == "FileAST":
-        kind = "Root"
-    return {
-        "kind": kind,
-        "children": [convert(child) for _, child in node.children()],
-    }
+from conftest import GOLDEN_DIR, convert  # noqa: E402
 
 
 def main() -> int:
     parser = c_parser.CParser()
     count = 0
-    for src_path in sorted(GOLDEN.glob("*.c")):
+    for src_path in sorted(GOLDEN_DIR.glob("*.c")):
         source = src_path.read_text(encoding="utf-8")
         ast = parser.parse(source, filename=str(src_path))
         doc = json.dumps(convert(ast), separators=(",", ":"))

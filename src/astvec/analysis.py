@@ -7,29 +7,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ast_core import NodeKind, kind_by_name, vocabulary
+from .ast_core import KIND_NAMES, VOCAB_SIZE, kind_by_name
 
 
 def nearest_neighbors(
-    embeddings: np.ndarray, query: NodeKind | str, top: int | None = None
-) -> list[tuple[NodeKind, float]]:
-    """All other symbols as (kind, Euclidean distance to the query's vector),
-    nearest first, the first `top` of them.
+    embeddings: np.ndarray, query: int | str, top: int | None = None
+) -> list[tuple[int, float]]:
+    """All other symbols as (kind id, Euclidean distance to the vector of
+    `query`, a kind id or name), nearest first, the first `top` of them.
 
-    Ties break by vocabulary id so the ranking is deterministic.
+    Ties break by kind id so the ranking is deterministic.
     """
     if isinstance(query, str):
         query = kind_by_name(query)
-    vocab = vocabulary()
     if top is None:
-        top = len(vocab) - 1
-    if not 1 <= top <= len(vocab) - 1:
-        raise ValueError(f"top must be in 1..{len(vocab) - 1}")
-    dists = np.linalg.norm(embeddings - embeddings[query.id], axis=1)
+        top = VOCAB_SIZE - 1
+    if not 1 <= top <= VOCAB_SIZE - 1:
+        raise ValueError(f"top must be in 1..{VOCAB_SIZE - 1}")
+    dists = np.linalg.norm(embeddings - embeddings[query], axis=1)
     order = sorted(
-        (k for k in vocab if k.id != query.id), key=lambda k: (dists[k.id], k.id)
+        (k for k in range(VOCAB_SIZE) if k != query), key=lambda k: (dists[k], k)
     )
-    return [(k, float(dists[k.id])) for k in order[:top]]
+    return [(k, float(dists[k])) for k in order[:top]]
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -102,8 +101,8 @@ def kmeans(
 def clusters_csv(labels: np.ndarray) -> str:
     """The cluster of each symbol, `labels` indexed by kind id."""
     lines = ["symbol,cluster"]
-    for kind in vocabulary():
-        lines.append(f"{kind.name},{labels[kind.id]}")
+    for kind, name in enumerate(KIND_NAMES):
+        lines.append(f"{name},{labels[kind]}")
     return "\n".join(lines) + "\n"
 
 
@@ -114,13 +113,13 @@ def render_report(
     a `kmeans` result over `embeddings`."""
     labels, centroids, inertia = clustering
     lines = ["Nearest neighbors (Euclidean)", "=" * 32]
-    for kind in vocabulary():
+    for kind, name in enumerate(KIND_NAMES):
         ranked = nearest_neighbors(embeddings, kind, top=top)
-        names = ", ".join(other.name for other, _ in ranked)
-        lines.append(f"{kind.name:16s} -> {names}")
+        names = ", ".join(KIND_NAMES[other] for other, _ in ranked)
+        lines.append(f"{name:16s} -> {names}")
     lines += ["", f"k-means clustering (k={len(centroids)})", "=" * 32]
     for j in range(len(centroids)):
-        members = [kind.name for kind in vocabulary() if labels[kind.id] == j]
+        members = [name for kind, name in enumerate(KIND_NAMES) if labels[kind] == j]
         body = ", ".join(members) if members else "(empty)"
         lines.append(f"cluster {j}: {body}")
     lines.append(f"inertia: {inertia:.6f}")

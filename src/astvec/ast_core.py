@@ -66,31 +66,15 @@ KIND_NAMES: tuple[str, ...] = (
 
 VOCAB_SIZE = len(KIND_NAMES)
 
-
-@dataclass(frozen=True)
-class NodeKind:
-    id: int
-    name: str
-
-    def __repr__(self) -> str:
-        return f"NodeKind({self.id}, {self.name!r})"
+# A kind is its id everywhere inside the package; names are looked up here
+# where text comes in, and in `KIND_NAMES` where text goes out.
+KIND_IDS: dict[str, int] = {name: i for i, name in enumerate(KIND_NAMES)}
 
 
-_VOCAB: tuple[NodeKind, ...] = tuple(
-    NodeKind(i, name) for i, name in enumerate(KIND_NAMES)
-)
-KINDS_BY_NAME: dict[str, NodeKind] = {k.name: k for k in _VOCAB}
-
-
-def vocabulary() -> tuple[NodeKind, ...]:
-    """The full ordered vocabulary of node kinds."""
-    return _VOCAB
-
-
-def kind_by_name(name: str) -> NodeKind:
-    """Look up a kind by symbolic name; raises UnknownKindError if absent."""
+def kind_by_name(name: str) -> int:
+    """The id of the kind named `name`; raises UnknownKindError if absent."""
     try:
-        return KINDS_BY_NAME[name]
+        return KIND_IDS[name]
     except KeyError:
         raise UnknownKindError(name) from None
 
@@ -111,20 +95,21 @@ class UnknownKindError(AstFormatError):
 
 @dataclass(frozen=True, init=False)
 class AstNode:
-    """Ordered, immutable tree of node kinds. Immutability is what lets a
-    `NodeTable` share one node between many parents and trees.
+    """Ordered, immutable tree of node kinds, each kind its id (its index in
+    `KIND_NAMES`). Immutability is what lets a `NodeTable` share one node
+    between many parents and trees.
 
     `height` (a leaf is 1) and `leaves` are set from the children when the
     node is made, so through a table once per distinct subtree. They take
     no part in equality, hash or repr.
     """
 
-    kind: NodeKind
+    kind: int
     children: tuple["AstNode", ...] = ()
     height: int = field(init=False, compare=False, repr=False)
     leaves: int = field(init=False, compare=False, repr=False)
 
-    def __init__(self, kind: NodeKind, children: tuple["AstNode", ...] = ()):
+    def __init__(self, kind: int, children: tuple["AstNode", ...] = ()):
         # Every recursive parse path ends in making a node, so this costs no
         # more stack than the generated __init__: no __post_init__, and no
         # comprehension, max() or sum(), which count against the recursion
@@ -152,11 +137,6 @@ class AstNode:
         return order
 
 
-def node(kind_name: str, *children: AstNode) -> AstNode:
-    """Convenience constructor from a kind name."""
-    return AstNode(kind_by_name(kind_name), tuple(children))
-
-
 class NodeTable:
     """Hash-consing constructor: one `AstNode` per distinct (kind, children).
 
@@ -169,8 +149,8 @@ class NodeTable:
     def __init__(self):
         self._nodes: dict[tuple, AstNode] = {}
 
-    def node(self, kind: NodeKind, children) -> AstNode:
-        key = (kind.id, *map(id, children))
+    def node(self, kind: int, children) -> AstNode:
+        key = (kind, *map(id, children))
         found = self._nodes.get(key)
         if found is None:
             found = self._nodes[key] = AstNode(kind, tuple(children))
@@ -193,9 +173,9 @@ class NodeTable:
                 (k, name), (c, kids) = pairs
                 if k == "kind" and c == "children" and name.__class__ is str \
                         and kids.__class__ is list:
-                    kind = KINDS_BY_NAME.get(name)
+                    kind = KIND_IDS.get(name)
                     if kind is not None:
-                        key = (kind.id, *map(id, kids))
+                        key = (kind, *map(id, kids))
                         found = nodes.get(key)
                         if found is not None:
                             return found
@@ -229,9 +209,9 @@ def _dump_tree(root: AstNode, out: list[str]) -> None:
             continue
         kids = item.children
         if not kids:
-            out.append(_LEAF_JSON[item.kind.id])
+            out.append(_LEAF_JSON[item.kind])
             continue
-        out.append(_OPEN_JSON[item.kind.id])
+        out.append(_OPEN_JSON[item.kind])
         stack.append("]}")
         # pushed last child first, so they pop in order with commas between
         for child in kids[:0:-1]:
@@ -250,7 +230,7 @@ def _from_obj(obj: object, path: str, table: NodeTable) -> AstNode:
     trees built.
     """
     stack = [(obj, path)]
-    preorder: list = []  # a node, or (kind, number of children) for an object
+    preorder: list = []  # a node, or (kind id, number of children) for an object
     while stack:
         obj, path = stack.pop()
         if obj.__class__ is AstNode:
@@ -264,12 +244,13 @@ def _from_obj(obj: object, path: str, table: NodeTable) -> AstNode:
         name = obj["kind"]
         if not isinstance(name, str):
             raise AstFormatError(f"'kind' must be a string at {where}")
-        if name not in KINDS_BY_NAME:
+        kind = KIND_IDS.get(name)
+        if kind is None:
             raise UnknownKindError(name, where)
         children = obj.get("children", [])
         if not isinstance(children, list):
             raise AstFormatError(f"'children' must be an array at {where}")
-        preorder.append((KINDS_BY_NAME[name], len(children)))
+        preorder.append((kind, len(children)))
         prefix = f"{path}/" if path else ""
         stack.extend((children[i], f"{prefix}{i}") for i in reversed(range(len(children))))
     built: list[AstNode] = []

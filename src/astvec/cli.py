@@ -20,6 +20,7 @@ import numpy as np
 
 from . import analysis, classify, corpusgen, cparse, embedding_io, sampling, trainer
 from .ast_core import (
+    KIND_NAMES,
     MAX_LOAD_HEIGHT,
     AstFormatError,
     LabeledProgram,
@@ -291,7 +292,7 @@ def cmd_nn(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
     for rank, (kind, dist) in enumerate(ranked, start=1):
-        print(f"{rank}\t{kind.name}\t{dist:.6f}")
+        print(f"{rank}\t{KIND_NAMES[kind]}\t{dist:.6f}")
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ import re
 from bisect import bisect_right
 from typing import NamedTuple, Optional
 
-from .ast_core import KINDS_BY_NAME, AstNode, NodeTable
+from .ast_core import KIND_IDS, AstNode, NodeTable
 
 
 class SourceLines:
@@ -169,7 +169,7 @@ class Parser:
         self.table = table if table is not None else NodeTable()
 
     def _mk(self, kind_name: str, children: list[AstNode]) -> AstNode:
-        return self.table.node(KINDS_BY_NAME[kind_name], children)
+        return self.table.node(KIND_IDS[kind_name], children)
 
     # --- cursor helpers ---
 
@@ -256,7 +256,7 @@ class Parser:
             elif (
                 allow_funcdef
                 and first
-                and type_node.kind.name == "FuncDecl"
+                and type_node.kind == KIND_IDS["FuncDecl"]
                 and self._check("{")
             ):
                 body = self._compound_statement()

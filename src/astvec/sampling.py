@@ -57,8 +57,8 @@ def build_training_set(corpus: list[LabeledProgram]) -> list[TrainingSample]:
             sample = made.get(id(node))
             if sample is None:
                 sample = TrainingSample(
-                    node.kind.id,
-                    tuple(child.kind.id for child in kids),
+                    node.kind,
+                    tuple(child.kind for child in kids),
                     tuple(child.leaves / node.leaves for child in kids),
                 )
                 sample = made[id(node)] = interned.setdefault(sample, sample)
@@ -77,9 +77,10 @@ def child_weight(n, i):
     return np.where(n == 1, 0.5, (n - i) / span), np.where(n == 1, 0.5, (i - 1) / span)
 
 
-# The smallest integer type that holds every symbol id, which keeps an epoch's
-# pair array small.
-ID_DTYPE = np.min_scalar_type(VOCAB_SIZE - 1)
+# The integer type of a symbol id in a packed array: the epoch kernel reads
+# the pair array as `const uint8_t *pairs` (epoch.c), and one byte holds every
+# id while keeping that array small.
+ID_DTYPE = np.uint8
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .coder import (
     l2_penalty,
     l2_rate,
 )
-from .sampling import TrainingSample, pack_samples
+from .sampling import ID_DTYPE, TrainingSample, pack_samples
 # An epoch's negatives are drawn through this name; the traced benchmark wraps
 # it here.
 from .sampling import corrupt_packed as corrupt
@@ -243,7 +243,7 @@ def _epoch_kernel():
     inout = ndpointer(np.float64, flags="C_CONTIGUOUS, WRITEABLE")
     fn.argtypes = [
         inout, inout, i64, i64, i64, i64,
-        ndpointer(np.uint8, ndim=3, flags="C_CONTIGUOUS"),
+        ndpointer(ID_DTYPE, ndim=3, flags="C_CONTIGUOUS"),
         ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
         ndpointer(np.float64, ndim=3, flags="C_CONTIGUOUS"),
         ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),

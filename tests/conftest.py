@@ -83,6 +83,23 @@ def count_leaves_obj(obj: dict) -> int:
     return sum(count_leaves_obj(c) for c in children)
 
 
+def node(kind_name: str, *children: AstNode) -> AstNode:
+    """A tree built from a kind name and its subtrees, not hash-consed."""
+    return AstNode(kind_by_name(kind_name), children)
+
+
+def convert(c_ast) -> dict:
+    """The interchange document of a pycparser tree: its class names as
+    kinds, `FileAST` as Root."""
+    kind = type(c_ast).__name__
+    if kind == "FileAST":
+        kind = "Root"
+    return {
+        "kind": kind,
+        "children": [convert(child) for _, child in c_ast.children()],
+    }
+
+
 def load_golden_obj(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
@@ -119,8 +136,8 @@ def reference_build_training_set(corpus: list[LabeledProgram]) -> list[TrainingS
             sample = made.get(id(n))
             if sample is None:
                 sample = TrainingSample(
-                    n.kind.id,
-                    tuple(c.kind.id for c in n.children),
+                    n.kind,
+                    tuple(c.kind for c in n.children),
                     tuple(c.leaves / n.leaves for c in n.children),
                 )
                 sample = made[id(n)] = interned.setdefault(sample, sample)
@@ -136,8 +153,8 @@ def per_node_samples(tree: AstNode) -> list[TrainingSample]:
         if n.children:
             leaves = [leaf_count(c) for c in n.children]
             samples.append(TrainingSample(
-                parent=n.kind.id,
-                children=tuple(c.kind.id for c in n.children),
+                parent=n.kind,
+                children=tuple(c.kind for c in n.children),
                 coefficients=tuple(lc / sum(leaves) for lc in leaves),
             ))
     return samples

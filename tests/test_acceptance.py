@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from astvec.analysis import kmeans, nearest_neighbors
-from astvec.ast_core import dump_ast, kind_by_name, node, vocabulary
+from astvec.ast_core import KIND_NAMES, dump_ast, kind_by_name
 from astvec.classify import (
     Batch,
     ClassifierConfig,
@@ -37,8 +37,8 @@ from astvec.sampling import (
 from astvec.trainer import train
 
 from conftest import (
-    SNIPPET_SRC, distance, extract_samples, golden_sources, invalid_sources, pair_loss,
-    reference_loss_and_gradients,
+    SNIPPET_SRC, distance, extract_samples, golden_sources, invalid_sources, node,
+    pair_loss, reference_loss_and_gradients,
 )
 from test_coder import finite_difference_check, _zero_params
 
@@ -138,7 +138,7 @@ class TestCriterion2Formulas:
         ok &= hinge_loss(0.7, 0.7, 1.0) == 1.0
 
         sample = extract_samples(tree)[0]
-        neg = sample._replace(parent=kind_by_name("Goto").id)
+        neg = sample._replace(parent=kind_by_name("Goto"))
         params = _zero_params(1)
         params.w_l[:] = 3.0
         params.w_r[:] = 1.0
@@ -154,7 +154,7 @@ class TestCriterion3TrivialGuard:
         sample = extract_samples(tree)[0]
         zero = _zero_params(30)
         hyper = Hyperparams()
-        neg = sample._replace(parent=kind_by_name("Goto").id)
+        neg = sample._replace(parent=kind_by_name("Goto"))
         trivial_ok = (
             distance(sample, zero) == 0.0
             and pair_loss(sample, neg, zero, hyper) == hyper.delta
@@ -184,7 +184,7 @@ class TestCriterion5Neighbors:
         good = 0
         for state, _ in runs.values():
             top5 = {
-                name: {k.name for k, _ in
+                name: {KIND_NAMES[k] for k, _ in
                        nearest_neighbors(state.params.embeddings, name, top=5)}
                 for name in ("ID", "For", "While", "If", "Break")
             }
@@ -205,7 +205,7 @@ def _co_cluster_rate(labels, group_a, group_b=None):
         pairs = [(a, b) for a in group_a for b in group_b]
     same = sum(
         1 for a, b in pairs
-        if labels[kind_by_name(a).id] == labels[kind_by_name(b).id]
+        if labels[kind_by_name(a)] == labels[kind_by_name(b)]
     )
     return same / len(pairs)
 
@@ -353,9 +353,9 @@ class TestCriterion10BruteForce:
         # histograms vs per-node tally; sample counts vs non-leaf recount
         for program in corpus[:20]:
             hist = node_histogram(program.ast)
-            tally = np.zeros(len(vocabulary()), dtype=int)
+            tally = np.zeros(len(KIND_NAMES), dtype=int)
             for n in program.ast.walk():
-                tally[n.kind.id] += 1
+                tally[n.kind] += 1
             ok &= np.array_equal(hist, tally)
             nonleaf = sum(1 for n in program.ast.walk() if n.children)
             ok &= len(extract_samples(program.ast)) == nonleaf

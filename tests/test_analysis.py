@@ -11,7 +11,7 @@ from astvec.analysis import (
     render_report,
 )
 from astvec.coder import Hyperparams, init_params
-from astvec.ast_core import kind_by_name, vocabulary
+from astvec.ast_core import KIND_NAMES, kind_by_name
 
 
 def _table(n_f: int, seed: int) -> np.ndarray:
@@ -21,16 +21,16 @@ def _table(n_f: int, seed: int) -> np.ndarray:
 def _table_with_rows(rows: dict[str, list[float]], n_f: int, far: float = 1e3):
     """Embedding table where the named rows are set and all the rest are pushed
     far away along distinct directions."""
-    v = len(vocabulary())
+    v = len(KIND_NAMES)
     emb = np.zeros((v, n_f))
-    named = {kind_by_name(name).id for name in rows}
+    named = {kind_by_name(name) for name in rows}
     bump = far
     for i in range(v):
         if i not in named:
             emb[i, 0] = bump
             bump += far
     for name, vec in rows.items():
-        emb[kind_by_name(name).id] = vec
+        emb[kind_by_name(name)] = vec
     return emb
 
 
@@ -41,27 +41,27 @@ class TestNearestNeighbors:
             n_f=2,
         )
         ranked = nearest_neighbors(emb, "ID", top=2)
-        assert [k.name for k, _ in ranked] == ["Constant", "BinaryOp"]
+        assert [KIND_NAMES[k] for k, _ in ranked] == ["Constant", "BinaryOp"]
         assert ranked[0][1] == pytest.approx(1.0, abs=1e-12)
         assert ranked[1][1] == pytest.approx(2.0, abs=1e-12)
 
     def test_query_excluded(self):
         ranked = nearest_neighbors(_table(4, 0), "For")
-        assert all(k.name != "For" for k, _ in ranked)
+        assert all(KIND_NAMES[k] != "For" for k, _ in ranked)
         assert len(ranked) == 43
 
     def test_translation_invariance(self):
         emb = _table(4, 1)
         a = nearest_neighbors(emb, "If", top=10)
         b = nearest_neighbors(emb + 17.5, "If", top=10)
-        assert [k.name for k, _ in a] == [k.name for k, _ in b]
+        assert [k for k, _ in a] == [k for k, _ in b]
         for (_, da), (_, db) in zip(a, b):
             assert da == pytest.approx(db, abs=1e-9)
 
     def test_tie_break_by_id(self):
-        v = len(vocabulary())
-        ranked = nearest_neighbors(np.zeros((v, 2)), vocabulary()[5])
-        ids = [k.id for k, _ in ranked]
+        v = len(KIND_NAMES)
+        ranked = nearest_neighbors(np.zeros((v, 2)), 5)
+        ids = [k for k, _ in ranked]
         assert ids == [i for i in range(v) if i != 5]
 
     def test_top_validation(self):
@@ -76,11 +76,11 @@ class TestNearestNeighbors:
         q = kind_by_name("While")
         # oracle: plain loop over every other row
         dists = sorted(
-            (float(np.sqrt(np.sum((emb[k.id] - emb[q.id]) ** 2))), k.id)
-        for k in vocabulary() if k.id != q.id
+            (float(np.sqrt(np.sum((emb[k] - emb[q]) ** 2))), k)
+        for k in range(len(KIND_NAMES)) if k != q
         )
         ranked = nearest_neighbors(emb, q)
-        assert [(d, k.id) for k, d in ranked] == pytest.approx(
+        assert [(d, k) for k, d in ranked] == pytest.approx(
             [(d, i) for d, i in dists]
         )
 
@@ -159,9 +159,9 @@ class TestKmeans:
         assert np.array_equal(a[0], b[0])
         assert a[2] == b[2]
 
-    def test_assignment_covers_vocabulary(self):
+    def test_assignment_covers_every_kind(self):
         labels, _, _ = kmeans(_table(5, 2), k=3, seed=0)
-        assert labels.shape == (len(vocabulary()),)
+        assert labels.shape == (len(KIND_NAMES),)
         assert set(labels.tolist()) <= set(range(3))
 
     def test_k_validation(self):
@@ -184,7 +184,7 @@ class TestReports:
         assert lines[0] == "symbol,cluster"
         assert len(lines) == 45
         names = [line.split(",")[0] for line in lines[1:]]
-        assert names == [k.name for k in vocabulary()]
+        assert names == list(KIND_NAMES)
 
     def test_render_report_regenerates_identically(self, embeddings):
         assert (render_report(embeddings, kmeans(embeddings, k=3, seed=3))
@@ -192,5 +192,5 @@ class TestReports:
 
     def test_render_report_mentions_all_symbols(self, embeddings):
         text = render_report(embeddings, kmeans(embeddings, k=3))
-        for k in vocabulary():
-            assert k.name in text
+        for name in KIND_NAMES:
+            assert name in text

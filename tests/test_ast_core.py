@@ -11,6 +11,7 @@ from astvec.ast_core import (
     MAX_LOAD_HEIGHT,
     AstFormatError,
     AstNode,
+    KIND_IDS,
     KIND_NAMES,
     LabeledProgram,
     NodeTable,
@@ -20,8 +21,6 @@ from astvec.ast_core import (
     kind_by_name,
     load_ast,
     load_corpus,
-    node,
-    vocabulary,
 )
 from astvec.corpusgen import generate_corpus
 
@@ -31,6 +30,7 @@ from conftest import (
     count_leaves_obj,
     leaf_count,
     load_golden_obj,
+    node,
     reference_load_ast,
     reference_load_corpus,
     reference_walk,
@@ -51,18 +51,18 @@ def trees(max_depth=4):
 
 class TestVocabulary:
     def test_size(self):
-        assert len(vocabulary()) == 44
+        assert len(KIND_NAMES) == 44
 
     def test_ids_contiguous(self):
-        ids = [k.id for k in vocabulary()]
+        ids = [KIND_IDS[name] for name in KIND_NAMES]
         assert ids == list(range(44))
 
     def test_lookup_by_name(self):
         kind = kind_by_name("ID")
-        assert vocabulary()[kind.id].name == "ID"
+        assert KIND_NAMES[kind] == "ID"
 
     def test_names_unique(self):
-        assert len({k.name for k in vocabulary()}) == 44
+        assert len(set(KIND_NAMES)) == len(KIND_IDS) == 44
 
     def test_unknown_name(self):
         with pytest.raises(UnknownKindError):
@@ -151,7 +151,7 @@ class TestNodeTable:
 class TestInterchange:
     def test_root_leaf(self):
         tree = load_ast('{"kind": "Root", "children": []}')
-        assert tree.kind.name == "Root" and not tree.children
+        assert KIND_NAMES[tree.kind] == "Root" and not tree.children
 
     def test_root_dump(self):
         assert dump_ast(node("Root")) == '{"kind":"Root","children":[]}'
@@ -298,7 +298,7 @@ class TestCorpusFormat:
     def test_all_fixture_kinds_resolve(self, corpus):
         for program in corpus:
             for n in program.ast.walk():
-                assert n.kind.name in KIND_NAMES
+                assert n.kind in range(len(KIND_NAMES))
 
 
 class TestLineBreaks:
@@ -330,7 +330,8 @@ class Raw(str):
 
 
 def node_obj(tree):
-    return Obj([("kind", tree.kind.name), ("children", [node_obj(c) for c in tree.children])])
+    return Obj([("kind", KIND_NAMES[tree.kind]),
+                ("children", [node_obj(c) for c in tree.children])])
 
 
 def to_json(value, spaced=False, raw=False):

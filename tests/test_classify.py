@@ -5,13 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from astvec import classify
-from astvec.ast_core import (
-    LabeledProgram,
-    kind_by_name,
-    load_ast,
-    node,
-    vocabulary,
-)
+from astvec.ast_core import KIND_NAMES, LabeledProgram, kind_by_name, load_ast
 from astvec.classify import (
     Batch,
     ClassifierConfig,
@@ -29,14 +23,14 @@ from astvec.coder import Hyperparams, init_params
 from astvec.cparse import parse_file
 
 from conftest import (
-    SNIPPET_SRC, count_leaves_obj, load_golden_obj, reference_loss_and_gradients,
+    SNIPPET_SRC, count_leaves_obj, load_golden_obj, node, reference_loss_and_gradients,
 )
 
 
 class TestFeatures:
     def test_single_leaf(self):
         h = node_histogram(node("ID"))
-        assert h[kind_by_name("ID").id] == 1
+        assert h[kind_by_name("ID")] == 1
         assert h.sum() == 1
 
     def test_snippet_tally_oracle(self):
@@ -53,8 +47,8 @@ class TestFeatures:
 
         expected = tally(obj, {})
         h = node_histogram(load_ast(json.dumps(obj)))
-        for kind in vocabulary():
-            assert h[kind.id] == expected.get(kind.name, 0)
+        for kind, name in enumerate(KIND_NAMES):
+            assert h[kind] == expected.get(name, 0)
 
     def test_counts_mode(self):
         program = LabeledProgram(ast=parse_file(SNIPPET_SRC), label="x", source_id="s")
@@ -68,7 +62,7 @@ class TestFeatures:
         tree = node("BinaryOp", node("ID"), node("Constant"))
         batch = Batch.of(node_histogram(tree)[None, :], [0])
         model = _init_model(("x",), batch, ClassifierConfig(), params.embeddings)
-        ids = [kind_by_name(n).id for n in ("BinaryOp", "ID", "Constant")]
+        ids = [kind_by_name(n) for n in ("BinaryOp", "ID", "Constant")]
         expected = params.embeddings[ids].mean(axis=0)
         assert np.allclose(model.raw_input(batch)[0], expected, atol=1e-12)
 

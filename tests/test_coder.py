@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from astvec.ast_core import kind_by_name, node, vocabulary
+from astvec.ast_core import KIND_NAMES, kind_by_name
 from astvec.coder import (
     Hyperparams,
     ModelParams,
@@ -18,18 +18,18 @@ from astvec.sampling import (
     pack_samples,
 )
 
-from conftest import code_children, distance, extract_samples, pair_loss
+from conftest import code_children, distance, extract_samples, node, pair_loss
 
 
 def _sample(parent, children, coefficients=None):
-    kids = tuple(kind_by_name(c).id for c in children)
+    kids = tuple(kind_by_name(c) for c in children)
     if coefficients is None:
         coefficients = tuple(1.0 / len(kids) for _ in kids)
-    return TrainingSample(kind_by_name(parent).id, kids, tuple(coefficients))
+    return TrainingSample(kind_by_name(parent), kids, tuple(coefficients))
 
 
 def _zero_params(n_f):
-    v = len(vocabulary())
+    v = len(KIND_NAMES)
     return ModelParams(
         embeddings=np.zeros((v, n_f)),
         w_l=np.zeros((n_f, n_f)),
@@ -115,7 +115,7 @@ class TestCodeChildren:
         p.w_r[:] = 2.0
         p.b[:] = 0.5
         s = _sample("Return", ["ID"], [1.0])
-        p.embeddings[kind_by_name("ID").id] = 0.25
+        p.embeddings[kind_by_name("ID")] = 0.25
         assert code_children(s, p)[0] == pytest.approx(np.tanh(1.0), abs=1e-12)
         assert np.tanh(1.0) == pytest.approx(0.76159, abs=1e-5)
 
@@ -195,7 +195,7 @@ def _pair(seed=0, n_f=2):
 class TestObjective:
     def test_zero_when_satisfied_and_unregularized(self):
         s, _ = _pair()
-        neg = s._replace(parent=kind_by_name("Goto").id)
+        neg = s._replace(parent=kind_by_name("Goto"))
         p = _random_params(2)
         # inflate the corrupted distance by moving its parent far away
         hyper = Hyperparams(n_f=2, lam=0.0, delta=0.0)
@@ -296,7 +296,7 @@ def finite_difference_check(s, neg, params, hyper, step=1e-5):
 class TestGradient:
     def test_inactive_hinge_zero_grad(self):
         s, _ = _pair()
-        neg = s._replace(parent=kind_by_name("Goto").id)
+        neg = s._replace(parent=kind_by_name("Goto"))
         p = _random_params(2)
         p.embeddings[neg.parent] += 100.0  # d_c huge, margin satisfied
         hyper = Hyperparams(n_f=2, lam=0.0)
@@ -318,20 +318,20 @@ class TestGradient:
     def test_shared_symbol_accumulates(self):
         # parent also appears as a child: its row gradient is the sum of
         # the per-role gradients computed with artificially split roles
-        parent = kind_by_name("Compound").id
-        s = TrainingSample(parent, (parent, kind_by_name("ID").id), (0.5, 0.5))
-        neg = s._replace(children=(parent, kind_by_name("For").id))
+        parent = kind_by_name("Compound")
+        s = TrainingSample(parent, (parent, kind_by_name("ID")), (0.5, 0.5))
+        neg = s._replace(children=(parent, kind_by_name("For")))
         p = _random_params(3, seed=9)
         hyper = Hyperparams(n_f=3, lam=0.0)
         g, _ = pair_step(s, neg, p, hyper)
 
         # split roles: give the child occurrence a scratch symbol with an
         # identical embedding row
-        scratch = kind_by_name("Goto").id
+        scratch = kind_by_name("Goto")
         p2 = p.copy()
         p2.embeddings[scratch] = p.embeddings[parent]
-        s2 = TrainingSample(parent, (scratch, kind_by_name("ID").id), (0.5, 0.5))
-        neg2 = s2._replace(children=(scratch, kind_by_name("For").id))
+        s2 = TrainingSample(parent, (scratch, kind_by_name("ID")), (0.5, 0.5))
+        neg2 = s2._replace(children=(scratch, kind_by_name("For")))
         g2, _ = pair_step(s2, neg2, p2, hyper)
         combined = g2.embeddings[parent] + g2.embeddings[scratch]
         assert np.allclose(g.embeddings[parent], combined, atol=1e-12)

@@ -34,7 +34,7 @@ def test_deterministic():
 
 def test_full_vocabulary_coverage():
     corpus = generate_corpus(seed=0, per_class=55)
-    seen = {n.kind.name for p in corpus for n in p.ast.walk()}
+    seen = {KIND_NAMES[n.kind] for p in corpus for n in p.ast.walk()}
     assert seen == set(KIND_NAMES)
 
 

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from pycparser import c_parser
 
 from astvec import corpusgen
 from astvec.ast_core import KIND_NAMES, dump_ast
@@ -16,6 +19,7 @@ from astvec.cparse import (
 from conftest import (
     NESTING,
     SNIPPET_SRC,
+    convert,
     golden_sources,
     invalid_sources,
     reference_tokenize,
@@ -151,14 +155,14 @@ class TestTokenizeOracle:
 class TestParseShapes:
     def test_empty_source(self):
         tree = parse_source("")
-        assert tree.kind.name == "Root" and not tree.children
+        assert KIND_NAMES[tree.kind] == "Root" and not tree.children
 
     def test_simple_decl_chain(self):
         tree = parse_source("int x;")
         kinds = []
         n = tree
         while True:
-            kinds.append(n.kind.name)
+            kinds.append(KIND_NAMES[n.kind])
             if not n.children:
                 break
             n = n.children[0]
@@ -167,26 +171,26 @@ class TestParseShapes:
     def test_snippet_shape(self):
         tree = parse_file(SNIPPET_SRC)
         funcdef = tree.children[0]
-        assert funcdef.kind.name == "FuncDef"
+        assert KIND_NAMES[funcdef.kind] == "FuncDef"
         decl, body = funcdef.children
-        assert decl.kind.name == "Decl"
+        assert KIND_NAMES[decl.kind] == "Decl"
         funcdecl = decl.children[0]
-        assert funcdecl.kind.name == "FuncDecl"
-        assert [c.kind.name for c in funcdecl.children] == ["ParamList", "TypeDecl"]
-        assert body.kind.name == "Compound"
+        assert KIND_NAMES[funcdecl.kind] == "FuncDecl"
+        assert [KIND_NAMES[c.kind] for c in funcdecl.children] == ["ParamList", "TypeDecl"]
+        assert KIND_NAMES[body.kind] == "Compound"
         ret = body.children[0]
-        assert ret.kind.name == "Return"
+        assert KIND_NAMES[ret.kind] == "Return"
         binop = ret.children[0]
-        assert binop.kind.name == "BinaryOp"
-        assert [c.kind.name for c in binop.children] == ["Constant", "ID"]
+        assert KIND_NAMES[binop.kind] == "BinaryOp"
+        assert [KIND_NAMES[c.kind] for c in binop.children] == ["Constant", "ID"]
 
     def test_precedence(self):
         tree = parse_source("int f(int a, int b, int c) { return a + b * c; }")
         binop = tree.children[0].children[1].children[0].children[0]
-        assert binop.kind.name == "BinaryOp"
+        assert KIND_NAMES[binop.kind] == "BinaryOp"
         left, right = binop.children
-        assert left.kind.name == "ID"
-        assert right.kind.name == "BinaryOp"
+        assert KIND_NAMES[left.kind] == "ID"
+        assert KIND_NAMES[right.kind] == "BinaryOp"
 
     def test_deterministic(self):
         src = golden_sources()[4].read_text(encoding="utf-8")
@@ -195,14 +199,38 @@ class TestParseShapes:
     def test_only_vocabulary_kinds(self):
         for src in golden_sources():
             for n in parse_file(src).walk():
-                assert n.kind.name in KIND_NAMES
+                assert n.kind in range(len(KIND_NAMES))
+
+
+def assert_same_trees_as_pycparser(texts):
+    """Both parsers dump the same tree for every text; pycparser, the
+    reference the golden fixtures were made with, dumped as they were."""
+    reference = c_parser.CParser()
+    mismatched = [
+        text for text in texts
+        if dump_ast(parse_source(text))
+        != json.dumps(convert(reference.parse(text)), separators=(",", ":"))
+    ]
+    assert mismatched == []
+
+
+class TestPycparserOracle:
+    def test_generated_sources(self):
+        texts = sorted({text for seed in range(1, 11)
+                        for _, _, text in corpusgen.generate_sources(seed, per_class=275)})
+        assert len(texts) == 1800
+        assert_same_trees_as_pycparser(texts)
+
+    def test_golden_sources(self):
+        assert_same_trees_as_pycparser(
+            [src.read_text(encoding="utf-8") for src in golden_sources()])
 
 
 def shape(node) -> str:
     """A tree as Kind[child, ...]; a leaf is its kind alone."""
     if not node.children:
-        return node.kind.name
-    return f"{node.kind.name}[{', '.join(shape(c) for c in node.children)}]"
+        return KIND_NAMES[node.kind]
+    return f"{KIND_NAMES[node.kind]}[{', '.join(shape(c) for c in node.children)}]"
 
 
 def expression_shape(expr: str) -> str:
@@ -394,4 +422,4 @@ NESTING_FLOOR = {
 @pytest.mark.parametrize("name", list(NESTING))
 def test_nesting_floor(name):
     root = parse_source(NESTING[name](NESTING_FLOOR[name]))
-    assert root.kind.name == "Root"
+    assert KIND_NAMES[root.kind] == "Root"

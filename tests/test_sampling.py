@@ -10,12 +10,11 @@ from astvec.ast_core import (
     LabeledProgram,
     dump_corpus,
     load_corpus,
-    node,
-    vocabulary,
 )
 from astvec.classify import node_histogram
 from astvec.coder import Hyperparams, init_params, objective
 from astvec.sampling import (
+    ID_DTYPE,
     TrainingSample,
     build_training_set,
     child_weight,
@@ -27,6 +26,7 @@ from astvec.sampling import (
 from conftest import (
     extract_samples,
     leaf_count,
+    node,
     per_node_samples,
     reference_build_training_set,
     unshared,
@@ -121,7 +121,7 @@ class TestCorrupt:
 
     def test_replacement_uniform_over_others(self, sample):
         rng = np.random.default_rng(5)
-        v = len(vocabulary())
+        v = len(KIND_NAMES)
         counts = np.zeros(v)
         n = 40_000
         for _ in range(n):
@@ -171,7 +171,7 @@ class TestBuildTrainingSet:
         assert build_training_set([LabeledProgram(tree, "a", "s")]) == per_node_samples(tree)
         counts = np.zeros(VOCAB_SIZE, dtype=np.int64)
         for n in tree.walk():
-            counts[n.kind.id] += 1
+            counts[n.kind] += 1
         histogram = node_histogram(tree)
         assert histogram.dtype == np.int64 and histogram.tolist() == counts.tolist()
 
@@ -198,6 +198,9 @@ class TestBuildTrainingSet:
 
 
 class TestPack:
+    def test_id_dtype_holds_every_kind(self):
+        assert VOCAB_SIZE <= np.iinfo(ID_DTYPE).max + 1
+
     def test_expands_to_training_set(self, corpus):
         samples = build_training_set(corpus)
         packed = pack_samples(samples)
@@ -247,7 +250,7 @@ class TestPack:
         order = np.random.default_rng(1).permutation(len(samples))
         a, b = np.random.default_rng(6), np.random.default_rng(6)
         _, pairs = corrupt_packed(packed, order, a)
-        v = len(vocabulary())
+        v = len(KIND_NAMES)
         for t, i in enumerate(order):
             slots = [samples[i].parent, *samples[i].children]
             position = int(b.integers(0, len(slots)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from astvec import trainer
-from astvec.ast_core import KIND_NAMES, VOCAB_SIZE, kind_by_name, node
+from astvec.ast_core import KIND_NAMES, VOCAB_SIZE, kind_by_name
 from astvec.coder import Hyperparams, gradient_and_hinge, init_params, l2_rate
 from astvec.sampling import (
     build_training_set,
@@ -35,7 +35,7 @@ from astvec.trainer import (
     vocabulary_fingerprint,
 )
 
-from conftest import extract_samples
+from conftest import extract_samples, node
 
 
 def _samples():
@@ -166,7 +166,7 @@ class TestTrain:
         if where == "w_l":
             state.params.w_l[1, 2], state.velocity.w_l[1, 2] = THETA_0, VEL_0
         else:
-            goto = kind_by_name("Goto").id
+            goto = kind_by_name("Goto")
             state.params.embeddings[goto, 0], state.velocity.embeddings[goto, 0] = (
                 THETA_0, VEL_0)
         order = np.random.default_rng(0)
