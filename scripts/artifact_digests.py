@@ -20,7 +20,9 @@ with every frame a change adds to a recursive path. And it writes state.txt:
 for model.json and resumed.json as `trainer.load_checkpoint` reads them, the
 sha256 of the parameters' and the velocity's float64 bytes, the epoch, the
 loss history, the RNG state and the hyperparameters, so a change to the
-checkpoint's format alone leaves state.txt as it was.
+checkpoint's format alone leaves state.txt as it was. And it writes
+objective.txt: the repr of `coder.objective` at model.json's parameters, over
+one negative per sample of the corpus, drawn with seed OBJECTIVE_SEED.
 Run from anywhere:
 
     python3 scripts/artifact_digests.py
@@ -35,10 +37,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from astvec import cli, corpusgen, trainer  # noqa: E402
+from astvec import cli, coder, corpusgen, sampling, trainer  # noqa: E402
 from astvec.ast_core import (  # noqa: E402
     KIND_NAMES,
     AstFormatError,
@@ -54,6 +58,7 @@ CORPUS = ROOT / "data" / "corpus.jsonl"
 FIXTURES = ROOT / "tests" / "fixtures"
 TRAIN_EPOCHS = 3
 MAX_DEPTH = 2000
+OBJECTIVE_SEED = 1
 
 LEAF = '{"kind":"ID","children":[]}'
 DEEP = '{"kind":"UnaryOp","children":[' * 899 + LEAF + "]}" * 899
@@ -200,6 +205,14 @@ def state_results(*paths: Path) -> str:
     return "".join(lines)
 
 
+def objective_result(path: Path) -> str:
+    state = trainer.load_checkpoint(path)
+    samples = sampling.build_training_set(load_corpus(CORPUS.read_text(encoding="utf-8")))
+    rng = np.random.default_rng(OBJECTIVE_SEED)
+    pairs = [(s, sampling.corrupt(s, rng)) for s in samples]
+    return repr(coder.objective(pairs, state.params, state.hyper)) + "\n"
+
+
 def write_sources(src: Path) -> None:
     for label, source_id, text in corpusgen.generate_sources(seed=0):
         (src / label).mkdir(parents=True, exist_ok=True)
@@ -232,6 +245,7 @@ def write_artifacts(d: Path, src: Path) -> None:
     (d / "depth.txt").write_text(depth_results(), encoding="utf-8")
     (d / "state.txt").write_text(state_results(d / "model.json", d / "resumed.json"),
                                  encoding="utf-8")
+    (d / "objective.txt").write_text(objective_result(d / "model.json"), encoding="utf-8")
 
 
 def main() -> int:

@@ -20,6 +20,8 @@ def nearest_neighbors(
     """
     if isinstance(query, str):
         query = kind_by_name(query)
+    elif not 0 <= query < VOCAB_SIZE:
+        raise ValueError(f"kind id must be in 0..{VOCAB_SIZE - 1}")
     if top is None:
         top = VOCAB_SIZE - 1
     if not 1 <= top <= VOCAB_SIZE - 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import logging
 import os
 import stat
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, classify, corpusgen, cparse, embedding_io, sampling, trainer
+from . import analysis, classify, corpusgen, cparse, embedding_io, kernel, sampling, trainer
 from .ast_core import (
     KIND_NAMES,
     MAX_LOAD_HEIGHT,
@@ -259,7 +260,7 @@ def cmd_train(args) -> int:
         )
     except trainer.TrainingDiverged as exc:
         raise CliError(str(exc), EXIT_NUMERIC)
-    except trainer.KernelBuildError as exc:
+    except kernel.KernelBuildError as exc:
         raise CliError(str(exc), EXIT_BUILD)
     outputs = [(args.out, lambda path: trainer.save_checkpoint(state, path))]
     if args.loss_log:
@@ -370,7 +371,10 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: each `parse_args`
+    call gives a new namespace and keeps no state between calls."""
     parser = _ArgumentParser(
         prog="astvec",
         description="Learn and evaluate vector representations of C AST node kinds",

@@ -7,10 +7,10 @@ corrupted ones by a margin, with an l2 penalty on the two weight matrices.
 All gradients here are exact and checked against finite differences in the
 test suite.
 
-Every function runs the coder through one batched forward pass over packed
-rows (see `sampling.pack_samples`). Training runs the same step in C
-(epoch.c); `gradient_and_hinge` is its reference, checked against finite
-differences here and against the kernel in the tests.
+The coder runs on packed rows (see `sampling.pack_samples`). Its forward
+pass is the C kernel's (epoch.c), which both training and `objective` use;
+`gradient_and_hinge` is the kernel's step in numpy, its reference, checked
+against finite differences here and against the kernel in the tests.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .ast_core import VOCAB_SIZE
 from .sampling import TrainingSample, pack_samples
-
-# Pairs per batch in `objective`, which bounds its working memory.
-OBJECTIVE_CHUNK = 256
 
 
 @dataclass
@@ -115,9 +113,21 @@ def init_params(hyper: Hyperparams, rng: np.random.Generator) -> ModelParams:
     )
 
 
+def distances(ids: np.ndarray, coef: np.ndarray, n_children: np.ndarray,
+              params: ModelParams) -> np.ndarray:
+    """d = |parent - h|^2 of each packed row, h its coded vector, by the C
+    kernel's forward: ids (R, 1+K), coef (R, 2, 1+K), n_children (R,)."""
+    d = np.empty(len(ids))
+    if kernel.load().code_rows(params.flat, params.embeddings.shape[0], params.n_f,
+                               len(ids), ids.shape[1], ids, coef, n_children, d) == -2:
+        raise MemoryError("no memory for the kernel's scratch arrays")
+    return d
+
+
 def _forward(ids: np.ndarray, coef: np.ndarray, params: ModelParams):
-    """The coder on a batch of packed rows: ids (..., 1+K), parent id then
-    child ids; coef (..., 2, 1+K), broadcast against the rows.
+    """The coder in numpy, for `gradient_and_hinge`, on a batch of packed
+    rows: ids (..., 1+K), parent id then child ids; coef (..., 2, 1+K),
+    broadcast against the rows.
 
     Returns (s, h, e): s (..., 2 N_f) the children's left- and right-weighted
     vector sums side by side, h = tanh([W_l W_r] s + b) the coded vectors and
@@ -154,19 +164,17 @@ def objective(
     """(1/2N) sum of hinges + (lam/2M)(|W_l|_F^2 + |W_r|_F^2), M = 2 N_f^2,
     over N (sample, corrupted sample) pairs.
 
-    Pairs are coded OBJECTIVE_CHUNK at a time, each distinct sample of a
-    chunk once.
+    Each distinct sample is coded once, by the kernel's fixed-order forward,
+    and the hinges are summed exactly rounded (`math.fsum`), so the value
+    does not depend on the host.
     """
     if not pairs:
         raise ValueError("objective requires at least one sample pair")
-    total = 0.0
-    for start in range(0, len(pairs), OBJECTIVE_CHUNK):
-        chunk = pairs[start : start + OBJECTIVE_CHUNK]
-        packed = pack_samples(s for pair in chunk for s in pair)
-        _, _, e = _forward(packed.ids, packed.coef, params)
-        d = (e * e).sum(axis=1)[packed.rows].reshape(-1, 2)
-        total += float(np.maximum(0.0, hyper.delta + d[:, 0] - d[:, 1]).sum())
-    return total / (2.0 * len(pairs)) + l2_penalty(params, hyper)
+    packed = pack_samples(s for pair in pairs for s in pair)
+    d = distances(packed.ids, packed.coef, packed.n_children, params)
+    d = d[packed.rows].reshape(-1, 2)
+    hinges = np.maximum(0.0, hyper.delta + d[:, 0] - d[:, 1])
+    return math.fsum(hinges.data) / (2.0 * len(pairs)) + l2_penalty(params, hyper)
 
 
 # d(d - d_c)/d(e) is 2e on the real row of a pair and -2e on the corrupted one.

@@ -1,10 +1,13 @@
-/* One epoch of momentum SGD on the coding criterion, for `trainer.train`,
-   which compiles this file on its first call and loads it with ctypes.
+/* The coder in C, compiled on first use and loaded with ctypes (kernel.py).
+   Two entries share one forward pass, `forward` below: `train_epoch` runs
+   one epoch of momentum SGD on the coding criterion for `trainer.train`,
+   and `code_rows` codes packed rows for `coder.objective`.
 
-   Every step does what `coder.gradient_and_hinge` and the momentum update
-   v = eps v + g, theta -= alpha v do to the whole parameter set, in the order
-   of the pairs. Parameters and velocity share the flat layout of
-   `coder.ModelParams`: embeddings (V, n_f), w = [W_l W_r] (n_f, 2 n_f), b (n_f).
+   Every step of `train_epoch` does what `coder.gradient_and_hinge` and the
+   momentum update v = eps v + g, theta -= alpha v do to the whole parameter
+   set, in the order of the pairs. Parameters and velocity share the flat
+   layout of `coder.ModelParams`: embeddings (V, n_f), w = [W_l W_r]
+   (n_f, 2 n_f), b (n_f).
 
    Lazy row decay. An embedding row that a step's pair does not read gets
    gradient 0, so the step maps each of its entries (theta, v) to
@@ -112,6 +115,63 @@ static double dot(const double *x, const double *y, int64_t n)
 }
 
 typedef struct {
+    const double *theta, *w, *b;  /* embeddings (V, n_f), w (n_f, 2 n_f), b (n_f) */
+    int64_t n_f;
+} Coder;
+
+/* The coder on one id row, the parent id then m - 1 child ids, with child
+   weights cl and cr: s (2 n_f), the children's left- and right-weighted
+   vector sums; h = tanh(w s + b); e = parent - h. Returns d = e . e. With
+   `coded` set, s and h already hold the coding of these children (a
+   corrupted parent leaves them as they are), and only e and d are computed. */
+static double forward(const Coder *C, const uint8_t *ids, const double *cl,
+                      const double *cr, int64_t m, int coded,
+                      double *s, double *h, double *e)
+{
+    const int64_t n_f = C->n_f, n_s = 2 * n_f;
+    if (!coded) {
+        memset(s, 0, sizeof(double) * n_s);
+        for (int64_t j = 1; j < m; j++) {
+            const double *x = C->theta + ids[j] * n_f;
+            for (int64_t i = 0; i < n_f; i++) {
+                s[i] += cl[j] * x[i];
+                s[n_f + i] += cr[j] * x[i];
+            }
+        }
+        for (int64_t i = 0; i < n_f; i++)
+            h[i] = dot(C->w + i * n_s, s, n_s) + C->b[i];
+        for (int64_t i = 0; i < n_f; i++)  /* apart, so the sums overlap */
+            h[i] = tanh_fixed(h[i]);
+    }
+    const double *parent = C->theta + ids[0] * n_f;
+    for (int64_t i = 0; i < n_f; i++)
+        e[i] = parent[i] - h[i];
+    return dot(e, e, n_f);
+}
+
+/* d[r] = e . e of the coder on each of n_rows packed rows: row r holds the
+   ids ids[r] (width = 1 + K: parent, children, padding), the child weights
+   coef[r] (2, width) and n_children[r] children; theta is the flat parameter
+   set. Returns 0, or -2 if memory runs out. */
+int64_t code_rows(const double *theta, int64_t n_symbols, int64_t n_f,
+                  int64_t n_rows, int64_t width, const uint8_t *ids,
+                  const double *coef, const int64_t *n_children, double *d)
+{
+    double *scratch = malloc(sizeof(double) * 4 * n_f);  /* s, h and e */
+    if (!scratch)
+        return -2;
+    const double *w = theta + n_symbols * n_f;
+    const Coder C = {theta, w, w + 2 * n_f * n_f, n_f};
+    for (int64_t r = 0; r < n_rows; r++) {
+        const double *cl = coef + 2 * width * r;
+        d[r] = forward(&C, ids + width * r, cl, cl + width, 1 + n_children[r], 0,
+                       scratch, scratch + 2 * n_f, scratch + 3 * n_f);
+    }
+    free(scratch);
+    return 0;
+}
+
+typedef struct {
     double *theta, *vel;  /* the embedding rows, (V, n_f) */
     int64_t n_f, n_symbols;
     const double *p, *q;  /* M^k for k = 0..steps */
@@ -168,14 +228,15 @@ static int64_t first_failure(const Rows *R, int64_t limit)
    corrupted copy pairs[t, 1]; both take the child weights coef[rows[t]]
    (2, width) and have n_children[rows[t]] children.
 
-   Returns -1 with the sum of the hinges in *hinge_total, or the first step
-   after which the hinge or a parameter is not finite, or -2 if memory runs
-   out. */
+   Returns -1 with the sum of the hinges in *hinge_total and the number of
+   steps whose hinge is positive in *active_steps, or the first step after
+   which the hinge or a parameter is not finite, or -2 if memory runs out. */
 int64_t train_epoch(double *theta, double *vel, int64_t n_symbols, int64_t n_f,
                     int64_t n_steps, int64_t width, const uint8_t *pairs,
                     const int64_t *rows, const double *coef,
                     const int64_t *n_children, double delta, double l2,
-                    double alpha, double eps, double *hinge_total)
+                    double alpha, double eps, double *hinge_total,
+                    int64_t *active_steps)
 {
     const int64_t n_s = 2 * n_f, n_w = n_f * n_s;
     double *w = theta + n_symbols * n_f, *vw = vel + n_symbols * n_f;
@@ -208,8 +269,10 @@ int64_t train_epoch(double *theta, double *vel, int64_t n_symbols, int64_t n_f,
         slot[r] = -1;
     }
     const Rows R = {theta, vel, n_f, n_symbols, p, q, stamp, row};
+    const Coder C = {theta, w, b, n_f};
 
     double total = 0.0;
+    int64_t active = 0;
     int64_t failed = -1;
     for (int64_t t = 0; t < n_steps; t++) {
         const uint8_t *ids[2] = {pairs + 2 * width * t, pairs + 2 * width * t + width};
@@ -221,36 +284,22 @@ int64_t train_epoch(double *theta, double *vel, int64_t n_symbols, int64_t n_f,
                 goto done;
             }
 
-        /* s: the children's left- and right-weighted vector sums; h = tanh(w s
-           + b); e = parent - h. A corrupted parent leaves s and h as they are. */
+        /* the real row, then its corrupted copy, which reuses s and h when
+           only its parent differs */
         double d[2];
         for (int pi = 0; pi < 2; pi++) {
-            double *sp = s + pi * n_s, *hp = h + pi * n_f, *ep = e + pi * n_f;
-            if (pi == 1 && ids[1][0] != ids[0][0]) {
-                memcpy(sp, s, sizeof(double) * n_s);
-                memcpy(hp, h, sizeof(double) * n_f);
-            } else {
-                memset(sp, 0, sizeof(double) * n_s);
-                for (int64_t j = 1; j < m; j++) {
-                    const double *x = theta + ids[pi][j] * n_f;
-                    for (int64_t i = 0; i < n_f; i++) {
-                        sp[i] += cl[j] * x[i];
-                        sp[n_f + i] += cr[j] * x[i];
-                    }
-                }
-                for (int64_t i = 0; i < n_f; i++)
-                    hp[i] = dot(w + i * n_s, sp, n_s) + b[i];
-                for (int64_t i = 0; i < n_f; i++)  /* apart, so the sums overlap */
-                    hp[i] = tanh_fixed(hp[i]);
+            const int coded = pi == 1 && ids[1][0] != ids[0][0];
+            if (coded) {
+                memcpy(s + n_s, s, sizeof(double) * n_s);
+                memcpy(h + n_f, h, sizeof(double) * n_f);
             }
-            const double *parent = theta + ids[pi][0] * n_f;
-            for (int64_t i = 0; i < n_f; i++)
-                ep[i] = parent[i] - hp[i];
-            d[pi] = dot(ep, ep, n_f);
+            d[pi] = forward(&C, ids[pi], cl, cr, m, coded,
+                            s + pi * n_s, h + pi * n_f, e + pi * n_f);
         }
         const double margin = delta + d[0] - d[1];
         const double hinge = margin > 0.0 ? margin : 0.0;
         total += hinge;
+        active += hinge > 0.0;
         int bad = nonfinite(hinge);
 
         if (hinge > 0.0) {
@@ -340,6 +389,7 @@ int64_t train_epoch(double *theta, double *vel, int64_t n_symbols, int64_t n_f,
 
 done:
     *hinge_total = total;
+    *active_steps = active;
     free(scratch);
     free(index);
     return failed;

@@ -1,0 +1,112 @@
+"""The C kernel, epoch.c: its build and its entries.
+
+The kernel is compiled on first use, not at import, with the system's `cc`
+into __pycache__ beside its source, under a name hashed from all that changes
+the binary: the source, the command, the compiler and the host CPU (for
+-march=native). -ffp-contract=off and no -ffast-math keep its floats
+independent of the instruction set. `load` gives its entries, `train_epoch`
+(for `trainer.train`) and `code_rows` (for `coder.objective`), from one
+library.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+from pathlib import Path
+
+import numpy as np
+
+from .sampling import ID_DTYPE
+
+
+class KernelBuildError(RuntimeError):
+    pass
+
+
+KERNEL_SOURCE = Path(__file__).with_name("epoch.c")
+COMPILE = ("cc", "-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _host_cpu() -> bytes:
+    """The first CPU's description, less its clock, which changes as it runs."""
+    try:
+        with open("/proc/cpuinfo", "rb") as fh:
+            first = fh.read().split(b"\n\n")[0]
+    except OSError:
+        return f"{platform.machine()} {platform.processor()}".encode()
+    return b"\n".join(line for line in first.splitlines()
+                      if not line.startswith(b"cpu MHz"))
+
+
+def _compiler() -> bytes:
+    path = shutil.which(COMPILE[0])
+    if path is None:
+        return b""
+    path = os.path.realpath(path)
+    return f"{path} {os.stat(path).st_mtime_ns}".encode()
+
+
+def library_path() -> Path:
+    """The compiled kernel, built first if the cache lacks it."""
+    key = hashlib.sha256(b"\0".join([
+        KERNEL_SOURCE.read_bytes(), " ".join(COMPILE).encode(), _compiler(), _host_cpu(),
+    ])).hexdigest()
+    lib = KERNEL_SOURCE.parent / "__pycache__" / f"{KERNEL_SOURCE.stem}-{key[:16]}.so"
+    if lib.exists():
+        return lib
+    import subprocess  # only on a cache miss, which keeps import time down
+
+    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+    try:
+        lib.parent.mkdir(exist_ok=True)
+        proc = subprocess.run([*COMPILE, "-o", str(tmp), str(KERNEL_SOURCE)],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            lines = proc.stderr.splitlines() or [f"exit status {proc.returncode}"]
+            raise KernelBuildError(
+                "cannot build the epoch kernel: "
+                + next((line for line in lines if "error" in line), lines[0]))
+        os.replace(tmp, lib)
+    except OSError as exc:
+        raise KernelBuildError(f"cannot build the epoch kernel: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
+    # older builds are stale now; a process that loaded one keeps its mapping
+    for stale in lib.parent.glob(f"{KERNEL_SOURCE.stem}-*.so"):
+        if stale != lib:
+            stale.unlink(missing_ok=True)
+    return lib
+
+
+@functools.cache
+def load(path: Path | None = None) -> ctypes.CDLL:
+    """The kernel library at `path`, by default the build of KERNEL_SOURCE,
+    compiled on the first call; its entries' argument types check every
+    array's dtype and layout."""
+    from numpy.ctypeslib import ndpointer
+
+    try:
+        lib = ctypes.CDLL(str(path or library_path()))
+    except OSError as exc:
+        raise KernelBuildError(f"cannot load the epoch kernel: {exc}") from exc
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+    flat = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    inout = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS, WRITEABLE")
+    coef = ndpointer(np.float64, ndim=3, flags="C_CONTIGUOUS")
+    counts = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    lib.train_epoch.argtypes = [
+        inout, inout, i64, i64, i64, i64,
+        ndpointer(ID_DTYPE, ndim=3, flags="C_CONTIGUOUS"), counts, coef, counts,
+        f64, f64, f64, f64, ctypes.POINTER(f64), ctypes.POINTER(i64),
+    ]
+    lib.code_rows.argtypes = [
+        flat, i64, i64, i64, i64,
+        ndpointer(ID_DTYPE, ndim=2, flags="C_CONTIGUOUS"), coef, counts, inout,
+    ]
+    lib.train_epoch.restype = lib.code_rows.restype = i64
+    return lib

@@ -8,31 +8,26 @@ go before its steps. All randomness (init, shuffling, corruption) flows from
 a single seeded stream, so runs are reproducible bit for bit and resumable
 from checkpoints.
 
-The model is written from scratch on numpy, plus one C kernel (epoch.c) that
-runs an epoch's steps: each step computes what `coder.gradient_and_hinge`
-and the momentum update compute, but an embedding row that a pair does not
-read is brought up to date in closed form only when a later pair reads it,
-or at the end of the epoch. The kernel is compiled with the system's `cc` on
-the first `train` call and cached beside its source.
+The model is written from scratch on numpy, plus the C kernel (epoch.c,
+built by `kernel`) that runs an epoch's steps: each step computes what
+`coder.gradient_and_hinge` and the momentum update compute, but an embedding
+row that a pair does not read is brought up to date in closed form only when
+a later pair reads it, or at the end of the epoch.
 """
 
 from __future__ import annotations
 
 import base64
 import ctypes
-import functools
 import hashlib
 import json
 import math
-import os
-import platform
-import shutil
 import time
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
+from . import kernel
 from .ast_core import KIND_NAMES, VOCAB_SIZE
 from .coder import (
     Hyperparams,
@@ -42,7 +37,7 @@ from .coder import (
     l2_penalty,
     l2_rate,
 )
-from .sampling import ID_DTYPE, TrainingSample, pack_samples
+from .sampling import TrainingSample, pack_samples
 # An epoch's negatives are drawn through this name; the traced benchmark wraps
 # it here.
 from .sampling import corrupt_packed as corrupt
@@ -74,6 +69,7 @@ def vocabulary_fingerprint() -> str:
 class TrainReport:
     mean_hinge: list[float] = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
+    active_steps: list[int] = field(default_factory=list)  # steps with hinge > 0
     epochs_run: int = 0
     wall_time: float = 0.0
     first_epoch: int = 1  # number of the first epoch this report covers
@@ -143,12 +139,12 @@ def train(
     while state.epoch < limit and not has_converged(state.loss_history):
         order = rng.permutation(n) if shuffle else np.arange(n)
         rows, pairs = corrupt(packed, order, rng)
-        hinge_total = ctypes.c_double()
-        failed = _epoch_kernel()(
+        hinge_total, active = ctypes.c_double(), ctypes.c_int64()
+        failed = kernel.load().train_epoch(
             params.flat, state.velocity.flat, params.embeddings.shape[0], hyper.n_f,
             n, pairs.shape[2], pairs, rows, packed.coef, packed.n_children,
             hyper.delta, l2_rate(hyper), hyper.alpha, hyper.epsilon,
-            ctypes.byref(hinge_total))
+            ctypes.byref(hinge_total), ctypes.byref(active))
         if failed == -2:
             raise MemoryError("no memory for the epoch kernel's scratch arrays")
         if failed >= 0:
@@ -159,98 +155,11 @@ def train(
         state.loss_history.append(mean_hinge)
         report.mean_hinge.append(mean_hinge)
         report.objective.append(mean_hinge / 2.0 + l2_penalty(params, hyper))
+        report.active_steps.append(active.value)
 
     report.epochs_run = len(report.mean_hinge)
     report.wall_time = time.perf_counter() - start
     return state, report
-
-
-class KernelBuildError(RuntimeError):
-    pass
-
-
-# The epoch kernel is compiled on the first `train` call, not at import, into
-# __pycache__ beside its source, under a name hashed from all that changes
-# the binary: the source, the command, the compiler and the host CPU (for
-# -march=native). -ffp-contract=off and no -ffast-math keep its floats
-# independent of the instruction set.
-KERNEL_SOURCE = Path(__file__).with_name("epoch.c")
-COMPILE = ("cc", "-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
-
-
-def _host_cpu() -> bytes:
-    """The first CPU's description, less its clock, which changes as it runs."""
-    try:
-        with open("/proc/cpuinfo", "rb") as fh:
-            first = fh.read().split(b"\n\n")[0]
-    except OSError:
-        return f"{platform.machine()} {platform.processor()}".encode()
-    return b"\n".join(line for line in first.splitlines()
-                      if not line.startswith(b"cpu MHz"))
-
-
-def _compiler() -> bytes:
-    path = shutil.which(COMPILE[0])
-    if path is None:
-        return b""
-    path = os.path.realpath(path)
-    return f"{path} {os.stat(path).st_mtime_ns}".encode()
-
-
-def _kernel_library() -> Path:
-    """The compiled kernel, built first if the cache lacks it."""
-    key = hashlib.sha256(b"\0".join([
-        KERNEL_SOURCE.read_bytes(), " ".join(COMPILE).encode(), _compiler(), _host_cpu(),
-    ])).hexdigest()
-    lib = KERNEL_SOURCE.parent / "__pycache__" / f"{KERNEL_SOURCE.stem}-{key[:16]}.so"
-    if lib.exists():
-        return lib
-    import subprocess  # only on a cache miss, which keeps import time down
-
-    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
-    try:
-        lib.parent.mkdir(exist_ok=True)
-        proc = subprocess.run([*COMPILE, "-o", str(tmp), str(KERNEL_SOURCE)],
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            lines = proc.stderr.splitlines() or [f"exit status {proc.returncode}"]
-            raise KernelBuildError(
-                "cannot build the epoch kernel: "
-                + next((line for line in lines if "error" in line), lines[0]))
-        os.replace(tmp, lib)
-    except OSError as exc:
-        raise KernelBuildError(f"cannot build the epoch kernel: {exc}") from exc
-    finally:
-        tmp.unlink(missing_ok=True)
-    # older builds are stale now; a process that loaded one keeps its mapping
-    for stale in lib.parent.glob(f"{KERNEL_SOURCE.stem}-*.so"):
-        if stale != lib:
-            stale.unlink(missing_ok=True)
-    return lib
-
-
-@functools.cache
-def _epoch_kernel():
-    """`train_epoch` of epoch.c, compiled and loaded on the first call; its
-    argument types check every array's dtype and layout."""
-    from numpy.ctypeslib import ndpointer
-
-    try:
-        fn = ctypes.CDLL(str(_kernel_library())).train_epoch
-    except OSError as exc:
-        raise KernelBuildError(f"cannot load the epoch kernel: {exc}") from exc
-    i64, f64 = ctypes.c_int64, ctypes.c_double
-    inout = ndpointer(np.float64, flags="C_CONTIGUOUS, WRITEABLE")
-    fn.argtypes = [
-        inout, inout, i64, i64, i64, i64,
-        ndpointer(ID_DTYPE, ndim=3, flags="C_CONTIGUOUS"),
-        ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
-        ndpointer(np.float64, ndim=3, flags="C_CONTIGUOUS"),
-        ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
-        f64, f64, f64, f64, ctypes.POINTER(f64),
-    ]
-    fn.restype = i64
-    return fn
 
 
 # The largest parameter magnitude a checkpoint may hold. Squared distances and

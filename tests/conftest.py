@@ -195,6 +195,24 @@ def pair_loss(
     return hinge_loss(d, d_c, hyper.delta) + l2_penalty(params, hyper)
 
 
+# Pairs per batch in `reference_objective`.
+OBJECTIVE_CHUNK = 256
+
+
+def reference_objective(pairs, params: ModelParams, hyper: Hyperparams) -> float:
+    """Oracle for `coder.objective`: the coder in numpy, OBJECTIVE_CHUNK pairs
+    at a time, each distinct sample of a chunk coded once, the hinges summed
+    by numpy."""
+    total = 0.0
+    for start in range(0, len(pairs), OBJECTIVE_CHUNK):
+        chunk = pairs[start : start + OBJECTIVE_CHUNK]
+        packed = pack_samples(s for pair in chunk for s in pair)
+        _, _, e = _forward(packed.ids, packed.coef, params)
+        d = (e * e).sum(axis=1)[packed.rows].reshape(-1, 2)
+        total += float(np.maximum(0.0, hyper.delta + d[:, 0] - d[:, 1]).sum())
+    return total / (2.0 * len(pairs)) + l2_penalty(params, hyper)
+
+
 # Oracle for `classify.loss_and_gradients`: the same loss, accuracy and
 # gradient computed over every row of X, repeats included, with no `Batch`.
 def reference_loss_and_gradients(model, X: np.ndarray, y: np.ndarray, fine_tune: bool):

@@ -71,6 +71,19 @@ class TestNearestNeighbors:
         with pytest.raises(ValueError):
             nearest_neighbors(emb, "ID", top=44)
 
+    @pytest.mark.parametrize("query", [-1, len(KIND_NAMES)])
+    def test_id_out_of_range(self, query):
+        # neither the last row's neighbors nor an IndexError
+        with pytest.raises(ValueError, match="kind id"):
+            nearest_neighbors(_table(4, 0), query)
+
+    def test_first_and_last_id(self):
+        emb = _table(4, 0)
+        for query in (0, len(KIND_NAMES) - 1):
+            ranked = nearest_neighbors(emb, query)
+            assert ranked == nearest_neighbors(emb, KIND_NAMES[query])
+            assert len(ranked) == len(KIND_NAMES) - 1
+
     def test_matches_brute_force(self):
         emb = _table(6, 7)
         q = kind_by_name("While")

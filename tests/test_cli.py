@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from astvec import classify, cli, cparse, sampling, trainer
-from astvec.ast_core import LabeledProgram, dump_corpus, load_corpus
+from astvec import classify, cli, cparse, kernel, sampling
+from astvec.ast_core import KIND_NAMES, LabeledProgram, dump_corpus, load_corpus
 from astvec.coder import ModelParams
 from astvec.cli import EXIT_BUILD, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from astvec.trainer import load_checkpoint
@@ -113,6 +113,37 @@ class TestUsageErrors:
         assert proc.stderr.splitlines() == [
             "ERROR the following arguments are required: --corpus, --out"
         ]
+
+    def test_parser_is_reused_with_fresh_namespaces(self, tmp_path, capsys, monkeypatch,
+                                                     checkpoint_file):
+        # one parser per process, and each call parses into a new namespace:
+        # nothing of one command line reaches the next, not even after a
+        # command line that argparse rejects
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        parse, seen = parser.parse_args, []
+        monkeypatch.setattr(parser, "parse_args",
+                            lambda argv: seen.append(parse(argv)) or seen[-1])
+        cp = str(checkpoint_file)
+        assert main(["nn", "--checkpoint", cp, "--symbol", "If", "--top", "2"]) == EXIT_OK
+        assert main(["export", "--checkpoint", cp]) == EXIT_OK
+        assert main(["nn", "--checkpoint", cp, "--top", "3"]) == EXIT_USAGE
+        assert main(["nn", "--checkpoint", cp, "--symbol", "If"]) == EXIT_OK
+        out = tmp_path / "c.jsonl"
+        assert main(["corpus-build", "--generate", "--src-dir", "s",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert main(["corpus-build", "--generate", "--per-class", "1",
+                     "--out", str(out)]) == EXIT_OK
+        first, export, last, build = seen
+        assert (first.command, first.top) == ("nn", 2)
+        assert export.command == "export" and export.out is None
+        assert not hasattr(export, "symbol") and not hasattr(first, "out")
+        assert (last.symbol, last.top) == ("If", 5)
+        assert build.generate and build.src_dir is None
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 + 1 + len(KIND_NAMES) + 5
+        assert lines[-5:-3] == lines[:2]
+        assert out.exists()
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -583,14 +614,13 @@ class TestHostileInputs:
     # a compiler that is missing, or that rejects its command; a changed
     # command is a different cache entry, so it is really run
     @pytest.mark.parametrize("command,detail", [
-        (("astvec-no-such-cc",) + trainer.COMPILE[1:], "No such file or directory"),
-        (trainer.COMPILE + ("-no-such-flag",), "-no-such-flag"),
+        (("astvec-no-such-cc",) + kernel.COMPILE[1:], "No such file or directory"),
+        (kernel.COMPILE + ("-no-such-flag",), "-no-such-flag"),
     ], ids=["missing", "failing"])
     def test_compiler_fails(self, tmp_path, caplog, capsys, small_corpus_file,
                             monkeypatch, command, detail):
-        monkeypatch.setattr(trainer, "_epoch_kernel",
-                            functools.cache(trainer._epoch_kernel.__wrapped__))
-        monkeypatch.setattr(trainer, "COMPILE", command)
+        monkeypatch.setattr(kernel, "load", functools.cache(kernel.load.__wrapped__))
+        monkeypatch.setattr(kernel, "COMPILE", command)
         out = tmp_path / "m.json"
         assert main(["train", "--corpus", str(small_corpus_file), "--out", str(out),
                      "--epochs", "1"]) == EXIT_BUILD
@@ -598,15 +628,14 @@ class TestHostileInputs:
         assert line.startswith("cannot build the epoch kernel: ") and detail in line
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
-        assert not [p for p in trainer.KERNEL_SOURCE.parent.glob("__pycache__/*")
+        assert not [p for p in kernel.KERNEL_SOURCE.parent.glob("__pycache__/*")
                     if p.suffix not in (".pyc", ".so")]
 
     def test_new_kernel_build_deletes_stale(self, tmp_path, small_corpus_file, monkeypatch):
         source = tmp_path / "epoch.c"
-        source.write_bytes(trainer.KERNEL_SOURCE.read_bytes())
-        monkeypatch.setattr(trainer, "KERNEL_SOURCE", source)
-        monkeypatch.setattr(trainer, "_epoch_kernel",
-                            functools.cache(trainer._epoch_kernel.__wrapped__))
+        source.write_bytes(kernel.KERNEL_SOURCE.read_bytes())
+        monkeypatch.setattr(kernel, "KERNEL_SOURCE", source)
+        monkeypatch.setattr(kernel, "load", functools.cache(kernel.load.__wrapped__))
         cache = tmp_path / "__pycache__"
         cache.mkdir()
         (cache / "epoch-0000000000000000.so").write_bytes(b"stale")
@@ -615,7 +644,7 @@ class TestHostileInputs:
         assert main(["train", "--corpus", str(small_corpus_file),
                      "--out", str(tmp_path / "m.json"), "--epochs", "1"]) == EXIT_OK
         [build] = cache.glob("epoch-*.so")
-        assert build == trainer._kernel_library()
+        assert build == kernel.library_path()
         assert set(cache.iterdir()) == {build, other}
 
     @pytest.mark.parametrize("data", [b"", b"\n  \n\n"], ids=["empty", "blank-lines"])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from astvec.ast_core import KIND_NAMES, kind_by_name
+from astvec.ast_core import KIND_NAMES, LabeledProgram, kind_by_name
 from astvec.coder import (
     Hyperparams,
     ModelParams,
@@ -18,7 +19,15 @@ from astvec.sampling import (
     pack_samples,
 )
 
-from conftest import code_children, distance, extract_samples, node, pair_loss
+from conftest import (
+    code_children,
+    distance,
+    extract_samples,
+    node,
+    pair_loss,
+    reference_objective,
+)
+from test_ast_core import trees
 
 
 def _sample(parent, children, coefficients=None):
@@ -259,6 +268,33 @@ class TestObjective:
         )
         assert total > 0.0
         assert objective(pairs, p, hyper) == pytest.approx(expected, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed,lam,delta", [(0, 1e-4, 1.0), (5, 0.01, 0.3)])
+    def test_matches_numpy_oracle_on_bundled_corpus(self, corpus, seed, lam, delta):
+        # the kernel's forward and an exactly rounded sum, against numpy's
+        # forward and sums, chunk by chunk
+        rng = np.random.default_rng(seed)
+        pairs = [(s, corrupt(s, rng)) for s in build_training_set(corpus)]
+        hyper = Hyperparams(lam=lam, delta=delta)
+        p = _random_params(hyper.n_f, seed=seed)
+        want = reference_objective(pairs, p, hyper)
+        assert objective(pairs, p, hyper) == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(trees(), min_size=1, max_size=6), st.integers(1, 12),
+           st.integers(0, 2**32 - 1), st.floats(1e-4, 1.0), st.floats(0.0, 2.0))
+    def test_matches_numpy_oracle(self, roots, n_f, seed, lam, delta):
+        samples = build_training_set([LabeledProgram(r, "", "") for r in roots])
+        rng = np.random.default_rng(seed)
+        pairs = [(s, corrupt(s, rng)) for s in samples]
+        if not pairs:
+            with pytest.raises(ValueError):
+                objective(pairs, _zero_params(n_f), Hyperparams(n_f=n_f))
+            return
+        hyper = Hyperparams(n_f=n_f, lam=lam, delta=delta)
+        p = _random_params(n_f, seed=seed)
+        want = reference_objective(pairs, p, hyper)
+        assert objective(pairs, p, hyper) == pytest.approx(want, rel=1e-12)
 
 
 def pair_step(s, neg, params, hyper):

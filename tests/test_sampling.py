@@ -29,6 +29,7 @@ from conftest import (
     node,
     per_node_samples,
     reference_build_training_set,
+    reference_objective,
     unshared,
 )
 from test_ast_core import trees
@@ -269,3 +270,4 @@ def test_bundled_corpus_pin(corpus):
     pairs = [(s, corrupt(s, rng)) for s in samples]
     params = init_params(Hyperparams(), np.random.default_rng(0))
     assert objective(pairs, params, Hyperparams()) == 0.501112683119344
+    assert reference_objective(pairs, params, Hyperparams()) == 0.501112683119344

@@ -8,9 +8,16 @@ import subprocess
 import numpy as np
 import pytest
 
-from astvec import trainer
+from astvec import kernel
 from astvec.ast_core import KIND_NAMES, VOCAB_SIZE, kind_by_name
-from astvec.coder import Hyperparams, gradient_and_hinge, init_params, l2_rate
+from astvec.coder import (
+    Hyperparams,
+    distances,
+    gradient_and_hinge,
+    init_params,
+    l2_rate,
+    objective,
+)
 from astvec.sampling import (
     build_training_set,
     corrupt,
@@ -19,13 +26,9 @@ from astvec.sampling import (
 )
 from astvec.trainer import (
     CHECKPOINT_VERSION,
-    COMPILE,
-    KERNEL_SOURCE,
     PARAM_LIMIT,
     CheckpointError,
     TrainingDiverged,
-    _epoch_kernel,
-    _kernel_library,
     fresh_state,
     has_converged,
     load_checkpoint,
@@ -199,11 +202,43 @@ class TestTrain:
         hyper = Hyperparams(n_f=4, alpha=alpha, lam=lam, epochs=5, seed=1)
         samples = _samples() * copies
         state, report = train(samples, hyper)
-        ref, hinges = per_step_train(samples, hyper)
+        ref, hinges, _ = per_step_train(samples, hyper)
         np.testing.assert_allclose(state.params.flat, ref.params.flat, rtol=0, atol=1e-10)
         np.testing.assert_allclose(state.velocity.flat, ref.velocity.flat, rtol=0, atol=1e-10)
         np.testing.assert_allclose(report.mean_hinge, hinges, rtol=0, atol=1e-10)
         assert state.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    def test_active_steps_match_per_step_loop(self):
+        # the steps with a positive hinge, counted per epoch, none written
+        state, report = train(_samples(), HYPER)
+        _, _, active = per_step_train(_samples(), HYPER)
+        assert report.active_steps == active
+        assert 0 < min(active) and max(active) < len(_samples())
+
+    def test_epoch_hinges_are_the_forward_passes(self, corpus):
+        # at alpha = 0 no parameter moves, so each step codes its pair at the
+        # starting parameters: the epoch's hinge total is, bit for bit, the
+        # sequential sum of the hinges that `distances` gives for its pairs
+        hyper = Hyperparams(alpha=0.0, epochs=1, seed=2)
+        samples = build_training_set(corpus)
+        state = fresh_state(hyper)
+        start = state.params.copy()
+        draws = np.random.default_rng()
+        draws.bit_generator.state = state.rng.bit_generator.state
+        _, report = train(samples, hyper, state=state)
+
+        packed = pack_samples(samples)
+        rows, pairs = corrupt_packed(packed, draws.permutation(len(samples)), draws)
+        d = distances(pairs.reshape(-1, pairs.shape[2]),
+                      np.repeat(packed.coef[rows], 2, axis=0),
+                      np.repeat(packed.n_children[rows], 2), start)
+        total, active = 0.0, 0
+        for real, corrupted in d.reshape(-1, 2).tolist():
+            hinge = max(0.0, hyper.delta + real - corrupted)
+            total += hinge
+            active += hinge > 0.0
+        assert report.mean_hinge == [total / len(samples)]
+        assert report.active_steps == [active]
 
 
 # -max float plus a velocity that overflows it in the 4th step: alpha epsilon
@@ -214,23 +249,26 @@ THETA_0, VEL_0, OVERFLOW_STEP = -1.79e308, 1e308, 3
 def per_step_train(samples, hyper):
     """The literal per-step loop that `train` shortens: every pair of every
     epoch steps through gradient_and_hinge and the momentum update, with the
-    negatives drawn as `train` draws them."""
+    negatives drawn as `train` draws them. Returns the state, and per epoch
+    the mean hinge and the number of steps whose hinge is positive."""
     state = fresh_state(hyper)
     packed = pack_samples(samples)
     theta, vel = state.params.flat, state.velocity.flat
-    hinges = []
+    hinges, active = [], []
     for _ in range(hyper.epochs):
         order = state.rng.permutation(len(samples))
         rows, pairs = corrupt_packed(packed, order, state.rng)
-        total = 0.0
+        total, count = 0.0, 0
         for row, ids in zip(rows, pairs):
             grad, hinge = gradient_and_hinge(ids, packed.coef[row], state.params, hyper)
             total += hinge
+            count += hinge > 0.0
             vel *= hyper.epsilon
             vel += grad
             theta -= hyper.alpha * vel
         hinges.append(total / len(samples))
-    return state, hinges
+        active.append(count)
+    return state, hinges, active
 
 
 def inactive_step(theta, vel, w_span, hyper):
@@ -289,7 +327,7 @@ def test_wide_node_matches_per_step_loop():
     samples = _samples() + extract_samples(node("FuncDef", node("ID"), wide))
     hyper = Hyperparams(n_f=80, epochs=3, seed=2)
     state, report = train(samples, hyper)
-    ref, hinges = per_step_train(samples, hyper)
+    ref, hinges, _ = per_step_train(samples, hyper)
     assert max(len(s.children) for s in samples) == 300
     assert 0 < min(report.mean_hinge)
     np.testing.assert_allclose(state.params.flat, ref.params.flat, rtol=0, atol=1e-10)
@@ -320,7 +358,7 @@ def _tanh_grid():
 
 
 def test_kernel_tanh_is_near_libm():
-    fn = ctypes.CDLL(str(_kernel_library())).tanh_array
+    fn = ctypes.CDLL(str(kernel.library_path())).tanh_array
     array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     fn.argtypes = [array, array, ctypes.c_int64]
     fn.restype = None
@@ -340,21 +378,24 @@ def test_kernel_tanh_is_near_libm():
 def test_kernel_floats_do_not_depend_on_the_build(tmp_path, monkeypatch, corpus):
     # the kernel's build with the vector width of this host, then without it,
     # then at -O2: two epochs of the bundled corpus give the same parameters,
-    # velocity and mean hinges, byte for byte
-    portable = tuple(flag for flag in COMPILE if flag != "-march=native")
-    commands = [COMPILE, portable,
+    # velocity, mean hinges and active steps, and the objective at the end
+    # the same value, byte for byte
+    portable = tuple(flag for flag in kernel.COMPILE if flag != "-march=native")
+    commands = [kernel.COMPILE, portable,
                 tuple("-O2" if flag == "-O3" else flag for flag in portable)]
     samples = build_training_set(corpus)
+    rng = np.random.default_rng(1)
+    pairs = [(s, corrupt(s, rng)) for s in samples]
+    load = kernel.load
     runs = []
     for i, command in enumerate(commands):
         lib = tmp_path / f"epoch{i}.so"
-        subprocess.run([*command, "-o", str(lib), str(KERNEL_SOURCE)], check=True)
-        fn = ctypes.CDLL(str(lib)).train_epoch
-        fn.argtypes, fn.restype = _epoch_kernel().argtypes, _epoch_kernel().restype
-        monkeypatch.setattr(trainer, "_epoch_kernel", lambda fn=fn: fn)
+        subprocess.run([*command, "-o", str(lib), str(kernel.KERNEL_SOURCE)], check=True)
+        monkeypatch.setattr(kernel, "load", lambda lib=lib: load(lib))
         state, report = train(samples, Hyperparams(epochs=2, seed=0))
         runs.append((state.params.flat.tobytes(), state.velocity.flat.tobytes(),
-                     np.array(report.mean_hinge).tobytes()))
+                     np.array(report.mean_hinge).tobytes(), report.active_steps,
+                     np.float64(objective(pairs, state.params, state.hyper)).tobytes()))
     assert runs[0] == runs[1] == runs[2]
 
 
