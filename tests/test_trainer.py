@@ -210,7 +210,7 @@ class TestTrain:
 
     def test_active_steps_match_per_step_loop(self):
         # the steps with a positive hinge, counted per epoch, none written
-        state, report = train(_samples(), HYPER)
+        _, report = train(_samples(), HYPER)
         _, _, active = per_step_train(_samples(), HYPER)
         assert report.active_steps == active
         assert 0 < min(active) and max(active) < len(_samples())
