@@ -36,11 +36,10 @@ def node_histogram(ast: AstNode) -> np.ndarray:
 # --- split ---
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train: tuple[int, ...]
-    cv: tuple[int, ...]
-    test: tuple[int, ...]
+class SplitSpec(NamedTuple):
+    train: list[int]
+    cv: list[int]
+    test: list[int]
 
 
 def split(corpus: list[LabeledProgram], seed: int) -> SplitSpec:
@@ -64,7 +63,7 @@ def split(corpus: list[LabeledProgram], seed: int) -> SplitSpec:
         cv.extend(shuffled[:n_cv])
         test.extend(shuffled[n_cv : n_cv + n_test])
         train.extend(shuffled[n_cv + n_test :])
-    return SplitSpec(train=tuple(sorted(train)), cv=tuple(sorted(cv)), test=tuple(sorted(test)))
+    return SplitSpec(sorted(train), sorted(cv), sorted(test))
 
 
 # --- batches ---
@@ -96,6 +95,19 @@ class Batch(NamedTuple):
                    X / np.maximum(X.sum(axis=1, keepdims=True), 1.0))
 
 
+def task(
+    corpus: list[LabeledProgram], seed: int
+) -> tuple[tuple[str, ...], Batch, Batch, Batch]:
+    """(labels, train, cv, test): the corpus's sorted labels, and each part
+    of `split` as a Batch of node histograms and label ids. Raises `split`'s
+    ValueError."""
+    labels = tuple(sorted({p.label for p in corpus}))
+    spec = split(corpus, seed)
+    X = np.stack([node_histogram(p.ast) for p in corpus])
+    y = np.array([labels.index(p.label) for p in corpus])
+    return (labels, *(Batch.of(X[part], y[part]) for part in spec))
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -124,7 +136,6 @@ class ClassifierModel:
     model without a table reads the histogram counts themselves.
     """
 
-    labels: tuple[str, ...]
     shapes: list[tuple[int, ...]]  # of the table, if any, then of each W and b
     flat: np.ndarray
     mu: np.ndarray | None = None   # input standardization
@@ -161,10 +172,6 @@ class ClassifierModel:
         outputs.append(_softmax(logits))
         return outputs
 
-    def forward(self, batch: Batch) -> np.ndarray:
-        """Class probabilities of the batch's rows."""
-        return self.activations(batch)[-1]
-
 
 @dataclass
 class TrainCurves:
@@ -175,7 +182,7 @@ class TrainCurves:
 
 
 def _init_model(
-    labels: tuple[str, ...],
+    n_classes: int,
     batch: Batch,
     config: ClassifierConfig,
     embed: np.ndarray | int | None = None,
@@ -188,10 +195,10 @@ def _init_model(
         embed = uniform_init(rng, (VOCAB_SIZE, embed), embed, embed)
     parts = [] if embed is None else [embed]
     sizes = [batch.X.shape[1] if embed is None else embed.shape[1],
-             *config.hidden, len(labels)]
+             *config.hidden, n_classes]
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         parts += [uniform_init(rng, (fan_in, fan_out), fan_in, fan_out), np.zeros(fan_out)]
-    model = ClassifierModel(labels, [part.shape for part in parts],
+    model = ClassifierModel([part.shape for part in parts],
                             np.concatenate([part.ravel() for part in parts]))
     # standardization constants: the mean and std over every training row
     x0 = model.raw_input(batch)
@@ -238,26 +245,22 @@ def loss_and_gradients(model: ClassifierModel, batch: Batch, fine_tune: bool):
 
 
 def train_classifier(
-    X: np.ndarray,
-    y: np.ndarray,
-    labels: tuple[str, ...],
+    train: Batch,
+    n_classes: int,
     config: ClassifierConfig,
     embed: np.ndarray | int | None = None,
-    cv: tuple[np.ndarray, np.ndarray] | None = None,
+    cv: Batch | None = None,
 ) -> tuple[ClassifierModel, TrainCurves]:
     """Full-batch gradient descent with momentum on the softmax cross-entropy.
 
-    X rows are raw node-kind histograms; y holds label indices; `embed`
-    selects the input as in `_init_model`. The training and cv rows are each
-    made a `Batch` once, so every epoch passes over the distinct rows only,
-    weighted by their counts. With a cv split, the returned model is the one
-    of the epoch with the lowest cv cross-entropy (the earliest, on a tie);
-    without one, that of the last epoch. The curves record every epoch.
+    The label ids of `train` and `cv` are below `n_classes`; `embed` selects
+    the input as in `_init_model`. Every epoch passes over the distinct rows
+    only, weighted by their counts. With a cv split, the returned model is
+    the one of the epoch with the lowest cv cross-entropy (the earliest, on
+    a tie); without one, that of the last epoch. The curves record every
+    epoch.
     """
-    train = Batch.of(X, y)
-    if cv is not None:
-        cv = Batch.of(*cv)
-    model = _init_model(labels, train, config, embed)
+    model = _init_model(n_classes, train, config, embed)
     velocity = np.zeros_like(model.flat)
 
     best, best_xent = None, np.inf
@@ -304,7 +307,7 @@ def _accuracy_and_xent(
 
 def evaluate(model: ClassifierModel, batch: Batch) -> tuple[float, float]:
     """(accuracy fraction, cross-entropy); argmax ties break to the lowest index."""
-    return _accuracy_and_xent(model.forward(batch), batch.y, batch.counts)
+    return _accuracy_and_xent(model.activations(batch)[-1], batch.y, batch.counts)
 
 
 def curves_csv(curves: TrainCurves) -> str:

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: parse, corpus-build, train, nn, cluster, classify, export.
-Exit codes: 0 success, 1 usage error, 2 input/format error, 3 numerical failure,
-4 the training kernel cannot be compiled.
+Exit codes: 0 success, 1 usage error, 2 input/format error, 3 numerical failure
+or out of memory, 4 the training kernel cannot be compiled.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import os
 import stat
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import analysis, classify, corpusgen, cparse, embedding_io, kernel, sampling, trainer
 from .ast_core import (
@@ -246,7 +244,7 @@ def cmd_train(args) -> int:
     hyper = _hyper_from_args(args)
     state = None
     if args.resume:
-        state = _load_params(args.resume)
+        state = _load_checkpoint(args.resume)
         ignored = [flag for flag, name, _, _ in HYPER_FLAGS
                    if name != "epochs" and getattr(args, name) is not None]
         if ignored:
@@ -260,6 +258,8 @@ def cmd_train(args) -> int:
         )
     except trainer.TrainingDiverged as exc:
         raise CliError(str(exc), EXIT_NUMERIC)
+    except MemoryError as exc:
+        raise CliError(str(exc) or "out of memory", EXIT_NUMERIC)
     except kernel.KernelBuildError as exc:
         raise CliError(str(exc), EXIT_BUILD)
     outputs = [(args.out, lambda path: trainer.save_checkpoint(state, path))]
@@ -276,7 +276,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_params(path):
+def _load_checkpoint(path):
     try:
         with _os_errors(path):
             return trainer.load_checkpoint(path)
@@ -285,7 +285,7 @@ def _load_params(path):
 
 
 def cmd_nn(args) -> int:
-    embeddings = _load_params(args.checkpoint).params.embeddings
+    embeddings = _load_checkpoint(args.checkpoint).params.embeddings
     try:
         ranked = analysis.nearest_neighbors(embeddings, args.symbol, args.top)
     except UnknownKindError as exc:
@@ -299,7 +299,7 @@ def cmd_nn(args) -> int:
 
 def cmd_cluster(args) -> int:
     _check_seed(args.seed)
-    embeddings = _load_params(args.checkpoint).params.embeddings
+    embeddings = _load_checkpoint(args.checkpoint).params.embeddings
     try:
         clustering = analysis.kmeans(
             embeddings, k=args.k, restarts=args.restarts, seed=args.seed
@@ -321,16 +321,12 @@ def cmd_classify(args) -> int:
     corpus = _load_corpus_file(args.corpus)
     if not corpus:
         raise CliError("corpus holds no programs")
-    labels = tuple(sorted({p.label for p in corpus}))
     try:
-        spec = classify.split(corpus, seed=args.seed)
+        labels, train, cv, test = classify.task(corpus, seed=args.seed)
     except ValueError as exc:
         raise CliError(str(exc))
-    X = np.stack([classify.node_histogram(p.ast) for p in corpus]).astype(np.float64)
-    y = np.array([labels.index(p.label) for p in corpus])
-    tr, cv, te = list(spec.train), list(spec.cv), list(spec.test)
 
-    params = _load_params(args.checkpoint).params if args.checkpoint else None
+    params = _load_checkpoint(args.checkpoint).params if args.checkpoint else None
     config = classify.ClassifierConfig(epochs=args.epochs, seed=args.seed,
                                        fine_tune=not args.no_fine_tune)
     # the input layer: histogram counts, the pretrained table, a random one
@@ -342,17 +338,14 @@ def cmd_classify(args) -> int:
     out_dir = Path(args.out_dir)
     with _os_errors(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    distinct = [len(classify.Batch.of(X[part], y[part]).y) for part in (tr, cv)]
-    test = classify.Batch.of(X[te], y[te])
     summary = [f"# seed={args.seed}",
-               f"# distinct rows: train {distinct[0]}, cv {distinct[1]}, test {len(test.y)}",
+               f"# distinct rows: train {len(train.y)}, cv {len(cv.y)}, test {len(test.y)}",
                "Program classification accuracy", "=" * 32]
     curves_files = []
     try:
         for name, cfg, embed in runs:
             model, curves = classify.train_classifier(
-                X[tr], y[tr], labels, cfg, embed=embed, cv=(X[cv], y[cv]),
-            )
+                train, len(labels), cfg, embed=embed, cv=cv)
             acc, xent = classify.evaluate(model, test)
             curves_files.append((out_dir / f"{name}_curves.csv",
                                  f"# seed={args.seed}\n" + classify.curves_csv(curves)))
@@ -366,7 +359,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    cp = _load_params(args.checkpoint)
+    cp = _load_checkpoint(args.checkpoint)
     _write((args.out, embedding_io.format_embeddings(cp.params.embeddings)))
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from astvec.classify import (
     evaluate,
     loss_and_gradients,
     node_histogram,
-    split,
+    task,
     train_classifier,
 )
 from astvec.cli import EXIT_INPUT, EXIT_OK, main
@@ -93,7 +93,7 @@ class TestCriterion1Gradients:
             n_f = 2 if trial % 2 == 0 else 4
             params = init_params(Hyperparams(n_f=n_f), np.random.default_rng(trial))
             config = ClassifierConfig(hidden=(4,), seed=trial, fine_tune=True)
-            model = _init_model(("a", "b", "c"), batch, config, params.embeddings)
+            model = _init_model(3, batch, config, params.embeddings)
             _, _, grad = loss_and_gradients(model, batch, True)
             ge, gw, gb = model.views(grad)
             for analytic, view in zip(gw + gb + [ge],
@@ -228,23 +228,17 @@ class TestCriterion7Classification:
         runs, _ = five_runs
         params = runs[0][0].params
         start = time.perf_counter()
-        labels = tuple(sorted({p.label for p in corpus}))
-        X = np.stack([node_histogram(p.ast) for p in corpus]).astype(np.float64)
-        y = np.array([labels.index(p.label) for p in corpus])
-
         accs = {"lr": [], "pre": [], "rand": []}
         for seed in range(3):
-            spec = split(corpus, seed=seed)
-            tr, te = list(spec.train), list(spec.test)
-            test = Batch.of(X[te], y[te])
+            labels, train, _, test = task(corpus, seed=seed)
             lr_cfg = ClassifierConfig(hidden=(), epochs=300, seed=seed)
             deep_cfg = ClassifierConfig(epochs=300, seed=seed)
-            model, _ = train_classifier(X[tr], y[tr], labels, lr_cfg)
+            model, _ = train_classifier(train, len(labels), lr_cfg)
             accs["lr"].append(evaluate(model, test)[0])
-            model, _ = train_classifier(X[tr], y[tr], labels, deep_cfg,
+            model, _ = train_classifier(train, len(labels), deep_cfg,
                                         embed=params.embeddings)
             accs["pre"].append(evaluate(model, test)[0])
-            model, _ = train_classifier(X[tr], y[tr], labels, deep_cfg,
+            model, _ = train_classifier(train, len(labels), deep_cfg,
                                         embed=params.n_f)
             accs["rand"].append(evaluate(model, test)[0])
         elapsed = time.perf_counter() - start

@@ -14,6 +14,7 @@ from astvec.classify import (
     loss_and_gradients,
     node_histogram,
     split,
+    task,
     train_classifier,
     _accuracy_and_xent,
     _init_model,
@@ -54,14 +55,14 @@ class TestFeatures:
         program = LabeledProgram(ast=parse_file(SNIPPET_SRC), label="x", source_id="s")
         X = node_histogram(program.ast)[None, :]
         batch = Batch.of(X, [0])
-        model = _init_model(("x",), batch, ClassifierConfig())
+        model = _init_model(1, batch, ClassifierConfig())
         assert np.array_equal(model.raw_input(batch), X.astype(np.float64))
 
     def test_embed_mean_hand_case(self):
         params = init_params(Hyperparams(n_f=3), np.random.default_rng(0))
         tree = node("BinaryOp", node("ID"), node("Constant"))
         batch = Batch.of(node_histogram(tree)[None, :], [0])
-        model = _init_model(("x",), batch, ClassifierConfig(), params.embeddings)
+        model = _init_model(1, batch, ClassifierConfig(), params.embeddings)
         ids = [kind_by_name(n) for n in ("BinaryOp", "ID", "Constant")]
         expected = params.embeddings[ids].mean(axis=0)
         assert np.allclose(model.raw_input(batch)[0], expected, atol=1e-12)
@@ -114,6 +115,24 @@ class TestSplit:
         assert len(s.train) == n - 2 * (n // 5)
 
 
+class TestTask:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_part_counts_its_programs(self, corpus, seed):
+        labels, *parts = task(corpus, seed)
+        assert labels == tuple(sorted({p.label for p in corpus}))
+        for batch, part in zip(parts, split(corpus, seed)):
+            # oracle: each distinct (histogram, label) of the part's programs,
+            # in order of first appearance, and how often it occurs
+            counts = {}
+            for i in part:
+                key = (tuple(node_histogram(corpus[i].ast).tolist()), corpus[i].label)
+                counts[key] = counts.get(key, 0) + 1
+            rows = [(tuple(int(v) for v in row), labels[label])
+                    for row, label in zip(batch.X, batch.y)]
+            assert rows == list(counts)
+            assert batch.counts.tolist() == list(counts.values())
+
+
 class TestCrossEntropy:
     def test_perfect_one_hot(self):
         probs = np.eye(3)
@@ -154,106 +173,97 @@ def _separable_data(n_per=10, seed=0):
     return np.array(rows), np.array(ys)
 
 
+def _separable_batch(n_per=10, seed=0):
+    return Batch.of(*_separable_data(n_per, seed))
+
+
 class TestClassifier:
     def test_logistic_regression_separable(self):
-        X, y = _separable_data()
+        train = _separable_batch()
         config = ClassifierConfig(hidden=(), epochs=200, lr=0.1, seed=0)
-        model, curves = train_classifier(X, y, ("a", "b", "c"), config)
-        acc, xent = evaluate(model, Batch.of(X, y))
+        model, curves = train_classifier(train, 3, config)
+        acc, xent = evaluate(model, train)
         assert acc == 1.0
         assert curves.train_xent[-1] < curves.train_xent[0]
 
     def test_deep_separable(self):
-        X, y = _separable_data()
+        train = _separable_batch()
         config = ClassifierConfig(hidden=(16, 16), epochs=200, lr=0.05, seed=0)
-        model, _ = train_classifier(X, y, ("a", "b", "c"), config)
-        acc, _ = evaluate(model, Batch.of(X, y))
+        model, _ = train_classifier(train, 3, config)
+        acc, _ = evaluate(model, train)
         assert acc == 1.0
 
     def test_cv_returns_best_epoch(self):
-        X, y = _separable_data(seed=0)
-        cv = _separable_data(seed=1)
+        train = _separable_batch(seed=0)
+        cv = _separable_batch(seed=1)
         # lr 2 overshoots: the cv cross-entropy falls, then climbs again
         config = ClassifierConfig(hidden=(16, 16), epochs=60, lr=2.0, seed=0)
-        model, curves = train_classifier(X, y, ("a", "b", "c"), config, cv=cv)
+        model, curves = train_classifier(train, 3, config, cv=cv)
         assert len(curves.cv_xent) == len(curves.train_xent) == 60
         assert curves.cv_xent[-1] > 10 * min(curves.cv_xent)
-        assert evaluate(model, Batch.of(*cv))[1] == min(curves.cv_xent)
+        assert evaluate(model, cv)[1] == min(curves.cv_xent)
         # without a cv split the last epoch's model comes back
-        last, _ = train_classifier(X, y, ("a", "b", "c"), config)
-        assert evaluate(last, Batch.of(*cv))[1] == curves.cv_xent[-1]
+        last, _ = train_classifier(train, 3, config)
+        assert evaluate(last, cv)[1] == curves.cv_xent[-1]
 
     def test_zero_epochs_near_chance(self):
-        X, y = _separable_data()
+        train = _separable_batch()
         config = ClassifierConfig(hidden=(8,), epochs=0, seed=0)
-        model, curves = train_classifier(X, y, ("a", "b", "c"), config)
-        _, xent = evaluate(model, Batch.of(X, y))
+        model, curves = train_classifier(train, 3, config)
+        _, xent = evaluate(model, train)
         assert curves.train_xent == [] and curves.train_acc == []
         # untouched random net should sit near the uniform baseline
         assert abs(xent - np.log(3.0)) < 1.0
         # epoch e of the curves scores the model that e epochs of training return
-        _, curves = train_classifier(X, y, ("a", "b", "c"),
-                                     dataclasses.replace(config, epochs=3))
+        _, curves = train_classifier(train, 3, dataclasses.replace(config, epochs=3))
         for epochs in (1, 2, 3):
-            model, _ = train_classifier(X, y, ("a", "b", "c"),
-                                        dataclasses.replace(config, epochs=epochs))
-            acc, xent = evaluate(model, Batch.of(X, y))
+            model, _ = train_classifier(train, 3, dataclasses.replace(config, epochs=epochs))
+            acc, xent = evaluate(model, train)
             assert (curves.train_acc[epochs - 1], curves.train_xent[epochs - 1]) == (acc, xent)
 
     def test_deterministic(self):
-        X, y = _separable_data()
+        train = _separable_batch()
         config = ClassifierConfig(hidden=(8,), epochs=20, seed=5)
-        a, _ = train_classifier(X, y, ("a", "b", "c"), config)
-        b, _ = train_classifier(X, y, ("a", "b", "c"), config)
+        a, _ = train_classifier(train, 3, config)
+        b, _ = train_classifier(train, 3, config)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
 
     def test_embed_mean_pretrained_uses_given_table(self):
-        X, y = _separable_data()
         params = init_params(Hyperparams(n_f=6), np.random.default_rng(2))
         config = ClassifierConfig(hidden=(8,), epochs=0, seed=0)
-        model, _ = train_classifier(X, y, ("a", "b", "c"), config,
-                                    embed=params.embeddings)
+        model, _ = train_classifier(_separable_batch(), 3, config, embed=params.embeddings)
         assert np.array_equal(model.embed, params.embeddings)
 
     def test_embed_mean_random_differs_from_pretrained(self):
-        X, y = _separable_data()
+        train = _separable_batch()
         params = init_params(Hyperparams(n_f=6), np.random.default_rng(2))
         config = ClassifierConfig(hidden=(8,), epochs=0, seed=0)
-        a, _ = train_classifier(X, y, ("a", "b", "c"), config, embed=params.embeddings)
-        b, _ = train_classifier(X, y, ("a", "b", "c"), config, embed=params.n_f)
+        a, _ = train_classifier(train, 3, config, embed=params.embeddings)
+        b, _ = train_classifier(train, 3, config, embed=params.n_f)
         assert not np.array_equal(a.embed, b.embed)
 
     def test_no_fine_tune_freezes_embedding(self):
-        X, y = _separable_data()
         params = init_params(Hyperparams(n_f=6), np.random.default_rng(3))
         config = ClassifierConfig(hidden=(8,), epochs=15, seed=0, fine_tune=False)
-        model, _ = train_classifier(X, y, ("a", "b", "c"), config,
-                                    embed=params.embeddings)
+        model, _ = train_classifier(_separable_batch(), 3, config, embed=params.embeddings)
         assert np.array_equal(model.embed, params.embeddings)
 
     def test_fine_tune_moves_embedding(self):
-        X, y = _separable_data()
         params = init_params(Hyperparams(n_f=6), np.random.default_rng(3))
         config = ClassifierConfig(hidden=(8,), epochs=15, seed=0, fine_tune=True)
-        model, _ = train_classifier(X, y, ("a", "b", "c"), config,
-                                    embed=params.embeddings)
+        model, _ = train_classifier(_separable_batch(), 3, config, embed=params.embeddings)
         assert not np.array_equal(model.embed, params.embeddings)
-
-    def test_length_mismatch(self):
-        X, y = _separable_data()
-        with pytest.raises(ValueError):
-            train_classifier(X, y[:-1], ("a", "b", "c"), ClassifierConfig())
 
     def test_evaluate_recount_oracle(self):
         X, y = _separable_data()
         config = ClassifierConfig(hidden=(8,), epochs=30, seed=1)
-        model, _ = train_classifier(X, y, ("a", "b", "c"), config)
+        model, _ = train_classifier(Batch.of(X, y), 3, config)
         # rows repeated 1-3 times, each run of repeats in place
         rows = np.repeat(np.arange(len(y)), 1 + np.arange(len(y)) % 3)
         X, y = X[rows], y[rows]
         batch = Batch.of(X, y)
-        probs = np.repeat(model.forward(batch), batch.counts, axis=0)
+        probs = np.repeat(model.activations(batch)[-1], batch.counts, axis=0)
         hits = sum(int(np.argmax(p) == t) for p, t in zip(probs, y))
         acc, xent = evaluate(model, batch)
         assert acc == hits / len(y)
@@ -268,9 +278,9 @@ class TestClassifier:
                 calls[_name] += 1
                 return _inner(*args)
             monkeypatch.setattr(classify, name, counting)
-        X, y = _separable_data(n_per=4)
+        train = _separable_batch(n_per=4)
         config = ClassifierConfig(hidden=(4,), epochs=7, seed=0)
-        train_classifier(X, y, ("a", "b", "c"), config, cv=(X, y))
+        train_classifier(train, 3, config, cv=train)
         assert calls == {"loss_and_gradients": 7, "evaluate": 8}
 
     @pytest.mark.parametrize("embed", [None, 6])
@@ -278,10 +288,10 @@ class TestClassifier:
         X, y = _separable_data()
         X[1], y[1] = X[0], y[0]
         config = ClassifierConfig(hidden=(8, 8), epochs=25, seed=3)
-        cv = _separable_data(seed=1)
-        once, curves = train_classifier(X, y, ("a", "b", "c"), config, embed, cv)
-        twice, twice_curves = train_classifier(np.repeat(X, 2, axis=0), np.repeat(y, 2),
-                                               ("a", "b", "c"), config, embed, cv)
+        cv = _separable_batch(seed=1)
+        once, curves = train_classifier(Batch.of(X, y), 3, config, embed, cv)
+        twice, twice_curves = train_classifier(
+            Batch.of(np.repeat(X, 2, axis=0), np.repeat(y, 2)), 3, config, embed, cv)
         assert np.array_equal(once.flat, twice.flat)
         assert np.array_equal(once.mu, twice.mu) and np.array_equal(once.sigma, twice.sigma)
         assert curves == twice_curves
@@ -297,6 +307,11 @@ class TestBatch:
         assert batch.y.tolist() == [1, 0, 2, 0]
         assert batch.counts.tolist() == [2, 1, 2, 1]
         assert batch.hist.tolist() == [[1.0, 0.0], [0.5, 0.5], [0.5, 0.5], [0.0, 0.0]]
+
+    def test_length_mismatch(self):
+        X, y = _separable_data()
+        with pytest.raises(ValueError):
+            Batch.of(X, y[:-1])
 
 
 def assert_matches_row_oracle(model, X, y, fine_tune):
@@ -316,12 +331,12 @@ class TestRowOracle:
         labels = tuple(sorted({p.label for p in corpus}))
         X = np.stack([node_histogram(p.ast) for p in corpus]).astype(np.float64)
         y = np.array([labels.index(p.label) for p in corpus])
-        train = list(split(corpus, seed=0).train)
+        train = split(corpus, seed=0).train
         X, y = X[train], y[train]
         batch = Batch.of(X, y)
         assert len(batch.y) < len(y)  # the bundled corpus repeats programs
         hidden = () if embed is None else ClassifierConfig.hidden
-        model = _init_model(labels, batch, ClassifierConfig(hidden=hidden), embed)
+        model = _init_model(len(labels), batch, ClassifierConfig(hidden=hidden), embed)
         assert_matches_row_oracle(model, X, y, fine_tune)
 
     @settings(max_examples=60, deadline=None)
@@ -341,7 +356,7 @@ class TestRowOracle:
         X, y = distinct[rows], labels[rows]
         config = ClassifierConfig(hidden=hidden, seed=seed)
         batch = Batch.of(X, y)
-        model = _init_model(("a", "b", "c"), batch, config, embed)
+        model = _init_model(3, batch, config, embed)
         # Standardizing an input whose spread is 1e-4 of its size turns an ulp
         # of it (the two sides multiply by the table in batches of different
         # heights) into 1e4 ulps; such an input is left out.
@@ -367,7 +382,7 @@ class TestClassifierGradients:
         assert sorted(set(batch.counts.tolist())) == [1, 2, 3]
         params = init_params(Hyperparams(n_f=4), np.random.default_rng(1))
         config = ClassifierConfig(hidden=(5,), seed=2, fine_tune=fine_tune)
-        model = _init_model(("a", "b", "c"), batch, config,
+        model = _init_model(3, batch, config,
                             params.embeddings if mode == "embed_mean" else None)
 
         loss, _, grad = loss_and_gradients(model, batch, fine_tune)
@@ -401,9 +416,9 @@ class TestClassifierGradients:
 
 
 def test_curves_csv():
-    X, y = _separable_data(n_per=4)
+    train = _separable_batch(n_per=4)
     config = ClassifierConfig(hidden=(), epochs=3, seed=0)
-    _, curves = train_classifier(X, y, ("a", "b", "c"), config, cv=(X, y))
+    _, curves = train_classifier(train, 3, config, cv=train)
     lines = curves_csv(curves).strip().split("\n")
     assert lines[0] == "epoch,train_xent,cv_xent,train_acc,cv_acc"
     assert len(lines) == 4

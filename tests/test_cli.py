@@ -7,12 +7,13 @@ import re
 import stat
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from astvec import classify, cli, cparse, kernel, sampling
+from astvec import classify, cli, cparse, kernel, sampling, trainer
 from astvec.ast_core import KIND_NAMES, LabeledProgram, dump_corpus, load_corpus
 from astvec.coder import ModelParams
 from astvec.cli import EXIT_BUILD, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
@@ -631,6 +632,28 @@ class TestHostileInputs:
         assert not [p for p in kernel.KERNEL_SOURCE.parent.glob("__pycache__/*")
                     if p.suffix not in (".pyc", ".so")]
 
+    # each raises the MemoryError its allocation would, and nothing is allocated
+    @pytest.mark.parametrize("where,message", [
+        ("init", "Unable to allocate 1.82 TiB for an array with shape (500000, 500000)"
+                 " and data type float64"),
+        ("kernel", "no memory for the epoch kernel's scratch arrays"),
+    ])
+    def test_out_of_memory_train(self, tmp_path, caplog, capsys, small_corpus_file,
+                                 monkeypatch, where, message):
+        if where == "init":
+            def init_params(hyper, rng):
+                raise MemoryError(message)
+            monkeypatch.setattr(trainer, "init_params", init_params)
+        else:
+            no_scratch = types.SimpleNamespace(train_epoch=lambda *args: -2)
+            monkeypatch.setattr(kernel, "load", lambda: no_scratch)
+        out = tmp_path / "m.json"
+        assert main(["train", "--corpus", str(small_corpus_file), "--out", str(out),
+                     "--epochs", "1"]) == EXIT_NUMERIC
+        assert _problems(caplog) == [message]
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_new_kernel_build_deletes_stale(self, tmp_path, small_corpus_file, monkeypatch):
         source = tmp_path / "epoch.c"
         source.write_bytes(kernel.KERNEL_SOURCE.read_bytes())
@@ -1067,6 +1090,15 @@ class TestClassify:
         assert main(["classify", "--corpus", str(small_corpus_file),
                      "--out-dir", str(out_dir), "--epochs", "-1"]) == EXIT_USAGE
         assert _problems(caplog) == ["epochs must be >= 0"]
+        assert not out_dir.exists()
+
+    def test_too_few_programs_of_a_label(self, tmp_path, caplog):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes(b'{"label":"a","source_id":"s","ast":{"kind":"ID"}}\n' * 4)
+        out_dir = tmp_path / "cls"
+        assert main(["classify", "--corpus", str(corpus),
+                     "--out-dir", str(out_dir)]) == EXIT_INPUT
+        assert _problems(caplog) == ["label 'a' has fewer than 5 programs"]
         assert not out_dir.exists()
 
     def test_one_label_xent_is_not_negative_zero(self, tmp_path):
