@@ -4,13 +4,11 @@ between two global matrices by relative position.
 
 Training pulls the reconstruction distance of real samples below that of
 corrupted ones by a margin, with an l2 penalty on the two weight matrices.
-All gradients here are exact and checked against finite differences in the
-test suite.
 
 The coder runs on packed rows (see `sampling.pack_samples`). Its forward
-pass is the C kernel's (epoch.c), which both training and `objective` use;
-`gradient_and_hinge` is the kernel's step in numpy, its reference, checked
-against finite differences here and against the kernel in the tests.
+pass and its gradient are the C kernel's (epoch.c), which training,
+`trainer.gradient_and_hinge` and `objective` use; this module holds the
+parameters, their initialisation and the objective.
 """
 
 from __future__ import annotations
@@ -124,25 +122,6 @@ def distances(ids: np.ndarray, coef: np.ndarray, n_children: np.ndarray,
     return d
 
 
-def _forward(ids: np.ndarray, coef: np.ndarray, params: ModelParams):
-    """The coder in numpy, for `gradient_and_hinge`, on a batch of packed
-    rows: ids (..., 1+K), parent id then child ids; coef (..., 2, 1+K),
-    broadcast against the rows.
-
-    Returns (s, h, e): s (..., 2 N_f) the children's left- and right-weighted
-    vector sums side by side, h = tanh([W_l W_r] s + b) the coded vectors and
-    e the parent vectors minus h.
-    """
-    vectors = params.embeddings.take(ids, axis=0)
-    s = (coef @ vectors).reshape(*ids.shape[:-1], -1)
-    h = np.tanh(s @ params.w.T + params.b)
-    return s, h, vectors[..., 0, :] - h
-
-
-def hinge_loss(d: float, d_c: float, delta: float) -> float:
-    return max(0.0, delta + d - d_c)
-
-
 def l2_rate(hyper: Hyperparams) -> float:
     """c in the l2 penalty's gradient c [W_l W_r], c = lam / 2 N_f^2."""
     return hyper.lam / (2.0 * hyper.n_f**2)
@@ -175,45 +154,3 @@ def objective(
     d = d[packed.rows].reshape(-1, 2)
     hinges = np.maximum(0.0, hyper.delta + d[:, 0] - d[:, 1])
     return math.fsum(hinges.data) / (2.0 * len(pairs)) + l2_penalty(params, hyper)
-
-
-# d(d - d_c)/d(e) is 2e on the real row of a pair and -2e on the corrupted one.
-_PAIR_SIGN = np.array([[2.0], [-2.0]])
-
-
-def gradient_and_hinge(
-    ids: np.ndarray,
-    coef: np.ndarray,
-    params: ModelParams,
-    hyper: Hyperparams,
-) -> tuple[np.ndarray, float]:
-    """Exact gradient of one pair's objective, its hinge plus the l2 penalty,
-    and the hinge value.
-
-    ids (2, 1+K) holds the packed row of the real sample, then that of its
-    corrupted copy; coef (2, 1+K) is their shared row of child weights. The
-    gradient is a flat array in the layout of `params.flat`. Both rows share
-    one forward pass, which the gradient reuses.
-
-    At the hinge kink (margin exactly met) the subgradient 0 is used, so a
-    satisfied pair contributes only the l2 part.
-    """
-    s, h, e = _forward(ids, coef, params)
-    d, d_c = (e * e).sum(axis=1).tolist()
-    hinge = hinge_loss(d, d_c, hyper.delta)
-    flat = np.zeros(params.flat.size)
-    w_span = params.w_span
-    np.multiply(params.flat[w_span], l2_rate(hyper), out=flat[w_span])
-    if hinge > 0.0:
-        grad = ModelParams.of_flat(flat, params.n_f)
-        de = _PAIR_SIGN * e
-        dz = de * (h * h - 1.0)
-        grad.b[:] = dz[0] + dz[1]
-        grad.w += dz.T @ s
-        # slot j of row p: coef[0, j] W_l^T dz_p + coef[1, j] W_r^T dz_p,
-        # which is 0 on the parent slot, where the parent's own term goes
-        slots = coef.T @ (dz @ params.w).reshape(2, 2, -1)
-        slots[:, 0] += de
-        np.add.at(grad.embeddings, ids, slots)
-    return flat, hinge
-

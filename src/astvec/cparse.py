@@ -94,7 +94,7 @@ _TOKEN_RE = re.compile(
   | (?P<punctuation>[()\[\]{};,])
   | (?P<error>.)
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE | re.DOTALL | re.ASCII,  # \s, \d and \w match ASCII characters only
 )
 
 
@@ -699,8 +699,7 @@ def read_source(path) -> str:
         # the first bad byte's position, with newlines read as open() reads them
         good = exc.object[: exc.start].decode("utf-8")
         good = good.replace("\r\n", "\n").replace("\r", "\n")
-        line = good.count("\n") + 1
-        raise CParseError("not valid UTF-8", line, len(good) - good.rfind("\n")) from None
+        raise CParseError("not valid UTF-8", *SourceLines(good).position(len(good))) from None
 
 
 def parse_file(path, table: Optional[NodeTable] = None) -> AstNode:

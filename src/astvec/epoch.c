@@ -1,13 +1,15 @@
 /* The coder in C, compiled on first use and loaded with ctypes (kernel.py).
    Two entries share one forward pass, `forward` below: `train_epoch` runs
-   one epoch of momentum SGD on the coding criterion for `trainer.train`,
-   and `code_rows` codes packed rows for `coder.objective`.
+   one epoch of momentum SGD on the coding criterion for `trainer.train`
+   (and one step of it for `trainer.gradient_and_hinge`), and `code_rows`
+   codes packed rows for `coder.objective`.
 
-   Every step of `train_epoch` does what `coder.gradient_and_hinge` and the
-   momentum update v = eps v + g, theta -= alpha v do to the whole parameter
-   set, in the order of the pairs. Parameters and velocity share the flat
-   layout of `coder.ModelParams`: embeddings (V, n_f), w = [W_l W_r]
-   (n_f, 2 n_f), b (n_f).
+   Every step of `train_epoch` does what the pair gradient g and the momentum
+   update v = eps v + g, theta -= alpha v do to the whole parameter set, in
+   the order of the pairs. Its oracle is that step in numpy,
+   `reference_gradient_and_hinge` in tests/conftest.py. Parameters and
+   velocity share the flat layout of `coder.ModelParams`: embeddings
+   (V, n_f), w = [W_l W_r] (n_f, 2 n_f), b (n_f).
 
    Lazy row decay. An embedding row that a step's pair does not read gets
    gradient 0, so the step maps each of its entries (theta, v) to

@@ -5,8 +5,8 @@ into __pycache__ beside its source, under a name hashed from all that changes
 the binary: the source, the command, the compiler and the host CPU (for
 -march=native). -ffp-contract=off and no -ffast-math keep its floats
 independent of the instruction set. `load` gives its entries, `train_epoch`
-(for `trainer.train`) and `code_rows` (for `coder.objective`), from one
-library.
+(for `trainer.train` and `trainer.gradient_and_hinge`) and `code_rows` (for
+`coder.objective`), from one library.
 """
 
 from __future__ import annotations

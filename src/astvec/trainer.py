@@ -9,10 +9,10 @@ a single seeded stream, so runs are reproducible bit for bit and resumable
 from checkpoints.
 
 The model is written from scratch on numpy, plus the C kernel (epoch.c,
-built by `kernel`) that runs an epoch's steps: each step computes what
-`coder.gradient_and_hinge` and the momentum update compute, but an embedding
-row that a pair does not read is brought up to date in closed form only when
-a later pair reads it, or at the end of the epoch.
+built by `kernel`) that runs an epoch's steps: each step computes the pair
+gradient that `gradient_and_hinge` returns and the momentum update, but an
+embedding row that a pair does not read is brought up to date in closed form
+only when a later pair reads it, or at the end of the epoch.
 """
 
 from __future__ import annotations
@@ -29,15 +29,8 @@ import numpy as np
 
 from . import kernel
 from .ast_core import KIND_NAMES, VOCAB_SIZE
-from .coder import (
-    Hyperparams,
-    ModelParams,
-    gradient_and_hinge,  # not called here; the traced benchmark wraps this name
-    init_params,
-    l2_penalty,
-    l2_rate,
-)
-from .sampling import TrainingSample, pack_samples
+from .coder import Hyperparams, ModelParams, init_params, l2_penalty, l2_rate
+from .sampling import ID_DTYPE, TrainingSample, pack_samples
 # An epoch's negatives are drawn through this name; the traced benchmark wraps
 # it here.
 from .sampling import corrupt_packed as corrupt
@@ -160,6 +153,38 @@ def train(
     report.epochs_run = len(report.mean_hinge)
     report.wall_time = time.perf_counter() - start
     return state, report
+
+
+def gradient_and_hinge(
+    ids: np.ndarray,
+    coef: np.ndarray,
+    params: ModelParams,
+    hyper: Hyperparams,
+) -> tuple[np.ndarray, float]:
+    """Exact gradient of one pair's objective, its hinge plus the l2 penalty,
+    and the hinge value, as the epoch kernel's step computes them.
+
+    ids (2, 1+K) holds the packed row of the real sample, then that of its
+    corrupted copy; coef (2, 1+K) is their shared row of child weights, 0 on
+    padding, which adds nothing. The gradient is a flat array in the layout
+    of `params.flat`. At the hinge kink (margin exactly met) the subgradient
+    0 is used, so a satisfied pair contributes only the l2 part.
+
+    It is one kernel step on a copy of the parameters, from a zero velocity,
+    with epsilon = alpha = 0: the velocity it leaves is the gradient, and no
+    parameter moves.
+    """
+    grad = np.zeros_like(params.flat)
+    hinge, active = ctypes.c_double(), ctypes.c_int64()
+    width = ids.shape[1]
+    if kernel.load().train_epoch(
+            params.flat.copy(), grad, params.embeddings.shape[0], params.n_f,
+            1, width, np.ascontiguousarray(ids[None], dtype=ID_DTYPE),
+            np.zeros(1, np.int64), coef[None],
+            np.array([width - 1], np.int64), hyper.delta, l2_rate(hyper), 0.0, 0.0,
+            ctypes.byref(hinge), ctypes.byref(active)) == -2:
+        raise MemoryError("no memory for the epoch kernel's scratch arrays")
+    return grad, hinge.value
 
 
 # The largest parameter magnitude a checkpoint may hold. Squared distances and

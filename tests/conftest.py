@@ -16,7 +16,7 @@ from astvec.ast_core import (
     load_corpus,
 )
 from astvec.cparse import KEYWORDS, TokenizeError
-from astvec.coder import Hyperparams, ModelParams, _forward, hinge_loss, l2_penalty
+from astvec.coder import Hyperparams, ModelParams, l2_penalty, l2_rate
 from astvec.sampling import TrainingSample, build_training_set, pack_samples
 
 REPO = Path(__file__).resolve().parent.parent
@@ -73,6 +73,18 @@ NESTING = {
     "ternary": lambda n: "int x = " + "x ? 1 : " * n + "0;",
     "initializer lists": lambda n: "int x[1] = " + "{" * n + "1" + "}" * n + ";",
 }
+
+
+# A character beyond ASCII outside a literal or a comment, in each of the
+# classes that Unicode-aware \d, \w and \s would take in: (source, line,
+# column of the character). pycparser stops at each with "Illegal character".
+NON_ASCII_SOURCES = [
+    ("int x = \u0661\u0662;", 1, 9),  # Arabic-Indic digits
+    ("int x\u00e9 = 1;", 1, 6),
+    ("int\u00a0x;", 1, 4),  # no-break space
+    ("int x;\u2028int y;", 1, 7),  # line separator
+    ("int x = 1\u3000;", 1, 10),  # ideographic space
+]
 
 
 def count_leaves_obj(obj: dict) -> int:
@@ -165,6 +177,68 @@ def unshared(tree: AstNode) -> AstNode:
     return AstNode(tree.kind, tuple(unshared(c) for c in tree.children))
 
 
+# The coder in numpy: the oracle of the epoch kernel's forward pass and step
+# (epoch.c), which `trainer.gradient_and_hinge` runs once.
+
+def reference_forward(ids: np.ndarray, coef: np.ndarray, params: ModelParams):
+    """The coder on a batch of packed rows: ids (..., 1+K), parent id then
+    child ids; coef (..., 2, 1+K), broadcast against the rows.
+
+    Returns (s, h, e): s (..., 2 N_f) the children's left- and right-weighted
+    vector sums side by side, h = tanh([W_l W_r] s + b) the coded vectors and
+    e the parent vectors minus h.
+    """
+    vectors = params.embeddings.take(ids, axis=0)
+    s = (coef @ vectors).reshape(*ids.shape[:-1], -1)
+    h = np.tanh(s @ params.w.T + params.b)
+    return s, h, vectors[..., 0, :] - h
+
+
+def reference_hinge(d: float, d_c: float, delta: float) -> float:
+    return max(0.0, delta + d - d_c)
+
+
+# d(d - d_c)/d(e) is 2e on the real row of a pair and -2e on the corrupted one.
+_PAIR_SIGN = np.array([[2.0], [-2.0]])
+
+
+def reference_gradient_and_hinge(
+    ids: np.ndarray,
+    coef: np.ndarray,
+    params: ModelParams,
+    hyper: Hyperparams,
+) -> tuple[np.ndarray, float]:
+    """Oracle for `trainer.gradient_and_hinge`: the exact gradient of one
+    pair's objective, its hinge plus the l2 penalty, and the hinge value.
+
+    ids (2, 1+K) holds the packed row of the real sample, then that of its
+    corrupted copy; coef (2, 1+K) is their shared row of child weights. The
+    gradient is a flat array in the layout of `params.flat`. Both rows share
+    one forward pass, which the gradient reuses.
+
+    At the hinge kink (margin exactly met) the subgradient 0 is used, so a
+    satisfied pair contributes only the l2 part.
+    """
+    s, h, e = reference_forward(ids, coef, params)
+    d, d_c = (e * e).sum(axis=1).tolist()
+    hinge = reference_hinge(d, d_c, hyper.delta)
+    flat = np.zeros(params.flat.size)
+    w_span = params.w_span
+    np.multiply(params.flat[w_span], l2_rate(hyper), out=flat[w_span])
+    if hinge > 0.0:
+        grad = ModelParams.of_flat(flat, params.n_f)
+        de = _PAIR_SIGN * e
+        dz = de * (h * h - 1.0)
+        grad.b[:] = dz[0] + dz[1]
+        grad.w += dz.T @ s
+        # slot j of row p: coef[0, j] W_l^T dz_p + coef[1, j] W_r^T dz_p,
+        # which is 0 on the parent slot, where the parent's own term goes
+        slots = coef.T @ (dz @ params.w).reshape(2, 2, -1)
+        slots[:, 0] += de
+        np.add.at(grad.embeddings, ids, slots)
+    return flat, hinge
+
+
 def _sample_rows(samples):
     packed = pack_samples(samples)
     return packed.ids[packed.rows], packed.coef[packed.rows]
@@ -173,13 +247,13 @@ def _sample_rows(samples):
 def code_children(sample: TrainingSample, params: ModelParams) -> np.ndarray:
     """Oracle for one sample's coded vector:
     tanh( sum_i l_i W_i vec(c_i) + b ) with W_i from child_weight."""
-    _, h, _ = _forward(*_sample_rows([sample]), params)
+    _, h, _ = reference_forward(*_sample_rows([sample]), params)
     return h[0]
 
 
 def distance(sample: TrainingSample, params: ModelParams) -> float:
     """Squared Euclidean distance between the parent vector and the coded one."""
-    _, _, e = _forward(*_sample_rows([sample]), params)
+    _, _, e = reference_forward(*_sample_rows([sample]), params)
     return float(e[0] @ e[0])
 
 
@@ -192,7 +266,7 @@ def pair_loss(
     """Per-pair objective: hinge term plus the l2 share on W_l, W_r."""
     d = distance(sample, params)
     d_c = distance(negative, params)
-    return hinge_loss(d, d_c, hyper.delta) + l2_penalty(params, hyper)
+    return reference_hinge(d, d_c, hyper.delta) + l2_penalty(params, hyper)
 
 
 # Pairs per batch in `reference_objective`.
@@ -207,7 +281,7 @@ def reference_objective(pairs, params: ModelParams, hyper: Hyperparams) -> float
     for start in range(0, len(pairs), OBJECTIVE_CHUNK):
         chunk = pairs[start : start + OBJECTIVE_CHUNK]
         packed = pack_samples(s for pair in chunk for s in pair)
-        _, _, e = _forward(packed.ids, packed.coef, params)
+        _, _, e = reference_forward(packed.ids, packed.coef, params)
         d = (e * e).sum(axis=1)[packed.rows].reshape(-1, 2)
         total += float(np.maximum(0.0, hyper.delta + d[:, 0] - d[:, 1]).sum())
     return total / (2.0 * len(pairs)) + l2_penalty(params, hyper)
@@ -324,7 +398,7 @@ _REFERENCE_TOKEN_RE = re.compile(
   | (?P<operator>>>=|<<=|\.\.\.|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[+\-*/%&^|]=|[+\-*/%<>=&|^!~?:.])
   | (?P<punctuation>[()\[\]{};,])
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE | re.DOTALL | re.ASCII,
 )
 
 

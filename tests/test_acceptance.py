@@ -27,7 +27,7 @@ from astvec.classify import (
     train_classifier,
 )
 from astvec.cli import EXIT_INPUT, EXIT_OK, main
-from astvec.coder import Hyperparams, hinge_loss, init_params, objective
+from astvec.coder import Hyperparams, init_params, objective
 from astvec.cparse import CParseError, parse_file
 from astvec.sampling import (
     build_training_set,
@@ -38,9 +38,11 @@ from astvec.trainer import train
 
 from conftest import (
     SNIPPET_SRC, distance, extract_samples, golden_sources, invalid_sources, node,
-    pair_loss, reference_loss_and_gradients,
+    pair_loss, reference_hinge, reference_loss_and_gradients,
 )
-from test_coder import finite_difference_check, _zero_params
+from test_coder import (
+    KERNEL_HINGE_CASES, finite_difference_check, kernel_step_hinge, _zero_params,
+)
 
 CONTROL_FLOW = ("If", "For", "While", "Break", "Continue", "Switch", "Case")
 DECLARATIONS = ("FuncDecl", "ArrayDecl", "PtrDecl", "TypeDecl", "Decl")
@@ -133,9 +135,11 @@ class TestCriterion2Formulas:
         right = node("ExprList", node("ID"), node("ID"), node("ID"))
         ok &= extract_samples(node("FuncCall", left, right))[0].coefficients == (0.4, 0.6)
 
-        ok &= hinge_loss(0.0, 2.0, 1.0) == 0.0
-        ok &= hinge_loss(0.5, 1.0, 1.0) == 0.5
-        ok &= hinge_loss(0.7, 0.7, 1.0) == 1.0
+        ok &= reference_hinge(0.0, 2.0, 1.0) == 0.0
+        ok &= reference_hinge(0.5, 1.0, 1.0) == 0.5
+        ok &= reference_hinge(0.7, 0.7, 1.0) == 1.0
+        for real, corrupted, want in KERNEL_HINGE_CASES:
+            ok &= kernel_step_hinge(real, corrupted) == want
 
         sample = extract_samples(tree)[0]
         neg = sample._replace(parent=kind_by_name("Goto"))

@@ -177,6 +177,13 @@ class TestKmeans:
         assert labels.shape == (len(KIND_NAMES),)
         assert set(labels.tolist()) <= set(range(3))
 
+    def test_all_points_equal(self):
+        # k-means++ draws every centroid after the first uniformly, and Lloyd's
+        # reseeds the clusters left empty
+        labels, centroids, inertia = kmeans(np.zeros((5, 2)), 3)
+        assert labels.tolist() == [0] * 5
+        assert not centroids.any() and inertia == 0.0
+
     def test_k_validation(self):
         emb = _table(2, 0)
         with pytest.raises(ValueError):

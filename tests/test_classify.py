@@ -193,6 +193,13 @@ class TestClassifier:
         acc, _ = evaluate(model, train)
         assert acc == 1.0
 
+    def test_diverged(self, corpus):
+        labels, train, cv, _ = task(corpus, 0)
+        config = ClassifierConfig(hidden=(8,), epochs=20, lr=1e308)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError) as exc:
+            train_classifier(train, len(labels), config, cv=cv)
+        assert str(exc.value) == "classifier diverged at epoch 2"
+
     def test_cv_returns_best_epoch(self):
         train = _separable_batch(seed=0)
         cv = _separable_batch(seed=1)

@@ -19,7 +19,7 @@ from astvec.coder import ModelParams
 from astvec.cli import EXIT_BUILD, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from astvec.trainer import load_checkpoint
 
-from conftest import CORPUS_PATH, REPO, SNIPPET_SRC, invalid_sources
+from conftest import CORPUS_PATH, NON_ASCII_SOURCES, REPO, SNIPPET_SRC, invalid_sources
 
 
 def read_export(text: str) -> np.ndarray:
@@ -176,6 +176,14 @@ class TestCorpusBuild:
         corpus = load_corpus(out.read_text(encoding="utf-8"))
         assert [p.label for p in corpus] == ["label_a"]
 
+    def test_src_dir_is_a_file(self, tmp_path, caplog):
+        src = tmp_path / "f.c"
+        src.write_text("int x;\n", encoding="utf-8")
+        out = tmp_path / "c.jsonl"
+        assert main(["corpus-build", "--src-dir", str(src), "--out", str(out)]) == EXIT_INPUT
+        assert _problems(caplog) == [f"{src}: not a directory"]
+        assert not out.exists()
+
     def test_src_dir_copies_parsed_once(self, tmp_path, caplog, capsys, monkeypatch):
         # byte copies of a valid and of an invalid file, under two labels
         valid, invalid = b"int f(int a) { return a + 1; }\n", b"int x = ;\n"
@@ -296,6 +304,16 @@ class TestTrain:
         assert lines[0] == "# seed=9"
         assert lines[1] == "epoch,mean_hinge,objective"
         assert len(lines) == 4
+
+    def test_diverged_exit_3(self, tmp_path, caplog):
+        corpus = tmp_path / "c40.jsonl"
+        lines = CORPUS_PATH.read_text(encoding="utf-8").splitlines(keepends=True)
+        corpus.write_text("".join(lines[:40]), encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert main(["train", "--corpus", str(corpus), "--out", str(out),
+                     "--lr", "1e100", "--epochs", "3"]) == EXIT_NUMERIC
+        assert _problems(caplog) == ["non-finite loss or parameter at epoch 0, sample 1112"]
+        assert not out.exists()
 
     def test_missing_corpus(self, tmp_path):
         code = main(["train", "--corpus", str(tmp_path / "nope.jsonl"),
@@ -485,6 +503,32 @@ def test_version_1_checkpoint_nn_exit_2(tmp_path, checkpoint_file):
     assert proc.stdout == ""
 
 
+@pytest.fixture(scope="module")
+def dim4_checkpoint_file(tmp_path_factory, small_corpus_file):
+    path = tmp_path_factory.mktemp("cp4") / "model.json"
+    assert main(["train", "--corpus", str(small_corpus_file), "--out", str(path),
+                 "--dim", "4", "--epochs", "1"]) == EXIT_OK
+    return path
+
+
+# n_f = 4 holds (44 + 2 * 4 + 1) * 4 = 212 floats, 1696 bytes, whose base64
+# text ends in a group of 1 byte; 8 characters fewer hold 1692 bytes
+@pytest.mark.parametrize("edit,message", [
+    (_put(0, "hyper", "n_f"), "hyper: n_f must be >= 1"),
+    (_put(-1, "epoch"), "epoch must be >= 0"),
+    (_put(lambda t: t[:-8], "params"), "params holds 1692 bytes, expected 1696"),
+], ids=["zero-n_f", "negative-epoch", "params-8-characters-short"])
+def test_malformed_checkpoint_nn_exit_2(tmp_path, dim4_checkpoint_file, edit, message):
+    doc = json.loads(dim4_checkpoint_file.read_text(encoding="utf-8"))
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    proc = _astvec_process("nn", "--checkpoint", str(bad), "--symbol", "If")
+    _assert_one_line_exit_2(proc, bad)
+    assert proc.stderr.strip().endswith(f"{bad}: {message}")
+    assert proc.stdout == ""
+
+
 # Sources and corpora that once ended in a traceback: each C file is either
 # valid (exit 0) or rejected with one line (exit 2); each corpus exits 2.
 DEEP_C = {
@@ -536,6 +580,16 @@ class TestHostileInputs:
         path.write_bytes(LATIN1_C)
         assert main(["parse", str(path)]) == EXIT_INPUT
         assert _problems(caplog) == [f"{path}:2:8: not valid UTF-8"]
+
+    @pytest.mark.parametrize("text,line,column", NON_ASCII_SOURCES)
+    def test_non_ascii_parse(self, tmp_path, text, line, column):
+        path = tmp_path / "non_ascii.c"
+        path.write_text(text, encoding="utf-8")
+        proc = _astvec_process("parse", str(path))
+        _assert_one_line_exit_2(proc, path)
+        assert proc.stderr.strip().endswith(
+            f"{path}:{line}:{column}: illegal character {text[column - 1]!r}")
+        assert proc.stdout == ""
 
     def test_open_comment_parse(self, tmp_path, caplog):
         path = tmp_path / "open.c"
@@ -1091,6 +1145,16 @@ class TestClassify:
                      "--out-dir", str(out_dir), "--epochs", "-1"]) == EXIT_USAGE
         assert _problems(caplog) == ["epochs must be >= 0"]
         assert not out_dir.exists()
+
+    def test_diverged_exit_3(self, tmp_path, small_corpus_file, caplog, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise RuntimeError("classifier diverged at epoch 2")
+        monkeypatch.setattr(classify, "train_classifier", diverge)
+        out_dir = tmp_path / "cls"
+        assert main(["classify", "--corpus", str(small_corpus_file),
+                     "--out-dir", str(out_dir)]) == EXIT_NUMERIC
+        assert _problems(caplog) == ["classifier diverged at epoch 2"]
+        assert not (out_dir / "summary.txt").exists()
 
     def test_too_few_programs_of_a_label(self, tmp_path, caplog):
         corpus = tmp_path / "c.jsonl"

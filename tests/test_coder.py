@@ -1,16 +1,13 @@
+import functools
+import types
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from astvec import kernel
 from astvec.ast_core import KIND_NAMES, LabeledProgram, kind_by_name
-from astvec.coder import (
-    Hyperparams,
-    ModelParams,
-    gradient_and_hinge,
-    hinge_loss,
-    init_params,
-    objective,
-)
+from astvec.coder import Hyperparams, ModelParams, distances, init_params, objective
 from astvec.sampling import (
     TrainingSample,
     build_training_set,
@@ -18,6 +15,7 @@ from astvec.sampling import (
     corrupt,
     pack_samples,
 )
+from astvec.trainer import gradient_and_hinge
 
 from conftest import (
     code_children,
@@ -25,6 +23,8 @@ from conftest import (
     extract_samples,
     node,
     pair_loss,
+    reference_gradient_and_hinge,
+    reference_hinge,
     reference_objective,
 )
 from test_ast_core import trees
@@ -175,30 +175,66 @@ class TestDistance:
         assert distance(s, p) == pytest.approx(1.0, abs=1e-15)
 
 
-class TestHinge:
-    def test_margin_satisfied(self):
-        assert hinge_loss(0.0, 2.0, 1.0) == 0.0
-
-    def test_partial(self):
-        assert hinge_loss(0.5, 1.0, 1.0) == 0.5
-
-    def test_tie(self):
-        assert hinge_loss(0.7, 0.7, 1.0) == 1.0
-
-    def test_monotonicity(self):
-        assert hinge_loss(0.5, 1.0, 1.0) <= hinge_loss(0.6, 1.0, 1.0)
-        assert hinge_loss(0.5, 1.2, 1.0) <= hinge_loss(0.5, 1.0, 1.0)
-
-    def test_zero_iff_margin_met(self):
-        assert hinge_loss(0.3, 1.3, 1.0) == 0.0
-        assert hinge_loss(0.3, 1.2999, 1.0) > 0.0
-
-
 def _pair(seed=0, n_f=2):
     rng = np.random.default_rng(seed)
     tree = node("BinaryOp", node("ID"), node("Constant"))
     s = extract_samples(tree)[0]
     return s, corrupt(s, rng)
+
+
+def pair_step(s, neg, params, hyper, gradient=gradient_and_hinge):
+    """A pair step, by default the kernel's, on the packed rows of one
+    (sample, negative) pair; the gradient comes back as parameters viewing
+    the flat gradient."""
+    packed = pack_samples([s, neg])
+    grad, hinge = gradient(
+        packed.ids[packed.rows], packed.coef[packed.rows[0]], params, hyper
+    )
+    return ModelParams.of_flat(grad, params.n_f), hinge
+
+
+def kernel_step_hinge(real_row, corrupted_row):
+    """The kernel step's hinge at delta 1 on a pair whose corrupted copy
+    replaces the parent, with zero weights and bias: h = 0, so each d is its
+    parent row's squared norm."""
+    s, _ = _pair()
+    neg = s._replace(parent=kind_by_name("Goto"))
+    p = _zero_params(2)
+    p.embeddings[s.parent] = real_row
+    p.embeddings[neg.parent] = corrupted_row
+    return pair_step(s, neg, p, Hyperparams(n_f=2, delta=1.0))[1]
+
+
+# (real parent row, corrupted parent row, hinge) at delta 1: d = 0 vs d_c = 2,
+# 0.5 vs 1, and equal distances
+KERNEL_HINGE_CASES = [
+    ((0.0, 0.0), (1.0, 1.0), 0.0),
+    ((0.5, 0.5), (1.0, 0.0), 0.5),
+    ((0.5, 0.5), (0.5, 0.5), 1.0),
+]
+
+
+class TestHinge:
+    def test_margin_satisfied(self):
+        assert reference_hinge(0.0, 2.0, 1.0) == 0.0
+
+    def test_partial(self):
+        assert reference_hinge(0.5, 1.0, 1.0) == 0.5
+
+    def test_tie(self):
+        assert reference_hinge(0.7, 0.7, 1.0) == 1.0
+
+    def test_monotonicity(self):
+        assert reference_hinge(0.5, 1.0, 1.0) <= reference_hinge(0.6, 1.0, 1.0)
+        assert reference_hinge(0.5, 1.2, 1.0) <= reference_hinge(0.5, 1.0, 1.0)
+
+    def test_zero_iff_margin_met(self):
+        assert reference_hinge(0.3, 1.3, 1.0) == 0.0
+        assert reference_hinge(0.3, 1.2999, 1.0) > 0.0
+
+    @pytest.mark.parametrize("real,corrupted,want", KERNEL_HINGE_CASES)
+    def test_kernel_step_hand_cases(self, real, corrupted, want):
+        assert kernel_step_hinge(real, corrupted) == want
 
 
 class TestObjective:
@@ -261,7 +297,8 @@ class TestObjective:
         p = _random_params(hyper.n_f, seed=5)
         total = 0.0
         for s, neg in pairs:
-            total += hinge_loss(oracle_distance(s, p), oracle_distance(neg, p), hyper.delta)
+            total += reference_hinge(oracle_distance(s, p), oracle_distance(neg, p),
+                                     hyper.delta)
         m = 2 * hyper.n_f**2
         expected = total / (2 * len(pairs)) + hyper.lam / (2 * m) * (
             np.sum(p.w_l**2) + np.sum(p.w_r**2)
@@ -294,20 +331,11 @@ class TestObjective:
         assert objective(pairs, p, hyper) == pytest.approx(want, rel=1e-12)
 
 
-def pair_step(s, neg, params, hyper):
-    """gradient_and_hinge on the packed rows of one (sample, negative) pair;
-    the gradient comes back as parameters viewing the flat gradient."""
-    packed = pack_samples([s, neg])
-    grad, hinge = gradient_and_hinge(
-        packed.ids[packed.rows], packed.coef[packed.rows[0]], params, hyper
-    )
-    return ModelParams.of_flat(grad, params.n_f), hinge
-
-
-def finite_difference_check(s, neg, params, hyper, step=1e-5):
-    """Max relative error of the analytic gradient vs central differences,
-    over every weight and bias and the embedding rows the pair touches."""
-    grad, _ = pair_step(s, neg, params, hyper)
+def finite_difference_check(s, neg, params, hyper, step=1e-5, gradient=gradient_and_hinge):
+    """Max relative error of a pair step's gradient, by default the kernel's,
+    vs central differences of the oracle's loss, over every weight and bias
+    and the embedding rows the pair touches."""
+    grad, _ = pair_step(s, neg, params, hyper, gradient)
     touched = sorted({s.parent, neg.parent, *s.children, *neg.children})
     n_f = params.n_f
     coords = [i * n_f + j for i in touched for j in range(n_f)]
@@ -326,6 +354,18 @@ def finite_difference_check(s, neg, params, hyper, step=1e-5):
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
+def _worst_finite_difference_error(n_f, gradient):
+    """finite_difference_check's worst error over 20 random pairs."""
+    rng = np.random.default_rng(100 + n_f)
+    worst = 0.0
+    for trial in range(20):
+        p = _random_params(n_f, seed=int(rng.integers(1 << 30)))
+        s, neg = _pair(seed=trial, n_f=n_f)
+        hyper = Hyperparams(n_f=n_f, lam=1e-3)
+        worst = max(worst, finite_difference_check(s, neg, p, hyper, gradient=gradient))
+    return worst
+
+
 class TestGradient:
     def test_inactive_hinge_zero_grad(self):
         s, _ = _pair()
@@ -339,14 +379,11 @@ class TestGradient:
 
     @pytest.mark.parametrize("n_f", [2, 4])
     def test_finite_differences(self, n_f):
-        rng = np.random.default_rng(100 + n_f)
-        worst = 0.0
-        for trial in range(20):
-            p = _random_params(n_f, seed=int(rng.integers(1 << 30)))
-            s, neg = _pair(seed=trial, n_f=n_f)
-            hyper = Hyperparams(n_f=n_f, lam=1e-3)
-            worst = max(worst, finite_difference_check(s, neg, p, hyper))
-        assert worst < 1e-4
+        assert _worst_finite_difference_error(n_f, gradient_and_hinge) < 1e-4
+
+    @pytest.mark.parametrize("n_f", [2, 4])
+    def test_oracle_finite_differences(self, n_f):
+        assert _worst_finite_difference_error(n_f, reference_gradient_and_hinge) < 1e-4
 
     def test_shared_symbol_accumulates(self):
         # parent also appears as a child: its row gradient is the sum of
@@ -370,13 +407,58 @@ class TestGradient:
         assert np.allclose(g.embeddings[parent], combined, atol=1e-12)
 
     def test_hinge_value_returned(self):
+        # the kernel's forward on the same two rows, as `objective` runs it
         s, neg = _pair()
         p = _random_params(2)
         hyper = Hyperparams(n_f=2)
         _, hinge = pair_step(s, neg, p, hyper)
-        assert hinge == pytest.approx(
-            hinge_loss(distance(s, p), distance(neg, p), hyper.delta), abs=1e-15
-        )
+        packed = pack_samples([s, neg])
+        d, d_c = distances(packed.ids, packed.coef, packed.n_children, p)
+        assert hinge > 0.0
+        assert hinge == max(0.0, hyper.delta + d - d_c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(trees(), st.integers(1, 7), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1e-3, 0.1]), st.sampled_from([0.0, 1.0, 3.0]))
+    def test_matches_oracle(self, root, n_f, seed, lam, delta):
+        samples = build_training_set([LabeledProgram(root, "", "")])
+        assume(samples)
+        rng = np.random.default_rng(seed)
+        s = samples[rng.integers(len(samples))]
+        neg = corrupt(s, rng)
+        hyper = Hyperparams(n_f=n_f, lam=lam, delta=delta)
+        p = init_params(hyper, rng)
+        before = p.flat.copy()
+        g, hinge = pair_step(s, neg, p, hyper)
+        want, want_hinge = pair_step(s, neg, p, hyper, reference_gradient_and_hinge)
+        assert p.flat.tobytes() == before.tobytes()
+        assert np.max(np.abs(g.flat - want.flat)) <= 1e-12 * np.max(np.abs(want.flat))
+        assert hinge == pytest.approx(want_hinge, rel=0, abs=1e-12)
+
+    def test_out_of_memory(self, monkeypatch):
+        no_scratch = types.SimpleNamespace(train_epoch=lambda *args: -2)
+        monkeypatch.setattr(kernel, "load", lambda: no_scratch)
+        s, neg = _pair()
+        with pytest.raises(MemoryError, match="no memory for the epoch kernel's scratch"):
+            pair_step(s, neg, _random_params(2), Hyperparams(n_f=2))
+
+    def test_without_a_compiler(self, monkeypatch):
+        monkeypatch.setattr(kernel, "load", functools.cache(kernel.load.__wrapped__))
+        monkeypatch.setattr(kernel, "COMPILE", ("astvec-no-such-cc",) + kernel.COMPILE[1:])
+        s, neg = _pair()
+        with pytest.raises(kernel.KernelBuildError):
+            pair_step(s, neg, _random_params(2), Hyperparams(n_f=2))
+
+    def test_leaves_params_bit_unchanged(self):
+        # a step with alpha = 0 maps a -0.0 entry whose gradient is negative to
+        # +0.0, so the kernel must step a copy
+        s, neg = _pair()
+        p = _random_params(3, seed=6)
+        p.w[:, ::2] = -0.0
+        before = p.flat.copy()
+        g, hinge = pair_step(s, neg, p, Hyperparams(n_f=3))
+        assert hinge > 0.0 and (g.w[:, ::2] < 0).any()
+        assert p.flat.tobytes() == before.tobytes()
 
 
 class TestHyperparams:
@@ -389,6 +471,10 @@ class TestHyperparams:
             Hyperparams(epsilon=1.0).validate()
         with pytest.raises(ValueError):
             Hyperparams(alpha=-0.1).validate()
+        with pytest.raises(ValueError, match="lam"):
+            Hyperparams(lam=-1e-4).validate()
+        with pytest.raises(ValueError, match="epochs"):
+            Hyperparams(epochs=-1).validate()
         Hyperparams().validate()
 
     @pytest.mark.parametrize("name", ["delta", "lam", "alpha", "epsilon"])

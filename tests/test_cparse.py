@@ -19,6 +19,7 @@ from astvec.cparse import (
 
 from conftest import (
     NESTING,
+    NON_ASCII_SOURCES,
     REPO,
     SNIPPET_SRC,
     convert,
@@ -267,6 +268,28 @@ def divergences(text: str, at: int, tree) -> list[str]:
     return found
 
 
+# Qualifiers, storage classes, pointer qualifiers, `typedef` in a block and
+# a struct member list with `,`: each gives pycparser's tree.
+QUALIFIED_SOURCES = [
+    "const int x = 1;",
+    "static int f(void) { return 0; }",
+    "extern int y;",
+    "int * const p;",
+    "int * const * volatile q;",
+    "void f(void) { const int a = 1; static int b; register int c; volatile int d; }",
+    "void f(void) { for (const int *p = 0; p; ) ; }",
+    "int g(const char *s) { return (const int) 1; }",
+    "struct S { int a, b; const int c; } s;",
+    "int x = sizeof(const int);",
+    "typedef const int cint; cint z;",
+    "void f(void) { typedef int T; T t; }",
+    "int const w;",
+    "const struct S { int a; } v;",
+    "void f(void) { int a, *b, c[3]; }",
+    "long long unsigned int u;",
+]
+
+
 class TestPycparserOracle:
     def test_generated_sources(self):
         texts = sorted({text for seed in range(1, 11)
@@ -305,6 +328,39 @@ class TestPycparserOracle:
             "empty declaration": 19,
             "body after a non-function declarator": 16,
         }
+
+
+    def test_qualifiers_and_storage_classes(self):
+        assert_same_trees_as_pycparser(QUALIFIED_SOURCES)
+
+    def test_type_name_declaring_an_identifier(self):
+        text = "int y = (int x) 1;"
+        with pytest.raises(c_parser.ParseError):
+            c_parser.CParser().parse(text)
+        with pytest.raises(CParseError) as exc:
+            parse_source(text)
+        assert (exc.value.message, exc.value.line, exc.value.column) == (
+            "type name must not declare an identifier", 1, 15)
+
+    @pytest.mark.parametrize("text,line,column", NON_ASCII_SOURCES)
+    def test_non_ascii_rejected_where_pycparser_rejects(self, text, line, column):
+        with pytest.raises(c_parser.ParseError,
+                           match=f"^:{line}:{column}: Illegal character"):
+            c_parser.CParser().parse(text)
+        with pytest.raises(TokenizeError) as exc:
+            parse_source(text)
+        assert (exc.value.message, exc.value.line, exc.value.column) == (
+            f"illegal character {text[column - 1]!r}", line, column)
+
+    def test_non_ascii_in_literals(self):
+        assert_same_trees_as_pycparser(['char *s = "\u00e9\u0661";', "char c = '\u00e9';"])
+
+    @pytest.mark.parametrize("comment", ["/* \u00e9\u00a0\u0661 */", "// \u3000\u2028\n"])
+    def test_non_ascii_in_comments(self, comment):
+        # pycparser reads preprocessed text, so it takes the source without
+        # the comment
+        assert dump_ast(parse_source(f"int x; {comment}int y;")) == pycparser_dump(
+            c_parser.CParser().parse("int x; int y;"))
 
 
 def shape(node) -> str:

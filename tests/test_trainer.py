@@ -13,7 +13,6 @@ from astvec.ast_core import KIND_NAMES, VOCAB_SIZE, kind_by_name
 from astvec.coder import (
     Hyperparams,
     distances,
-    gradient_and_hinge,
     init_params,
     l2_rate,
     objective,
@@ -38,7 +37,7 @@ from astvec.trainer import (
     vocabulary_fingerprint,
 )
 
-from conftest import extract_samples, node
+from conftest import extract_samples, node, reference_gradient_and_hinge
 
 
 def _samples():
@@ -248,9 +247,10 @@ THETA_0, VEL_0, OVERFLOW_STEP = -1.79e308, 1e308, 3
 
 def per_step_train(samples, hyper):
     """The literal per-step loop that `train` shortens: every pair of every
-    epoch steps through gradient_and_hinge and the momentum update, with the
-    negatives drawn as `train` draws them. Returns the state, and per epoch
-    the mean hinge and the number of steps whose hinge is positive."""
+    epoch steps through reference_gradient_and_hinge, the numpy oracle of the
+    kernel's step, and the momentum update, with the negatives drawn as
+    `train` draws them. Returns the state, and per epoch the mean hinge and
+    the number of steps whose hinge is positive."""
     state = fresh_state(hyper)
     packed = pack_samples(samples)
     theta, vel = state.params.flat, state.velocity.flat
@@ -260,7 +260,8 @@ def per_step_train(samples, hyper):
         rows, pairs = corrupt_packed(packed, order, state.rng)
         total, count = 0.0, 0
         for row, ids in zip(rows, pairs):
-            grad, hinge = gradient_and_hinge(ids, packed.coef[row], state.params, hyper)
+            grad, hinge = reference_gradient_and_hinge(ids, packed.coef[row], state.params,
+                                                       hyper)
             total += hinge
             count += hinge > 0.0
             vel *= hyper.epsilon
