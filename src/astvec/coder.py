@@ -6,9 +6,9 @@ Training pulls the reconstruction distance of real samples below that of
 corrupted ones by a margin, with an l2 penalty on the two weight matrices.
 
 The coder runs on packed rows (see `sampling.pack_samples`). Its forward
-pass and its gradient are the C kernel's (epoch.c), which training,
-`trainer.gradient_and_hinge` and `objective` use; this module holds the
-parameters, their initialisation and the objective.
+pass and its gradient are the C kernel's (epoch.c), run only through
+`kernel.train_epoch` (training) and `kernel.code_rows` (`objective`); this
+module holds the parameters, their initialisation and the objective.
 """
 
 from __future__ import annotations
@@ -111,17 +111,6 @@ def init_params(hyper: Hyperparams, rng: np.random.Generator) -> ModelParams:
     )
 
 
-def distances(ids: np.ndarray, coef: np.ndarray, n_children: np.ndarray,
-              params: ModelParams) -> np.ndarray:
-    """d = |parent - h|^2 of each packed row, h its coded vector, by the C
-    kernel's forward: ids (R, 1+K), coef (R, 2, 1+K), n_children (R,)."""
-    d = np.empty(len(ids))
-    if kernel.load().code_rows(params.flat, params.embeddings.shape[0], params.n_f,
-                               len(ids), ids.shape[1], ids, coef, n_children, d) == -2:
-        raise MemoryError("no memory for the kernel's scratch arrays")
-    return d
-
-
 def l2_rate(hyper: Hyperparams) -> float:
     """c in the l2 penalty's gradient c [W_l W_r], c = lam / 2 N_f^2."""
     return hyper.lam / (2.0 * hyper.n_f**2)
@@ -150,7 +139,7 @@ def objective(
     if not pairs:
         raise ValueError("objective requires at least one sample pair")
     packed = pack_samples(s for pair in pairs for s in pair)
-    d = distances(packed.ids, packed.coef, packed.n_children, params)
+    d = kernel.code_rows(params, packed.ids, packed.coef, packed.n_children)
     d = d[packed.rows].reshape(-1, 2)
     hinges = np.maximum(0.0, hyper.delta + d[:, 0] - d[:, 1])
     return math.fsum(hinges.data) / (2.0 * len(pairs)) + l2_penalty(params, hyper)

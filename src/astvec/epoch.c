@@ -1,8 +1,8 @@
-/* The coder in C, compiled on first use and loaded with ctypes (kernel.py).
-   Two entries share one forward pass, `forward` below: `train_epoch` runs
-   one epoch of momentum SGD on the coding criterion for `trainer.train`
-   (and one step of it for `trainer.gradient_and_hinge`), and `code_rows`
-   codes packed rows for `coder.objective`.
+/* The coder in C, compiled on first use and loaded with ctypes. Two entries
+   share one forward pass, `forward` below: `train_epoch` runs one epoch of
+   momentum SGD on the coding criterion (for `trainer`), and `code_rows` codes
+   packed rows (for `coder.objective`). The function of the same name in
+   kernel.py is each entry's only caller and holds its whole ABI.
 
    Every step of `train_epoch` does what the pair gradient g and the momentum
    update v = eps v + g, theta -= alpha v do to the whole parameter set, in

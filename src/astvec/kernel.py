@@ -4,9 +4,10 @@ The kernel is compiled on first use, not at import, with the system's `cc`
 into __pycache__ beside its source, under a name hashed from all that changes
 the binary: the source, the command, the compiler and the host CPU (for
 -march=native). -ffp-contract=off and no -ffast-math keep its floats
-independent of the instruction set. `load` gives its entries, `train_epoch`
-(for `trainer.train` and `trainer.gradient_and_hinge`) and `code_rows` (for
-`coder.objective`), from one library.
+independent of the instruction set. This module is the whole boundary with C:
+`load` gives the library's typed entries, and only `train_epoch` (for `trainer`)
+and `code_rows` (for `coder.objective`) call it; they take the dimensions from
+the arrays, build the out-arguments and raise the one out-of-memory error.
 """
 
 from __future__ import annotations
@@ -110,3 +111,32 @@ def load(path: Path | None = None) -> ctypes.CDLL:
     ]
     lib.train_epoch.restype = lib.code_rows.restype = i64
     return lib
+
+
+def _checked(status: int) -> int:
+    """An entry's status; -2 means its scratch arrays could not be allocated."""
+    if status == -2:
+        raise MemoryError("no memory for the epoch kernel's scratch arrays")
+    return status
+
+
+def train_epoch(params, velocity, pairs, rows, coef, n_children, delta, l2, alpha, eps):
+    """One epoch of momentum-SGD steps on `params` and `velocity` in place,
+    step t on the packed rows pairs[t] (real, corrupted) with the child weights
+    coef[rows[t]] and n_children[rows[t]]: (failed, hinge_total, active_steps),
+    failed the first step after which a hinge or parameter is not finite, or None."""
+    hinge_total, active = ctypes.c_double(), ctypes.c_int64()
+    failed = _checked(load().train_epoch(
+        params.flat, velocity.flat, params.embeddings.shape[0], params.n_f,
+        len(pairs), pairs.shape[2], pairs, rows, coef, n_children,
+        delta, l2, alpha, eps, ctypes.byref(hinge_total), ctypes.byref(active)))
+    return (None if failed < 0 else failed), hinge_total.value, active.value
+
+
+def code_rows(params, ids, coef, n_children) -> np.ndarray:
+    """d = |parent - h|^2 of each packed row at `params`, h its coded vector,
+    by the kernel's forward: ids (R, 1+K), coef (R, 2, 1+K), n_children (R,)."""
+    d = np.empty(len(ids))
+    _checked(load().code_rows(params.flat, params.embeddings.shape[0], params.n_f,
+                              len(ids), ids.shape[1], ids, coef, n_children, d))
+    return d

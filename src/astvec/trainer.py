@@ -18,7 +18,6 @@ only when a later pair reads it, or at the end of the epoch.
 from __future__ import annotations
 
 import base64
-import ctypes
 import hashlib
 import json
 import math
@@ -132,23 +131,18 @@ def train(
     while state.epoch < limit and not has_converged(state.loss_history):
         order = rng.permutation(n) if shuffle else np.arange(n)
         rows, pairs = corrupt(packed, order, rng)
-        hinge_total, active = ctypes.c_double(), ctypes.c_int64()
-        failed = kernel.load().train_epoch(
-            params.flat, state.velocity.flat, params.embeddings.shape[0], hyper.n_f,
-            n, pairs.shape[2], pairs, rows, packed.coef, packed.n_children,
-            hyper.delta, l2_rate(hyper), hyper.alpha, hyper.epsilon,
-            ctypes.byref(hinge_total), ctypes.byref(active))
-        if failed == -2:
-            raise MemoryError("no memory for the epoch kernel's scratch arrays")
-        if failed >= 0:
+        failed, hinge_total, active = kernel.train_epoch(
+            params, state.velocity, pairs, rows, packed.coef, packed.n_children,
+            hyper.delta, l2_rate(hyper), hyper.alpha, hyper.epsilon)
+        if failed is not None:
             raise TrainingDiverged(state.epoch, int(order[failed]))
 
-        mean_hinge = hinge_total.value / n
+        mean_hinge = hinge_total / n
         state.epoch += 1
         state.loss_history.append(mean_hinge)
         report.mean_hinge.append(mean_hinge)
         report.objective.append(mean_hinge / 2.0 + l2_penalty(params, hyper))
-        report.active_steps.append(active.value)
+        report.active_steps.append(active)
 
     report.epochs_run = len(report.mean_hinge)
     report.wall_time = time.perf_counter() - start
@@ -174,17 +168,12 @@ def gradient_and_hinge(
     with epsilon = alpha = 0: the velocity it leaves is the gradient, and no
     parameter moves.
     """
-    grad = np.zeros_like(params.flat)
-    hinge, active = ctypes.c_double(), ctypes.c_int64()
-    width = ids.shape[1]
-    if kernel.load().train_epoch(
-            params.flat.copy(), grad, params.embeddings.shape[0], params.n_f,
-            1, width, np.ascontiguousarray(ids[None], dtype=ID_DTYPE),
-            np.zeros(1, np.int64), coef[None],
-            np.array([width - 1], np.int64), hyper.delta, l2_rate(hyper), 0.0, 0.0,
-            ctypes.byref(hinge), ctypes.byref(active)) == -2:
-        raise MemoryError("no memory for the epoch kernel's scratch arrays")
-    return grad, hinge.value
+    grad = params.zeros_like()
+    _, hinge, _ = kernel.train_epoch(
+        params.copy(), grad, np.ascontiguousarray(ids[None], dtype=ID_DTYPE),
+        np.zeros(1, np.int64), coef[None], np.array([ids.shape[1] - 1], np.int64),
+        hyper.delta, l2_rate(hyper), 0.0, 0.0)
+    return grad.flat, hinge
 
 
 # The largest parameter magnitude a checkpoint may hold. Squared distances and

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from astvec import kernel
 from astvec.ast_core import KIND_NAMES, LabeledProgram, kind_by_name
-from astvec.coder import Hyperparams, ModelParams, distances, init_params, objective
+from astvec.coder import Hyperparams, ModelParams, init_params, objective
 from astvec.sampling import (
     TrainingSample,
     build_training_set,
@@ -191,6 +191,13 @@ def pair_step(s, neg, params, hyper, gradient=gradient_and_hinge):
         packed.ids[packed.rows], packed.coef[packed.rows[0]], params, hyper
     )
     return ModelParams.of_flat(grad, params.n_f), hinge
+
+
+# the public callers of the kernel's two entries, each on one pair
+KERNEL_CALLERS = [
+    pytest.param(pair_step, id="gradient_and_hinge"),
+    pytest.param(lambda s, neg, p, hyper: objective([(s, neg)], p, hyper), id="objective"),
+]
 
 
 def kernel_step_hinge(real_row, corrupted_row):
@@ -413,7 +420,7 @@ class TestGradient:
         hyper = Hyperparams(n_f=2)
         _, hinge = pair_step(s, neg, p, hyper)
         packed = pack_samples([s, neg])
-        d, d_c = distances(packed.ids, packed.coef, packed.n_children, p)
+        d, d_c = kernel.code_rows(p, packed.ids, packed.coef, packed.n_children)
         assert hinge > 0.0
         assert hinge == max(0.0, hyper.delta + d - d_c)
 
@@ -435,19 +442,24 @@ class TestGradient:
         assert np.max(np.abs(g.flat - want.flat)) <= 1e-12 * np.max(np.abs(want.flat))
         assert hinge == pytest.approx(want_hinge, rel=0, abs=1e-12)
 
-    def test_out_of_memory(self, monkeypatch):
-        no_scratch = types.SimpleNamespace(train_epoch=lambda *args: -2)
+    @pytest.mark.parametrize("run", KERNEL_CALLERS)
+    def test_out_of_memory(self, monkeypatch, run):
+        # both entries fail to allocate; each caller reports it with one text
+        no_scratch = types.SimpleNamespace(train_epoch=lambda *args: -2,
+                                           code_rows=lambda *args: -2)
         monkeypatch.setattr(kernel, "load", lambda: no_scratch)
         s, neg = _pair()
-        with pytest.raises(MemoryError, match="no memory for the epoch kernel's scratch"):
-            pair_step(s, neg, _random_params(2), Hyperparams(n_f=2))
+        with pytest.raises(MemoryError) as info:
+            run(s, neg, _random_params(2), Hyperparams(n_f=2))
+        assert str(info.value) == "no memory for the epoch kernel's scratch arrays"
 
-    def test_without_a_compiler(self, monkeypatch):
+    @pytest.mark.parametrize("run", KERNEL_CALLERS)
+    def test_without_a_compiler(self, monkeypatch, run):
         monkeypatch.setattr(kernel, "load", functools.cache(kernel.load.__wrapped__))
         monkeypatch.setattr(kernel, "COMPILE", ("astvec-no-such-cc",) + kernel.COMPILE[1:])
         s, neg = _pair()
         with pytest.raises(kernel.KernelBuildError):
-            pair_step(s, neg, _random_params(2), Hyperparams(n_f=2))
+            run(s, neg, _random_params(2), Hyperparams(n_f=2))
 
     def test_leaves_params_bit_unchanged(self):
         # a step with alpha = 0 maps a -0.0 entry whose gradient is negative to

@@ -12,7 +12,6 @@ from astvec import kernel
 from astvec.ast_core import KIND_NAMES, VOCAB_SIZE, kind_by_name
 from astvec.coder import (
     Hyperparams,
-    distances,
     init_params,
     l2_rate,
     objective,
@@ -217,7 +216,7 @@ class TestTrain:
     def test_epoch_hinges_are_the_forward_passes(self, corpus):
         # at alpha = 0 no parameter moves, so each step codes its pair at the
         # starting parameters: the epoch's hinge total is, bit for bit, the
-        # sequential sum of the hinges that `distances` gives for its pairs
+        # sequential sum of the hinges that `kernel.code_rows` gives for its pairs
         hyper = Hyperparams(alpha=0.0, epochs=1, seed=2)
         samples = build_training_set(corpus)
         state = fresh_state(hyper)
@@ -228,9 +227,9 @@ class TestTrain:
 
         packed = pack_samples(samples)
         rows, pairs = corrupt_packed(packed, draws.permutation(len(samples)), draws)
-        d = distances(pairs.reshape(-1, pairs.shape[2]),
-                      np.repeat(packed.coef[rows], 2, axis=0),
-                      np.repeat(packed.n_children[rows], 2), start)
+        d = kernel.code_rows(start, pairs.reshape(-1, pairs.shape[2]),
+                             np.repeat(packed.coef[rows], 2, axis=0),
+                             np.repeat(packed.n_children[rows], 2))
         total, active = 0.0, 0
         for real, corrupted in d.reshape(-1, 2).tolist():
             hinge = max(0.0, hyper.delta + real - corrupted)
