@@ -10,9 +10,10 @@ from checkpoints.
 
 The model is written from scratch on numpy, plus the C kernel (epoch.c,
 built by `kernel`) that runs an epoch's steps: each step computes the pair
-gradient that `gradient_and_hinge` returns and the momentum update, but an
-embedding row that a pair does not read is brought up to date in closed form
-only when a later pair reads it, or at the end of the epoch.
+gradient that `gradient_and_hinge` returns and the momentum update, but a
+parameter that a step only decays (all of them when the hinge is 0, and
+each embedding row the pair does not read) is brought up to date in closed
+form only when an active step writes it, or at the end of the epoch.
 """
 
 from __future__ import annotations
@@ -285,8 +286,13 @@ def load_checkpoint(path) -> TrainState:
 
 
 def loss_log_csv(report: TrainReport) -> str:
-    lines = ["epoch,mean_hinge,objective"]
-    rows = zip(report.mean_hinge, report.objective)
-    for i, (h, o) in enumerate(rows, start=report.first_epoch):
-        lines.append(f"{i},{h!r},{o!r}")
+    """One row per epoch of `report`; the active-step field is left empty for
+    an epoch whose count the report lacks, as in a report merged from
+    per-epoch ones that kept only their lists of hinges and objectives (the
+    traced benchmark's)."""
+    lines = ["epoch,mean_hinge,objective,active_steps"]
+    active = report.active_steps + [""] * (len(report.mean_hinge) - len(report.active_steps))
+    rows = zip(report.mean_hinge, report.objective, active)
+    for i, (h, o, a) in enumerate(rows, start=report.first_epoch):
+        lines.append(f"{i},{h!r},{o!r},{a}")
     return "\n".join(lines) + "\n"

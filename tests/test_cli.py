@@ -302,7 +302,7 @@ class TestTrain:
         assert code == EXIT_OK
         lines = log.read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "# seed=9"
-        assert lines[1] == "epoch,mean_hinge,objective"
+        assert lines[1] == "epoch,mean_hinge,objective,active_steps"
         assert len(lines) == 4
 
     def test_diverged_exit_3(self, tmp_path, caplog):

@@ -1,7 +1,9 @@
 """The boundary with C: kernel.py alone imports ctypes and calls `kernel.load`,
-so each entry of epoch.c has one call path and one out-of-memory error."""
+so each entry of epoch.c has one call path and one out-of-memory error; and
+the kernel builds without a warning."""
 
 import ast
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -49,3 +51,11 @@ def test_only_kernel_crosses_into_c():
 ])
 def test_crossings(source, want):
     assert crossings(source) == want
+
+
+def test_kernel_builds_without_warnings(tmp_path):
+    proc = subprocess.run(
+        [*kernel.COMPILE, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "epoch.so"),
+         str(kernel.KERNEL_SOURCE)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -27,6 +27,7 @@ from astvec.trainer import (
     PARAM_LIMIT,
     CheckpointError,
     TrainingDiverged,
+    TrainReport,
     fresh_state,
     has_converged,
     load_checkpoint,
@@ -151,31 +152,36 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
             train(_samples(), hyper)
 
-    @pytest.mark.parametrize("where", ["w_l", "embedding"])
+    @pytest.mark.parametrize("where", ["w_l", "w_r", "b", "embedding"])
     def test_divergence_names_the_step_sample(self, where):
         # every embedding row equal and no margin: a pair and its corrupted
         # copy code alike, so the pairs are inactive; in epoch 1 one entry of
-        # w_l, which steps with every pair, or of the embedding row of Goto,
-        # which no sample uses and so is brought up to date in closed form,
-        # starts near -max float with a velocity that pushes it past -max
-        # float in step OVERFLOW_STEP
+        # w_l, w_r or b, which only decay between active steps, or of the
+        # embedding row of Goto, which no sample uses, starts near -max float
+        # with a velocity that pushes it past -max float in step
+        # OVERFLOW_STEP. The kernel writes none of them before the end of the
+        # epoch, so it names that step by replaying the entry's decay.
         hyper = Hyperparams(n_f=4, delta=0.0, epochs=3, seed=3)
         samples = _samples()
         state = fresh_state(hyper)
         state.params.embeddings[:] = state.params.embeddings[0]
         state, _ = train(samples, hyper, state=state, max_epochs=1)
-        if where == "w_l":
-            state.params.w_l[1, 2], state.velocity.w_l[1, 2] = THETA_0, VEL_0
-        else:
+        if where == "embedding":
             goto = kind_by_name("Goto")
             state.params.embeddings[goto, 0], state.velocity.embeddings[goto, 0] = (
                 THETA_0, VEL_0)
+        elif where == "b":
+            state.params.b[1], state.velocity.b[1] = THETA_0, VEL_0
+        else:
+            params, velocity = getattr(state.params, where), getattr(state.velocity, where)
+            params[1, 2], velocity[1, 2] = THETA_0, VEL_0
         order = np.random.default_rng(0)
         order.bit_generator.state = state.rng.bit_generator.state
         order = order.permutation(len(samples))  # epoch 1
 
-        # the entry's own inactive steps, one by one
-        c = l2_rate(hyper) if where == "w_l" else 0.0
+        # the entry's own inactive steps, one by one: the l2 penalty is on
+        # w_l and w_r only
+        c = l2_rate(hyper) if where in ("w_l", "w_r") else 0.0
         theta, vel = THETA_0, VEL_0
         for step in range(len(samples)):
             vel = hyper.epsilon * vel + c * theta
@@ -237,6 +243,21 @@ class TestTrain:
             active += hinge > 0.0
         assert report.mean_hinge == [total / len(samples)]
         assert report.active_steps == [active]
+
+    def test_all_active_epochs_match_per_step_loop(self):
+        # a margin above any distance difference makes every pair active,
+        # so every step moves w, b and every table row: the other extreme
+        # of test_inactive_epoch_equals_literal_steps. The hinges are near
+        # the margin, 1e6, whose unit in the last place is 1.2e-10, so they
+        # agree to a relative tolerance.
+        hyper = Hyperparams(n_f=4, delta=1e6, epochs=3, seed=1)  # before the stop rule
+        samples = _samples() * 10
+        state, report = train(samples, hyper)
+        ref, hinges, active = per_step_train(samples, hyper)
+        assert report.active_steps == active == [len(samples)] * hyper.epochs
+        np.testing.assert_allclose(state.params.flat, ref.params.flat, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(state.velocity.flat, ref.velocity.flat, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(report.mean_hinge, hinges, rtol=1e-15, atol=0)
 
 
 # -max float plus a velocity that overflows it in the 4th step: alpha epsilon
@@ -481,12 +502,20 @@ def test_loss_log_csv():
     state, report = train(_samples(), Hyperparams(n_f=4, epochs=2, seed=0))
     text = loss_log_csv(report)
     lines = text.strip().split("\n")
-    assert lines[0] == "epoch,mean_hinge,objective"
+    assert lines[0] == "epoch,mean_hinge,objective,active_steps"
     assert len(lines) == 3
-    epoch, hinge, obj = lines[1].split(",")
+    epoch, hinge, obj, active = lines[1].split(",")
     assert epoch == "1"
     assert float(hinge) == report.mean_hinge[0]
     assert float(obj) == report.objective[0]
+    assert int(active) == report.active_steps[0]
+
+
+def test_loss_log_csv_without_counts():
+    # a report merged from per-epoch ones that kept only their hinges and
+    # objectives still gives one row per epoch
+    report = TrainReport(mean_hinge=[0.5, 0.25], objective=[0.3, 0.2], active_steps=[7])
+    assert loss_log_csv(report).splitlines()[1:] == ["1,0.5,0.3,7", "2,0.25,0.2,"]
 
 
 def test_loss_log_csv_numbers_resumed_epochs():
