@@ -7,7 +7,6 @@ depend on the package's own parser. Run from the repository root:
     python3 scripts/gen_golden_fixtures.py
 """
 
-import json
 import sys
 from pathlib import Path
 
@@ -16,7 +15,7 @@ from pycparser import c_parser
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from conftest import GOLDEN_DIR, convert  # noqa: E402
+from conftest import GOLDEN_DIR, pycparser_dump  # noqa: E402
 
 
 def main() -> int:
@@ -25,9 +24,8 @@ def main() -> int:
     for src_path in sorted(GOLDEN_DIR.glob("*.c")):
         source = src_path.read_text(encoding="utf-8")
         ast = parser.parse(source, filename=str(src_path))
-        doc = json.dumps(convert(ast), separators=(",", ":"))
         out = src_path.with_suffix(".ast.json")
-        out.write_text(doc + "\n", encoding="utf-8")
+        out.write_text(pycparser_dump(ast) + "\n", encoding="utf-8")
         count += 1
         print(f"wrote {out.relative_to(ROOT)}")
     if count == 0:

@@ -253,9 +253,7 @@ def cmd_train(args) -> int:
         if args.epochs is not None:
             state.hyper = dataclasses.replace(state.hyper, epochs=args.epochs)
     try:
-        state, report = trainer.train(
-            samples, hyper, shuffle=not args.no_shuffle, state=state
-        )
+        state, report = trainer.train(samples, hyper, state=state)
     except trainer.TrainingDiverged as exc:
         raise CliError(str(exc), EXIT_NUMERIC)
     except MemoryError as exc:
@@ -395,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--loss-log", help="CSV loss log path")
     p.add_argument("--resume", help="checkpoint to resume from")
-    p.add_argument("--no-shuffle", action="store_true",
-                   help="iterate samples in corpus order every epoch")
     _add_hyper_flags(p)
     p.set_defaults(func=cmd_train)
 

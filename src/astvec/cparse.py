@@ -429,17 +429,32 @@ class Parser:
 
     # --- statements ---
 
-    def _compound_statement(self) -> AstNode:
+    def _compound_statement(self, switch: bool = False) -> AstNode:
+        """A block, or a switch body (`switch`): there the statements after a
+        case or default label re-parent under it, as in the reference tree,
+        and an open label is (kind, children) in `items` until the body ends."""
         self._expect("{")
-        items: list[AstNode] = []
+        items: list = []
+        into = items  # the list the next statement joins: the block's or a label's
         while not self._check("}"):
             if self._at_end():
-                raise self._error("unterminated block", expected="'}'")
-            if self._starts_type():
-                items.extend(self._declaration())
+                what = "switch body" if switch else "block"
+                raise self._error(f"unterminated {what}", expected="'}'")
+            if switch and self._accept("case"):
+                into = [self._expression(_TERNARY)]
+                self._expect(":")
+                items.append(("Case", into))
+            elif switch and self._accept("default"):
+                self._expect(":")
+                into = []
+                items.append(("Default", into))
+            elif self._starts_type():
+                into.extend(self._declaration())
             else:
-                items.append(self._statement())
+                into.append(self._statement())
         self._expect("}")
+        if switch:
+            items = [self._mk(*item) if item.__class__ is tuple else item for item in items]
         return self._mk("Compound", items)
 
     def _statement(self) -> AstNode:
@@ -472,15 +487,12 @@ class Parser:
             return self._mk("DoWhile", [cond, body])
         if lex == "switch":
             self._advance()
-            return self._switch_body(self._parenthesized())
-        if lex == "break":
+            cond = self._parenthesized()
+            return self._mk("Switch", [cond, self._compound_statement(switch=True)])
+        if lex == "break" or lex == "continue":
             self._advance()
             self._expect(";")
-            return self._mk("Break", [])
-        if lex == "continue":
-            self._advance()
-            self._expect(";")
-            return self._mk("Continue", [])
+            return self._mk(lex.capitalize(), [])
         if lex == "goto":
             self._advance()
             self._expect_identifier()
@@ -535,36 +547,6 @@ class Parser:
         children.append(self._statement())
         return self._mk("For", children)
 
-    def _switch_body(self, cond: AstNode) -> AstNode:
-        self._expect("{")
-        # statements after a case/default label re-parent under that label,
-        # mirroring the reference tree shape; an open label is [kind, children]
-        # in `items`, and becomes a node when the body closes
-        items: list = []
-        while not self._check("}"):
-            if self._at_end():
-                raise self._error("unterminated switch body", expected="'}'")
-            if self._accept("case"):
-                expr = self._expression(_TERNARY)
-                self._expect(":")
-                items.append(["Case", [expr]])
-            elif self._accept("default"):
-                self._expect(":")
-                items.append(["Default", []])
-            else:
-                stmts = (
-                    self._declaration()
-                    if self._starts_type()
-                    else [self._statement()]
-                )
-                if items and isinstance(items[-1], list):
-                    items[-1][1].extend(stmts)
-                else:
-                    items.extend(stmts)
-        self._expect("}")
-        body = [self._mk(*item) if isinstance(item, list) else item for item in items]
-        return self._mk("Switch", [cond, self._mk("Compound", body)])
-
     # --- expressions ---
 
     def _expression(self, min_prec: int = _COMMA) -> AstNode:
@@ -617,13 +599,9 @@ class Parser:
                     postfix = False
                     break
                 prefixes.append(("UnaryOp", []))
-            elif tok.category == "identifier":
+            elif tok.category == "identifier" or tok.category == "constant":
                 self._advance()
-                expr = self._mk("ID", [])
-                break
-            elif tok.category == "constant":
-                self._advance()
-                expr = self._mk("Constant", [])
+                expr = self._mk("ID" if tok.category == "identifier" else "Constant", [])
                 break
             elif tok.lexeme == "(":
                 self._advance()
@@ -702,8 +680,8 @@ def read_source(path) -> str:
         raise CParseError("not valid UTF-8", *SourceLines(good).position(len(good))) from None
 
 
-def parse_file(path, table: Optional[NodeTable] = None) -> AstNode:
-    return parse_source(read_source(path), table)
+def parse_file(path) -> AstNode:
+    return parse_source(read_source(path))
 
 
 class ParseMemo:

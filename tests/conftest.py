@@ -112,6 +112,11 @@ def convert(c_ast) -> dict:
     }
 
 
+def pycparser_dump(tree) -> str:
+    """A pycparser tree dumped as the golden fixtures are made."""
+    return json.dumps(convert(tree), separators=(",", ":"))
+
+
 def load_golden_obj(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 

@@ -102,7 +102,9 @@ class TestUsageErrors:
         (["train", "--corpus", "c.jsonl", "--out", "m.json", "--epochs", "abc"],
          "argument --epochs: invalid int value: 'abc'"),
         (["bogus"], "argument command: invalid choice: 'bogus'"),
-    ], ids=["missing-flag", "malformed-int", "unknown-command"])
+        (["train", "--corpus", "c.jsonl", "--out", "m.json", "--no-shuffle"],
+         "unrecognized arguments: --no-shuffle"),
+    ], ids=["missing-flag", "malformed-int", "unknown-command", "no-shuffle"])
     def test_returns_usage(self, caplog, argv, message):
         assert main(argv) == EXIT_USAGE
         [line] = _problems(caplog)
