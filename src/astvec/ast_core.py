@@ -71,6 +71,10 @@ VOCAB_SIZE = len(KIND_NAMES)
 KIND_IDS: dict[str, int] = {name: i for i, name in enumerate(KIND_NAMES)}
 
 
+# A kind id as one byte, the unit of `AstNode.kinds`.
+_KIND_BYTES = tuple(bytes((kind,)) for kind in range(VOCAB_SIZE))
+
+
 def kind_by_name(name: str) -> int:
     """The id of the kind named `name`; raises UnknownKindError if absent."""
     try:
@@ -99,42 +103,35 @@ class AstNode:
     `KIND_NAMES`). Immutability is what lets a `NodeTable` share one node
     between many parents and trees.
 
-    `height` (a leaf is 1) and `leaves` are set from the children when the
-    node is made, so through a table once per distinct subtree. They take
-    no part in equality, hash or repr.
+    `height` (a leaf is 1), `leaves` and `kinds`, the kind ids of the
+    subtree in preorder as bytes, are set from the children when the node is
+    made, so through a table once per distinct subtree. They take no part in
+    equality, hash or repr.
     """
 
     kind: int
     children: tuple["AstNode", ...] = ()
     height: int = field(init=False, compare=False, repr=False)
     leaves: int = field(init=False, compare=False, repr=False)
+    kinds: bytes = field(init=False, compare=False, repr=False)
 
     def __init__(self, kind: int, children: tuple["AstNode", ...] = ()):
         # Every recursive parse path ends in making a node, so this costs no
         # more stack than the generated __init__: no __post_init__, and no
         # comprehension, max() or sum(), which count against the recursion
-        # limit.
-        height, leaves = 0, 0
+        # limit. A method call such as `append`, `join` or `put` adds no frame.
+        height, leaves, kinds = 0, 0, [_KIND_BYTES[kind]]
         for child in children:
             if child.height > height:
                 height = child.height
             leaves += child.leaves
+            kinds.append(child.kinds)
         put = object.__setattr__
         put(self, "kind", kind)
         put(self, "children", children)
         put(self, "height", height + 1)
         put(self, "leaves", leaves or 1)
-
-    def walk(self) -> list["AstNode"]:
-        """The nodes in preorder, listed with an explicit stack, so any depth
-        works."""
-        order: list[AstNode] = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack += node.children[::-1]
-        return order
+        put(self, "kinds", b"".join(kinds))
 
 
 class NodeTable:
@@ -198,21 +195,38 @@ _LEAF_JSON = tuple(f'{{"kind":"{name}","children":[]}}' for name in KIND_NAMES)
 _OPEN_JSON = tuple(f'{{"kind":"{name}","children":[' for name in KIND_NAMES)
 
 
-def _dump_tree(root: AstNode, out: list[str]) -> None:
+def _dump_tree(root: AstNode, out: list[str], spans: dict) -> None:
     """Append the canonical JSON of `root` to `out`. An explicit stack of
-    nodes and closing text, so any depth dumps."""
+    nodes, closing text and node ends, so any depth dumps.
+
+    `spans` maps the id of each non-leaf node dumped into `out` to its pieces'
+    (start, end) there. A node that comes up again copies them, joined into
+    one string the first time, instead of being walked again, so a dump
+    walks each distinct subtree once. The caller keeps the nodes alive, so no
+    id is reused meanwhile.
+    """
     stack: list = [root]
     while stack:
         item = stack.pop()
         if item.__class__ is str:
             out.append(item)
             continue
+        if item.__class__ is tuple:  # the end of a node: (its id, its start)
+            out.append("]}")
+            spans[item[0]] = item[1], len(out)
+            continue
         kids = item.children
         if not kids:
             out.append(_LEAF_JSON[item.kind])
             continue
+        span = spans.get(id(item))
+        if span is not None:
+            if span.__class__ is tuple:
+                span = spans[id(item)] = "".join(out[span[0]:span[1]])
+            out.append(span)
+            continue
+        stack.append((id(item), len(out)))
         out.append(_OPEN_JSON[item.kind])
-        stack.append("]}")
         # pushed last child first, so they pop in order with commas between
         for child in kids[:0:-1]:
             stack.append(child)
@@ -270,7 +284,7 @@ def dump_ast(root: AstNode) -> str:
     Byte equality of dumps implies tree equality.
     """
     out: list[str] = []
-    _dump_tree(root, out)
+    _dump_tree(root, out, {})
     return "".join(out)
 
 
@@ -304,12 +318,14 @@ def load_ast(text: str) -> AstNode:
 
 
 def dump_corpus(programs: list[LabeledProgram]) -> str:
-    """One JSON record per line: label, source_id, ast."""
+    """One JSON record per line: label, source_id, ast. A subtree dumped
+    before, in this program or an earlier one, is copied, not walked."""
     out: list[str] = []
+    spans: dict = {}
     for p in programs:
         label, source_id = json.dumps(p.label), json.dumps(p.source_id)
         out.append(f'{{"label":{label},"source_id":{source_id},"ast":')
-        _dump_tree(p.ast, out)
+        _dump_tree(p.ast, out, spans)
         out.append("}\n")
     return "".join(out)
 

@@ -30,7 +30,7 @@ from .coder import uniform_init
 
 def node_histogram(ast: AstNode) -> np.ndarray:
     """Length-V count of node kinds in the tree."""
-    return np.bincount([n.kind for n in ast.walk()], minlength=VOCAB_SIZE)
+    return np.bincount(np.frombuffer(ast.kinds, dtype=np.uint8), minlength=VOCAB_SIZE)
 
 
 # --- split ---

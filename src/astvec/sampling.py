@@ -33,37 +33,38 @@ class TrainingSample(NamedTuple):
 def build_training_set(corpus: list[LabeledProgram]) -> list[TrainingSample]:
     """The samples of every program, in corpus order, each in preorder.
 
-    Each distinct node (by identity) is sampled once, from its children's
-    `leaves` over its own, so on hash-consed trees a subtree shared by many
-    parents is read once; equal samples are the same object. A program whose
-    root was walked before repeats that walk's samples. The corpus keeps
-    every node alive, so no id is reused meanwhile.
+    A node's sample is made from its children's `leaves` over its own, and
+    equal samples are the same object. Each non-leaf node walked records the
+    span its samples fill in the output; a node that comes up again, in the
+    same program or a later one, copies that span instead of being walked,
+    so on hash-consed trees each distinct subtree is walked once. The corpus
+    keeps every node alive, so no id is reused meanwhile.
     """
-    made: dict[int, TrainingSample] = {}
     interned: dict[TrainingSample, TrainingSample] = {}
-    walked: dict[int, tuple[int, int]] = {}  # id of a root -> its slice of samples
+    spans: dict[int, tuple[int, int]] = {}  # id of a node -> its slice of samples
     samples: list[TrainingSample] = []
     for program in corpus:
-        root = program.ast
-        span = walked.get(id(root))
-        if span is not None:
-            samples += samples[span[0]:span[1]]
-            continue
-        start = len(samples)
-        for node in root.walk():
-            kids = node.children
+        stack: list = [program.ast]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is tuple:  # the end of a node: (its id, its start)
+                spans[item[0]] = item[1], len(samples)
+                continue
+            kids = item.children
             if not kids:
                 continue
-            sample = made.get(id(node))
-            if sample is None:
-                sample = TrainingSample(
-                    node.kind,
-                    tuple(child.kind for child in kids),
-                    tuple(child.leaves / node.leaves for child in kids),
-                )
-                sample = made[id(node)] = interned.setdefault(sample, sample)
-            samples.append(sample)
-        walked[id(root)] = start, len(samples)
+            span = spans.get(id(item))
+            if span is not None:
+                samples += samples[span[0]:span[1]]
+                continue
+            stack.append((id(item), len(samples)))
+            sample = TrainingSample(
+                item.kind,
+                tuple(child.kind for child in kids),
+                tuple(child.leaves / item.leaves for child in kids),
+            )
+            samples.append(interned.setdefault(sample, sample))
+            stack += kids[::-1]
     return samples
 
 

@@ -134,6 +134,39 @@ def leaf_count(root: AstNode) -> int:
     return total
 
 
+def reference_walk(root: AstNode):
+    """The nodes of a tree in preorder, as a generator, with an explicit
+    stack, so any depth works."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def shared_ladder(depth: int) -> tuple[AstNode, AstNode]:
+    """(shared, tree) built through one table: `shared` is Return(ID), and
+    `tree` is `depth` nested BinaryOp levels, each with `shared` on its
+    right and ID at the bottom."""
+    table = NodeTable()
+    shared = table.node(kind_by_name("Return"), [table.node(kind_by_name("ID"), [])])
+    tree = table.node(kind_by_name("ID"), [])
+    for _ in range(depth):
+        tree = table.node(kind_by_name("BinaryOp"), [tree, shared])
+    return shared, tree
+
+
+def reference_dump(tree: AstNode) -> str:
+    """Oracle for `dump_ast`: recursive, so for shallow trees only."""
+    kids = ",".join(map(reference_dump, tree.children))
+    return f'{{"kind":"{KIND_NAMES[tree.kind]}","children":[{kids}]}}'
+
+
+def reference_histogram(tree: AstNode) -> np.ndarray:
+    """Oracle for `classify.node_histogram`: the kinds of a walk, counted."""
+    return np.bincount([n.kind for n in reference_walk(tree)], minlength=len(KIND_NAMES))
+
+
 def extract_samples(tree: AstNode) -> list[TrainingSample]:
     """The samples of one tree, as `build_training_set` extracts them."""
     return build_training_set([LabeledProgram(tree, "", "")])
@@ -147,7 +180,7 @@ def reference_build_training_set(corpus: list[LabeledProgram]) -> list[TrainingS
     interned: dict[TrainingSample, TrainingSample] = {}
     samples: list[TrainingSample] = []
     for program in corpus:
-        for n in program.ast.walk():
+        for n in reference_walk(program.ast):
             if not n.children:
                 continue
             sample = made.get(id(n))
@@ -166,7 +199,7 @@ def per_node_samples(tree: AstNode) -> list[TrainingSample]:
     """Oracle for sample extraction: every non-leaf node in preorder, with its
     children's leaves counted afresh at each node."""
     samples = []
-    for n in tree.walk():
+    for n in reference_walk(tree):
         if n.children:
             leaves = [leaf_count(c) for c in n.children]
             samples.append(TrainingSample(
@@ -436,11 +469,3 @@ def reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
         pos = m.end()
     return tokens
 
-
-def reference_walk(root: AstNode):
-    """Oracle for `AstNode.walk`: the preorder, as a generator."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))

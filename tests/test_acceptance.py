@@ -38,7 +38,7 @@ from astvec.trainer import train
 
 from conftest import (
     SNIPPET_SRC, distance, extract_samples, golden_sources, invalid_sources, node,
-    pair_loss, reference_hinge, reference_loss_and_gradients,
+    pair_loss, reference_hinge, reference_loss_and_gradients, reference_walk,
 )
 from test_coder import (
     KERNEL_HINGE_CASES, finite_difference_check, kernel_step_hinge, _zero_params,
@@ -352,9 +352,9 @@ class TestCriterion10BruteForce:
         for program in corpus[:20]:
             hist = node_histogram(program.ast)
             tally = np.zeros(len(KIND_NAMES), dtype=int)
-            for n in program.ast.walk():
+            for n in reference_walk(program.ast):
                 tally[n.kind] += 1
             ok &= np.array_equal(hist, tally)
-            nonleaf = sum(1 for n in program.ast.walk() if n.children)
+            nonleaf = sum(1 for n in reference_walk(program.ast) if n.children)
             ok &= len(extract_samples(program.ast)) == nonleaf
         _verdict(10, "brute-force oracles", bool(ok))

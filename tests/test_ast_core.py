@@ -34,6 +34,7 @@ from conftest import (
     reference_load_ast,
     reference_load_corpus,
     reference_walk,
+    shared_ladder,
     unshared,
 )
 
@@ -95,31 +96,9 @@ def hash_consed(tree, table):
 
 
 def assert_one_object_per_distinct_subtree(programs):
-    nodes = {id(n): n for p in programs for n in p.ast.walk()}
+    nodes = {id(n): n for p in programs for n in reference_walk(p.ast)}
     assert len({dump_ast(n) for n in nodes.values()}) == len(nodes)
-    assert len(nodes) < sum(1 for p in programs for _ in p.ast.walk())
-
-
-class TestWalk:
-    def assert_same_order(self, root):
-        assert [id(n) for n in root.walk()] == [id(n) for n in reference_walk(root)]
-
-    def test_hash_consed_corpus(self, corpus):
-        for program in corpus:
-            self.assert_same_order(program.ast)
-
-    @given(trees(), trees())
-    def test_shared_subtrees(self, a, b):
-        table = NodeTable()
-        a, b = hash_consed(a, table), hash_consed(b, table)
-        self.assert_same_order(table.node(kind_by_name("Root"), [a, b, a]))
-
-    def test_any_depth(self):
-        tree = node("ID")
-        for _ in range(5000):
-            tree = node("UnaryOp", tree, node("ID"))
-        assert len(tree.walk()) == 10001
-        self.assert_same_order(tree)
+    assert len(nodes) < sum(1 for p in programs for _ in reference_walk(p.ast))
 
 
 class TestNodeTable:
@@ -133,7 +112,7 @@ class TestNodeTable:
     def test_equal_subtrees_are_one_object(self, a, b):
         table = NodeTable()
         root = table.node(kind_by_name("Root"), [hash_consed(a, table), hash_consed(b, table)])
-        nodes = {id(n): n for n in root.walk()}
+        nodes = {id(n): n for n in reference_walk(root)}
         assert len({dump_ast(n) for n in nodes.values()}) == len(nodes)
         left, right = root.children
         assert (left is right) == (a == b)
@@ -198,6 +177,17 @@ class TestInterchange:
         line = dump_corpus([LabeledProgram(tree, "a", "s")])
         assert line == '{"label":"a","source_id":"s","ast":' + expected + "}\n"
 
+    def test_deep_shared_tree_dumps(self):
+        # one subtree repeated at each of 5000 levels: replayed, not walked
+        depth = 5000
+        shared, tree = shared_ladder(depth)
+        repeat = '{"kind":"Return","children":[{"kind":"ID","children":[]}]}'
+        expected = ('{"kind":"BinaryOp","children":[' * depth + '{"kind":"ID","children":[]}'
+                    + ("," + repeat + "]}") * depth)
+        assert dump_ast(tree) == expected
+        line = dump_corpus([LabeledProgram(shared, "a", "s"), LabeledProgram(tree, "b", "t")])
+        assert line.split("\n")[1] == '{"label":"b","source_id":"t","ast":' + expected + "}"
+
     def test_too_deep_to_load(self):
         doc = '{"kind":"UnaryOp","children":[' * 900 + '{"kind":"ID"}' + "]}" * 900
         with pytest.raises(AstFormatError, match="^nesting too deep$"):
@@ -216,6 +206,11 @@ def _leaves(tree: AstNode) -> int:
     return sum(map(_leaves, tree.children)) if tree.children else 1
 
 
+def _kinds(tree: AstNode) -> bytes:
+    """Oracle for `AstNode.kinds`: recursive, so for shallow trees only."""
+    return bytes((tree.kind,)) + b"".join(map(_kinds, tree.children))
+
+
 def _nested(frames: int, call):
     """`call()` with `frames` more frames on the stack."""
     return call() if frames == 0 else _nested(frames - 1, call)
@@ -223,8 +218,8 @@ def _nested(frames: int, call):
 
 class TestNodeFacts:
     def assert_facts(self, tree):
-        for n in tree.walk():
-            assert (n.height, n.leaves) == (_height(n), _leaves(n))
+        for n in reference_walk(tree):
+            assert (n.height, n.leaves, n.kinds) == (_height(n), _leaves(n), _kinds(n))
 
     @given(trees())
     def test_match_recursive_oracles(self, tree):
@@ -241,12 +236,18 @@ class TestNodeFacts:
         for _ in range(4999):
             tree = node("UnaryOp", tree, node("Constant"))
         assert (tree.height, tree.leaves) == (5000, 5000)
+        assert tree.kinds == bytes(n.kind for n in reference_walk(tree))
 
     @given(trees())
     def test_equality_and_hash_ignore_the_facts(self, tree):
         shared = hash_consed(tree, NodeTable())
         assert shared == tree and hash(shared) == hash(tree)
         assert repr(shared) == repr(tree)
+        for name, value in (("height", 0), ("leaves", 0), ("kinds", b"")):
+            other = AstNode(tree.kind, tree.children)
+            object.__setattr__(other, name, value)
+            assert other == tree and hash(other) == hash(tree)
+            assert repr(other) == repr(tree)
 
     def test_frozen(self):
         tree = node("ID")
@@ -254,6 +255,8 @@ class TestNodeFacts:
             tree.height = 2
         with pytest.raises(dataclasses.FrozenInstanceError):
             tree.leaves = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree.kinds = b""
 
     def test_max_load_height_loads_from_a_deeper_stack(self):
         # a corpus line of the tallest tree corpus-build keeps loads back,
@@ -297,7 +300,7 @@ class TestCorpusFormat:
 
     def test_all_fixture_kinds_resolve(self, corpus):
         for program in corpus:
-            for n in program.ast.walk():
+            for n in reference_walk(program.ast):
                 assert n.kind in range(len(KIND_NAMES))
 
 
@@ -452,7 +455,7 @@ def assert_same_outcome(load, reference, text):
 
 
 def assert_shared(trees_):
-    nodes = {id(n): n for tree in trees_ for n in tree.walk()}
+    nodes = {id(n): n for tree in trees_ for n in reference_walk(tree)}
     assert len({dump_ast(n) for n in nodes.values()}) == len(nodes)
 
 

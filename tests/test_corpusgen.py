@@ -2,6 +2,8 @@ from astvec.ast_core import KIND_NAMES
 from astvec.corpusgen import CLASS_LABELS, generate_corpus, generate_sources
 from astvec.cparse import parse_source
 
+from conftest import reference_walk
+
 
 def test_class_balance():
     corpus = generate_corpus(seed=0, per_class=5)
@@ -34,7 +36,7 @@ def test_deterministic():
 
 def test_full_vocabulary_coverage():
     corpus = generate_corpus(seed=0, per_class=55)
-    seen = {KIND_NAMES[n.kind] for p in corpus for n in p.ast.walk()}
+    seen = {KIND_NAMES[n.kind] for p in corpus for n in reference_walk(p.ast)}
     assert seen == set(KIND_NAMES)
 
 

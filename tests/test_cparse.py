@@ -26,6 +26,7 @@ from conftest import (
     invalid_sources,
     pycparser_dump,
     reference_tokenize,
+    reference_walk,
 )
 
 
@@ -201,7 +202,7 @@ class TestParseShapes:
 
     def test_only_vocabulary_kinds(self):
         for src in golden_sources():
-            for n in parse_file(src).walk():
+            for n in reference_walk(parse_file(src)):
                 assert n.kind in range(len(KIND_NAMES))
 
 

@@ -8,7 +8,10 @@ from astvec.ast_core import (
     KIND_NAMES,
     VOCAB_SIZE,
     LabeledProgram,
+    NodeTable,
+    dump_ast,
     dump_corpus,
+    kind_by_name,
     load_corpus,
 )
 from astvec.classify import node_histogram
@@ -29,10 +32,14 @@ from conftest import (
     node,
     per_node_samples,
     reference_build_training_set,
+    reference_dump,
+    reference_histogram,
     reference_objective,
+    reference_walk,
+    shared_ladder,
     unshared,
 )
-from test_ast_core import trees
+from test_ast_core import hash_consed, trees
 
 
 def _chain(*names):
@@ -75,7 +82,7 @@ class TestExtract:
         for s in extract_samples(tree):
             assert abs(sum(s.coefficients) - 1.0) < 1e-12
             assert all(l > 0 for l in s.coefficients)
-        nonleaf = sum(1 for n in tree.walk() if n.children)
+        nonleaf = sum(1 for n in reference_walk(tree) if n.children)
         assert len(extract_samples(tree)) == nonleaf
 
     def test_single_child_coefficient_exact(self):
@@ -84,7 +91,7 @@ class TestExtract:
 
     @given(trees())
     def test_min_coefficient_bound(self, tree):
-        for n, s in zip((x for x in tree.walk() if x.children), extract_samples(tree)):
+        for n, s in zip((x for x in reference_walk(tree) if x.children), extract_samples(tree)):
             assert min(s.coefficients) >= 1.0 / leaf_count(n) - 1e-12
 
 
@@ -170,11 +177,17 @@ class TestBuildTrainingSet:
         for level in range(depth):
             tree = node("UnaryOp", tree) if level % 2 else node("BinaryOp", tree, node("ID"))
         assert build_training_set([LabeledProgram(tree, "a", "s")]) == per_node_samples(tree)
-        counts = np.zeros(VOCAB_SIZE, dtype=np.int64)
-        for n in tree.walk():
-            counts[n.kind] += 1
         histogram = node_histogram(tree)
-        assert histogram.dtype == np.int64 and histogram.tolist() == counts.tolist()
+        assert histogram.dtype == np.int64
+        assert histogram.tolist() == reference_histogram(tree).tolist()
+
+    def test_deep_shared_chain(self):
+        # one subtree repeated at each of 5000 levels: its sample is replayed
+        shared, tree = shared_ladder(5000)
+        programs = [LabeledProgram(shared, "a", "s"), LabeledProgram(tree, "b", "t")]
+        samples = build_training_set(programs)
+        assert len(samples) == 1 + 2 * 5000
+        assert_same_samples(samples, reference_build_training_set(programs))
 
     def test_repeated_roots_equal_the_walk(self, corpus):
         # the bundled corpus holds 220 programs but 125 distinct trees
@@ -190,10 +203,29 @@ class TestBuildTrainingSet:
         assert_same_samples(build_training_set(programs),
                             reference_build_training_set(programs))
 
+    @given(st.lists(trees(), min_size=2, max_size=3))
+    def test_passes_over_shared_subtrees_equal_the_oracles(self, pool):
+        # the dump, the samples and the histograms of programs built through
+        # one table: `a` listed twice, `b` a program and then a subtree of a
+        # later one, and a copy of each with no node shared
+        table = NodeTable()
+        a, b, *rest = (hash_consed(tree, table) for tree in pool)
+        roots = [a, b, table.node(kind_by_name("Root"), [b, a, *rest, b]), a]
+        roots += map(unshared, list(roots))
+        programs = [LabeledProgram(root, "a", f"s{i}") for i, root in enumerate(roots)]
+        assert dump_corpus(programs) == "".join(
+            f'{{"label":"a","source_id":"{p.source_id}","ast":{reference_dump(p.ast)}}}\n'
+            for p in programs)
+        for root in roots:
+            assert dump_ast(root) == reference_dump(root)
+            assert node_histogram(root).tolist() == reference_histogram(root).tolist()
+        assert_same_samples(build_training_set(programs),
+                            reference_build_training_set(programs))
+
     def test_total_count_recount(self, corpus):
         # oracle: independent per-tree traversal counting non-leaf nodes
         expected = sum(
-            sum(1 for n in p.ast.walk() if n.children) for p in corpus
+            sum(1 for n in reference_walk(p.ast) if n.children) for p in corpus
         )
         assert len(build_training_set(corpus)) == expected
 
