@@ -71,10 +71,6 @@ VOCAB_SIZE = len(KIND_NAMES)
 KIND_IDS: dict[str, int] = {name: i for i, name in enumerate(KIND_NAMES)}
 
 
-# A kind id as one byte, the unit of `AstNode.kinds`.
-_KIND_BYTES = tuple(bytes((kind,)) for kind in range(VOCAB_SIZE))
-
-
 def kind_by_name(name: str) -> int:
     """The id of the kind named `name`; raises UnknownKindError if absent."""
     try:
@@ -103,35 +99,31 @@ class AstNode:
     `KIND_NAMES`). Immutability is what lets a `NodeTable` share one node
     between many parents and trees.
 
-    `height` (a leaf is 1), `leaves` and `kinds`, the kind ids of the
-    subtree in preorder as bytes, are set from the children when the node is
-    made, so through a table once per distinct subtree. They take no part in
-    equality, hash or repr.
+    `height` (a leaf is 1) and `leaves` are set from the children when the
+    node is made, so through a table once per distinct subtree. They take
+    no part in equality, hash or repr.
     """
 
     kind: int
     children: tuple["AstNode", ...] = ()
     height: int = field(init=False, compare=False, repr=False)
     leaves: int = field(init=False, compare=False, repr=False)
-    kinds: bytes = field(init=False, compare=False, repr=False)
 
     def __init__(self, kind: int, children: tuple["AstNode", ...] = ()):
         # Every recursive parse path ends in making a node, so this costs no
         # more stack than the generated __init__: no __post_init__, and no
         # comprehension, max() or sum(), which count against the recursion
-        # limit. A method call such as `append`, `join` or `put` adds no frame.
-        height, leaves, kinds = 0, 0, [_KIND_BYTES[kind]]
+        # limit.
+        height, leaves = 0, 0
         for child in children:
             if child.height > height:
                 height = child.height
             leaves += child.leaves
-            kinds.append(child.kinds)
         put = object.__setattr__
         put(self, "kind", kind)
         put(self, "children", children)
         put(self, "height", height + 1)
         put(self, "leaves", leaves or 1)
-        put(self, "kinds", b"".join(kinds))
 
 
 class NodeTable:

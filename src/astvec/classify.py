@@ -29,8 +29,16 @@ from .coder import uniform_init
 
 
 def node_histogram(ast: AstNode) -> np.ndarray:
-    """Length-V count of node kinds in the tree."""
-    return np.bincount(np.frombuffer(ast.kinds, dtype=np.uint8), minlength=VOCAB_SIZE)
+    """Length-V count of node kinds in the tree, tallied in one walk with an
+    explicit stack, so any depth works. A count needs no order, so children
+    are pushed as they stand."""
+    counts = [0] * VOCAB_SIZE
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        counts[node.kind] += 1
+        stack += node.children
+    return np.array(counts, dtype=np.int64)
 
 
 # --- split ---

@@ -206,11 +206,6 @@ def _leaves(tree: AstNode) -> int:
     return sum(map(_leaves, tree.children)) if tree.children else 1
 
 
-def _kinds(tree: AstNode) -> bytes:
-    """Oracle for `AstNode.kinds`: recursive, so for shallow trees only."""
-    return bytes((tree.kind,)) + b"".join(map(_kinds, tree.children))
-
-
 def _nested(frames: int, call):
     """`call()` with `frames` more frames on the stack."""
     return call() if frames == 0 else _nested(frames - 1, call)
@@ -219,7 +214,7 @@ def _nested(frames: int, call):
 class TestNodeFacts:
     def assert_facts(self, tree):
         for n in reference_walk(tree):
-            assert (n.height, n.leaves, n.kinds) == (_height(n), _leaves(n), _kinds(n))
+            assert (n.height, n.leaves) == (_height(n), _leaves(n))
 
     @given(trees())
     def test_match_recursive_oracles(self, tree):
@@ -236,18 +231,12 @@ class TestNodeFacts:
         for _ in range(4999):
             tree = node("UnaryOp", tree, node("Constant"))
         assert (tree.height, tree.leaves) == (5000, 5000)
-        assert tree.kinds == bytes(n.kind for n in reference_walk(tree))
 
     @given(trees())
     def test_equality_and_hash_ignore_the_facts(self, tree):
         shared = hash_consed(tree, NodeTable())
         assert shared == tree and hash(shared) == hash(tree)
         assert repr(shared) == repr(tree)
-        for name, value in (("height", 0), ("leaves", 0), ("kinds", b"")):
-            other = AstNode(tree.kind, tree.children)
-            object.__setattr__(other, name, value)
-            assert other == tree and hash(other) == hash(tree)
-            assert repr(other) == repr(tree)
 
     def test_frozen(self):
         tree = node("ID")
@@ -255,8 +244,6 @@ class TestNodeFacts:
             tree.height = 2
         with pytest.raises(dataclasses.FrozenInstanceError):
             tree.leaves = 2
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            tree.kinds = b""
 
     def test_max_load_height_loads_from_a_deeper_stack(self):
         # a corpus line of the tallest tree corpus-build keeps loads back,
