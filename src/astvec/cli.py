@@ -370,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="astvec",
         description="Learn and evaluate vector representations of C AST node kinds",
     )
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse C files to AST documents")
@@ -432,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="%(levelname)s %(message)s", stream=sys.stderr)
     try:
         args = build_parser().parse_args(argv)
-        logging.getLogger().setLevel(logging.DEBUG if args.verbose else logging.INFO)
+        logging.getLogger().setLevel(logging.INFO)
         return args.func(args)
     except CliError as exc:
         log.error("%s", exc)

@@ -12,28 +12,16 @@ function pointers nested deeper than one level, designated initializers.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from typing import NamedTuple, Optional
 
 from .ast_core import KIND_IDS, AstNode, NodeTable
 
 
-class SourceLines:
-    """Where the lines of one source start, found the first time a position
-    in it is read: by an error, the end of input or a test."""
-
-    __slots__ = ("source", "_starts")
-
-    def __init__(self, source: str):
-        self.source = source
-        self._starts: Optional[list[int]] = None
-
-    def position(self, offset: int) -> tuple[int, int]:
-        """The 1-based (line, column) of `offset`."""
-        if self._starts is None:
-            self._starts = [0, *(m.end() for m in re.finditer("\n", self.source))]
-        line = bisect_right(self._starts, offset)
-        return line, offset - self._starts[line - 1] + 1
+def position(source: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, column) of `offset` in `source`, counted from the
+    source each time: positions are read only by errors and tests."""
+    start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, start) + 1, offset - start + 1
 
 
 class Token(NamedTuple):
@@ -42,15 +30,15 @@ class Token(NamedTuple):
     category: str
     lexeme: str
     offset: int
-    lines: SourceLines
+    source: str
 
     @property
     def line(self) -> int:
-        return self.lines.position(self.offset)[0]
+        return position(self.source, self.offset)[0]
 
     @property
     def column(self) -> int:
-        return self.lines.position(self.offset)[1]
+        return position(self.source, self.offset)[1]
 
 
 class CParseError(Exception):
@@ -103,7 +91,6 @@ def tokenize(source: str) -> list[Token]:
     matched and dropped. A comment that is never closed matches
     `open_comment`, and the last alternative, `error`, matches the first
     character no token starts with; either stops the scan."""
-    lines = SourceLines(source)
     tokens: list[Token] = []
     append = tokens.append
     new = tuple.__new__  # Token(...) less the frame of its __new__
@@ -115,12 +102,12 @@ def tokenize(source: str) -> list[Token]:
         if text in KEYWORDS:  # only the identifier alternative matches one
             category = "keyword"
         elif category == "error" or category == "open_comment":
-            raise _scan_error(m, lines)
-        append(new(Token, (category, text, m.start(), lines)))
+            raise _scan_error(m)
+        append(new(Token, (category, text, m.start(), source)))
     return tokens
 
 
-def _scan_error(m: re.Match, lines: SourceLines) -> TokenizeError:
+def _scan_error(m: re.Match) -> TokenizeError:
     """The error for a match of `open_comment` or `error`; a quote there
     starts no literal the constant alternative accepts."""
     text, start = m[0], m.start()
@@ -133,7 +120,7 @@ def _scan_error(m: re.Match, lines: SourceLines) -> TokenizeError:
         message = "empty character constant" if empty else "unterminated character constant"
     else:
         message = f"illegal character {text!r}"
-    return TokenizeError(message, *lines.position(start))
+    return TokenizeError(message, *position(m.string, start))
 
 
 # Infix operators by level, lowest first; a higher level binds tighter.
@@ -161,8 +148,8 @@ class Parser:
     def __init__(self, tokens: list[Token], table: Optional[NodeTable] = None):
         # Two end tokens: lookahead is at most one token past the cursor, and
         # the cursor never moves past the first end token.
-        last = tokens[-1] if tokens else Token("end", "", 0, SourceLines(""))
-        end = Token("end", "", last.offset + len(last.lexeme), last.lines)
+        last = tokens[-1] if tokens else Token("end", "", 0, "")
+        end = Token("end", "", last.offset + len(last.lexeme), last.source)
         self.tokens = tokens + [end, end]
         self.pos = 0
         self.typedefs: set[str] = set()
@@ -677,7 +664,7 @@ def read_source(path) -> str:
         # the first bad byte's position, with newlines read as open() reads them
         good = exc.object[: exc.start].decode("utf-8")
         good = good.replace("\r\n", "\n").replace("\r", "\n")
-        raise CParseError("not valid UTF-8", *SourceLines(good).position(len(good))) from None
+        raise CParseError("not valid UTF-8", *position(good, len(good))) from None
 
 
 def parse_file(path) -> AstNode:

@@ -219,7 +219,8 @@ static int64_t first_overflow(const double *M, const double *x, const double *v,
    rows are also held transposed, and w and b twice, so that a step writes
    the new ones beside the old. Row r of the tables holds w * theta_r,
    w * vel_r, vw * theta_r and vw * vel_r (2 P each; see `star`), which the
-   forward pass reads in place of w. */
+   forward pass reads in place of w. The coder also holds the scratch,
+   with a slot for each distinct symbol a pair reads. */
 typedef struct {
     int64_t n_f, P, n_symbols, VP;      /* VP: n_symbols rounded up to LANES */
     double *theta, *vel;                /* embedding rows (n_symbols, P) */
@@ -230,6 +231,10 @@ typedef struct {
     double *row_map, *w_map;            /* M^0, M^1, ... */
     int64_t *stamp, tw;
     double *block;                      /* the arrays above, in one */
+    double *h, *e, *dz, *s, *u, *sx;    /* 2 P, 2 P, 2 P, 4 P, 4 P, 8 VP */
+    double *xs, *vs, *grad;             /* per slot: row, velocity, gradient */
+    double *gt, *wg, *vg;               /* (n_f, LANES), (LANES, 2 P) twice */
+    int64_t *slot, *touched;            /* per symbol; stamp, slot, touched in one */
 } Coder;
 
 /* For j < n_x, w * x_j and vw * x_j, where a * x = (a_l x, a_r x) for
@@ -259,22 +264,32 @@ static void star(const Coder *C, const double *xt, int64_t stride, int64_t n_x,
     }
 }
 
+/* Frees what open_coder allocated; also after it failed, as free(NULL)
+   does nothing. */
+static void close_coder(Coder *C)
+{
+    free(C->block);
+    free(C->h);
+    free(C->stamp);
+}
+
 /* The coder of the flat parameters theta with velocity vel (zero if NULL),
-   at the first of n_steps steps with the given hyperparameters. 0 if memory
-   runs out. */
+   at the first of n_steps steps with the given hyperparameters. 0, with
+   nothing held, if memory runs out. */
 static int open_coder(Coder *C, const double *theta, const double *vel,
                       int64_t n_symbols, int64_t n_f, int64_t n_steps,
                       double l2, double alpha, double eps)
 {
     const int64_t P = (n_f + LANES - 1) / LANES * LANES;
     const int64_t VP = (n_symbols + LANES - 1) / LANES * LANES;
-    const int64_t n_w = 2 * P * n_f, n_maps = 4 * (n_steps + 1);
+    const int64_t n_w = 2 * P * n_f, n_maps = 4 * (n_steps + 1), n_s = 2 * P;
     C->block = calloc(2 * n_symbols * P + 2 * n_f * VP + 4 * (n_w + P)
                       + 8 * P * n_symbols + 2 * n_maps, sizeof(double));
-    C->stamp = calloc(n_symbols, sizeof(int64_t));
-    if (!C->block || !C->stamp) {
-        free(C->block);
-        free(C->stamp);
+    C->h = calloc(6 * P + 4 * n_s + 8 * VP + 3 * n_symbols * P
+                  + LANES * (n_f + 2 * n_s), sizeof(double));
+    C->stamp = calloc(3 * n_symbols, sizeof(int64_t));
+    if (!C->block || !C->h || !C->stamp) {
+        close_coder(C);
         return 0;
     }
     C->n_f = n_f, C->P = P, C->n_symbols = n_symbols, C->VP = VP, C->tw = 0;
@@ -285,6 +300,13 @@ static int open_coder(Coder *C, const double *theta, const double *vel,
     C->b_next = C->vw_next + n_w, C->vb_next = C->b_next + P;
     C->tab = C->vb_next + P, C->row_map = C->tab + 8 * P * n_symbols;
     C->w_map = C->row_map + n_maps;
+    C->e = C->h + 2 * P, C->dz = C->e + 2 * P, C->s = C->dz + 2 * P;
+    C->u = C->s + 2 * n_s, C->sx = C->u + 2 * n_s, C->xs = C->sx + 8 * VP;
+    C->vs = C->xs + n_symbols * P, C->grad = C->vs + n_symbols * P;
+    C->gt = C->grad + n_symbols * P, C->wg = C->gt + LANES * n_f, C->vg = C->wg + LANES * n_s;
+    C->slot = C->stamp + n_symbols, C->touched = C->slot + n_symbols;
+    for (int64_t r = 0; r < n_symbols; r++)
+        C->slot[r] = -1;
     powers(0.0, alpha, eps, n_steps, C->row_map);
     powers(l2, alpha, eps, n_steps, C->w_map);
 
@@ -312,12 +334,6 @@ static int open_coder(Coder *C, const double *theta, const double *vel,
         star(C, C->vel_t + r, VP, n_x, T + 2 * P, T + 6 * P, 8 * P);
     }
     return 1;
-}
-
-static void close_coder(Coder *C)
-{
-    free(C->block);
-    free(C->stamp);
 }
 
 /* The coder at step t on one id row, the parent id then m - 1 child ids,
@@ -372,18 +388,12 @@ int64_t code_rows(const double *theta, int64_t n_symbols, int64_t n_f,
     Coder C;
     if (!open_coder(&C, theta, NULL, n_symbols, n_f, 0, 0.0, 0.0, 0.0))
         return -2;
-    double *scratch = malloc(sizeof(double) * 2 * C.P);  /* h and e */
-    if (!scratch) {
-        close_coder(&C);
-        return -2;
-    }
     for (int64_t r = 0; r < n_rows; r++) {
         const double *cl = coef + 2 * width * r;
         d[r] = forward(&C, 0, ids + width * r, cl, cl + width, 1 + n_children[r], 0,
-                       scratch, scratch + C.P);
+                       C.h, C.e);
     }
     close_coder(&C);
-    free(scratch);
     return 0;
 }
 
@@ -578,28 +588,10 @@ int64_t train_epoch(double *theta, double *vel, int64_t n_symbols, int64_t n_f,
     Coder C;
     if (!open_coder(&C, theta, vel, n_symbols, n_f, n_steps, l2, alpha, eps))
         return -2;
-    const int64_t P = C.P, n_s = 2 * P, VP = C.VP, n_slots = 2 * width;
-    /* h, e and dz (2 P each), s and u (2 n_s each), sx (8 VP), per slot
-       the row and velocity at the step and the gradient (P each), the
-       gradients side by side (n_f, LANES), and their products with w and
-       with vw (LANES, n_s each) */
-    double *scratch = calloc(6 * P + 4 * n_s + 8 * VP + 3 * n_slots * P
-                             + LANES * (n_f + 2 * n_s), sizeof(double));
-    /* slot (n_symbols), touched (n_slots) */
-    int64_t *index = malloc(sizeof(int64_t) * (n_symbols + n_slots));
-    if (!scratch || !index) {
-        free(scratch);
-        free(index);
-        close_coder(&C);
-        return -2;
-    }
-    double *h = scratch, *e = h + 2 * P, *dz = e + 2 * P, *s = dz + 2 * P;
-    double *u = s + 2 * n_s, *sx = u + 2 * n_s, *xs = sx + 8 * VP;
-    double *vs = xs + n_slots * P, *grad = vs + n_slots * P, *gt = grad + n_slots * P;
-    double *wg = gt + LANES * n_f, *vg = wg + LANES * n_s;
-    int64_t *slot = index, *touched = slot + n_symbols;
-    for (int64_t r = 0; r < n_symbols; r++)
-        slot[r] = -1;
+    const int64_t P = C.P, n_s = 2 * P;
+    double *h = C.h, *e = C.e, *dz = C.dz, *s = C.s, *u = C.u;
+    double *xs = C.xs, *vs = C.vs, *grad = C.grad;
+    int64_t *slot = C.slot, *touched = C.touched;
 
     double total = 0.0;
     int64_t active = 0;
@@ -680,10 +672,10 @@ int64_t train_epoch(double *theta, double *vel, int64_t n_symbols, int64_t n_f,
                     for (int64_t i = 0; i < P; i++)
                         g[i] += cl[j] * up[i] + cr[j] * up[P + i];
             }
-        rebase(&C, m_w, alpha, dz, s, sx);
+        rebase(&C, m_w, alpha, dz, s, C.sx);
 
         const int ok = step_rows(&C, t, n_touched, touched, xs, vs, grad, alpha, eps,
-                                 gt, wg, vg);
+                                 C.gt, C.wg, C.vg);
         for (int64_t k = 0; k < n_touched; k++)
             slot[touched[k]] = -1;
         if (!ok)
@@ -700,7 +692,5 @@ done:
     *hinge_total = total;
     *active_steps = active;
     close_coder(&C);
-    free(scratch);
-    free(index);
     return t;
 }

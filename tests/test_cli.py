@@ -104,7 +104,9 @@ class TestUsageErrors:
         (["bogus"], "argument command: invalid choice: 'bogus'"),
         (["train", "--corpus", "c.jsonl", "--out", "m.json", "--no-shuffle"],
          "unrecognized arguments: --no-shuffle"),
-    ], ids=["missing-flag", "malformed-int", "unknown-command", "no-shuffle"])
+        (["-v", "train", "--corpus", "c.jsonl", "--out", "m.json"],
+         "unrecognized arguments: -v"),
+    ], ids=["missing-flag", "malformed-int", "unknown-command", "no-shuffle", "verbose"])
     def test_returns_usage(self, caplog, argv, message):
         assert main(argv) == EXIT_USAGE
         [line] = _problems(caplog)

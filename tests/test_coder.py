@@ -442,6 +442,24 @@ class TestGradient:
         assert np.max(np.abs(g.flat - want.flat)) <= 1e-12 * np.max(np.abs(want.flat))
         assert hinge == pytest.approx(want_hinge, rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("corrupted", ["parent", "child"])
+    def test_pair_reading_every_symbol(self, corrupted):
+        # 43 children that, with the parent, are all 44 kinds: the pair has as
+        # many distinct symbols as the vocabulary, the kernel's slot bound
+        v = len(KIND_NAMES)
+        rng = np.random.default_rng(11)
+        s = TrainingSample(0, tuple(range(1, v)), tuple(rng.uniform(0.1, 1.0, v - 1)))
+        neg = (s._replace(parent=v - 1) if corrupted == "parent"
+               else s._replace(children=(0, *s.children[1:])))
+        assert pack_samples([s, neg]).ids.shape == (2, v)
+        hyper = Hyperparams(n_f=5, lam=1e-3, delta=3.0)
+        p = init_params(hyper, rng)
+        g, hinge = pair_step(s, neg, p, hyper)
+        want, want_hinge = pair_step(s, neg, p, hyper, reference_gradient_and_hinge)
+        assert hinge > 0.0
+        assert np.max(np.abs(g.flat - want.flat)) <= 1e-12 * np.max(np.abs(want.flat))
+        assert hinge == pytest.approx(want_hinge, rel=0, abs=1e-12)
+
     @pytest.mark.parametrize("run", KERNEL_CALLERS)
     def test_out_of_memory(self, monkeypatch, run):
         # both entries fail to allocate; each caller reports it with one text

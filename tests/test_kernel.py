@@ -1,8 +1,10 @@
 """The boundary with C: kernel.py alone imports ctypes and calls `kernel.load`,
-so each entry of epoch.c has one call path and one out-of-memory error; and
-the kernel builds without a warning."""
+so each entry of epoch.c has one call path and one out-of-memory error; the
+kernel allocates only in `open_coder` and frees only in `close_coder`; and it
+builds without a warning."""
 
 import ast
+import re
 import subprocess
 from pathlib import Path
 
@@ -38,6 +40,25 @@ def test_only_kernel_crosses_into_c():
     found = {p.name: crossings(p.read_text(encoding="utf-8")) for p in modules}
     assert found.pop("kernel.py")
     assert {name: f for name, f in found.items() if f} == {}
+
+
+# a C function defined from column 0: its name, then its body from a "{" line
+# to a "}" line
+C_FUNCTION = re.compile(r"^\w[^;{}]*?\b(?P<name>\w+)\([^;{}]*\)\n\{\n(?P<body>.*?)^\}",
+                        re.M | re.S)
+MEMORY_CALL = re.compile(r"\b(malloc|calloc|realloc|free)\(")
+
+
+def test_coder_owns_the_kernels_memory():
+    # every allocation is in open_coder and every free in close_coder; the
+    # count shows that no call outside a function was missed
+    source = re.sub(r"/\*.*?\*/", "", kernel.KERNEL_SOURCE.read_text(encoding="utf-8"),
+                    flags=re.S)
+    calls = [(m["name"], call) for m in C_FUNCTION.finditer(source)
+             for call in MEMORY_CALL.findall(m["body"])]
+    assert len(calls) == len(MEMORY_CALL.findall(source))
+    assert {(name, call == "free") for name, call in calls} == {
+        ("open_coder", False), ("close_coder", True)}
 
 
 @pytest.mark.parametrize("source, want", [
