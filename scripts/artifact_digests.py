@@ -49,6 +49,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from astvec import cli, coder, corpusgen, sampling, trainer  # noqa: E402
 from astvec.ast_core import (  # noqa: E402
     KIND_NAMES,
+    MAX_LOAD_HEIGHT,
     AstFormatError,
     dump_ast,
     dump_corpus,
@@ -68,9 +69,24 @@ LEAF = '{"kind":"ID","children":[]}'
 DEEP = '{"kind":"UnaryOp","children":[' * 899 + LEAF + "]}" * 899
 DEEP_REORDERED = ('{"children":[' * 899 + '{"children":[],"kind":"ID"}'
                   + '],"kind":"UnaryOp"}' * 899)
+RETURN = '{"kind":"Return","children":['
+# Node documents a step from canonical: a trailing comma, one "]}" too few,
+# one too many, a leaf with no "children", a kind spelled with an escape, a
+# space after a comma, and a canonical chain one level taller than
+# MAX_LOAD_HEIGHT.
+NEAR_CANONICAL = [
+    RETURN + LEAF + ",]}",
+    RETURN + LEAF,
+    RETURN + LEAF + "]}]}",
+    '{"kind":"ID"}',
+    '{"kind":"\\u0049D","children":[]}',
+    RETURN + LEAF + ", " + LEAF + "]}",
+    '{"kind":"UnaryOp","children":[' * MAX_LOAD_HEIGHT + LEAF + "]}" * MAX_LOAD_HEIGHT,
+]
 # Corpus lines that are not canonical or not valid, each placed between
 # canonical lines: keys reordered, spaced, missing or repeated, extra keys,
-# bad kinds and children, and nesting too deep to load.
+# bad kinds and children, nesting too deep to load, and the near-canonical
+# documents as "ast".
 EDITED_LINES = [
     '{"source_id":"s","label":"a","ast":{"children":[],"kind":"ID"}}',
     '{ "label" : "a" , "source_id" : "s" , "ast" : { "kind" : "ID" , "children" : [ ] } }',
@@ -94,10 +110,10 @@ EDITED_LINES = [
     '\ufeff{"label":"a","source_id":"s","ast":' + LEAF + '}',
     '{"label":"a","source_id":"s","ast":' + DEEP + '}',
     '{"label":"a","source_id":"s","ast":' + DEEP_REORDERED + '}',
-]
+] + ['{"label":"a","source_id":"s","ast":' + doc + '}' for doc in NEAR_CANONICAL]
 # Node documents, each loaded alone by `load_ast`: the edited "ast" values of
-# the lines above, an array, a byte order mark, a truncated document and the
-# two deep chains.
+# the lines above, an array, a byte order mark, a truncated document, the
+# two deep chains and the near-canonical documents.
 EDITED_NODES = [
     '{"children":[],"kind":"ID"}',
     '{ "kind" : "ID" , "children" : [ ] }',
@@ -117,7 +133,7 @@ EDITED_NODES = [
     LEAF[:-1],
     DEEP,
     DEEP_REORDERED,
-]
+] + NEAR_CANONICAL
 
 
 def astvec(*argv: str) -> str:

@@ -145,36 +145,6 @@ class NodeTable:
             found = self._nodes[key] = AstNode(kind, tuple(children))
         return found
 
-    def decoder(self) -> json.JSONDecoder:
-        """A JSON decoder that builds canonical node objects into the table.
-
-        The decoder hands each object to its hook once the object's values
-        are decoded, children first. An object whose keys are exactly "kind"
-        then "children" is looked up under the same key as `node` uses: a hit
-        is the node, as only nodes have the identities in a key. On a miss,
-        once per distinct subtree, a node is built if the kind is known and
-        every child is a node. Any other object stays a dict.
-        """
-        nodes = self._nodes
-
-        def node_or_dict(pairs):
-            if len(pairs) == 2:
-                (k, name), (c, kids) = pairs
-                if k == "kind" and c == "children" and name.__class__ is str \
-                        and kids.__class__ is list:
-                    kind = KIND_IDS.get(name)
-                    if kind is not None:
-                        key = (kind, *map(id, kids))
-                        found = nodes.get(key)
-                        if found is not None:
-                            return found
-                        if all(kid.__class__ is AstNode for kid in kids):
-                            found = nodes[key] = AstNode(kind, tuple(kids))
-                            return found
-            return dict(pairs)
-
-        return json.JSONDecoder(object_pairs_hook=node_or_dict)
-
 
 @dataclass(frozen=True)
 class LabeledProgram:
@@ -231,17 +201,13 @@ def _from_obj(obj: object, path: str, table: NodeTable) -> AstNode:
 
     This walk defines what is valid, and the message and path of every
     error. It checks objects in preorder with an explicit stack, so any depth
-    works, and takes a node the decoder built as valid. It then builds the
-    trees in reverse preorder, where each object's children are the last
-    trees built.
+    works. It then builds the trees in reverse preorder, where each object's
+    children are the last trees built.
     """
     stack = [(obj, path)]
-    preorder: list = []  # a node, or (kind id, number of children) for an object
+    preorder: list = []  # (kind id, number of children) of each object
     while stack:
         obj, path = stack.pop()
-        if obj.__class__ is AstNode:
-            preorder.append(obj)
-            continue
         where = path or "root"
         if not isinstance(obj, dict):
             raise AstFormatError(f"expected object at {where}, got {type(obj).__name__}")
@@ -260,13 +226,11 @@ def _from_obj(obj: object, path: str, table: NodeTable) -> AstNode:
         prefix = f"{path}/" if path else ""
         stack.extend((children[i], f"{prefix}{i}") for i in reversed(range(len(children))))
     built: list[AstNode] = []
-    for item in reversed(preorder):
-        if item.__class__ is not AstNode:
-            kind, n = item
-            first = len(built) - n
-            item = table.node(kind, built[first:][::-1])
-            del built[first:]
-        built.append(item)
+    for kind, n in reversed(preorder):
+        first = len(built) - n
+        node = table.node(kind, built[first:][::-1])
+        del built[first:]
+        built.append(node)
     return built[0]
 
 
@@ -281,32 +245,106 @@ def dump_ast(root: AstNode) -> str:
 
 
 # The tallest tree (`AstNode.height`) a corpus line is sure to load back.
-# The decoder recurses per nesting level and reads about 495 levels from a
-# shallow stack, fewer from a deeper one; this leaves room for the caller's.
+# `_read_canonical` reads canonical text of any height without recursing, but
+# takes trees no taller than this; what it declines goes to `json.loads`,
+# which recurses per nesting level and reads about 495 levels from a shallow
+# stack, fewer from a deeper one. This leaves room for the caller's stack.
 MAX_LOAD_HEIGHT = 400
 
+_NODE_START = '{"kind":"'
+_CHILDREN_START = '","children":['
 
-def _decode(decoder: json.JSONDecoder, text: str, where: str = "") -> object:
-    """`text` decoded by `decoder`; a failure raises the error `json.loads`
-    reports, as an `AstFormatError`."""
+
+def _piece(piece: str, nodes: dict):
+    """What a piece of canonical text between two `{"kind":"` means, as
+    (kind, leaf, closes, comma): `leaf` is None for a node whose children
+    follow, else the leaf node, which `closes` more "]}" and then, if
+    `comma`, a sibling follow. None for a piece canonical text never holds."""
+    name, sep, rest = piece.partition(_CHILDREN_START)
+    kind = KIND_IDS.get(name)
+    if kind is None or not sep:
+        return None
+    if not rest:
+        return kind, None, 0, False
+    comma = rest.endswith(",")
+    if comma:
+        rest = rest[:-1]
+    closes = len(rest) // 2
+    if not closes or rest != "]}" * closes:
+        return None
+    leaf = nodes.get((kind,))
+    if leaf is None:
+        leaf = nodes[(kind,)] = AstNode(kind)
+    return kind, leaf, closes - 1, comma
+
+
+def _read_canonical(text: str, table: NodeTable, pieces: dict):
+    """The tree `text` is `dump_ast`'s output for, built through `table`, if
+    that tree is no taller than MAX_LOAD_HEIGHT; None for any other text.
+
+    The text is split on `{"kind":"`, and `pieces` caches what each distinct
+    piece means (see `_piece`); it must only ever be used with `table`. The
+    tree is built bottom-up with an explicit stack of open nodes, each node
+    looked up under the key `NodeTable.node` uses.
+    """
+    nodes = table._nodes
+    parts = iter(text.split(_NODE_START))
+    if next(parts):  # the text must start with a node
+        return None
+    stack: list = []  # the open nodes, outermost first: (kind, children read)
+    for piece in parts:
+        info = pieces.get(piece)
+        if info is None:
+            info = _piece(piece, nodes)
+            if info is None:
+                return None
+            pieces[piece] = info
+        kind, node, closes, comma = info
+        if node is None:
+            stack.append((kind, []))
+            continue
+        for _ in range(closes):
+            if not stack:
+                return None
+            kind, kids = stack.pop()
+            kids.append(node)
+            key = (kind, *map(id, kids))
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = AstNode(kind, tuple(kids))
+        if not comma:
+            break
+        if not stack:
+            return None
+        stack[-1][1].append(node)
+    else:  # the text ended inside a node, or after a comma
+        return None
+    if stack or next(parts, None) is not None or node.height > MAX_LOAD_HEIGHT:
+        return None
+    return node
+
+
+def _decode(text: str, where: str = "") -> object:
+    """`json.loads(text)`; a failure raises its error as an `AstFormatError`."""
     try:
-        return decoder.decode(text)
+        return json.loads(text)
     except RecursionError:  # the decoder recurses per nesting level
         raise AstFormatError(f"{where}nesting too deep") from None
     except ValueError as exc:  # invalid JSON, or an integer too long to convert
-        if text.startswith("\ufeff"):  # json.loads checks first; decode just fails
-            exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
         raise AstFormatError(f"{where}invalid JSON: {exc}") from exc
 
 
 def load_ast(text: str) -> AstNode:
     """Parse an interchange document back into a tree.
 
-    The document is decoded once, by a `NodeTable.decoder`, so a canonical
-    one is a tree already; `_from_obj` checks what any other decodes to.
+    `_read_canonical` reads a canonical document; any other is decoded by
+    `json.loads`, and `_from_obj` checks what it decodes to.
     """
     table = NodeTable()
-    return _from_obj(_decode(table.decoder(), text), "", table)
+    tree = _read_canonical(text, table, {})
+    if tree is None:
+        tree = _from_obj(_decode(text), "", table)
+    return tree
 
 
 def dump_corpus(programs: list[LabeledProgram]) -> str:
@@ -346,14 +384,17 @@ def load_corpus(text: str) -> list[LabeledProgram]:
     Lines end at "\r\n", "\r" or "\n" only: a JSON string may hold other
     line breaks (U+0085, U+2028, U+2029) raw, but never these. A line of
     `dump_corpus`'s shape is split into its label, source_id and ast text,
-    and each distinct ast text is decoded once, on its own, by one
-    `NodeTable.decoder`, so canonical nodes are a tree already; `_from_obj`
-    checks any other. Every other line, and one whose ast text does not load
-    alone, is decoded whole and checked as a record, with the same table.
+    and each distinct ast text is loaded once, on its own:
+    `_read_canonical` reads a canonical one, with one piece cache for the
+    whole corpus, and `json.loads` and `_from_obj` any other. Every other
+    line, and one whose ast text does not load alone, is decoded whole and
+    checked as a record. All trees are built through one table.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     table = NodeTable()
-    decoder = table.decoder()
+    pieces: dict = {}
     trees: dict[str, AstNode] = {}  # ast text -> its tree
     programs = []
     for lineno, line in enumerate(lines, start=1):
@@ -364,17 +405,18 @@ def load_corpus(text: str) -> list[LabeledProgram]:
             label, source_id, ast_text = parts
             ast = trees.get(ast_text)
             if ast is None:
+                ast = _read_canonical(ast_text, table, pieces)
+            if ast is None:
                 try:
-                    ast = trees[ast_text] = _from_obj(_decode(decoder, ast_text), "", table)
+                    ast = _from_obj(_decode(ast_text), "", table)
                 except AstFormatError:
                     pass  # the whole line, below, gives the error and where it is
             if ast is not None:
+                trees[ast_text] = ast
                 programs.append(LabeledProgram(ast=ast, label=label, source_id=source_id))
                 continue
         where = f"corpus line {lineno}: "
-        rec = _decode(decoder, line, where)
-        if rec.__class__ is AstNode:  # a node object: its keys are "kind" and "children"
-            raise AstFormatError(f"{where}missing 'label'")
+        rec = _decode(line, where)
         if not isinstance(rec, dict):
             raise AstFormatError(f"{where}expected an object")
         for key in ("label", "source_id", "ast"):

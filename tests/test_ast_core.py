@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from astvec import ast_core
 from astvec.ast_core import (
     MAX_LOAD_HEIGHT,
     AstFormatError,
@@ -480,10 +481,46 @@ LABELS = st.lists(st.sampled_from(['"', "\\", "\n", "\u2028", "\u00e9", "\u5b57"
                                    ',"ast":', "a"]), max_size=4).map("".join)
 
 
+# Small canonical documents for the one-character mutations: leaves, chains,
+# siblings and repeated subtrees.
+SMALL_TREES = [
+    node("ID"),
+    node("Root"),
+    node("Return", node("ID")),
+    node("UnaryOp", node("UnaryOp", node("UnaryOp", node("Constant")))),
+    node("BinaryOp", node("ID"), node("Constant")),
+    node("ExprList", node("ID"), node("ID"), node("ID")),
+    node("FuncCall", node("ID"), node("ExprList", node("ID"), node("Constant"))),
+    node("If", node("ID"), node("Break"), node("Continue")),
+    node("Compound", node("Return", node("ID")), node("Return", node("ID"))),
+    node("ArrayRef", node("ArrayRef", node("ID"), node("ID")), node("ID")),
+    node("Assignment", node("ID"), node("BinaryOp", node("ID"), node("ID"))),
+    node("Cast", node("Typename", node("TypeDecl", node("IdentifierType"))), node("ID")),
+    node("Switch", node("ID"), node("Compound", node("Case", node("Constant")),
+                                     node("Default", node("Break")))),
+    node("Decl", node("PtrDecl", node("TypeDecl", node("IdentifierType")))),
+    node("While", node("ID"), node("EmptyStatement")),
+    node("TernaryOp", node("ID"), node("ID"), node("Constant")),
+    node("StructRef", node("StructRef", node("ID"), node("ID")), node("ID")),
+    node("Label", node("Goto")),
+    node("InitList", node("Constant"), node("InitList", node("Constant"))),
+    node("Root", node("FuncDef", node("Decl"), node("Compound"))),
+]
+INSERTED = [",", "]", "}", "[", '"', " ", "]}"]
+
+
+def one_character_edits(doc):
+    """Every deletion of one character of `doc`, and every insertion of one
+    of INSERTED at every position."""
+    yield from (doc[:i] + doc[i + 1:] for i in range(len(doc)))
+    yield from (doc[:i] + piece + doc[i:] for i in range(len(doc) + 1) for piece in INSERTED)
+
+
 class TestOnePassLoader:
-    """`load_corpus` decodes each distinct ast text of a canonical line once
-    and each other line once, `load_ast` its document once, and both walk
-    what the decoder leaves: they must give what the reference loaders give."""
+    """`load_corpus` loads each distinct ast text of a canonical line once
+    and decodes each other line once, `load_ast` its document once; the
+    canonical reader takes what it can and `json` the rest: they must give
+    what the reference loaders give."""
 
     @settings(max_examples=150, deadline=None)
     @given(corpus_texts())
@@ -540,19 +577,28 @@ class TestOnePassLoader:
 
     @pytest.mark.parametrize("line", MUTATED_CORPUS_LINES)
     def test_each_ast_text_is_decoded_once(self, corpus, line):
-        # a line of dump_corpus's shape has its ast text decoded alone, once
-        # per distinct text; any other line, and one whose ast text does not
-        # load alone, is decoded whole, once
+        # a line of dump_corpus's shape has its ast text read alone by the
+        # canonical reader, once per distinct text, and decoded alone only if
+        # the reader declines it; any other line, and one whose ast text does
+        # not load alone, is decoded whole, once
         lines = dump_corpus(corpus[:5] + corpus[:2]).splitlines()
         lines.insert(3, line)
         text = "\n".join(lines)
         failed = isinstance(outcome(load_corpus, text), tuple)
-        expected, loaded = [], set()
+
+        def canonical(doc):  # no document here is canonical and too tall
+            return outcome(load_ast, doc) == doc
+
+        read, expected, loaded = [], [], set()
         for each in lines:
             match = CANONICAL_LINE.fullmatch(each)
             if match and match[3] in loaded:
                 continue
             if match:
+                read.append(match[3])
+                if canonical(match[3]):
+                    loaded.add(match[3])
+                    continue
                 expected.append(match[3])
                 if isinstance(outcome(load_ast, match[3]), str):
                     loaded.add(match[3])
@@ -560,13 +606,14 @@ class TestOnePassLoader:
             expected.append(each)
             if failed and each == line:
                 break
-        decode = json.JSONDecoder.decode
-        with mock.patch.object(json.JSONDecoder, "decode", autospec=True,
-                               side_effect=decode) as spy:
+        with mock.patch.object(ast_core, "_read_canonical",
+                               wraps=ast_core._read_canonical) as reader, \
+                mock.patch.object(json, "loads", wraps=json.loads) as spy:
             outcome(load_corpus, text)
             outcome(load_ast, line)
-        decoded = [call.args[1] for call in spy.call_args_list]
-        assert decoded == expected + [line]
+        assert [call.args[0] for call in reader.call_args_list] == read + [line]
+        decoded = [call.args[0] for call in spy.call_args_list]
+        assert decoded == expected + ([] if canonical(line) else [line])
         assert len(loaded) < len(lines) - 1  # the corpus repeats ast texts
         assert_same_outcome(load_corpus, reference_load_corpus, text)
 
@@ -609,6 +656,32 @@ class TestOnePassLoader:
         first, second, third = load_corpus(text)
         assert first.ast is second.ast is third.ast
         assert_shared([first.ast])
+
+    def test_one_character_edits_equal_reference(self):
+        for tree in SMALL_TREES:
+            doc = dump_ast(tree)
+            for edited in one_character_edits(doc):
+                assert_same_outcome(load_ast, reference_load_ast, edited)
+                # after the unedited line, so the reader knows its pieces
+                text = record(doc) + "\n" + record(edited)
+                assert_same_outcome(load_corpus, reference_load_corpus, text)
+
+    def test_canonical_text_loads_without_json(self):
+        chain = deep_doc(MAX_LOAD_HEIGHT)
+        with mock.patch.object(json, "loads", side_effect=AssertionError), \
+                mock.patch.object(json.JSONDecoder, "decode", side_effect=AssertionError):
+            corpus = load_corpus(CORPUS_PATH.read_text(encoding="utf-8"))
+            assert outcome(load_ast, chain) == chain
+            assert outcome(load_corpus, record(chain)) == record(chain) + "\n"
+        assert len(corpus) > 0
+        taller = deep_doc(MAX_LOAD_HEIGHT + 1)
+        for load, reference, doc in [(load_ast, reference_load_ast, taller),
+                                     (load_corpus, reference_load_corpus, record(taller))]:
+            want = outcome(reference, doc)
+            assert isinstance(want, str)
+            with mock.patch.object(json, "loads", wraps=json.loads) as spy:
+                assert outcome(load, doc) == want
+            assert spy.called
 
     def test_canonical_lines_are_built_by_the_decoder(self, corpus):
         text = dump_corpus(corpus)
