@@ -15,8 +15,8 @@ for the corpus and for a fixed list of edited corpus lines, the corpus that
 for a fixed list of edited node documents, the tree `load_ast` returns, dumped
 again, or its error. And it writes depth.txt: for each construct in
 `NESTING` (tests/conftest.py), the deepest nesting up to 2,000 that parses,
-bisected, or ">=2000" for a construct that still parses at the cap; it moves
-with every frame a change adds to a recursive path. And it writes state.txt:
+bisected, or ">=2000" for a construct that still parses at the cap. And it
+writes state.txt:
 for model.json and resumed.json as `trainer.load_checkpoint` reads them, the
 sha256 of the parameters' and the velocity's float64 bytes, the epoch, the
 loss history, the RNG state and the hyperparameters, so a change to the
@@ -49,7 +49,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from astvec import cli, coder, corpusgen, sampling, trainer  # noqa: E402
 from astvec.ast_core import (  # noqa: E402
     KIND_NAMES,
-    MAX_LOAD_HEIGHT,
     AstFormatError,
     dump_ast,
     dump_corpus,
@@ -72,8 +71,9 @@ DEEP_REORDERED = ('{"children":[' * 899 + '{"children":[],"kind":"ID"}'
 RETURN = '{"kind":"Return","children":['
 # Node documents a step from canonical: a trailing comma, one "]}" too few,
 # one too many, a leaf with no "children", a kind spelled with an escape, a
-# space after a comma, and a canonical chain one level taller than
-# MAX_LOAD_HEIGHT.
+# space after a comma, and a chain 401 tall with a space after it, which
+# `json` still reads; then a canonical chain 5,000 tall, which `json` cannot
+# read.
 NEAR_CANONICAL = [
     RETURN + LEAF + ",]}",
     RETURN + LEAF,
@@ -81,7 +81,8 @@ NEAR_CANONICAL = [
     '{"kind":"ID"}',
     '{"kind":"\\u0049D","children":[]}',
     RETURN + LEAF + ", " + LEAF + "]}",
-    '{"kind":"UnaryOp","children":[' * MAX_LOAD_HEIGHT + LEAF + "]}" * MAX_LOAD_HEIGHT,
+    '{"kind":"UnaryOp","children":[' * 400 + LEAF + "]}" * 400 + " ",
+    '{"kind":"UnaryOp","children":[' * 4999 + LEAF + "]}" * 4999,
 ]
 # Corpus lines that are not canonical or not valid, each placed between
 # canonical lines: keys reordered, spaced, missing or repeated, extra keys,

@@ -7,7 +7,6 @@ from .ast_core import (
     dump_ast,
     load_ast,
 )
-from .coder import Hyperparams, ModelParams
 from .cparse import parse_file, parse_source
 
 __all__ = [
@@ -16,8 +15,6 @@ __all__ = [
     "LabeledProgram",
     "dump_ast",
     "load_ast",
-    "Hyperparams",
-    "ModelParams",
     "parse_file",
     "parse_source",
 ]

@@ -99,30 +99,23 @@ class AstNode:
     `KIND_NAMES`). Immutability is what lets a `NodeTable` share one node
     between many parents and trees.
 
-    `height` (a leaf is 1) and `leaves` are set from the children when the
-    node is made, so through a table once per distinct subtree. They take
-    no part in equality, hash or repr.
+    `leaves` is set from the children when the node is made, so through a
+    table once per distinct subtree. It takes no part in equality, hash or
+    repr.
     """
 
     kind: int
     children: tuple["AstNode", ...] = ()
-    height: int = field(init=False, compare=False, repr=False)
     leaves: int = field(init=False, compare=False, repr=False)
 
     def __init__(self, kind: int, children: tuple["AstNode", ...] = ()):
-        # Every recursive parse path ends in making a node, so this costs no
-        # more stack than the generated __init__: no __post_init__, and no
-        # comprehension, max() or sum(), which count against the recursion
-        # limit.
-        height, leaves = 0, 0
+        # sets every field itself, so a node costs no __post_init__ call
+        leaves = 0
         for child in children:
-            if child.height > height:
-                height = child.height
             leaves += child.leaves
         put = object.__setattr__
         put(self, "kind", kind)
         put(self, "children", children)
-        put(self, "height", height + 1)
         put(self, "leaves", leaves or 1)
 
 
@@ -244,13 +237,6 @@ def dump_ast(root: AstNode) -> str:
     return "".join(out)
 
 
-# The tallest tree (`AstNode.height`) a corpus line is sure to load back.
-# `_read_canonical` reads canonical text of any height without recursing, but
-# takes trees no taller than this; what it declines goes to `json.loads`,
-# which recurses per nesting level and reads about 495 levels from a shallow
-# stack, fewer from a deeper one. This leaves room for the caller's stack.
-MAX_LOAD_HEIGHT = 400
-
 _NODE_START = '{"kind":"'
 _CHILDREN_START = '","children":['
 
@@ -279,8 +265,8 @@ def _piece(piece: str, nodes: dict):
 
 
 def _read_canonical(text: str, table: NodeTable, pieces: dict):
-    """The tree `text` is `dump_ast`'s output for, built through `table`, if
-    that tree is no taller than MAX_LOAD_HEIGHT; None for any other text.
+    """The tree `text` is `dump_ast`'s output for, built through `table`;
+    None for any other text.
 
     The text is split on `{"kind":"`, and `pieces` caches what each distinct
     piece means (see `_piece`); it must only ever be used with `table`. The
@@ -319,7 +305,7 @@ def _read_canonical(text: str, table: NodeTable, pieces: dict):
         stack[-1][1].append(node)
     else:  # the text ended inside a node, or after a comma
         return None
-    if stack or next(parts, None) is not None or node.height > MAX_LOAD_HEIGHT:
+    if stack or next(parts, None) is not None:
         return None
     return node
 

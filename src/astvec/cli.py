@@ -3,6 +3,10 @@
 Subcommands: parse, corpus-build, train, nn, cluster, classify, export.
 Exit codes: 0 success, 1 usage error, 2 input/format error, 3 numerical failure
 or out of memory, 4 the training kernel cannot be compiled.
+
+Only the front end, `cparse` and `ast_core`, is imported here; each other
+command imports the modules it runs, so `parse` and `corpus-build --src-dir`
+never import numpy.
 """
 
 from __future__ import annotations
@@ -17,10 +21,9 @@ import stat
 import sys
 from pathlib import Path
 
-from . import analysis, classify, corpusgen, cparse, embedding_io, kernel, sampling, trainer
+from . import cparse
 from .ast_core import (
     KIND_NAMES,
-    MAX_LOAD_HEIGHT,
     AstFormatError,
     LabeledProgram,
     UnknownKindError,
@@ -28,7 +31,6 @@ from .ast_core import (
     dump_corpus,
     load_corpus,
 )
-from .coder import Hyperparams
 from .cparse import CParseError, parse_file
 
 log = logging.getLogger("astvec")
@@ -72,7 +74,9 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
                        help=help_text)
 
 
-def _hyper_from_args(args) -> Hyperparams:
+def _hyper_from_args(args):
+    from .coder import Hyperparams
+
     hyper = Hyperparams(**{
         name: getattr(args, name)
         for _, name, _, _ in HYPER_FLAGS
@@ -187,6 +191,8 @@ def cmd_corpus_build(args) -> int:
     if args.src_dir == "":  # Path("") would be the working directory
         raise CliError("--src-dir must not be empty", EXIT_USAGE)
     if args.generate:
+        from . import corpusgen
+
         programs = corpusgen.generate_corpus(seed=args.seed, per_class=args.per_class)
     else:
         root = Path(args.src_dir)
@@ -212,10 +218,6 @@ def cmd_corpus_build(args) -> int:
                     "skipping %s: %s:%s: %s", c_path, exc.line, exc.column, exc.message
                 )
                 continue
-            if ast.height > MAX_LOAD_HEIGHT:
-                log.warning("skipping %s: tree height %d exceeds the loadable %d",
-                            c_path, ast.height, MAX_LOAD_HEIGHT)
-                continue
             programs.append(
                 LabeledProgram(ast=ast, label=label, source_id=c_path.stem)
             )
@@ -238,6 +240,8 @@ def _load_corpus_file(path) -> list:
 
 
 def cmd_train(args) -> int:
+    from . import kernel, sampling, trainer
+
     samples = sampling.build_training_set(_load_corpus_file(args.corpus))
     if not samples:
         raise CliError("corpus yields no training samples")
@@ -275,6 +279,8 @@ def cmd_train(args) -> int:
 
 
 def _load_checkpoint(path):
+    from . import trainer
+
     try:
         with _os_errors(path):
             return trainer.load_checkpoint(path)
@@ -283,6 +289,8 @@ def _load_checkpoint(path):
 
 
 def cmd_nn(args) -> int:
+    from . import analysis
+
     embeddings = _load_checkpoint(args.checkpoint).params.embeddings
     try:
         ranked = analysis.nearest_neighbors(embeddings, args.symbol, args.top)
@@ -296,6 +304,8 @@ def cmd_nn(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    from . import analysis
+
     _check_seed(args.seed)
     embeddings = _load_checkpoint(args.checkpoint).params.embeddings
     try:
@@ -313,6 +323,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import classify
+
     if args.epochs < 0:
         raise CliError("epochs must be >= 0", EXIT_USAGE)
     _check_seed(args.seed)
@@ -357,6 +369,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from . import embedding_io
+
     cp = _load_checkpoint(args.checkpoint)
     _write((args.out, embedding_io.format_embeddings(cp.params.embeddings)))
     return EXIT_OK

@@ -140,6 +140,16 @@ _INFIX = {
 
 _UNARY_PREFIX = frozenset(["+", "-", "*", "&", "!", "~", "++", "--"])
 
+# The deepest nesting the parser accepts: the calls to _statement, _expression,
+# _modifiers, _initializer and _struct_union_enum_specifier open at once. Every
+# recursive cycle in the parser passes through one of them and costs at most
+# three interpreter frames a level, so a parse stays well inside Python's
+# default recursion limit and its verdict does not depend on the caller's
+# stack. C11 5.2.4.1 asks a compiler for at least 127 nested blocks and 63
+# nested parenthesized expressions or struct definitions. Prefix operators,
+# casts and left-associative operators are read in loops and are not counted.
+MAX_NESTING = 200
+
 
 class Parser:
     """One instance per parse; holds the token cursor and typedef-name table,
@@ -152,6 +162,7 @@ class Parser:
         end = Token("end", "", last.offset + len(last.lexeme), last.source)
         self.tokens = tokens + [end, end]
         self.pos = 0
+        self.depth = 0  # the nesting levels open, up to MAX_NESTING
         self.typedefs: set[str] = set()
         self.table = table if table is not None else NodeTable()
 
@@ -171,6 +182,14 @@ class Parser:
         if tok.category == "end":
             message = "unexpected end of input" + (message and ": " + message)
         return CParseError(message, tok.line, tok.column, expected)
+
+    def _nest(self) -> None:
+        """Open one more nesting level. The method that opens it closes it as
+        it returns; a failed parse leaves its levels open, as its parser is
+        discarded."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self._error("nesting too deep")
 
     def _advance(self) -> Token:
         """Callers check the current token first, so it is never the end."""
@@ -299,6 +318,7 @@ class Parser:
         return tok.category == "identifier" or tok.lexeme in ("*", "(", ";", ",", ")", "[")
 
     def _struct_union_enum_specifier(self) -> AstNode:
+        self._nest()
         tag = self._advance().lexeme  # struct | union | enum
         named = self._peek().category == "identifier"
         if named:
@@ -322,6 +342,7 @@ class Parser:
             self._expect("}")
         elif not named:
             raise self._error(f"anonymous {tag} requires a body")
+        self.depth -= 1
         return self._mk(tag.capitalize(), children)
 
     def _struct_member_declaration(self) -> list[AstNode]:
@@ -350,6 +371,7 @@ class Parser:
     def _modifiers(self, abstract: bool) -> tuple[Optional[str], list]:
         """Parses a declarator into its name and its modifiers, innermost first:
         (kind, children before the type, children after it) for each."""
+        self._nest()
         modifiers = []
         while self._accept("*"):
             while self._peek().lexeme in QUALIFIERS:
@@ -381,6 +403,7 @@ class Parser:
                 suffixes.append(("FuncDecl", [params] if params else [], ()))
             else:
                 break
+        self.depth -= 1
         return name, modifiers + suffixes[::-1] + nested
 
     def _nested_declarator_follows(self) -> bool:
@@ -445,69 +468,70 @@ class Parser:
         return self._mk("Compound", items)
 
     def _statement(self) -> AstNode:
+        self._nest()
         tok = self._peek()
         if tok.category == "end":
             raise self._error("statement expected")
         lex = tok.lexeme
         if lex == "{":
-            return self._compound_statement()
-        if lex == ";":
+            stmt = self._compound_statement()
+        elif lex == ";":
             self._advance()
-            return self._mk("EmptyStatement", [])
-        if lex == "if":
+            stmt = self._mk("EmptyStatement", [])
+        elif lex == "if":
             self._advance()
             children = [self._parenthesized(), self._statement()]
             if self._accept("else"):
                 children.append(self._statement())
-            return self._mk("If", children)
-        if lex == "for":
-            return self._for_statement()
-        if lex == "while":
+            stmt = self._mk("If", children)
+        elif lex == "for":
+            stmt = self._for_statement()
+        elif lex == "while":
             self._advance()
-            return self._mk("While", [self._parenthesized(), self._statement()])
-        if lex == "do":
+            stmt = self._mk("While", [self._parenthesized(), self._statement()])
+        elif lex == "do":
             self._advance()
             body = self._statement()
             self._expect("while")
             cond = self._parenthesized()
             self._expect(";")
-            return self._mk("DoWhile", [cond, body])
-        if lex == "switch":
+            stmt = self._mk("DoWhile", [cond, body])
+        elif lex == "switch":
             self._advance()
             cond = self._parenthesized()
-            return self._mk("Switch", [cond, self._compound_statement(switch=True)])
-        if lex == "break" or lex == "continue":
+            stmt = self._mk("Switch", [cond, self._compound_statement(switch=True)])
+        elif lex == "break" or lex == "continue":
             self._advance()
             self._expect(";")
-            return self._mk(lex.capitalize(), [])
-        if lex == "goto":
+            stmt = self._mk(lex.capitalize(), [])
+        elif lex == "goto":
             self._advance()
             self._expect_identifier()
             self._expect(";")
-            return self._mk("Goto", [])
-        if lex == "return":
+            stmt = self._mk("Goto", [])
+        elif lex == "return":
             self._advance()
             expr: list[AstNode] = []
             if not self._check(";"):
                 expr.append(self._expression())
             self._expect(";")
-            return self._mk("Return", expr)
-        if (
+            stmt = self._mk("Return", expr)
+        elif (
             tok.category == "identifier"
             and self._check(":", 1)
             and not self._is_typedef_name(tok)
         ):
             self._advance()
             self._advance()
-            return self._mk("Label", [self._statement()])
-        expr = self._expression()
-        self._expect(";")
-        return expr
+            stmt = self._mk("Label", [self._statement()])
+        else:
+            stmt = self._expression()
+            self._expect(";")
+        self.depth -= 1
+        return stmt
 
     def _parenthesized(self) -> AstNode:
-        """The condition of an if, switch, while or do. It returns before the
-        statement's body is parsed, so it is not on a statement's recursive
-        path and costs one frame at the innermost level only."""
+        """The condition of an if, switch, while or do."""
         self._expect("(")
         expr = self._expression()
         self._expect(")")
@@ -539,8 +563,8 @@ class Parser:
     def _expression(self, min_prec: int = _COMMA) -> AstNode:
         """Precedence climbing over _INFIX: an operand, then each infix
         operator of level min_prec or higher with its right operand. At the
-        lowest level, a comma sequence collapses into one ExprList. A nesting
-        level costs two frames, this one and _operand's."""
+        lowest level, a comma sequence collapses into one ExprList."""
+        self._nest()
         left = self._operand()
         while True:
             prec = _INFIX.get(self._peek().lexeme)
@@ -555,17 +579,19 @@ class Parser:
                 left = self._mk("TernaryOp", [left, iftrue, self._expression(_TERNARY)])
             else:
                 left = self._mk("BinaryOp", [left, self._expression(prec + 1)])
-        if min_prec > _COMMA or not self._check(","):
-            return left
-        exprs = [left]
-        while self._accept(","):
-            exprs.append(self._expression(_ASSIGN))
-        return self._mk("ExprList", exprs)
+        if min_prec == _COMMA and self._check(","):
+            exprs = [left]
+            while self._accept(","):
+                exprs.append(self._expression(_ASSIGN))
+            left = self._mk("ExprList", exprs)
+        self.depth -= 1
+        return left
 
     def _operand(self) -> AstNode:
         """A cast or unary expression. Its prefix operators and casts are read
         in a loop, outermost first, then folded around the primary expression
-        and its postfix operators, innermost first, so they cost no frames."""
+        and its postfix operators, innermost first, so they open no nesting
+        level."""
         prefixes = []  # (kind, children before the operand), outermost first
         postfix = True  # sizeof(type) takes no postfix operator
         while True:
@@ -630,6 +656,7 @@ class Parser:
         return expr
 
     def _initializer(self) -> AstNode:
+        self._nest()
         if self._accept("{"):
             items: list[AstNode] = []
             while not self._check("}"):
@@ -637,8 +664,11 @@ class Parser:
                 if not self._accept(","):
                     break
             self._expect("}")
-            return self._mk("InitList", items)
-        return self._expression(_ASSIGN)
+            init = self._mk("InitList", items)
+        else:
+            init = self._expression(_ASSIGN)
+        self.depth -= 1
+        return init
 
 
 def parse_program(tokens: list[Token], table: Optional[NodeTable] = None) -> AstNode:
@@ -648,6 +678,8 @@ def parse_program(tokens: list[Token], table: Optional[NodeTable] = None) -> Ast
     try:
         return parser.parse_translation_unit()
     except RecursionError:
+        # a backstop only: MAX_NESTING stops a parse first, unless the
+        # caller's own stack is already near the recursion limit
         raise parser._error("nesting too deep") from None
 
 

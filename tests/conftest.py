@@ -51,9 +51,10 @@ def invalid_sources():
     return sorted(INVALID_DIR.glob("*.c"))
 
 
-# Valid C with one construct nested n deep, for each construct whose nesting
-# the parser's recursion bounds. scripts/artifact_digests.py bisects each
-# one's deepest parse; tests/test_cparse.py holds a floor under it.
+# Valid C with one construct nested n deep. scripts/artifact_digests.py
+# bisects each one's deepest parse; tests/test_cparse.py checks that each
+# stops at cparse.MAX_NESTING, except casts and unary operators, which are
+# read in a loop and nest without limit.
 NESTING = {
     "parentheses": lambda n: "int x = " + "(" * n + "1" + ")" * n + ";",
     "calls": lambda n: "int x = " + "f(" * n + "1" + ")" * n + ";",

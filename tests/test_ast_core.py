@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from astvec import ast_core
 from astvec.ast_core import (
-    MAX_LOAD_HEIGHT,
     AstFormatError,
     AstNode,
     KIND_IDS,
@@ -197,11 +196,6 @@ class TestInterchange:
             load_corpus('\n{"label":"a","source_id":"s","ast":' + doc + "}")
 
 
-def _height(tree: AstNode) -> int:
-    """Oracle for `AstNode.height`: recursive, so for shallow trees only."""
-    return 1 + max(map(_height, tree.children), default=0)
-
-
 def _leaves(tree: AstNode) -> int:
     """Oracle for `AstNode.leaves`: recursive, so for shallow trees only."""
     return sum(map(_leaves, tree.children)) if tree.children else 1
@@ -215,7 +209,7 @@ def _nested(frames: int, call):
 class TestNodeFacts:
     def assert_facts(self, tree):
         for n in reference_walk(tree):
-            assert (n.height, n.leaves) == (_height(n), _leaves(n))
+            assert n.leaves == _leaves(n)
 
     @given(trees())
     def test_match_recursive_oracles(self, tree):
@@ -231,7 +225,7 @@ class TestNodeFacts:
         tree = node("ID")
         for _ in range(4999):
             tree = node("UnaryOp", tree, node("Constant"))
-        assert (tree.height, tree.leaves) == (5000, 5000)
+        assert tree.leaves == 5000
 
     @given(trees())
     def test_equality_and_hash_ignore_the_facts(self, tree):
@@ -242,19 +236,17 @@ class TestNodeFacts:
     def test_frozen(self):
         tree = node("ID")
         with pytest.raises(dataclasses.FrozenInstanceError):
-            tree.height = 2
-        with pytest.raises(dataclasses.FrozenInstanceError):
             tree.leaves = 2
 
-    def test_max_load_height_loads_from_a_deeper_stack(self):
-        # a corpus line of the tallest tree corpus-build keeps loads back,
-        # also with 100 more frames on the stack than here
+    def test_tall_chain_loads_from_a_deeper_stack(self):
+        # a corpus line of a 5,000-tall tree loads back, also with 300 more
+        # frames on the stack than here: canonical text is read without
+        # recursion
         tree = node("ID")
-        for _ in range(MAX_LOAD_HEIGHT - 1):
+        for _ in range(4999):
             tree = node("UnaryOp", tree)
-        assert tree.height == MAX_LOAD_HEIGHT
         text = dump_corpus([LabeledProgram(tree, "a", "s")])
-        [program] = _nested(100, lambda: load_corpus(text))
+        [program] = _nested(300, lambda: load_corpus(text))
         assert dump_ast(program.ast) == dump_ast(tree)
 
 
@@ -549,31 +541,27 @@ class TestOnePassLoader:
     @pytest.mark.parametrize("load,wrap", [(load_ast, str), (load_corpus, record)],
                              ids=["load_ast", "load_corpus"])
     def test_chains_up_to_the_depth_limit(self, load, wrap):
-        # The decoder's depth limit depends on the interpreter and on the
-        # stack, so it is found by bisection, and every chain is loaded
+        # Canonical chains load at any height. A reordered chain goes to the
+        # JSON decoder, whose depth limit depends on the interpreter and on
+        # the stack, so it is found by bisection, and every chain is loaded
         # through `chain`, at one stack depth.
         def chain(depth, reordered):
             return outcome(load, wrap(deep_doc(depth, reordered)))
 
-        deepest = []
-        for reordered in (False, True):
-            low, high = 1, 2000
-            assert isinstance(chain(low, reordered), str)
-            assert not isinstance(chain(high, reordered), str)
-            while high - low > 1:
-                mid = (low + high) // 2
-                low, high = (mid, high) if isinstance(chain(mid, reordered), str) else (low, mid)
-            deepest.append(low)
-        assert abs(deepest[0] - deepest[1]) <= 2
-        for depth in range(1, min(deepest) + 1):
-            want = outcome(load, wrap(deep_doc(depth)))
-            assert want == (deep_doc(depth) if load is load_ast
-                            else wrap(deep_doc(depth)) + "\n"), depth
-            assert chain(depth, False) == chain(depth, True) == want, depth
+        low, high = 1, 2000
+        assert isinstance(chain(low, True), str)
+        assert not isinstance(chain(high, True), str)
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if isinstance(chain(mid, True), str) else (low, mid)
+        for depth in [*range(1, low + 20), 5000]:
+            want = deep_doc(depth) if load is load_ast else wrap(deep_doc(depth)) + "\n"
+            assert chain(depth, False) == want, depth
+            if depth <= low:
+                assert chain(depth, True) == want, depth
         too_deep = "nesting too deep" if load is load_ast else "corpus line 1: nesting too deep"
-        for depth in range(max(deepest) + 1, max(deepest) + 20):
-            for reordered in (False, True):
-                assert chain(depth, reordered) == (AstFormatError, too_deep), depth
+        for depth in range(low + 1, low + 20):
+            assert chain(depth, True) == (AstFormatError, too_deep), depth
 
     @pytest.mark.parametrize("line", MUTATED_CORPUS_LINES)
     def test_each_ast_text_is_decoded_once(self, corpus, line):
@@ -586,7 +574,7 @@ class TestOnePassLoader:
         text = "\n".join(lines)
         failed = isinstance(outcome(load_corpus, text), tuple)
 
-        def canonical(doc):  # no document here is canonical and too tall
+        def canonical(doc):
             return outcome(load_ast, doc) == doc
 
         read, expected, loaded = [], [], set()
@@ -667,16 +655,16 @@ class TestOnePassLoader:
                 assert_same_outcome(load_corpus, reference_load_corpus, text)
 
     def test_canonical_text_loads_without_json(self):
-        chain = deep_doc(MAX_LOAD_HEIGHT)
+        chain = deep_doc(5000)
         with mock.patch.object(json, "loads", side_effect=AssertionError), \
                 mock.patch.object(json.JSONDecoder, "decode", side_effect=AssertionError):
             corpus = load_corpus(CORPUS_PATH.read_text(encoding="utf-8"))
             assert outcome(load_ast, chain) == chain
             assert outcome(load_corpus, record(chain)) == record(chain) + "\n"
         assert len(corpus) > 0
-        taller = deep_doc(MAX_LOAD_HEIGHT + 1)
-        for load, reference, doc in [(load_ast, reference_load_ast, taller),
-                                     (load_corpus, reference_load_corpus, record(taller))]:
+        reordered = deep_doc(300, reordered=True)
+        for load, reference, doc in [(load_ast, reference_load_ast, reordered),
+                                     (load_corpus, reference_load_corpus, record(reordered))]:
             want = outcome(reference, doc)
             assert isinstance(want, str)
             with mock.patch.object(json, "loads", wraps=json.loads) as spy:

@@ -3,7 +3,6 @@ import functools
 import json
 import logging
 import os
-import re
 import stat
 import subprocess
 import sys
@@ -20,6 +19,7 @@ from astvec.cli import EXIT_BUILD, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
 from astvec.trainer import load_checkpoint
 
 from conftest import CORPUS_PATH, NON_ASCII_SOURCES, REPO, SNIPPET_SRC, invalid_sources
+from test_ast_core import deep_doc, record
 
 
 def read_export(text: str) -> np.ndarray:
@@ -28,14 +28,19 @@ def read_export(text: str) -> np.ndarray:
                      for line in text.splitlines()[1:]])
 
 
-def _astvec_process(*argv: str) -> subprocess.CompletedProcess:
-    """`astvec <argv>` as its own process, so a traceback would show."""
+def _python_process(*argv: str) -> subprocess.CompletedProcess:
+    """`python <argv>` as its own process, with the package importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
-    return subprocess.run([sys.executable, "-m", "astvec.cli", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def _astvec_process(*argv: str) -> subprocess.CompletedProcess:
+    """`astvec <argv>` as its own process, so a traceback would show."""
+    return _python_process("-m", "astvec.cli", *argv)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +95,26 @@ class TestParse:
 
 def test_no_command_usage():
     assert main([]) == EXIT_USAGE
+
+
+def test_front_end_commands_import_no_numpy(tmp_path):
+    # parse and corpus-build --src-dir run only cparse and ast_core
+    src = tmp_path / "src" / "lab"
+    src.mkdir(parents=True)
+    (src / "a.c").write_text("int f(int a) { return a + 1; }\n", encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from astvec.cli import main\n"
+        "c_file, out_dir, src_dir, out = sys.argv[1:]\n"
+        "print(main(['parse', c_file, '-o', out_dir]),\n"
+        "      main(['corpus-build', '--src-dir', src_dir, '--out', out]),\n"
+        "      'numpy' in sys.modules)\n"
+    )
+    proc = _python_process("-c", script, str(src / "a.c"), str(tmp_path / "asts"),
+                           str(tmp_path / "src"), str(tmp_path / "c.jsonl"))
+    assert proc.stdout == "0 0 False\n", proc.stderr
+    assert (tmp_path / "asts" / "a.ast.json").exists()
+    assert [p.source_id for p in load_corpus((tmp_path / "c.jsonl").read_text())] == ["a"]
 
 
 class TestUsageErrors:
@@ -543,9 +568,9 @@ DEEP_C = {
     "sum": "int x = " + "+".join(["a"] * 2000) + ";\n",
     "assignment-chain": "void f(void) { " + "a = " * 600 + "1; }\n",
 }
-DEEP_AST = ('{"kind":"UnaryOp","children":[' * 900 + '{"kind":"ID","children":[]}'
-            + "]}" * 900)
-DEEP_CORPUS = ('{"label":"a","source_id":"s","ast":' + DEEP_AST + "}\n").encode()
+# not canonical, so it goes to the JSON decoder, which has a depth limit
+DEEP_CORPUS = ('{"label":"a","source_id":"s","ast":' + deep_doc(900, reordered=True)
+               + "}\n").encode()
 LATIN1_C = b"int x;\nint caf\xe9;\n"
 LATIN1_CORPUS = b'{"label":"caf\xe9","source_id":"s","ast":{"kind":"ID"}}\n'
 
@@ -555,17 +580,16 @@ def _problems(caplog):
 
 
 class TestHostileInputs:
-    # the column is where the stack ran out, so it depends on the caller's depth
-    @pytest.mark.parametrize("name", ["parentheses", "else-if"])
-    def test_too_deep_c(self, tmp_path, caplog, name):
+    # the position is the token that would open nesting level MAX_NESTING + 1
+    @pytest.mark.parametrize("name,column", [("parentheses", 208), ("else-if", 2806),
+                                             ("assignment-chain", 812)])
+    def test_too_deep_c(self, tmp_path, caplog, name, column):
         path = tmp_path / "deep.c"
         path.write_text(DEEP_C[name], encoding="utf-8")
         assert main(["parse", str(path)]) == EXIT_INPUT
-        [line] = _problems(caplog)
-        assert re.fullmatch(re.escape(str(path)) + r":1:\d+: nesting too deep", line)
+        assert _problems(caplog) == [f"{path}:1:{column}: nesting too deep"]
 
     @pytest.mark.parametrize("name,kind", [("sum", "BinaryOp"),
-                                           ("assignment-chain", "Assignment"),
                                            ("not", "UnaryOp"),
                                            ("casts", "Cast")])
     def test_deep_valid_c(self, tmp_path, caplog, capsys, name, kind):
@@ -576,7 +600,7 @@ class TestHostileInputs:
         out = capsys.readouterr().out
         assert out.startswith('{"kind":"Root"') and out.endswith("]}\n")
         # one node of `kind` per token of the source that makes one
-        token = {"BinaryOp": "+", "Assignment": "=", "UnaryOp": "!", "Cast": "(int)"}[kind]
+        token = {"BinaryOp": "+", "UnaryOp": "!", "Cast": "(int)"}[kind]
         assert out.count(f'"{kind}"') == DEEP_C[name].count(token)
 
     def test_latin1_parse(self, tmp_path, caplog):
@@ -622,20 +646,29 @@ class TestHostileInputs:
         assert _problems(caplog) == [f"skipping {d / 'bad.c'}: 2:8: not valid UTF-8"]
         assert [p.source_id for p in load_corpus(out.read_text(encoding="utf-8"))] == ["good"]
 
-    def test_too_tall_corpus_build_skips(self, tmp_path, caplog):
-        # the source parses, but its tree is taller than a corpus line loads
+    def test_tall_tree_corpus_build_keeps(self, tmp_path, caplog):
+        # a chain of 900 `!` is read in a loop, so its 903-tall tree parses,
+        # goes into the corpus and loads back
         d = tmp_path / "src" / "lab"
         d.mkdir(parents=True)
-        (d / "tall.c").write_text("int x = " + "!" * 900 + "1;\n", encoding="utf-8")
+        (d / "tall.c").write_text(DEEP_C["not"], encoding="utf-8")
         (d / "good.c").write_text("int f(int a) { return a + 1; }\n", encoding="utf-8")
         out = tmp_path / "c.jsonl"
         assert main(["corpus-build", "--src-dir", str(tmp_path / "src"),
                      "--out", str(out)]) == EXIT_OK
-        assert _problems(caplog) == [
-            f"skipping {d / 'tall.c'}: tree height 903 exceeds the loadable 400"]
-        assert len(out.read_text(encoding="utf-8").splitlines()) == 1
+        assert _problems(caplog) == []
+        assert [p.source_id for p in load_corpus(out.read_text(encoding="utf-8"))] == [
+            "good", "tall"]
         assert main(["train", "--corpus", str(out), "--out", str(tmp_path / "m.json"),
                      "--dim", "4", "--epochs", "2"]) == EXIT_OK
+
+    def test_train_on_a_5000_tall_tree(self, tmp_path, caplog):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(record(deep_doc(5000)) + "\n", encoding="utf-8")
+        assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.json"),
+                     "--dim", "4", "--epochs", "2"]) == EXIT_OK
+        assert _problems(caplog) == []
+        assert load_checkpoint(tmp_path / "m.json").epoch == 2
 
     def test_unreadable_corpus_build_skips(self, tmp_path, caplog, monkeypatch):
         # a directory named like a C file, and a file open() refuses

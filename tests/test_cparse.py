@@ -8,6 +8,7 @@ from pycparser import c_ast, c_parser
 from astvec import corpusgen
 from astvec.ast_core import KIND_NAMES, dump_ast
 from astvec.cparse import (
+    MAX_NESTING,
     CParseError,
     ParseMemo,
     TokenizeError,
@@ -29,6 +30,7 @@ from conftest import (
     reference_tokenize,
     reference_walk,
 )
+from test_ast_core import _nested
 
 
 class TestTokenize:
@@ -537,38 +539,34 @@ def test_not_utf8_position(tmp_path, data, line, column):
     )
 
 
-# How deep each NESTING construct must still parse: 90% of the deepest parse
-# measured under pytest on Python 3.11 with the default recursion limit of
-# 1000. Each level costs one interpreter frame per call on the construct's
-# recursive path, so one more call per level fails every case. A parenthesis,
-# call, subscript or sizeof(...) level costs two frames. Prefix operators and
-# casts are read in a loop and have no limit; their floor is 90% of the 2,000
-# cap that scripts/artifact_digests.py bisects under.
-NESTING_FLOOR = {
-    "parentheses": 426,
-    "calls": 426,
-    "sizeof": 426,
-    "subscripts": 426,
-    "blocks": 427,
-    "switch": 424,
-    "if": 849,
-    "while": 850,
-    "do": 848,
-    "for": 427,
-    "labels": 855,
-    "structs": 285,
-    "pointer declarators": 856,
-    "casts": 1800,
-    "unary": 1800,
-    "ternary": 855,
-    "initializer lists": 855,
-}
+def _nesting_outcome(source: str, frames: int):
+    """None if `source` parses with `frames` more frames on the stack, else
+    the error's (message, line, column)."""
+    try:
+        _nested(frames, lambda: parse_source(source))
+    except CParseError as exc:
+        return exc.message, exc.line, exc.column
+    return None
 
 
-@pytest.mark.parametrize("name", list(NESTING))
-def test_nesting_floor(name):
-    root = parse_source(NESTING[name](NESTING_FLOOR[name]))
-    assert KIND_NAMES[root.kind] == "Root"
+# prefix operators and casts are read in a loop and open no nesting level
+@pytest.mark.parametrize("name", [name for name in NESTING if name not in ("casts", "unary")])
+def test_one_nesting_limit(name):
+    # The deepest accepted nesting is MAX_NESTING less the levels the
+    # construct's surroundings open (at most two), and one more level is
+    # "nesting too deep", with the same verdicts and positions from a
+    # stack 300 frames deeper.
+    make = NESTING[name]
+    low, high = 1, MAX_NESTING + 1
+    assert _nesting_outcome(make(low), 0) is None
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if _nesting_outcome(make(mid), 0) is None else (low, mid)
+    assert MAX_NESTING - 2 <= low <= MAX_NESTING
+    too_deep = _nesting_outcome(make(low + 1), 0)
+    assert too_deep[0] == "nesting too deep"
+    assert _nesting_outcome(make(low), 300) is None
+    assert _nesting_outcome(make(low + 1), 300) == too_deep
 
 
 def test_deep_unshared_sum_parses_in_linear_memory():
@@ -585,5 +583,9 @@ def test_deep_unshared_sum_parses_in_linear_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert root.height == terms + 2
+    # the sum is a chain of terms - 1 BinaryOps down its left operands
+    node, depth = root.children[0].children[1], 0
+    while node.children:
+        node, depth = node.children[0], depth + 1
+    assert depth == terms - 1
     assert peak < 40e6
