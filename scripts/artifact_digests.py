@@ -71,9 +71,9 @@ DEEP_REORDERED = ('{"children":[' * 899 + '{"children":[],"kind":"ID"}'
 RETURN = '{"kind":"Return","children":['
 # Node documents a step from canonical: a trailing comma, one "]}" too few,
 # one too many, a leaf with no "children", a kind spelled with an escape, a
-# space after a comma, and a chain 401 tall with a space after it, which
-# `json` still reads; then a canonical chain 5,000 tall, which `json` cannot
-# read.
+# space after a comma, and chains 200 and 201 tall with a space after them:
+# `json` reads the first, and the second nests past `MAX_JSON_NESTING`; then
+# a canonical chain 5,000 tall, which only the canonical reader reads.
 NEAR_CANONICAL = [
     RETURN + LEAF + ",]}",
     RETURN + LEAF,
@@ -81,7 +81,8 @@ NEAR_CANONICAL = [
     '{"kind":"ID"}',
     '{"kind":"\\u0049D","children":[]}',
     RETURN + LEAF + ", " + LEAF + "]}",
-    '{"kind":"UnaryOp","children":[' * 400 + LEAF + "]}" * 400 + " ",
+    '{"kind":"UnaryOp","children":[' * 199 + LEAF + "]}" * 199 + " ",
+    '{"kind":"UnaryOp","children":[' * 200 + LEAF + "]}" * 200 + " ",
     '{"kind":"UnaryOp","children":[' * 4999 + LEAF + "]}" * 4999,
 ]
 # Corpus lines that are not canonical or not valid, each placed between

@@ -12,7 +12,9 @@ equal subtrees are the same object.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from json.decoder import scanstring
 
 # Closed, ordered vocabulary of node kinds. Index in this tuple is the kind id
@@ -310,11 +312,37 @@ def _read_canonical(text: str, table: NodeTable, pieces: dict):
     return node
 
 
+# The most JSON containers, objects and arrays, that text read by `json.loads`
+# may hold open at once; a node document opens two per level, so 200 levels.
+# The decoder recurses once per container, and 400 frames stay well inside
+# Python's default recursion limit of 1,000 even from a caller 300 frames
+# deep, so a verdict does not depend on the caller's stack. Canonical text is
+# read without recursion, at any height.
+MAX_JSON_NESTING = 400
+
+# a string, or an unterminated one to the end of the text, found as ""; or
+# a bracket, found as itself. The closing `"?` always matches, so the scan
+# never backtracks into a string and stays linear.
+_JSON_BRACKET_RE = re.compile(r'"(?:[^"\\]+|\\.)*"?|([][{}])', re.DOTALL)
+_BRACKET_STEP = {"": 0, "[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _nesting(text: str) -> int:
+    """The most containers open at once in `text`, counted outside strings."""
+    steps = map(_BRACKET_STEP.__getitem__, _JSON_BRACKET_RE.findall(text))
+    return max(accumulate(steps), default=0)
+
+
 def _decode(text: str, where: str = "") -> object:
-    """`json.loads(text)`; a failure raises its error as an `AstFormatError`."""
+    """`json.loads(text)`; a failure raises its error as an `AstFormatError`,
+    and text nested deeper than MAX_JSON_NESTING is not decoded."""
+    # every container opens with a bracket, so the count bounds the nesting
+    deep = text.count("[") + text.count("{") > MAX_JSON_NESTING
+    if deep and _nesting(text) > MAX_JSON_NESTING:
+        raise AstFormatError(f"{where}nesting too deep")
     try:
         return json.loads(text)
-    except RecursionError:  # the decoder recurses per nesting level
+    except RecursionError:  # a backstop, for a caller near the recursion limit
         raise AstFormatError(f"{where}nesting too deep") from None
     except ValueError as exc:  # invalid JSON, or an integer too long to convert
         raise AstFormatError(f"{where}invalid JSON: {exc}") from exc
@@ -364,6 +392,13 @@ def _canonical_parts(line: str):
     return label, source_id, line[end + 7:-1]
 
 
+def normalize_newlines(text: str) -> str:
+    """`text` with "\\r\\n" and "\\r" read as "\\n", as `open` reads text."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def load_corpus(text: str) -> list[LabeledProgram]:
     """Parse a corpus document; its trees share one `NodeTable`.
 
@@ -376,9 +411,7 @@ def load_corpus(text: str) -> list[LabeledProgram]:
     line, and one whose ast text does not load alone, is decoded whole and
     checked as a record. All trees are built through one table.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
+    lines = normalize_newlines(text).split("\n")
     table = NodeTable()
     pieces: dict = {}
     trees: dict[str, AstNode] = {}  # ast text -> its tree

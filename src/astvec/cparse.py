@@ -12,9 +12,11 @@ function pointers nested deeper than one level, designated initializers.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional
+from itertools import islice
+from types import SimpleNamespace
+from typing import Optional
 
-from .ast_core import KIND_IDS, AstNode, NodeTable
+from .ast_core import KIND_IDS, AstNode, NodeTable, normalize_newlines
 
 
 def position(source: str, offset: int) -> tuple[int, int]:
@@ -22,23 +24,6 @@ def position(source: str, offset: int) -> tuple[int, int]:
     source each time: positions are read only by errors and tests."""
     start = source.rfind("\n", 0, offset) + 1
     return source.count("\n", 0, start) + 1, offset - start + 1
-
-
-class Token(NamedTuple):
-    # keyword | identifier | constant | operator | punctuation, or end: the
-    # parser's end-of-input marker, placed just after the last real token
-    category: str
-    lexeme: str
-    offset: int
-    source: str
-
-    @property
-    def line(self) -> int:
-        return position(self.source, self.offset)[0]
-
-    @property
-    def column(self) -> int:
-        return position(self.source, self.offset)[1]
 
 
 class CParseError(Exception):
@@ -69,59 +54,98 @@ BASE_TYPE_KEYWORDS = frozenset(
 )
 QUALIFIERS = frozenset("const static extern register volatile".split())
 
+# The token categories, in the order the scan tries them; no alternative
+# matches where one before it does.
+_IDENTIFIER = r"[A-Za-z_]\w*"
+_PUNCTUATION = r"[()\[\]{};,]"
+_CONSTANT = r"""
+    (?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?[fFlL]? | \d+[eE][+-]?\d+[fFlL]?
+  | (?:0[xX][0-9a-fA-F]+|\d+)(?:[uU][lL]{0,2}|[lL]{1,2}[uU]?)?
+  | '(?:\\.|[^\\'\n])+' | "(?:\\.|[^\\"\n])*"
+"""
+_OPERATOR = r">>=|<<=|\.\.\.|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[+\-*/%&^|]=|[+\-*/%<>=&|^!~?:.]"
+_FLAGS = re.VERBOSE | re.DOTALL | re.ASCII  # \s, \d and \w match ASCII characters only
+# A lexeme is a token if it matches this whole; its category, keywords
+# aside, is the name of the group that matches.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<skip>\s+|//[^\n]*|/\*.*?\*/)
-  | (?P<open_comment>/\*)
-  | (?P<constant>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?[fFlL]?|\d+[eE][+-]?\d+[fFlL]?
-      | (0[xX][0-9a-fA-F]+|\d+)([uU][lL]{0,2}|[lL]{1,2}[uU]?)?
-      | '(\\.|[^\\'\n])+'
-      | "(\\.|[^\\"\n])*")
-  | (?P<identifier>[A-Za-z_]\w*)
-  | (?P<operator>>>=|<<=|\.\.\.|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[+\-*/%&^|]=|[+\-*/%<>=&|^!~?:.])
-  | (?P<punctuation>[()\[\]{};,])
-  | (?P<error>.)
-    """,
-    re.VERBOSE | re.DOTALL | re.ASCII,  # \s, \d and \w match ASCII characters only
+    f"(?P<identifier>{_IDENTIFIER}) | (?P<punctuation>{_PUNCTUATION})"
+    f" | (?P<constant>{_CONSTANT}) | (?P<operator>{_OPERATOR})",
+    _FLAGS,
+)
+
+# Whitespace and comments, then one lexeme, captured: a token, or else the
+# rest of the text from a comment never closed (tried before the operator
+# `/`) or from a character that starts no token, or else the empty end of
+# the text. No scan position fails to match, so a scan that meets trailing
+# whitespace never starts again one character later, and one that meets an
+# error reads nothing past it; and the capture always matches where the
+# skip stops, so the skip is never backtracked into. The scan is linear in
+# the text.
+_LEX_RE = re.compile(
+    rf"(?:\s+|//[^\n]*|/\*.*?\*/)* ({_IDENTIFIER}|{_PUNCTUATION}|{_CONSTANT}"
+    rf"| /\*.* |{_OPERATOR}| .+ | \Z)",
+    _FLAGS,
 )
 
 
-def tokenize(source: str) -> list[Token]:
-    """The tokens of `source`, by one scan: whitespace and comments are
-    matched and dropped. A comment that is never closed matches
-    `open_comment`, and the last alternative, `error`, matches the first
-    character no token starts with; either stops the scan."""
-    tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__  # Token(...) less the frame of its __new__
-    for m in _TOKEN_RE.finditer(source):
-        category = m.lastgroup
-        if category == "skip":
-            continue
-        text = m[0]
-        if text in KEYWORDS:  # only the identifier alternative matches one
-            category = "keyword"
-        elif category == "error" or category == "open_comment":
-            raise _scan_error(m)
-        append(new(Token, (category, text, m.start(), source)))
+class Tokens(list):
+    """The lexemes of `source` in order, each token its own spelling: its
+    category is `category(lexeme)`, its place `offsets(tokens)`."""
+
+    __slots__ = ("source",)
+
+
+def tokenize(source: str) -> Tokens:
+    """The tokens of `source`, by one `findall` of `_LEX_RE`. Only the last
+    lexeme can be an error, which then runs to the end of the text: it is
+    checked, and raised as a `TokenizeError`, before any token is returned."""
+    lexemes = _LEX_RE.findall(source)
+    lexemes.pop()  # \Z, at the end of the text
+    if lexemes and not lexemes[-1]:
+        lexemes.pop()  # \Z after skip text: the text's end was matched twice
+    if lexemes and _TOKEN_RE.fullmatch(lexemes[-1]) is None:
+        raise _scan_error(source, lexemes[-1])
+    tokens = Tokens(lexemes)
+    tokens.source = source
     return tokens
 
 
-def _scan_error(m: re.Match) -> TokenizeError:
-    """The error for a match of `open_comment` or `error`; a quote there
-    starts no literal the constant alternative accepts."""
-    text, start = m[0], m.start()
-    if text == "/*":
+def _scan_error(source: str, rest: str) -> TokenizeError:
+    """The error for the text's `rest`, which no token starts: a comment
+    never closed, a quote that opens no literal the constant alternative
+    accepts, or an illegal character."""
+    if rest.startswith("/*"):
         message = "unterminated comment"
-    elif text == '"':
+    elif rest[0] == '"':
         message = "unterminated string literal"
-    elif text == "'":
-        empty = m.string.startswith("''", start)
+    elif rest[0] == "'":
+        empty = rest.startswith("''")
         message = "empty character constant" if empty else "unterminated character constant"
     else:
-        message = f"illegal character {text!r}"
-    return TokenizeError(message, *position(m.string, start))
+        message = f"illegal character {rest[0]!r}"
+    return TokenizeError(message, *position(source, len(source) - len(rest)))
 
+
+def category(lexeme: str) -> str:
+    """A token's category, from its lexeme alone: keyword, identifier,
+    constant, operator or punctuation."""
+    if lexeme in KEYWORDS:
+        return "keyword"
+    return _TOKEN_RE.fullmatch(lexeme).lastgroup
+
+
+def offsets(tokens: Tokens) -> list[int]:
+    """Where each token starts in `tokens.source`, then where the last one
+    ends (0 if there is none): found by scanning the source again, since only
+    errors and tests read them."""
+    matches = list(islice(_LEX_RE.finditer(tokens.source), len(tokens)))
+    return [m.start(1) for m in matches] + [matches[-1].end(1) if matches else 0]
+
+
+# Each node kind's id, by name, as _K.Decl.
+_K = SimpleNamespace(**KIND_IDS)
+_TAG_KINDS = {"struct": _K.Struct, "union": _K.Union, "enum": _K.Enum}
+_JUMP_KINDS = {"break": _K.Break, "continue": _K.Continue}
 
 # Infix operators by level, lowest first; a higher level binds tighter.
 # Assignment and ?: group right to left, the ten binary levels of the C
@@ -139,6 +163,8 @@ _INFIX = {
 }
 
 _UNARY_PREFIX = frozenset(["+", "-", "*", "&", "!", "~", "++", "--"])
+# the keywords that start a type; a typedef name does too
+_TYPE_START = BASE_TYPE_KEYWORDS | QUALIFIERS | {"struct", "union", "enum", "typedef"}
 
 # The deepest nesting the parser accepts: the calls to _statement, _expression,
 # _modifiers, _initializer and _struct_union_enum_specifier open at once. Every
@@ -151,37 +177,31 @@ _UNARY_PREFIX = frozenset(["+", "-", "*", "&", "!", "~", "++", "--"])
 MAX_NESTING = 200
 
 
+def _is_identifier(lexeme: str) -> bool:
+    return lexeme not in KEYWORDS and lexeme.isidentifier()
+
+
 class Parser:
     """One instance per parse; holds the token cursor and typedef-name table,
     and builds its nodes through `table` (a fresh one if not given)."""
 
-    def __init__(self, tokens: list[Token], table: Optional[NodeTable] = None):
-        # Two end tokens: lookahead is at most one token past the cursor, and
-        # the cursor never moves past the first end token.
-        last = tokens[-1] if tokens else Token("end", "", 0, "")
-        end = Token("end", "", last.offset + len(last.lexeme), last.source)
-        self.tokens = tokens + [end, end]
+    def __init__(self, tokens: Tokens, table: Optional[NodeTable] = None):
+        self.tokens = tokens
+        # Two end tokens, the empty lexeme: lookahead is at most one token
+        # past the cursor, and the cursor never moves past the first one.
+        self.lex = tokens + ["", ""]
         self.pos = 0
         self.depth = 0  # the nesting levels open, up to MAX_NESTING
         self.typedefs: set[str] = set()
-        self.table = table if table is not None else NodeTable()
-
-    def _mk(self, kind_name: str, children: list[AstNode]) -> AstNode:
-        return self.table.node(KIND_IDS[kind_name], children)
+        self.node = (table if table is not None else NodeTable()).node
 
     # --- cursor helpers ---
 
-    def _peek(self, off: int = 0) -> Token:
-        return self.tokens[self.pos + off]
-
-    def _at_end(self) -> bool:
-        return self.tokens[self.pos].category == "end"
-
     def _error(self, message: str, expected: str = "") -> CParseError:
-        tok = self.tokens[self.pos]
-        if tok.category == "end":
+        if not self.lex[self.pos]:
             message = "unexpected end of input" + (message and ": " + message)
-        return CParseError(message, tok.line, tok.column, expected)
+        at = offsets(self.tokens)[self.pos]
+        return CParseError(message, *position(self.tokens.source, at), expected)
 
     def _nest(self) -> None:
         """Open one more nesting level. The method that opens it closes it as
@@ -191,66 +211,51 @@ class Parser:
         if self.depth > MAX_NESTING:
             raise self._error("nesting too deep")
 
-    def _advance(self) -> Token:
-        """Callers check the current token first, so it is never the end."""
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def _check(self, lexeme: str, off: int = 0) -> bool:
-        return self.tokens[self.pos + off].lexeme == lexeme
-
     def _accept(self, lexeme: str) -> bool:
-        if self._check(lexeme):
+        if self.lex[self.pos] == lexeme:
             self.pos += 1
             return True
         return False
 
     def _unexpected(self, expected: str) -> CParseError:
-        tok = self._peek()
-        if tok.category == "end":  # _error names the end of input
+        tok = self.lex[self.pos]
+        if not tok:  # _error names the end of input
             return self._error("", expected)
-        return self._error(f"unexpected {tok.category} {tok.lexeme!r}", expected)
+        return self._error(f"unexpected {category(tok)} {tok!r}", expected)
 
-    def _expect(self, lexeme: str) -> Token:
-        if not self._check(lexeme):
+    def _expect(self, lexeme: str) -> None:
+        if self.lex[self.pos] != lexeme:
             raise self._unexpected(repr(lexeme))
-        return self._advance()
+        self.pos += 1
 
-    def _expect_identifier(self) -> Token:
-        if self._peek().category != "identifier":
+    def _expect_identifier(self) -> None:
+        if not _is_identifier(self.lex[self.pos]):
             raise self._unexpected("identifier")
-        return self._advance()
+        self.pos += 1
 
     # --- type detection ---
 
-    def _is_typedef_name(self, tok: Token) -> bool:
-        return tok.category == "identifier" and tok.lexeme in self.typedefs
-
     def _starts_type(self, off: int = 0) -> bool:
-        tok = self._peek(off)
-        if tok.lexeme in BASE_TYPE_KEYWORDS or tok.lexeme in ("struct", "union", "enum"):
-            return True
-        if tok.lexeme in QUALIFIERS or tok.lexeme == "typedef":
-            return True
-        return self._is_typedef_name(tok)
+        tok = self.lex[self.pos + off]
+        return tok in _TYPE_START or tok in self.typedefs
 
     # --- top level ---
 
     def parse_translation_unit(self) -> AstNode:
         items: list[AstNode] = []
-        while not self._at_end():
+        while self.lex[self.pos]:
             items.extend(self._declaration(allow_funcdef=True))
-        return self._mk("Root", items)
+        return self.node(_K.Root, items)
 
     def _declaration(self, allow_funcdef: bool = False) -> list[AstNode]:
         """Parse one declaration; returns one node per declarator (C expands
         'int x, y;' into separate Decl nodes)."""
+        node = self.node
         is_typedef, base = self._declaration_specifiers()
 
         # 'struct S { ... };' with no declarator
         if self._accept(";"):
-            return [self._mk("Decl", [base])]
+            return [node(_K.Decl, (base,))]
 
         nodes: list[AstNode] = []
         first = True
@@ -258,21 +263,21 @@ class Parser:
             name, type_node = self._declarator(base)
             if is_typedef:
                 self.typedefs.add(name)
-                nodes.append(self._mk("Typedef", [type_node]))
+                nodes.append(node(_K.Typedef, (type_node,)))
             elif (
                 allow_funcdef
                 and first
-                and type_node.kind == KIND_IDS["FuncDecl"]
-                and self._check("{")
+                and type_node.kind == _K.FuncDecl
+                and self.lex[self.pos] == "{"
             ):
                 body = self._compound_statement()
-                decl = self._mk("Decl", [type_node])
-                return [self._mk("FuncDef", [decl, body])]
+                decl = node(_K.Decl, (type_node,))
+                return [node(_K.FuncDef, (decl, body))]
             else:
                 children = [type_node]
                 if self._accept("="):
                     children.append(self._initializer())
-                nodes.append(self._mk("Decl", children))
+                nodes.append(node(_K.Decl, children))
             first = False
             if self._accept(","):
                 continue
@@ -281,75 +286,78 @@ class Parser:
 
     def _declaration_specifiers(self) -> tuple[bool, AstNode]:
         """Returns (is_typedef, base type node: IdentifierType/Struct/Union/Enum)."""
+        lex = self.lex
         is_typedef = False
-        basic_words: list[str] = []
+        has_base = False  # a base type keyword or a typedef name was read
         tag_node: Optional[AstNode] = None
         while True:
-            tok = self._peek()
-            if tok.lexeme == "typedef":
+            tok = lex[self.pos]
+            if tok == "typedef":
                 is_typedef = True
-                self._advance()
-            elif tok.lexeme in QUALIFIERS:
-                self._advance()
-            elif tok.lexeme in BASE_TYPE_KEYWORDS:
-                basic_words.append(tok.lexeme)
-                self._advance()
-            elif tok.lexeme in ("struct", "union", "enum") and tag_node is None and not basic_words:
+                self.pos += 1
+            elif tok in QUALIFIERS:
+                self.pos += 1
+            elif tok in BASE_TYPE_KEYWORDS:
+                has_base = True
+                self.pos += 1
+            elif tok in _TAG_KINDS and tag_node is None and not has_base:
                 tag_node = self._struct_union_enum_specifier()
             elif (
-                self._is_typedef_name(tok)
+                tok in self.typedefs
                 and tag_node is None
-                and not basic_words
-                and self._declarator_follows(1)
+                and not has_base
+                and self._declarator_follows(lex[self.pos + 1])
             ):
-                basic_words.append(tok.lexeme)
-                self._advance()
+                has_base = True
+                self.pos += 1
             else:
                 break
         if tag_node is not None:
             return is_typedef, tag_node
-        if not basic_words:
+        if not has_base:
             raise self._unexpected("type specifier")
-        return is_typedef, self._mk("IdentifierType", [])
+        return is_typedef, self.node(_K.IdentifierType, ())
 
-    def _declarator_follows(self, off: int) -> bool:
+    @staticmethod
+    def _declarator_follows(tok: str) -> bool:
         """Disambiguates 'T x;' (T is a typedef name) from 'x;' misread."""
-        tok = self._peek(off)
-        return tok.category == "identifier" or tok.lexeme in ("*", "(", ";", ",", ")", "[")
+        return tok in ("*", "(", ";", ",", ")", "[") or _is_identifier(tok)
 
     def _struct_union_enum_specifier(self) -> AstNode:
         self._nest()
-        tag = self._advance().lexeme  # struct | union | enum
-        named = self._peek().category == "identifier"
+        lex = self.lex
+        tag = lex[self.pos]  # struct | union | enum
+        self.pos += 1
+        named = _is_identifier(lex[self.pos])
         if named:
-            self._advance()  # tag name, dropped
+            self.pos += 1  # tag name, dropped
         children: list[AstNode] = []
         if self._accept("{"):
             if tag == "enum":
                 enums: list[AstNode] = []
-                while not self._check("}"):
+                while lex[self.pos] != "}":
                     self._expect_identifier()
                     value: list[AstNode] = []
                     if self._accept("="):
                         value.append(self._expression(_TERNARY))
-                    enums.append(self._mk("Enumerator", value))
+                    enums.append(self.node(_K.Enumerator, value))
                     if not self._accept(","):
                         break
-                children.append(self._mk("EnumeratorList", enums))
+                children.append(self.node(_K.EnumeratorList, enums))
             else:
-                while not self._check("}"):
+                while lex[self.pos] != "}":
                     children.extend(self._struct_member_declaration())
             self._expect("}")
         elif not named:
             raise self._error(f"anonymous {tag} requires a body")
         self.depth -= 1
-        return self._mk(tag.capitalize(), children)
+        return self.node(_TAG_KINDS[tag], children)
 
     def _struct_member_declaration(self) -> list[AstNode]:
         _, base = self._declaration_specifiers()
         members: list[AstNode] = []
         while True:
-            members.append(self._mk("Decl", [self._declarator(base)[1]]))
+            members.append(self.node(_K.Decl, (self._declarator(base)[1],)))
             if self._accept(","):
                 continue
             self._expect(";")
@@ -362,28 +370,32 @@ class Parser:
     ) -> tuple[Optional[str], AstNode]:
         """Returns the declared name (None if abstract) and its type: the
         declarator's modifiers wrapped around TypeDecl(base)."""
+        node = self.node
         name, modifiers = self._modifiers(abstract)
-        t = self._mk("TypeDecl", [base])
+        t = node(_K.TypeDecl, (base,))
         for kind, before, after in modifiers:
-            t = self._mk(kind, [*before, t, *after])
+            t = node(kind, (*before, t, *after))
         return name, t
 
     def _modifiers(self, abstract: bool) -> tuple[Optional[str], list]:
         """Parses a declarator into its name and its modifiers, innermost first:
         (kind, children before the type, children after it) for each."""
         self._nest()
+        lex = self.lex
         modifiers = []
         while self._accept("*"):
-            while self._peek().lexeme in QUALIFIERS:
-                self._advance()
-            modifiers.append(("PtrDecl", (), ()))
+            while lex[self.pos] in QUALIFIERS:
+                self.pos += 1
+            modifiers.append((_K.PtrDecl, (), ()))
 
         name: Optional[str] = None
         nested = []  # a parenthesized declarator's modifiers wrap all of ours
-        if self._peek().category == "identifier":
-            name = self._advance().lexeme
-        elif self._check("(") and self._nested_declarator_follows():
-            self._advance()
+        tok = lex[self.pos]
+        if _is_identifier(tok):
+            name = tok
+            self.pos += 1
+        elif tok == "(" and self._nested_declarator_follows():
+            self.pos += 1
             name, nested = self._modifiers(abstract)
             self._expect(")")
         elif not abstract:
@@ -393,14 +405,14 @@ class Parser:
         while True:
             if self._accept("["):
                 dim: list[AstNode] = []
-                if not self._check("]"):
+                if lex[self.pos] != "]":
                     dim.append(self._expression(_ASSIGN))
                 self._expect("]")
-                suffixes.append(("ArrayDecl", (), dim))
+                suffixes.append((_K.ArrayDecl, (), dim))
             elif self._accept("("):
                 params = self._parameter_list()
                 self._expect(")")
-                suffixes.append(("FuncDecl", [params] if params else [], ()))
+                suffixes.append((_K.FuncDecl, [params] if params else [], ()))
             else:
                 break
         self.depth -= 1
@@ -409,23 +421,20 @@ class Parser:
     def _nested_declarator_follows(self) -> bool:
         """After '(', distinguish a parenthesized declarator from a parameter
         list (for abstract declarators in type names)."""
-        tok = self._peek(1)
-        return tok.lexeme in ("*", "(") or tok.category == "identifier" and not self._is_typedef_name(tok)
+        tok = self.lex[self.pos + 1]
+        return tok in ("*", "(") or _is_identifier(tok) and tok not in self.typedefs
 
     def _parameter_list(self) -> Optional[AstNode]:
-        if self._check(")"):
+        if self.lex[self.pos] == ")":
             return None
         params: list[AstNode] = []
         while True:
             _, base = self._declaration_specifiers()
             name, type_node = self._declarator(base, abstract=True)
-            if name is None:
-                params.append(self._mk("Typename", [type_node]))
-            else:
-                params.append(self._mk("Decl", [type_node]))
+            params.append(self.node(_K.Typename if name is None else _K.Decl, (type_node,)))
             if not self._accept(","):
                 break
-        return self._mk("ParamList", params)
+        return self.node(_K.ParamList, params)
 
     def _type_name(self) -> AstNode:
         """A parenthesized type name, as in a cast or sizeof."""
@@ -435,7 +444,7 @@ class Parser:
         if name is not None:
             raise self._error("type name must not declare an identifier")
         self._expect(")")
-        return self._mk("Typename", [type_node])
+        return self.node(_K.Typename, (type_node,))
 
     # --- statements ---
 
@@ -444,86 +453,88 @@ class Parser:
         case or default label re-parent under it, as in the reference tree,
         and an open label is (kind, children) in `items` until the body ends."""
         self._expect("{")
+        lex = self.lex
         items: list = []
         into = items  # the list the next statement joins: the block's or a label's
-        while not self._check("}"):
-            if self._at_end():
+        while True:
+            tok = lex[self.pos]
+            if tok == "}":
+                break
+            if not tok:
                 what = "switch body" if switch else "block"
                 raise self._error(f"unterminated {what}", expected="'}'")
-            if switch and self._accept("case"):
+            if switch and tok == "case":
+                self.pos += 1
                 into = [self._expression(_TERNARY)]
                 self._expect(":")
-                items.append(("Case", into))
-            elif switch and self._accept("default"):
+                items.append((_K.Case, into))
+            elif switch and tok == "default":
+                self.pos += 1
                 self._expect(":")
                 into = []
-                items.append(("Default", into))
+                items.append((_K.Default, into))
             elif self._starts_type():
                 into.extend(self._declaration())
             else:
                 into.append(self._statement())
-        self._expect("}")
+        self.pos += 1
         if switch:
-            items = [self._mk(*item) if item.__class__ is tuple else item for item in items]
-        return self._mk("Compound", items)
+            items = [self.node(*item) if item.__class__ is tuple else item for item in items]
+        return self.node(_K.Compound, items)
 
     def _statement(self) -> AstNode:
         self._nest()
-        tok = self._peek()
-        if tok.category == "end":
+        node = self.node
+        lex = self.lex
+        tok = lex[self.pos]
+        if not tok:
             raise self._error("statement expected")
-        lex = tok.lexeme
-        if lex == "{":
+        if tok == "{":
             stmt = self._compound_statement()
-        elif lex == ";":
-            self._advance()
-            stmt = self._mk("EmptyStatement", [])
-        elif lex == "if":
-            self._advance()
+        elif tok == ";":
+            self.pos += 1
+            stmt = node(_K.EmptyStatement, ())
+        elif tok == "if":
+            self.pos += 1
             children = [self._parenthesized(), self._statement()]
             if self._accept("else"):
                 children.append(self._statement())
-            stmt = self._mk("If", children)
-        elif lex == "for":
+            stmt = node(_K.If, children)
+        elif tok == "for":
             stmt = self._for_statement()
-        elif lex == "while":
-            self._advance()
-            stmt = self._mk("While", [self._parenthesized(), self._statement()])
-        elif lex == "do":
-            self._advance()
+        elif tok == "while":
+            self.pos += 1
+            stmt = node(_K.While, (self._parenthesized(), self._statement()))
+        elif tok == "do":
+            self.pos += 1
             body = self._statement()
             self._expect("while")
             cond = self._parenthesized()
             self._expect(";")
-            stmt = self._mk("DoWhile", [cond, body])
-        elif lex == "switch":
-            self._advance()
+            stmt = node(_K.DoWhile, (cond, body))
+        elif tok == "switch":
+            self.pos += 1
             cond = self._parenthesized()
-            stmt = self._mk("Switch", [cond, self._compound_statement(switch=True)])
-        elif lex == "break" or lex == "continue":
-            self._advance()
+            stmt = node(_K.Switch, (cond, self._compound_statement(switch=True)))
+        elif tok in _JUMP_KINDS:
+            self.pos += 1
             self._expect(";")
-            stmt = self._mk(lex.capitalize(), [])
-        elif lex == "goto":
-            self._advance()
+            stmt = node(_JUMP_KINDS[tok], ())
+        elif tok == "goto":
+            self.pos += 1
             self._expect_identifier()
             self._expect(";")
-            stmt = self._mk("Goto", [])
-        elif lex == "return":
-            self._advance()
+            stmt = node(_K.Goto, ())
+        elif tok == "return":
+            self.pos += 1
             expr: list[AstNode] = []
-            if not self._check(";"):
+            if lex[self.pos] != ";":
                 expr.append(self._expression())
             self._expect(";")
-            stmt = self._mk("Return", expr)
-        elif (
-            tok.category == "identifier"
-            and self._check(":", 1)
-            and not self._is_typedef_name(tok)
-        ):
-            self._advance()
-            self._advance()
-            stmt = self._mk("Label", [self._statement()])
+            stmt = node(_K.Return, expr)
+        elif lex[self.pos + 1] == ":" and _is_identifier(tok) and tok not in self.typedefs:
+            self.pos += 2
+            stmt = node(_K.Label, (self._statement(),))
         else:
             stmt = self._expression()
             self._expect(";")
@@ -540,23 +551,24 @@ class Parser:
     def _for_statement(self) -> AstNode:
         self._expect("for")
         self._expect("(")
+        lex = self.lex
         children: list[AstNode] = []
         if self._starts_type():
             decls = self._declaration()  # consumes the ';'
-            children.append(self._mk("DeclList", decls))
+            children.append(self.node(_K.DeclList, decls))
         elif self._accept(";"):
             pass
         else:
             children.append(self._expression())
             self._expect(";")
-        if not self._check(";"):
+        if lex[self.pos] != ";":
             children.append(self._expression())
         self._expect(";")
-        if not self._check(")"):
+        if lex[self.pos] != ")":
             children.append(self._expression())
         self._expect(")")
         children.append(self._statement())
-        return self._mk("For", children)
+        return self.node(_K.For, children)
 
     # --- expressions ---
 
@@ -565,25 +577,27 @@ class Parser:
         operator of level min_prec or higher with its right operand. At the
         lowest level, a comma sequence collapses into one ExprList."""
         self._nest()
+        node = self.node
+        lex = self.lex
         left = self._operand()
         while True:
-            prec = _INFIX.get(self._peek().lexeme)
+            prec = _INFIX.get(lex[self.pos])
             if prec is None or prec < min_prec:
                 break
-            self._advance()
+            self.pos += 1
             if prec == _ASSIGN:
-                left = self._mk("Assignment", [left, self._expression(_ASSIGN)])
+                left = node(_K.Assignment, (left, self._expression(_ASSIGN)))
             elif prec == _TERNARY:
                 iftrue = self._expression()
                 self._expect(":")
-                left = self._mk("TernaryOp", [left, iftrue, self._expression(_TERNARY)])
+                left = node(_K.TernaryOp, (left, iftrue, self._expression(_TERNARY)))
             else:
-                left = self._mk("BinaryOp", [left, self._expression(prec + 1)])
-        if min_prec == _COMMA and self._check(","):
+                left = node(_K.BinaryOp, (left, self._expression(prec + 1)))
+        if min_prec == _COMMA and lex[self.pos] == ",":
             exprs = [left]
             while self._accept(","):
                 exprs.append(self._expression(_ASSIGN))
-            left = self._mk("ExprList", exprs)
+            left = node(_K.ExprList, exprs)
         self.depth -= 1
         return left
 
@@ -592,88 +606,95 @@ class Parser:
         in a loop, outermost first, then folded around the primary expression
         and its postfix operators, innermost first, so they open no nesting
         level."""
-        prefixes = []  # (kind, children before the operand), outermost first
+        node = self.node
+        lex = self.lex
+        prefixes = []  # (kind, a cast's type name or None), outermost first
         postfix = True  # sizeof(type) takes no postfix operator
         while True:
-            tok = self._peek()
-            if tok.lexeme == "(" and self._starts_type(1):
-                type_name = self._type_name()
-                if self._check("{"):
-                    expr = self._mk("CompoundLiteral", [type_name, self._initializer()])
-                    break
-                prefixes.append(("Cast", [type_name]))
-            elif tok.lexeme in _UNARY_PREFIX:
-                self._advance()
-                prefixes.append(("UnaryOp", []))
-            elif tok.lexeme == "sizeof":
-                self._advance()
-                if self._check("(") and self._starts_type(1):
-                    expr = self._mk("UnaryOp", [self._type_name()])
-                    postfix = False
-                    break
-                prefixes.append(("UnaryOp", []))
-            elif tok.category == "identifier" or tok.category == "constant":
-                self._advance()
-                expr = self._mk("ID" if tok.category == "identifier" else "Constant", [])
+            tok = lex[self.pos]
+            if _is_identifier(tok):
+                self.pos += 1
+                expr = node(_K.ID, ())
                 break
-            elif tok.lexeme == "(":
-                self._advance()
+            elif tok == "(":
+                if self._starts_type(1):
+                    type_name = self._type_name()
+                    if lex[self.pos] == "{":
+                        expr = node(_K.CompoundLiteral, (type_name, self._initializer()))
+                        break
+                    prefixes.append((_K.Cast, type_name))
+                    continue
+                self.pos += 1
                 expr = self._expression()
                 self._expect(")")
                 break
-            elif tok.category == "end":
+            elif tok in _UNARY_PREFIX:
+                self.pos += 1
+                prefixes.append((_K.UnaryOp, None))
+            elif tok == "sizeof":
+                self.pos += 1
+                if lex[self.pos] == "(" and self._starts_type(1):
+                    expr = node(_K.UnaryOp, (self._type_name(),))
+                    postfix = False
+                    break
+                prefixes.append((_K.UnaryOp, None))
+            elif not tok:
                 raise self._error("expression expected")
+            elif category(tok) == "constant":
+                self.pos += 1
+                expr = node(_K.Constant, ())
+                break
             else:
                 raise self._unexpected("expression")
         while postfix:
-            lex = self._peek().lexeme
-            if lex == "[":
-                self._advance()
+            tok = lex[self.pos]
+            if tok == "[":
+                self.pos += 1
                 subscript = self._expression()
                 self._expect("]")
-                expr = self._mk("ArrayRef", [expr, subscript])
-            elif lex == "(":
-                self._advance()
-                args: list[AstNode] = []
-                if not self._check(")"):
+                expr = node(_K.ArrayRef, (expr, subscript))
+            elif tok == "(":
+                self.pos += 1
+                children = [expr]
+                if lex[self.pos] != ")":
                     call_args = [self._expression(_ASSIGN)]
                     while self._accept(","):
                         call_args.append(self._expression(_ASSIGN))
-                    args.append(self._mk("ExprList", call_args))
+                    children.append(node(_K.ExprList, call_args))
                 self._expect(")")
-                expr = self._mk("FuncCall", [expr] + args)
-            elif lex in (".", "->"):
-                self._advance()
+                expr = node(_K.FuncCall, children)
+            elif tok == "." or tok == "->":
+                self.pos += 1
                 self._expect_identifier()
-                expr = self._mk("StructRef", [expr, self._mk("ID", [])])
-            elif lex in ("++", "--"):
-                self._advance()
-                expr = self._mk("UnaryOp", [expr])
+                expr = node(_K.StructRef, (expr, node(_K.ID, ())))
+            elif tok == "++" or tok == "--":
+                self.pos += 1
+                expr = node(_K.UnaryOp, (expr,))
             else:
                 break
         for kind, before in reversed(prefixes):
-            expr = self._mk(kind, [*before, expr])
+            expr = node(kind, (expr,) if before is None else (before, expr))
         return expr
 
     def _initializer(self) -> AstNode:
         self._nest()
         if self._accept("{"):
             items: list[AstNode] = []
-            while not self._check("}"):
+            while self.lex[self.pos] != "}":
                 items.append(self._initializer())
                 if not self._accept(","):
                     break
             self._expect("}")
-            init = self._mk("InitList", items)
+            init = self.node(_K.InitList, items)
         else:
             init = self._expression(_ASSIGN)
         self.depth -= 1
         return init
 
 
-def parse_program(tokens: list[Token], table: Optional[NodeTable] = None) -> AstNode:
-    """Parse a token list; the tree's nodes come from `table`, so trees parsed
-    through one table share their equal subtrees."""
+def parse_program(tokens: Tokens, table: Optional[NodeTable] = None) -> AstNode:
+    """Parse the tokens of one source; the tree's nodes come from `table`,
+    so trees parsed through one table share their equal subtrees."""
     parser = Parser(tokens, table)
     try:
         return parser.parse_translation_unit()
@@ -688,14 +709,15 @@ def parse_source(source: str, table: Optional[NodeTable] = None) -> AstNode:
 
 
 def read_source(path) -> str:
-    """The text of a source file, read as `open` reads UTF-8 text."""
+    """The text of a source file, as `open` reads UTF-8 text: decoded, with
+    "\\r\\n" and "\\r" read as "\\n"."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        return normalize_newlines(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         # the first bad byte's position, with newlines read as open() reads them
-        good = exc.object[: exc.start].decode("utf-8")
-        good = good.replace("\r\n", "\n").replace("\r", "\n")
+        good = normalize_newlines(data[: exc.start].decode("utf-8"))
         raise CParseError("not valid UTF-8", *position(good, len(good))) from None
 
 

@@ -13,6 +13,7 @@ from astvec.ast_core import (
     AstNode,
     KIND_IDS,
     KIND_NAMES,
+    MAX_JSON_NESTING,
     LabeledProgram,
     NodeTable,
     UnknownKindError,
@@ -542,26 +543,40 @@ class TestOnePassLoader:
                              ids=["load_ast", "load_corpus"])
     def test_chains_up_to_the_depth_limit(self, load, wrap):
         # Canonical chains load at any height. A reordered chain goes to the
-        # JSON decoder, whose depth limit depends on the interpreter and on
-        # the stack, so it is found by bisection, and every chain is loaded
-        # through `chain`, at one stack depth.
-        def chain(depth, reordered):
-            return outcome(load, wrap(deep_doc(depth, reordered)))
+        # JSON decoder, which takes MAX_JSON_NESTING containers, two a node,
+        # with the same verdicts from a stack 300 frames deeper.
+        def chain(depth, reordered, frames=0):
+            return _nested(frames, lambda: outcome(load, wrap(deep_doc(depth, reordered))))
 
-        low, high = 1, 2000
-        assert isinstance(chain(low, True), str)
-        assert not isinstance(chain(high, True), str)
-        while high - low > 1:
-            mid = (low + high) // 2
-            low, high = (mid, high) if isinstance(chain(mid, True), str) else (low, mid)
-        for depth in [*range(1, low + 20), 5000]:
-            want = deep_doc(depth) if load is load_ast else wrap(deep_doc(depth)) + "\n"
-            assert chain(depth, False) == want, depth
-            if depth <= low:
-                assert chain(depth, True) == want, depth
+        def loaded(depth):
+            return deep_doc(depth) if load is load_ast else wrap(deep_doc(depth)) + "\n"
+
+        limit = MAX_JSON_NESTING // 2
+        for depth in [*range(1, limit + 20), 5000]:
+            assert chain(depth, False) == loaded(depth), depth
+            if depth <= limit:
+                assert chain(depth, True) == loaded(depth), depth
         too_deep = "nesting too deep" if load is load_ast else "corpus line 1: nesting too deep"
-        for depth in range(low + 1, low + 20):
+        for depth in range(limit + 1, limit + 20):
             assert chain(depth, True) == (AstFormatError, too_deep), depth
+        for frames in (0, 300):
+            assert chain(limit, True, frames) == loaded(limit)
+            assert chain(limit + 1, True, frames) == (AstFormatError, too_deep)
+
+    def test_json_nesting_counts_containers_outside_strings(self):
+        n = MAX_JSON_NESTING
+        assert outcome(load_ast, "[" * n + "]" * n) == (
+            AstFormatError, "expected object at root, got list")
+        assert outcome(load_ast, "[" * (n + 1) + "]" * (n + 1)) == (
+            AstFormatError, "nesting too deep")
+        # more than n brackets, but never more than two containers open
+        assert outcome(load_ast, "[" + ",".join(["[]"] * n) + "]") == (
+            AstFormatError, "expected object at root, got list")
+        # a spaced record, decoded whole, with a label of 2n brackets
+        label = json.dumps("[{" * n + '"')
+        line = f'{{"label": {label}, "source_id": "s", "ast": {{"kind": "ID", "children": []}}}}'
+        [program] = load_corpus(line)
+        assert program.label == "[{" * n + '"'
 
     @pytest.mark.parametrize("line", MUTATED_CORPUS_LINES)
     def test_each_ast_text_is_decoded_once(self, corpus, line):
@@ -596,7 +611,7 @@ class TestOnePassLoader:
                 break
         with mock.patch.object(ast_core, "_read_canonical",
                                wraps=ast_core._read_canonical) as reader, \
-                mock.patch.object(json, "loads", wraps=json.loads) as spy:
+                mock.patch.object(ast_core, "_decode", wraps=ast_core._decode) as spy:
             outcome(load_corpus, text)
             outcome(load_ast, line)
         assert [call.args[0] for call in reader.call_args_list] == read + [line]
@@ -636,8 +651,9 @@ class TestOnePassLoader:
         assert outcome(load_corpus, text) == error
 
     def test_tall_canonical_lines_share_nodes(self):
-        # 300 levels, 20 times as tall as the bundled corpus' trees
-        canonical, reordered = deep_doc(300), deep_doc(300, reordered=True)
+        # 200 levels, the most a reordered chain may have, 13 times as tall
+        # as the bundled corpus' trees
+        canonical, reordered = deep_doc(200), deep_doc(200, reordered=True)
         text = "\n".join([record(canonical, "a"), record(reordered, "b"),
                           record(canonical, "c")])
         assert_same_outcome(load_corpus, reference_load_corpus, text)
@@ -662,7 +678,7 @@ class TestOnePassLoader:
             assert outcome(load_ast, chain) == chain
             assert outcome(load_corpus, record(chain)) == record(chain) + "\n"
         assert len(corpus) > 0
-        reordered = deep_doc(300, reordered=True)
+        reordered = deep_doc(200, reordered=True)
         for load, reference, doc in [(load_ast, reference_load_ast, reordered),
                                      (load_corpus, reference_load_corpus, record(reordered))]:
             want = outcome(reference, doc)

@@ -1,10 +1,15 @@
 import collections
+import importlib
+import pkgutil
+import re
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from pycparser import c_ast, c_parser
 
+import astvec
 from astvec import corpusgen
 from astvec.ast_core import KIND_NAMES, dump_ast
 from astvec.cparse import (
@@ -12,9 +17,13 @@ from astvec.cparse import (
     CParseError,
     ParseMemo,
     TokenizeError,
+    category,
+    offsets,
     parse_file,
     parse_program,
     parse_source,
+    position,
+    read_source,
     tokenize,
 )
 
@@ -39,7 +48,7 @@ class TestTokenize:
 
     def test_simple_decl(self):
         toks = tokenize("int x;")
-        assert [(t.category, t.lexeme) for t in toks] == [
+        assert [(category(t), t) for t in toks] == [
             ("keyword", "int"),
             ("identifier", "x"),
             ("punctuation", ";"),
@@ -47,8 +56,10 @@ class TestTokenize:
 
     def test_positions(self):
         toks = tokenize("int x;\n  y = 2;")
-        assert (toks[0].line, toks[0].column) == (1, 1)
-        assert (toks[3].line, toks[3].column) == (2, 3)
+        at = offsets(toks)
+        assert position(toks.source, at[0]) == (1, 1)
+        assert position(toks.source, at[3]) == (2, 3)
+        assert position(toks.source, at[-1]) == (2, 9)  # the end of the last token
 
     def test_snippet_token_count(self):
         # hand count: double doubles ( double doublee ) { return 2 * doublee ; }
@@ -57,7 +68,7 @@ class TestTokenize:
 
     def test_comments_stripped(self):
         toks = tokenize("int x; // trailing\n/* block\n comment */ int y;")
-        assert [t.lexeme for t in toks] == ["int", "x", ";", "int", "y", ";"]
+        assert toks == ["int", "x", ";", "int", "y", ";"]
 
     @pytest.mark.parametrize("src", [
         'char *s = "oops;\n',
@@ -104,6 +115,51 @@ class TestTokenize:
             tokenize('int x = "a\\\nb"; @')
         assert (exc.value.line, exc.value.column) == (2, 5)
 
+    @pytest.mark.parametrize("src,error", [
+        ("x" + " " * 1_000_000, None),
+        ("x " + "/* " * 66_667, "unterminated comment"),
+        ('x "' + '\\"' * 100_000, "unterminated string literal"),
+    ], ids=["trailing-spaces", "open-comments", "open-string"])
+    def test_linear_time(self, src, error):
+        # A scan that started again one character later at each trailing
+        # space, or that read on past the first error, would take minutes here.
+        start = time.perf_counter()
+        try:
+            got = tokenize(src)
+        except TokenizeError as exc:
+            got = exc.message
+        assert time.perf_counter() - start < 1.0
+        assert got == (error or ["x"])
+
+
+def test_patterns_compile_on_python_3_10():
+    # The package supports Python 3.10, whose `re` has no atomic groups or
+    # possessive quantifiers: a pattern with one fails to compile there, and
+    # its module fails to import.
+    parser = pytest.importorskip("re._parser")
+    newer = {parser.ATOMIC_GROUP, parser.POSSESSIVE_REPEAT}
+
+    def opcodes(sub):
+        for op, av in sub:
+            yield op
+            stack = [av]
+            while stack:
+                x = stack.pop()
+                if isinstance(x, parser.SubPattern):
+                    yield from opcodes(x)
+                elif isinstance(x, (tuple, list)):
+                    stack.extend(x)
+
+    patterns = [
+        value
+        for info in pkgutil.iter_modules(astvec.__path__)
+        for value in vars(importlib.import_module(f"astvec.{info.name}")).values()
+        if isinstance(value, re.Pattern)
+    ]
+    assert len(patterns) >= 3  # cparse's two, ast_core's one
+    for pattern in patterns:
+        assert not newer & set(opcodes(parser.parse(pattern.pattern, pattern.flags))), pattern
+
 
 # Pieces of C and of what is not C, for text that stresses the scan: comments
 # open and closed, strings and characters across lines, illegal characters.
@@ -123,7 +179,8 @@ def outcome(tokens_of, source):
 
 
 def positions(source):
-    return [(t.category, t.lexeme, t.line, t.column) for t in tokenize(source)]
+    toks = tokenize(source)
+    return [(category(t), t, *position(source, at)) for t, at in zip(toks, offsets(toks))]
 
 
 def assert_matches_oracle(source):
@@ -522,7 +579,14 @@ def test_parse_memo_parses_a_text_once(bad):
 def test_end_tokens_not_returned():
     toks = tokenize("int x;")
     parse_program(toks)
-    assert len(toks) == 3 and all(t.category != "end" for t in toks)
+    assert toks == ["int", "x", ";"]
+
+
+def test_read_source_reads_as_open_does(tmp_path):
+    path = tmp_path / "mixed.c"
+    path.write_bytes("\ufeffint x;\r\nint y;\rint z;\n\r\n\r\r/* \u00e9 */\r".encode())
+    with open(path, encoding="utf-8") as fh:
+        assert read_source(path) == fh.read()
 
 
 @pytest.mark.parametrize("data,line,column", [
