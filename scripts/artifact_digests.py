@@ -24,15 +24,13 @@ checkpoint's format alone leaves state.txt as it was. And it writes
 objective.txt: the repr of `coder.objective` at model.json's parameters, over
 one negative per sample of the corpus, drawn with seed OBJECTIVE_SEED.
 
-Before the digests it prints one line to stderr: the OpenBLAS core and numpy's
-SIMD targets. The six `_curves.csv` digests depend on both, so compare them
-only between runs whose host lines match. Run from anywhere:
+No digest depends on the host: the classification curves are computed in the
+kernel, in a fixed order, not by BLAS or numpy's SIMD loops. Run from anywhere:
 
     python3 scripts/artifact_digests.py
 """
 
 import contextlib
-import ctypes
 import dataclasses
 import hashlib
 import io
@@ -235,19 +233,6 @@ def objective_result(path: Path) -> str:
     return repr(coder.objective(pairs, state.params, state.hyper)) + "\n"
 
 
-def host_line() -> str:
-    """The OpenBLAS core, read from numpy's bundled library (`unknown` if it
-    has none), and numpy's SIMD targets found at run time."""
-    core = "unknown"
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.restype = ctypes.c_char_p
-            core = corename().decode()
-    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
-    return f"# host: OpenBLAS core {core}, numpy SIMD targets {simd}"
-
-
 def write_sources(src: Path) -> None:
     for label, source_id, text in corpusgen.generate_sources(seed=0):
         (src / label).mkdir(parents=True, exist_ok=True)
@@ -284,7 +269,6 @@ def write_artifacts(d: Path, src: Path) -> None:
 
 
 def main() -> int:
-    print(host_line(), file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp) / "artifacts"
         d.mkdir()

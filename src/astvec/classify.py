@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import kernel
 from .ast_core import VOCAB_SIZE, AstNode, LabeledProgram
 from .coder import uniform_init
 
@@ -91,7 +92,7 @@ class Batch(NamedTuple):
     @classmethod
     def of(cls, X: np.ndarray, y: np.ndarray) -> Batch:
         X = np.ascontiguousarray(X, dtype=np.float64)
-        y = np.asarray(y)
+        y = np.asarray(y, dtype=np.int64)
         if X.shape[0] != len(y):
             raise ValueError("feature/label length mismatch")
         first: dict[tuple[bytes, int], int] = {}
@@ -114,12 +115,6 @@ def task(
     X = np.stack([node_histogram(p.ast) for p in corpus])
     y = np.array([labels.index(p.label) for p in corpus])
     return (labels, *(Batch.of(X[part], y[part]) for part in spec))
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 # --- model ---
@@ -146,8 +141,8 @@ class ClassifierModel:
 
     shapes: list[tuple[int, ...]]  # of the table, if any, then of each W and b
     flat: np.ndarray
-    mu: np.ndarray | None = None   # input standardization
-    sigma: np.ndarray | None = None
+    mu: np.ndarray  # input standardization, (x - mu) / sigma
+    sigma: np.ndarray
 
     def __post_init__(self):
         ends = np.cumsum([math.prod(shape) for shape in self.shapes]).tolist()
@@ -159,26 +154,6 @@ class ClassifierModel:
         parts = [flat[start:end].reshape(shape) for start, end, shape in self._spans]
         table = parts.pop(0) if len(parts) % 2 else None
         return table, parts[0::2], parts[1::2]
-
-    def raw_input(self, batch: Batch) -> np.ndarray:
-        """The input before standardization: the mean node embedding
-        hist @ embed, or the counts themselves for a model without a table."""
-        return batch.X if self.embed is None else batch.hist @ self.embed
-
-    def activations(self, batch: Batch) -> list[np.ndarray]:
-        """The output of every layer on the batch's rows, the standardized
-        input first and the class probabilities last."""
-        a = (self.raw_input(batch) - self.mu) / self.sigma
-        outputs = [a]
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = a @ W
-            a += b
-            np.tanh(a, out=a)
-            outputs.append(a)
-        logits = a @ self.weights[-1]
-        logits += self.biases[-1]
-        outputs.append(_softmax(logits))
-        return outputs
 
 
 @dataclass
@@ -207,14 +182,12 @@ def _init_model(
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         parts += [uniform_init(rng, (fan_in, fan_out), fan_in, fan_out), np.zeros(fan_out)]
     model = ClassifierModel([part.shape for part in parts],
-                            np.concatenate([part.ravel() for part in parts]))
-    # standardization constants: the mean and std over every training row
-    x0 = model.raw_input(batch)
-    n = batch.counts.sum()
-    model.mu = batch.counts @ x0 / n
-    model.sigma = np.sqrt(batch.counts @ (x0 - model.mu) ** 2 / n)
-    # a constant input has std 0, which rounding in mu can make 1e-17
-    model.sigma[(x0 == x0[:1]).all(axis=0)] = 1.0
+                            np.concatenate([part.ravel() for part in parts]),
+                            np.empty(sizes[0]), np.empty(sizes[0]))
+    # standardization constants: the mean and std of the input over every
+    # training row; a constant input takes its value and 1, so that it
+    # standardizes to exactly 0
+    kernel.classifier_pass(model, batch, fit=True)
     return model
 
 
@@ -222,33 +195,8 @@ def loss_and_gradients(model: ClassifierModel, batch: Batch, fine_tune: bool):
     """(loss, accuracy, grad): the cross-entropy and the accuracy of the
     model on the batch, and the exact gradient of the loss, laid out like
     `model.flat` and 0 on the table unless fine-tuning."""
-    activations = model.activations(batch)
-    probs = activations.pop()
-    accuracy, loss = _accuracy_and_xent(probs, batch.y, batch.counts)
-
-    delta = probs  # (probs - one-hot labels) * count / n
-    delta[np.arange(len(batch.y)), batch.y] -= 1.0
-    delta *= (batch.counts / batch.counts.sum())[:, None]
-
-    grad = np.zeros_like(model.flat)
-    grad_embed, grads_w, grads_b = model.views(grad)
-    table = grad_embed is not None and fine_tune
-    dz = delta
-    for layer in range(len(model.weights) - 1, -1, -1):
-        a = activations[layer]
-        grads_w[layer][...] = a.T @ dz
-        grads_b[layer][...] = dz.sum(axis=0)
-        if layer == 0 and not table:
-            break
-        upstream = dz @ model.weights[layer].T
-        if layer > 0:  # back through tanh: a is spent, so it takes 1 - a**2
-            np.square(a, out=a)
-            np.subtract(1.0, a, out=a)
-            upstream *= a
-            dz = upstream
-
-    if table:
-        grad_embed[...] = batch.hist.T @ (upstream / model.sigma)
+    grad = np.empty_like(model.flat)
+    loss, accuracy = kernel.classifier_pass(model, batch, grad, fine_tune)
     return loss, accuracy, grad
 
 
@@ -301,21 +249,11 @@ def train_classifier(
     return model, curves
 
 
-def _accuracy_and_xent(
-    probs: np.ndarray, y: np.ndarray, counts: np.ndarray
-) -> tuple[float, float]:
-    """(accuracy, cross-entropy) of rows with class probabilities `probs`
-    and labels `y`, each counted `counts` times; the accuracy is exact."""
-    n = counts.sum()
-    accuracy = float(counts[np.argmax(probs, axis=1) == y].sum() / n)
-    log_p = np.log(probs[np.arange(len(y)), y] + 1e-300)
-    xent = float(0.0 - counts @ log_p / n)  # never -0.0
-    return accuracy, xent
-
-
 def evaluate(model: ClassifierModel, batch: Batch) -> tuple[float, float]:
-    """(accuracy fraction, cross-entropy); argmax ties break to the lowest index."""
-    return _accuracy_and_xent(model.activations(batch)[-1], batch.y, batch.counts)
+    """(accuracy fraction, cross-entropy); the accuracy is exact, and argmax
+    ties break to the lowest index."""
+    loss, accuracy = kernel.classifier_pass(model, batch)
+    return accuracy, loss
 
 
 def curves_csv(curves: TrainCurves) -> str:

@@ -2,7 +2,7 @@
 
 Subcommands: parse, corpus-build, train, nn, cluster, classify, export.
 Exit codes: 0 success, 1 usage error, 2 input/format error, 3 numerical failure
-or out of memory, 4 the training kernel cannot be compiled.
+or out of memory, 4 the C kernel cannot be compiled.
 
 Only the front end, `cparse` and `ast_core`, is imported here; each other
 command imports the modules it runs, so `parse` and `corpus-build --src-dir`
@@ -323,7 +323,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from . import classify
+    from . import classify, kernel
 
     if args.epochs < 0:
         raise CliError("epochs must be >= 0", EXIT_USAGE)
@@ -360,6 +360,8 @@ def cmd_classify(args) -> int:
             curves_files.append((out_dir / f"{name}_curves.csv",
                                  f"# seed={args.seed}\n" + classify.curves_csv(curves)))
             summary.append(f"{name:24s} test accuracy {acc * 100:6.2f}%  xent {xent:.4f}")
+    except kernel.KernelBuildError as exc:
+        raise CliError(str(exc), EXIT_BUILD)
     except RuntimeError as exc:
         raise CliError(str(exc), EXIT_NUMERIC)
     summary.append(f"{'random_guess':24s} test accuracy {100.0 / len(labels):6.2f}%")

@@ -1,8 +1,12 @@
-/* The coder in C, compiled on first use and loaded with ctypes. Two entries
-   share one forward pass, `forward` below: `train_epoch` runs one epoch of
-   momentum SGD on the coding criterion (for `trainer`), and `code_rows` codes
-   packed rows (for `coder.objective`). The function of the same name in
-   kernel.py is each entry's only caller and holds its whole ABI.
+/* The coder and the classifier in C, compiled on first use and loaded with
+   ctypes. Three entries: `train_epoch` runs one epoch of momentum SGD on the
+   coding criterion (for `trainer`), and `code_rows` codes packed rows (for
+   `coder.objective`), both through one forward pass, `forward` below; and
+   `classifier_pass` scores a classifier on a batch and takes its gradient
+   (for `classify`; see "The classifier" below), in a `work` array of
+   `classifier_work` doubles. The function of the same name in kernel.py is
+   each entry's only caller and holds its whole ABI. `tanh_array`,
+   `exp_array` and `log_array` are for the tests.
 
    Every step of `train_epoch` does what the pair gradient g and the momentum
    update v = eps v + g, theta -= alpha v do to the whole parameter set, in
@@ -36,8 +40,9 @@
    from a zero velocity to code at the first step.
 
    Built without -ffast-math and with -ffp-contract=off, so every sum is done
-   in the order written and the floats do not depend on the instruction set
-   or the vector width. The loops over vectors run on `lanes`, LANES doubles
+   in the order written, a multiply-add is fused only where `fmadd` or `fma`
+   says so, and the floats do not depend on the instruction set or the
+   vector width. The loops over vectors run on `lanes`, LANES doubles
    side by side: each vector is padded with zeros to a multiple of LANES, an
    operation on lanes is LANES independent operations, and a sum over a
    vector keeps LANES partial sums, so no addition is reordered. tanh is
@@ -49,11 +54,15 @@
 */
 
 #include <float.h>
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#ifdef __AVX512F__
+#include <immintrin.h>
+#endif
 
-#define LANES 8
+#define LANES 8  /* `splat` spells out 8 */
 #define EXPONENT 0x7ff0000000000000ULL
 #define SIGN 0x8000000000000000ULL
 
@@ -76,20 +85,39 @@ static inline int nonfinite(double x)
     return (to_bits(x) & EXPONENT) == EXPONENT;
 }
 
-/* tanh x = -m / (m + 2) with the sign of x, where m = expm1(-2 |x|).
-   expm1 y = 2^k expm1(r) + (2^k - 1) with y = k ln2 + r, |r| <= ln2 / 2:
-   k is rounded by adding and subtracting 1.5 2^52 (floor would stop the
-   loop vectorising), whose sum holds k in its low bits, from which 2^k is
-   put together; ln2 is split so that k ln2_hi is exact; expm1 r is its
-   Taylor series to r^13, whose remainder is below 0.1 ulp. |x| is clamped
-   at TANH_LIMIT, beyond which tanh rounds to 1 and below which 2^k is
-   normal; the clamp keeps a NaN, which then runs through as a NaN. +-0 and
-   +-inf give +-0 and +-1. */
-#define TANH_LIMIT 20.0
+/* The reduction that tanh_fixed, exp_fixed and log_fixed share: y = k ln2
+   + r with k an integer and |r| <= ln2 / 2. k is rounded by adding and
+   subtracting ROUND = 1.5 2^52 (floor would stop the loop vectorising),
+   whose sum holds k in its low bits, from which 2^k is put together; ln2 is
+   split so that k ln2_hi is exact for |k| < 2^21. */
 #define ROUND 0x1.8p52
 #define INV_LN2 0x1.71547652b82fep0
 #define LN2_HI 0x1.62e42fee00000p-1
 #define LN2_LO 0x1.a39ef35793c76p-33
+
+/* 2^k for an integer k in [-1022, 1023] */
+static inline double pow2(double k)
+{
+    return from_bits((to_bits(k + ROUND) + 1023) << 52);
+}
+
+/* expm1 r for |r| <= ln2 / 2: r + r^2 q, q from its Taylor series to r^13,
+   whose remainder is below 0.1 ulp. */
+static inline double expm1_reduced(double r)
+{
+    const double q = 1.0 / 2 + r * (1.0 / 6 + r * (1.0 / 24 + r * (1.0 / 120
+        + r * (1.0 / 720 + r * (1.0 / 5040 + r * (1.0 / 40320 + r * (1.0 / 362880
+        + r * (1.0 / 3628800 + r * (1.0 / 39916800 + r * (1.0 / 479001600
+        + r * (1.0 / 6227020800)))))))))));
+    return r + r * r * q;
+}
+
+/* tanh x = -m / (m + 2) with the sign of x, where m = expm1(-2 |x|) =
+   2^k expm1(r) + (2^k - 1) with -2 |x| = k ln2 + r. |x| is clamped at
+   TANH_LIMIT, beyond which tanh rounds to 1 and below which 2^k is normal;
+   the clamp keeps a NaN, which then runs through as a NaN. +-0 and +-inf
+   give +-0 and +-1. */
+#define TANH_LIMIT 20.0
 
 static inline double tanh_fixed(double x)
 {
@@ -97,24 +125,70 @@ static inline double tanh_fixed(double x)
     double ax = from_bits(to_bits(x) & ~SIGN);
     ax = ax > TANH_LIMIT ? TANH_LIMIT : ax;
     const double y = -2.0 * ax;
-    const double shifted = y * INV_LN2 + ROUND;
-    const double k = shifted - ROUND;
-    const double scale = from_bits((to_bits(shifted) + 1023) << 52);
+    const double k = (y * INV_LN2 + ROUND) - ROUND;
+    const double scale = pow2(k);
     const double r = (y - k * LN2_HI) - k * LN2_LO;
-    /* expm1 r = r + r^2 q */
-    const double q = 1.0 / 2 + r * (1.0 / 6 + r * (1.0 / 24 + r * (1.0 / 120
-        + r * (1.0 / 720 + r * (1.0 / 5040 + r * (1.0 / 40320 + r * (1.0 / 362880
-        + r * (1.0 / 3628800 + r * (1.0 / 39916800 + r * (1.0 / 479001600
-        + r * (1.0 / 6227020800)))))))))));
-    const double m = (scale - 1.0) + scale * (r + r * r * q);
+    const double m = (scale - 1.0) + scale * expm1_reduced(r);
     return from_bits((to_bits(-m / (m + 2.0)) & ~SIGN) | sign);
 }
 
-/* tanh_fixed of x[0..n), into y; for the tests. */
+/* exp x for x <= 0, the shifted logits of a softmax: 2^k (1 + expm1 r)
+   with x = k ln2 + r. 2^k is applied as 2^(k - j) and then 2^j, with
+   j = max(k, -1022), so that the product rounds once, also where it is
+   subnormal. x is clamped at EXP_LIMIT, below which exp rounds to 0; the
+   clamp keeps a NaN, and -inf gives 0. */
+#define EXP_LIMIT -746.0
+
+static inline double exp_fixed(double x)
+{
+    x = x < EXP_LIMIT ? EXP_LIMIT : x;
+    const double k = (x * INV_LN2 + ROUND) - ROUND;
+    const double r = (x - k * LN2_HI) - k * LN2_LO;
+    const double j = k < -1022.0 ? -1022.0 : k;
+    return (1.0 + expm1_reduced(r)) * pow2(k - j) * pow2(j);
+}
+
+/* log x for a normal x > 0, the probability of the right class plus
+   1e-300: x = 2^k m with m in [sqrt 1/2, sqrt 2), and log m = 2 atanh s
+   with s = (m - 1) / (m + 1), |s| < 0.172, from its series to s^21, whose
+   remainder is below 0.01 ulp; then log x = k ln2 + log m. The exponent
+   field of x gives k as (2^52 + field) - (2^52 + 1023). A NaN or an inf x
+   gives NaN, through x - x. */
+#define MANTISSA 0x000fffffffffffffULL
+#define ONE 0x3ff0000000000000ULL
+#define TWO_52 0x4330000000000000ULL
+#define SQRT2 0x1.6a09e667f3bcdp0
+
+static inline double log_fixed(double x)
+{
+    const uint64_t bits = to_bits(x);
+    const double m1 = from_bits((bits & MANTISSA) | ONE);  /* in [1, 2) */
+    const int above = m1 > SQRT2;
+    const double m = above ? 0.5 * m1 : m1;
+    const double k = (from_bits(TWO_52 | (bits >> 52)) - (0x1p52 + 1023.0)) + (above ? 1.0 : 0.0);
+    const double s = (m - 1.0) / (m + 1.0), z = s * s, s2 = s + s;
+    const double q = 1.0 / 3 + z * (1.0 / 5 + z * (1.0 / 7 + z * (1.0 / 9 + z * (1.0 / 11
+        + z * (1.0 / 13 + z * (1.0 / 15 + z * (1.0 / 17 + z * (1.0 / 19 + z * (1.0 / 21)))))))));
+    return (k * LN2_HI + (k * LN2_LO + (s2 + s2 * (z * q)))) + (x - x);
+}
+
+/* tanh_fixed, exp_fixed and log_fixed of x[0..n), into y; for the tests. */
 void tanh_array(const double *x, double *y, int64_t n)
 {
     for (int64_t i = 0; i < n; i++)
         y[i] = tanh_fixed(x[i]);
+}
+
+void exp_array(const double *x, double *y, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        y[i] = exp_fixed(x[i]);
+}
+
+void log_array(const double *x, double *y, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        y[i] = log_fixed(x[i]);
 }
 
 /* LANES doubles side by side. An operation on lanes is LANES independent
@@ -693,4 +767,348 @@ done:
     *active_steps = active;
     close_coder(&C);
     return t;
+}
+
+/* The classifier. `classifier_pass` scores a `classify.ClassifierModel` on a
+   `classify.Batch` and, when asked, takes its gradient, all in one call:
+   the input (the counts, or hist times the embedding table), its
+   standardization, the tanh layers, the softmax, the count-weighted
+   cross-entropy, the accuracy and the backward pass. Its oracle is the
+   row-wise pass in numpy, `reference_loss_and_gradients` in
+   tests/conftest.py.
+
+   Every matrix product is `product`: each output is a chain of fused
+   multiply-adds over the inner index in order, LANES outputs of a row side
+   by side, in tiles of MR rows and NB lane blocks whose sums stay in
+   registers. A fused multiply-add rounds once, whether it is the AVX-512
+   instruction or libm's fma, so the floats do not depend on the build;
+   exp and log are exp_fixed and log_fixed above. */
+
+#define MR 6
+#define NB 4
+
+static inline lanes splat(double x)
+{
+    return (lanes){x, x, x, x, x, x, x, x};
+}
+
+/* a b + c in each lane, rounded once */
+static inline lanes fmadd(lanes a, lanes b, lanes c)
+{
+#ifdef __AVX512F__
+    return (lanes)_mm512_fmadd_pd((__m512d)a, (__m512d)b, (__m512d)c);
+#else
+    lanes r;
+    for (int j = 0; j < LANES; j++)
+        r[j] = fma(a[j], b[j], c[j]);
+    return r;
+#endif
+}
+
+/* The first n lanes of a vector, for n >= 0 (all LANES if n >= LANES):
+   loaded from x with the other lanes 0, or stored to x. */
+#ifdef __AVX512F__
+typedef __mmask8 part;
+
+static inline part part_of(int64_t n)
+{
+    return n >= LANES ? 0xff : (part)((1u << n) - 1);
+}
+
+static inline lanes load_part(const double *x, part k)
+{
+    return (lanes)_mm512_maskz_loadu_pd(k, x);
+}
+
+static inline void store_part(double *x, lanes v, part k)
+{
+    _mm512_mask_storeu_pd(x, k, (__m512d)v);
+}
+#else
+typedef int64_t part;
+
+static inline part part_of(int64_t n)
+{
+    return n >= LANES ? LANES : n;
+}
+
+static inline lanes load_part(const double *x, part n)
+{
+    lanes v = {0.0};
+    for (int64_t j = 0; j < n; j++)
+        v[j] = x[j];
+    return v;
+}
+
+static inline void store_part(double *x, lanes v, part n)
+{
+    for (int64_t j = 0; j < n; j++)
+        x[j] = v[j];
+}
+#endif
+
+/* One tile of `product`: MR rows, nb lane blocks, of which block c reads
+   the lanes cols[c] of B and init and writes the lanes put[c]. Row i reads
+   a[i][at t] and, if i < m, is written to out[i]; past m the rows repeat
+   the last. */
+static inline __attribute__((always_inline)) void tile(
+    const int nb, const double *const *a, int64_t at, int64_t T, const double *B,
+    int64_t ldb, const part *cols, const double *init, double *const *out, int64_t m,
+    const part *put)
+{
+    lanes acc[MR][NB];
+    for (int c = 0; c < nb; c++) {
+        const lanes start = init ? load_part(init + LANES * c, cols[c]) : (lanes){0.0};
+        for (int i = 0; i < MR; i++)
+            acc[i][c] = start;
+    }
+    for (int64_t t = 0; t < T; t++) {
+        lanes b[NB];
+        for (int c = 0; c < nb; c++)
+            b[c] = load_part(B + ldb * t + LANES * c, cols[c]);
+        for (int i = 0; i < MR; i++) {
+            const lanes x = splat(a[i][at * t]);
+            for (int c = 0; c < nb; c++)
+                acc[i][c] = fmadd(x, b[c], acc[i][c]);
+        }
+    }
+    for (int i = 0; i < MR; i++)  /* i runs to MR, so that acc stays in registers */
+        for (int c = 0; c < nb && i < m; c++)
+            store_part(out[i] + LANES * c, acc[i][c], put[c]);
+}
+
+/* out = init + A B for A(i, t) = a[ai i + at t] (m, T) and B (T, n): output
+   (i, j) is the chain acc = fma(A(i, t), B[t, j], acc) over t in order,
+   from init[j] (0 if init is NULL). B and out have rows ldb and ldo apart;
+   a row of out is written up to min(ldo, n rounded up to LANES), with 0
+   past n. */
+static void product(int64_t m, int64_t n, int64_t T, const double *a, int64_t ai,
+                    int64_t at, const double *B, int64_t ldb, const double *init,
+                    double *out, int64_t ldo)
+{
+    for (int64_t j = 0; j < n; j += NB * LANES) {
+        const int64_t nb = n - j >= NB * LANES ? NB : (n - j + LANES - 1) / LANES;
+        const double *init_j = init ? init + j : NULL;
+        part cols[NB], put[NB];
+        for (int c = 0; c < NB; c++) {
+            const int64_t col = j + LANES * c;
+            cols[c] = part_of(n > col ? n - col : 0);
+            put[c] = part_of(ldo > col ? ldo - col : 0);
+        }
+        for (int64_t i = 0; i < m; i += MR) {
+            const double *rows[MR];
+            double *outs[MR];
+            for (int r = 0; r < MR; r++) {
+                const int64_t row = i + r < m ? i + r : m - 1;
+                rows[r] = a + ai * row;
+                outs[r] = out + ldo * row + j;
+            }
+            const int64_t mi = m - i < MR ? m - i : MR;
+            switch (nb) {
+            case 1:
+                tile(1, rows, at, T, B + j, ldb, cols, init_j, outs, mi, put);
+                break;
+            case 2:
+                tile(2, rows, at, T, B + j, ldb, cols, init_j, outs, mi, put);
+                break;
+            case 3:
+                tile(3, rows, at, T, B + j, ldb, cols, init_j, outs, mi, put);
+                break;
+            default:
+                tile(4, rows, at, T, B + j, ldb, cols, init_j, outs, mi, put);
+            }
+        }
+    }
+}
+
+static inline int64_t padded(int64_t n)
+{
+    return (n + LANES - 1) / LANES * LANES;
+}
+
+/* The doubles of `work` that `classifier_pass` needs for n_layers layers
+   of widths width[0..n_layers] on n_rows rows: its two results and its
+   scratch. kernel.py sizes `work` by it. */
+int64_t classifier_work(int64_t n_layers, const int64_t *width, int64_t n_rows)
+{
+    int64_t rows = 0, widest = 0, transposed = 0;
+    for (int64_t l = 0; l <= n_layers; l++)
+        rows += padded(width[l]);
+    for (int64_t l = 0; l < n_layers; l++) {
+        widest = padded(width[l]) > widest ? padded(width[l]) : widest;
+        const int64_t wt = width[l + 1] * padded(width[l]);
+        transposed = wt > transposed ? wt : transposed;
+    }
+    return 2 + 2 * padded(width[0]) + n_rows * (rows + 2 * widest) + transposed;
+}
+
+/* The pass of a classifier with n_layers layers of widths width[0..n_layers]
+   (input, hidden, classes) on n_rows distinct rows: X (n_rows, n_in) the
+   counts, hist the same scaled to sum 1 per row, y the labels, counts how
+   often each row occurs. flat holds the model as `ClassifierModel.flat`
+   does: the table (n_in, width[0]) if `table`, then W (width[l],
+   width[l + 1]) and b of each layer. The input, the counts or hist times
+   the table, is standardized by mu and sigma; with `fit`, mu and sigma are
+   first set to the count-weighted mean and standard deviation of the input
+   (where the input is constant, mu its value and sigma 1, so that it
+   standardizes to exactly 0). With grad, grad gets the gradient of the
+   cross-entropy in flat's layout, 0 on the table unless `fine_tune`. work
+   holds classifier_work doubles: work[0] and work[1] get the
+   cross-entropy and the accuracy, and the rest is scratch.
+
+   Returns 0, or -4 if a label is not below width[n_layers], with nothing
+   written. */
+int64_t classifier_pass(const double *flat, int64_t n_layers, const int64_t *width,
+                        int64_t table, int64_t n_in, int64_t n_rows, const double *X,
+                        const double *hist, const int64_t *y, const int64_t *counts,
+                        double *mu, double *sigma, int64_t fit, double *grad,
+                        int64_t fine_tune, double *work)
+{
+    const int64_t n_classes = width[n_layers], d0 = width[0], P0 = padded(d0);
+    for (int64_t r = 0; r < n_rows; r++)
+        if (y[r] < 0 || y[r] >= n_classes)
+            return -4;
+    double n = 0.0;
+    for (int64_t r = 0; r < n_rows; r++)
+        n += (double)counts[r];
+
+    /* the scratch: padded mu and sigma, the input of each layer, the
+       output layer, two upstream gradients and a transposed W */
+    double *result = work, *mu_p = work + 2, *sigma_p = mu_p + P0, *act[n_layers + 1];
+    act[0] = sigma_p + P0;
+    for (int64_t l = 0; l < n_layers; l++)
+        act[l + 1] = act[l] + n_rows * padded(width[l]);
+    int64_t widest = 0;
+    for (int64_t l = 0; l < n_layers; l++)
+        widest = padded(width[l]) > widest ? padded(width[l]) : widest;
+    double *up[2] = {act[n_layers] + n_rows * padded(n_classes), NULL};
+    up[1] = up[0] + n_rows * widest;
+    double *wt = up[1] + n_rows * widest;
+    const double *W[n_layers], *b[n_layers];
+    const double *p = flat + (table ? n_in * d0 : 0);
+    for (int64_t l = 0; l < n_layers; l++) {
+        W[l] = p;
+        b[l] = p + width[l] * width[l + 1];
+        p = b[l] + width[l + 1];
+    }
+
+    /* the input, standardized */
+    double *x = act[0];
+    if (table)
+        product(n_rows, d0, n_in, hist, n_in, 1, flat, d0, NULL, x, P0);
+    else
+        for (int64_t r = 0; r < n_rows; r++)
+            for (int64_t k = 0; k < P0; k += LANES)
+                store(x + P0 * r + k, load_part(X + n_in * r + k, part_of(d0 - k)));
+    if (fit)
+        for (int64_t k = 0; k < P0; k += LANES) {
+            lanes sum = {0.0}, square = {0.0};
+            for (int64_t r = 0; r < n_rows; r++)
+                sum = fmadd(splat((double)counts[r]), load(x + P0 * r + k), sum);
+            const lanes mean = sum / n;
+            for (int64_t r = 0; r < n_rows; r++) {
+                const lanes d = load(x + P0 * r + k) - mean;
+                square = fmadd(splat((double)counts[r]), d * d, square);
+            }
+            for (int64_t j = k; j < k + LANES && j < d0; j++) {
+                int64_t r = 1;
+                while (r < n_rows && x[P0 * r + j] == x[j])
+                    r++;
+                mu[j] = r == n_rows ? x[j] : mean[j - k];
+                sigma[j] = r == n_rows ? 1.0 : sqrt(square[j - k] / n);
+            }
+        }
+    for (int64_t k = 0; k < P0; k++) {
+        mu_p[k] = k < d0 ? mu[k] : 0.0;
+        sigma_p[k] = k < d0 ? sigma[k] : 1.0;
+    }
+    for (int64_t r = 0; r < n_rows; r++)
+        for (int64_t k = 0; k < P0; k += LANES)
+            store(x + P0 * r + k, (load(x + P0 * r + k) - load(mu_p + k)) / load(sigma_p + k));
+
+    /* the layers: tanh(a W + b), and the logits a W + b at the top */
+    for (int64_t l = 0; l < n_layers; l++) {
+        const int64_t Pa = padded(width[l]), Pz = padded(width[l + 1]);
+        double *z = act[l + 1];
+        product(n_rows, width[l + 1], width[l], act[l], Pa, 1, W[l], width[l + 1], b[l], z, Pz);
+        if (l < n_layers - 1)
+            for (int64_t i = 0; i < n_rows * Pz; i++)
+                z[i] = tanh_fixed(z[i]);
+    }
+
+    /* the softmax of each row, its accuracy (ties go to the lowest class)
+       and its cross-entropy; then (probabilities - one-hot) count / n */
+    const int64_t Pc = padded(n_classes);
+    int64_t hits = 0;
+    double total = 0.0;
+    for (int64_t r = 0; r < n_rows; r++) {
+        double *z = act[n_layers] + Pc * r;
+        double top = z[0], sum = 0.0;
+        for (int64_t j = 1; j < n_classes; j++)
+            top = z[j] > top ? z[j] : top;
+        for (int64_t j = 0; j < n_classes; j++) {
+            z[j] = exp_fixed(z[j] - top);
+            sum += z[j];
+        }
+        int64_t best = 0;
+        for (int64_t j = 0; j < n_classes; j++) {
+            z[j] /= sum;
+            best = z[j] > z[best] ? j : best;
+        }
+        hits += best == y[r] ? counts[r] : 0;
+        total = fma((double)counts[r], log_fixed(z[y[r]] + 1e-300), total);
+        if (grad) {
+            z[y[r]] -= 1.0;
+            const double share = (double)counts[r] / n;
+            for (int64_t j = 0; j < n_classes; j++)
+                z[j] *= share;
+        }
+    }
+    result[0] = 0.0 - total / n;  /* never -0.0 */
+    result[1] = (double)hits / n;
+    if (!grad)
+        return 0;
+
+    /* back through the layers: dz is the gradient at layer l's output
+       before its tanh, `up` at its input */
+    double *g = grad + (table ? n_in * d0 : 0);
+    if (table)
+        memset(grad, 0, sizeof(double) * n_in * d0);
+    double *gW[n_layers];
+    for (int64_t l = 0; l < n_layers; l++) {
+        gW[l] = g;
+        g += width[l] * width[l + 1] + width[l + 1];
+    }
+    const double *dz = act[n_layers];
+    for (int64_t l = n_layers - 1; l >= 0; l--) {
+        const int64_t d_in = width[l], d_out = width[l + 1];
+        const int64_t Pa = padded(d_in), Pz = padded(d_out);
+        product(d_in, d_out, n_rows, act[l], 1, Pa, dz, Pz, NULL, gW[l], d_out);
+        for (int64_t k = 0; k < d_out; k += LANES) {
+            lanes sum = {0.0};
+            for (int64_t r = 0; r < n_rows; r++)
+                sum += load(dz + Pz * r + k);
+            store_part(gW[l] + d_in * d_out + k, sum, part_of(d_out - k));
+        }
+        if (l == 0 && !(table && fine_tune))
+            break;
+        for (int64_t t = 0; t < d_out; t++)
+            for (int64_t k = 0; k < d_in; k++)
+                wt[Pa * t + k] = W[l][d_out * k + t];
+        double *u = up[l % 2];
+        product(n_rows, d_in, d_out, dz, Pz, 1, wt, Pa, NULL, u, Pa);
+        if (l > 0)
+            for (int64_t i = 0; i < n_rows * Pa; i += LANES) {
+                const lanes a = load(act[l] + i);
+                store(u + i, load(u + i) * (1.0 - a * a));
+            }
+        else {
+            for (int64_t r = 0; r < n_rows; r++)
+                for (int64_t k = 0; k < Pa; k += LANES)
+                    store(u + Pa * r + k, load(u + Pa * r + k) / load(sigma_p + k));
+            product(n_in, d0, n_rows, hist, 1, n_in, u, Pa, NULL, grad, d0);
+        }
+        dz = u;
+    }
+    return 0;
 }

@@ -4,10 +4,12 @@ The kernel is compiled on first use, not at import, with the system's `cc`
 into __pycache__ beside its source, under a name hashed from all that changes
 the binary: the source, the command, the compiler and the host CPU (for
 -march=native). -ffp-contract=off and no -ffast-math keep its floats
-independent of the instruction set. This module is the whole boundary with C:
-`load` gives the library's typed entries, and only `train_epoch` (for `trainer`)
-and `code_rows` (for `coder.objective`) call it; they take the dimensions from
-the arrays, build the out-arguments and raise the one out-of-memory error.
+independent of the instruction set; on x86, -mprefer-vector-width=512 keeps
+its 8-double vectors whole where the host has AVX-512. This module is the whole
+boundary with C: `load` gives the library's typed entries, and only
+`train_epoch` (for `trainer`), `code_rows` (for `coder.objective`) and
+`classifier_pass` (for `classify`) call it; they take the dimensions from the
+arrays, build the out-arguments and raise the errors of the statuses.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ class KernelBuildError(RuntimeError):
 
 
 KERNEL_SOURCE = Path(__file__).with_name("epoch.c")
-COMPILE = ("cc", "-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+COMPILE = ("cc", "-O3", "-march=native",
+           *(("-mprefer-vector-width=512",) if platform.machine() in ("x86_64", "AMD64") else ()),
+           "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _host_cpu() -> bytes:
@@ -109,7 +113,14 @@ def load(path: Path | None = None) -> ctypes.CDLL:
         flat, i64, i64, i64, i64,
         ndpointer(ID_DTYPE, ndim=2, flags="C_CONTIGUOUS"), coef, counts, inout,
     ]
+    doubles, int64s = ctypes.POINTER(f64), ctypes.POINTER(i64)
+    lib.classifier_pass.argtypes = [
+        doubles, i64, int64s, i64, i64, i64, doubles, doubles, int64s, int64s,
+        doubles, doubles, i64, doubles, i64, doubles,
+    ]
+    lib.classifier_work.argtypes = [i64, int64s, i64]
     lib.train_epoch.restype = lib.code_rows.restype = i64
+    lib.classifier_pass.restype = lib.classifier_work.restype = i64
     return lib
 
 
@@ -140,3 +151,49 @@ def code_rows(params, ids, coef, n_children) -> np.ndarray:
     _checked(load().code_rows(params.flat, params.embeddings.shape[0], params.n_f,
                               len(ids), ids.shape[1], ids, coef, n_children, d))
     return d
+
+
+_DTYPES = {ctypes.c_double: np.dtype(np.float64), ctypes.c_int64: np.dtype(np.int64)}
+
+
+def _data(array: np.ndarray, ctype):
+    """A pointer argument to the data of `array`, whose dtype is `ctype`;
+    from_buffer checks that it is C-contiguous, writable and not empty. It
+    costs a quarter of an ndpointer check, which counts at two calls an
+    epoch."""
+    if array.dtype != _DTYPES[ctype]:
+        raise TypeError(f"expected {_DTYPES[ctype]} data, got {array.dtype}")
+    return ctype.from_buffer(array)
+
+
+@functools.lru_cache(maxsize=16)
+def _classifier_work(widths: tuple[int, ...], n_rows: int) -> int:
+    return load().classifier_work(len(widths) - 1, _data(np.array(widths), ctypes.c_int64),
+                                  n_rows)
+
+
+def classifier_pass(model, batch, grad=None, fine_tune=False, fit=False):
+    """(cross-entropy, accuracy) of the `classify.ClassifierModel` `model` on
+    the `classify.Batch` `batch`, by the kernel's pass. With `grad` (laid out
+    like model.flat), also the gradient of the cross-entropy into it, 0 on
+    the table unless `fine_tune`; with `fit`, first model.mu and model.sigma
+    in place, from the batch's input."""
+    f64, i64 = ctypes.c_double, ctypes.c_int64
+    widths = (model.weights[0].shape[0], *(w.shape[1] for w in model.weights))
+    n_rows, n_in = batch.X.shape
+    table = model.embed is not None
+    if not (batch.hist.shape == batch.X.shape
+            and batch.y.shape == batch.counts.shape == (n_rows,)
+            and model.mu.shape == model.sigma.shape == (widths[0],)
+            and (model.embed.shape[0] if table else widths[0]) == n_in
+            and (grad is None or grad.shape == model.flat.shape)):
+        raise ValueError("the model's and the batch's arrays do not fit together")
+    work = np.empty(_classifier_work(widths, n_rows))
+    status = load().classifier_pass(
+        _data(model.flat, f64), len(model.weights), _data(np.array(widths), i64), table,
+        n_in, n_rows, _data(batch.X, f64), _data(batch.hist, f64), _data(batch.y, i64),
+        _data(batch.counts, i64), _data(model.mu, f64), _data(model.sigma, f64), fit,
+        None if grad is None else _data(grad, f64), fine_tune, _data(work, f64))
+    if status == -4:
+        raise ValueError("a label id is not below the number of classes")
+    return float(work[0]), float(work[1])

@@ -7,6 +7,7 @@ import pytest
 
 from astvec.ast_core import (
     KIND_NAMES,
+    MAX_JSON_NESTING,
     AstFormatError,
     AstNode,
     LabeledProgram,
@@ -15,6 +16,7 @@ from astvec.ast_core import (
     kind_by_name,
     load_corpus,
 )
+from astvec.classify import Batch, ClassifierModel
 from astvec.cparse import KEYWORDS, TokenizeError
 from astvec.coder import Hyperparams, ModelParams, l2_penalty, l2_rate
 from astvec.sampling import TrainingSample, build_training_set, pack_samples
@@ -361,9 +363,53 @@ def reference_loss_and_gradients(model, X: np.ndarray, y: np.ndarray, fine_tune:
     return loss, accuracy, grad
 
 
+def model_with_probabilities(probs: np.ndarray, shift: float = 0.0):
+    """A logistic regression, and the batch of the rows of the identity
+    labelled 0, whose class probabilities on row i are probs[i]: the
+    weights are their logs plus `shift`, which the softmax takes out, and
+    the input is not standardized. Set the batch's labels with
+    `batch._replace(y=...)`."""
+    rows, classes = probs.shape
+    model = ClassifierModel([(rows, classes), (classes,)],
+                            np.concatenate([np.log(probs).ravel() + shift, np.zeros(classes)]),
+                            np.zeros(rows), np.ones(rows))
+    return model, Batch.of(np.eye(rows), np.zeros(rows, dtype=np.int64))
+
+
 # Oracle for `load_ast` and `load_corpus`: `json.loads`, then a recursive walk
-# of what it returns. Both recurse per nesting level, so its depth limit is not
-# the loaders'; everything else it accepts or rejects exactly as they do.
+# of what it returns. Text that is not canonical, that is not as `dump_ast` and
+# `dump_corpus` write it, is refused as "nesting too deep" when it holds more
+# than MAX_JSON_NESTING containers open at once, counted here afresh. Canonical
+# text loads at any height; the walks recurse once per level, and a text they
+# cannot reach the end of raises ReferenceTooDeep, for which there is no verdict.
+
+class ReferenceTooDeep(Exception):
+    pass
+
+
+def reference_nesting(text: str) -> int:
+    """The most JSON containers open at once in `text`, outside strings: a
+    string runs from a quote to the next quote no backslash escapes, or to
+    the end of the text."""
+    depth = most = 0
+    in_string = escaped = False
+    for ch in text:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+            most = max(most, depth)
+        elif ch in "]}":
+            depth -= 1
+    return most
+
 
 def _reference_tree(obj, path: str, table: NodeTable) -> AstNode:
     if not isinstance(obj, dict):
@@ -386,17 +432,62 @@ def _reference_tree(obj, path: str, table: NodeTable) -> AstNode:
 
 
 def _reference_loads(text: str, where: str = ""):
+    if reference_nesting(text) > MAX_JSON_NESTING:
+        raise AstFormatError(f"{where}nesting too deep")
     try:
         return json.loads(text)
     except ValueError as exc:
         raise AstFormatError(f"{where}invalid JSON: {exc}") from exc
 
 
+def _reference_ast(text: str, table: NodeTable) -> AstNode:
+    """The tree of a node document: a canonical one at any height, any other
+    within the nesting limit."""
+    if _CANONICAL_PIECES.fullmatch(text):
+        try:
+            tree = _reference_tree(json.loads(text), "", table)
+            if reference_dump(tree) == text:
+                return tree
+        except ValueError:  # invalid JSON or tree; AstFormatError included
+            pass
+    return _reference_tree(_reference_loads(text), "", table)
+
+
+# what canonical node documents are made of, in some order
+_CANONICAL_PIECES = re.compile(r'(?:\{"kind":"\w+","children":\[|\]\}|,)*')
+# a record as `dump_corpus` writes it: label, source_id and ast, unspaced
+_CANONICAL_RECORD = re.compile(
+    r'\{"label":("(?:[^"\\]|\\.)*"),"source_id":("(?:[^"\\]|\\.)*"),"ast":(.*)\}',
+    re.DOTALL)
+
+
+def _reference_record(line: str, where: str, lineno: int, table: NodeTable):
+    """(label, source_id, tree) of a corpus line. A line in `dump_corpus`'s
+    shape loads its ast text alone; any other line, or one whose ast text
+    does not load alone, is decoded whole."""
+    match = _CANONICAL_RECORD.fullmatch(line)
+    if match:
+        try:
+            label, source_id = json.loads(match[1]), json.loads(match[2])
+            return label, source_id, _reference_ast(match[3], table)
+        except ValueError:  # the whole line, below, gives the error
+            pass
+    rec = _reference_loads(line, where)
+    if not isinstance(rec, dict):
+        raise AstFormatError(f"{where}expected an object")
+    for key in ("label", "source_id", "ast"):
+        if key not in rec:
+            raise AstFormatError(f"{where}missing {key!r}")
+        if key != "ast" and not isinstance(rec[key], str):
+            raise AstFormatError(f"{where}{key!r} must be a string")
+    return rec["label"], rec["source_id"], _reference_tree(rec["ast"], f"line {lineno}", table)
+
+
 def reference_load_ast(text: str) -> AstNode:
     try:
-        return _reference_tree(_reference_loads(text), "", NodeTable())
+        return _reference_ast(text, NodeTable())
     except RecursionError:
-        raise AstFormatError("nesting too deep") from None
+        raise ReferenceTooDeep from None
 
 
 def reference_load_corpus(text: str) -> list[LabeledProgram]:
@@ -406,20 +497,12 @@ def reference_load_corpus(text: str) -> list[LabeledProgram]:
                                   start=1):
         if not line.strip():
             continue
-        where = f"corpus line {lineno}: "
         try:
-            rec = _reference_loads(line, where)
-            if not isinstance(rec, dict):
-                raise AstFormatError(f"{where}expected an object")
-            for key in ("label", "source_id", "ast"):
-                if key not in rec:
-                    raise AstFormatError(f"{where}missing {key!r}")
-                if key != "ast" and not isinstance(rec[key], str):
-                    raise AstFormatError(f"{where}{key!r} must be a string")
-            ast = _reference_tree(rec["ast"], f"line {lineno}", table)
+            label, source_id, ast = _reference_record(line, f"corpus line {lineno}: ",
+                                                      lineno, table)
         except RecursionError:
-            raise AstFormatError(f"{where}nesting too deep") from None
-        programs.append(LabeledProgram(ast=ast, label=rec["label"], source_id=rec["source_id"]))
+            raise ReferenceTooDeep from None
+        programs.append(LabeledProgram(ast=ast, label=label, source_id=source_id))
     return programs
 
 

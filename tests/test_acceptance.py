@@ -18,7 +18,6 @@ from astvec.ast_core import KIND_NAMES, dump_ast, kind_by_name
 from astvec.classify import (
     Batch,
     ClassifierConfig,
-    _accuracy_and_xent,
     _init_model,
     evaluate,
     loss_and_gradients,
@@ -37,8 +36,9 @@ from astvec.sampling import (
 from astvec.trainer import train
 
 from conftest import (
-    SNIPPET_SRC, distance, extract_samples, golden_sources, invalid_sources, node,
-    pair_loss, reference_hinge, reference_loss_and_gradients, reference_walk,
+    SNIPPET_SRC, distance, extract_samples, golden_sources, invalid_sources,
+    model_with_probabilities, node, pair_loss, reference_hinge,
+    reference_loss_and_gradients, reference_walk,
 )
 from test_coder import (
     KERNEL_HINGE_CASES, finite_difference_check, kernel_step_hinge, _zero_params,
@@ -346,7 +346,8 @@ class TestCriterion10BruteForce:
         probs /= probs.sum(axis=1, keepdims=True)
         y = rng.integers(0, 4, size=8)
         manual = -sum(np.log(probs[i, y[i]]) for i in range(8)) / 8
-        ok &= abs(_accuracy_and_xent(probs, y, np.ones(8, int))[1] - manual) < 1e-12
+        model, batch = model_with_probabilities(probs)
+        ok &= abs(evaluate(model, batch._replace(y=y))[1] - manual) < 1e-12
 
         # histograms vs per-node tally; sample counts vs non-leaf recount
         for program in corpus[:20]:

@@ -1,7 +1,7 @@
-"""The sha256 of every host-independent artifact that scripts/artifact_digests.py
-writes, pinned. A change that moves an artifact on purpose updates
-tests/fixtures/artifact_digests.txt. The classification curves are left out:
-their bytes depend on the BLAS core and on numpy's SIMD dispatch."""
+"""The sha256 of every artifact that scripts/artifact_digests.py writes,
+pinned. A change that moves an artifact on purpose updates
+tests/fixtures/artifact_digests.txt. Every artifact is host-independent: the
+classification curves too, since classify trains and scores in the kernel."""
 
 import subprocess
 import sys
@@ -16,5 +16,4 @@ def test_artifact_digests_pinned():
         [sys.executable, str(REPO / "scripts" / "artifact_digests.py")],
         capture_output=True, text=True, check=True,
     )
-    lines = [line for line in proc.stdout.splitlines() if not line.endswith("_curves.csv")]
-    assert lines == PINNED.read_text(encoding="utf-8").splitlines()
+    assert proc.stdout.splitlines() == PINNED.read_text(encoding="utf-8").splitlines()

@@ -28,6 +28,7 @@ from astvec.corpusgen import generate_corpus
 from conftest import (
     CORPUS_PATH,
     SNIPPET_SRC,
+    ReferenceTooDeep,
     count_leaves_obj,
     leaf_count,
     load_golden_obj,
@@ -389,7 +390,10 @@ def edit_node(tree_obj, draw):
         nodes.extend(c for _, v in node_ if isinstance(v, list) for c in v)
     target = nodes[draw(st.integers(0, len(nodes) - 1))]
     if draw(st.integers(0, 5)) == 0:
-        target[:] = [("kind", "Return"), ("children", [deep_doc(draw(st.integers(1, 1000)))])]
+        # often a height that puts the document at the nesting limit or past it
+        height = draw(st.one_of(st.integers(1, 1000), st.integers(MAX_JSON_NESTING // 2 - 15,
+                                                                  MAX_JSON_NESTING // 2 + 1)))
+        target[:] = [("kind", "Return"), ("children", [deep_doc(height)])]
     else:
         edit_object(target, draw, NODE_KEYS)
 
@@ -428,11 +432,13 @@ def outcome(load, text):
 
 
 def assert_same_outcome(load, reference, text):
-    """`load` and `reference` give the same outcome for `text`, unless either
-    finds it nested too deep: the two depth limits differ."""
-    got, want = outcome(load, text), outcome(reference, text)
-    if not any(isinstance(o, tuple) and o[1].endswith("nesting too deep") for o in (got, want)):
-        assert got == want
+    """`load` and `reference` give the same outcome for `text`, "nesting too
+    deep" included, unless the reference recurses too deep to read it."""
+    try:
+        want = outcome(reference, text)
+    except ReferenceTooDeep:
+        return
+    assert outcome(load, text) == want
 
 
 def assert_shared(trees_):
@@ -669,6 +675,21 @@ class TestOnePassLoader:
                 # after the unedited line, so the reader knows its pieces
                 text = record(doc) + "\n" + record(edited)
                 assert_same_outcome(load_corpus, reference_load_corpus, text)
+
+    def test_one_character_edits_at_the_depth_limit(self):
+        # chains at the limit, canonical and reordered, edited near either
+        # end: an edit can open one container more, or close one, or make
+        # the text not canonical
+        limit = MAX_JSON_NESTING // 2
+        for doc in (deep_doc(limit), deep_doc(limit, reordered=True)):
+            texts = [edited + doc[16:] for edited in one_character_edits(doc[:16])]
+            texts += [doc[:-16] + edited for edited in one_character_edits(doc[-16:])]
+            verdicts = set()
+            for edited in texts:
+                assert_same_outcome(load_ast, reference_load_ast, edited)
+                assert_same_outcome(load_corpus, reference_load_corpus, record(edited))
+                verdicts.add(outcome(load_ast, edited) == (AstFormatError, "nesting too deep"))
+            assert verdicts == {True, False}
 
     def test_canonical_text_loads_without_json(self):
         chain = deep_doc(5000)

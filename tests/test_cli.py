@@ -28,9 +28,10 @@ def read_export(text: str) -> np.ndarray:
                      for line in text.splitlines()[1:]])
 
 
-def _python_process(*argv: str) -> subprocess.CompletedProcess:
-    """`python <argv>` as its own process, with the package importable."""
-    env = dict(os.environ)
+def _python_process(*argv: str, env_vars=None) -> subprocess.CompletedProcess:
+    """`python <argv>` as its own process, with the package importable and
+    `env_vars` set."""
+    env = {**os.environ, **(env_vars or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
@@ -704,22 +705,26 @@ class TestHostileInputs:
         assert not (tmp_path / "m.json").exists()
 
     # a compiler that is missing, or that rejects its command; a changed
-    # command is a different cache entry, so it is really run
-    @pytest.mark.parametrize("command,detail", [
-        (("astvec-no-such-cc",) + kernel.COMPILE[1:], "No such file or directory"),
-        (kernel.COMPILE + ("-no-such-flag",), "-no-such-flag"),
-    ], ids=["missing", "failing"])
+    # command is a different cache entry, so it is really run. classify
+    # runs the kernel too, for the logistic regression alone.
+    @pytest.mark.parametrize("run,command,detail", [
+        ("train", ("astvec-no-such-cc",) + kernel.COMPILE[1:], "No such file or directory"),
+        ("train", kernel.COMPILE + ("-no-such-flag",), "-no-such-flag"),
+        ("classify", ("astvec-no-such-cc",) + kernel.COMPILE[1:], "No such file or directory"),
+    ], ids=["missing", "failing", "classify"])
     def test_compiler_fails(self, tmp_path, caplog, capsys, small_corpus_file,
-                            monkeypatch, command, detail):
+                            monkeypatch, run, command, detail):
         monkeypatch.setattr(kernel, "load", functools.cache(kernel.load.__wrapped__))
         monkeypatch.setattr(kernel, "COMPILE", command)
-        out = tmp_path / "m.json"
-        assert main(["train", "--corpus", str(small_corpus_file), "--out", str(out),
+        out = tmp_path / "out"
+        assert main([run, "--corpus", str(small_corpus_file),
+                     "--out" if run == "train" else "--out-dir", str(out),
                      "--epochs", "1"]) == EXIT_BUILD
         [line] = _problems(caplog)
         assert line.startswith("cannot build the epoch kernel: ") and detail in line
         assert "Traceback" not in capsys.readouterr().err
-        assert not out.exists()
+        # classify makes its output directory before it trains
+        assert not out.exists() or not any(out.iterdir())
         assert not [p for p in kernel.KERNEL_SOURCE.parent.glob("__pycache__/*")
                     if p.suffix not in (".pyc", ".so")]
 
@@ -1201,6 +1206,27 @@ class TestClassify:
                      "--out-dir", str(out_dir)]) == EXIT_INPUT
         assert _problems(caplog) == ["label 'a' has fewer than 5 programs"]
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("env_vars", [
+        {"OPENBLAS_CORETYPE": "Prescott"},
+        {"OPENBLAS_CORETYPE": "Haswell"},
+        {"OPENBLAS_CORETYPE": "SkylakeX"},
+        {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+    ])
+    def test_bytes_do_not_depend_on_blas_or_simd(self, tmp_path, small_corpus_file,
+                                                 checkpoint_file, env_vars):
+        # classify trains and scores in the kernel: under each OpenBLAS core
+        # and with numpy's AVX-512 dispatch off, every file it writes has the
+        # bytes of a run in this process
+        argv = ["classify", "--corpus", str(small_corpus_file),
+                "--checkpoint", str(checkpoint_file), "--epochs", "20"]
+        assert main([*argv, "--out-dir", str(tmp_path / "here")]) == EXIT_OK
+        proc = _python_process("-m", "astvec.cli", *argv, "--out-dir",
+                               str(tmp_path / "there"), env_vars=env_vars)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        files = [{p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                 for d in ("here", "there")]
+        assert len(files[0]) == 4 and files[0] == files[1]
 
     def test_one_label_xent_is_not_negative_zero(self, tmp_path):
         corpus = tmp_path / "c.jsonl"

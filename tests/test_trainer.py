@@ -10,6 +10,7 @@ import pytest
 
 from astvec import kernel
 from astvec.ast_core import KIND_NAMES, VOCAB_SIZE, kind_by_name
+from astvec.classify import ClassifierConfig, _init_model, loss_and_gradients, task
 from astvec.coder import (
     Hyperparams,
     init_params,
@@ -378,35 +379,89 @@ def _tanh_grid():
     return np.concatenate([x, -x, [np.nan]])
 
 
-def test_kernel_tanh_is_near_libm():
-    fn = ctypes.CDLL(str(kernel.library_path())).tanh_array
+def _kernel_array(name: str, x: np.ndarray) -> np.ndarray:
+    """epoch.c's `name` (tanh_array, exp_array or log_array) of x."""
+    fn = getattr(ctypes.CDLL(str(kernel.library_path())), name)
     array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     fn.argtypes = [array, array, ctypes.c_int64]
     fn.restype = None
-    x = _tanh_grid()
     got = np.empty_like(x)
     fn(x, got, len(x))
+    return got
+
+
+def _ulps(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """The doubles between got and want, of the same sign: the distance of
+    their bit patterns."""
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    return np.abs(got.view(np.int64) - want.view(np.int64))
+
+
+def test_kernel_tanh_is_near_libm():
+    x = _tanh_grid()
+    got = _kernel_array("tanh_array", x)
     want = np.array([math.tanh(v) for v in x])
     assert np.array_equal(np.isnan(got), np.isnan(x))  # the hinge check sees a NaN
     x, got, want = x[~np.isnan(x)], got[~np.isnan(x)], want[~np.isnan(x)]
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-    # same sign: the distance of the bit patterns counts the doubles between
-    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= TANH_ULP
+    assert _ulps(got, want).max() <= TANH_ULP
     exact = (x == 0) | (np.abs(x) >= 20)  # +-0, and +-1 from 20 to inf
     assert np.array_equal(got[exact], want[exact])
+
+
+# The same for the kernel's exp and log, on the ranges the classifier's
+# softmax and cross-entropy reach: exp of a logit less the row's largest,
+# from 0 down to where exp is 0, and log of a probability plus 1e-300.
+EXP_ULP = 1
+LOG_ULP = 2
+
+
+def test_kernel_exp_is_near_libm():
+    ln2 = math.log(2)
+    # x is reduced by k ln2, and k changes where x / ln2 is a half
+    boundaries = np.array([-(j + 0.5) * ln2 for j in range(1076)])
+    x = np.concatenate([
+        np.arange(-746, 0, 1e-3),
+        -np.geomspace(5e-324, 1, 20_001),  # dense near 0
+        (boundaries[:, None] + np.arange(-50, 51) * np.spacing(boundaries)[:, None]).ravel(),
+        np.linspace(-745.2, -708, 100_001),  # exp is subnormal below -708.4
+        [0.0, -0.0, -746.0, -1e300, -np.finfo(float).max, -np.inf],
+    ])
+    got = _kernel_array("exp_array", x)
+    want = np.array([math.exp(v) for v in x])
+    assert _ulps(got, want).max() <= EXP_ULP
+    exact = (x == 0) | (x <= -746)  # 1, and 0 from -746 to -inf
+    assert np.array_equal(got[exact], want[exact])
+    assert np.isnan(_kernel_array("exp_array", np.array([np.nan]))).all()
+
+
+def test_kernel_log_is_near_libm():
+    p = np.concatenate([
+        np.linspace(0, 1, 500_001),
+        np.geomspace(5e-324, 1, 100_001),  # small probabilities, subnormals too
+        1 - np.geomspace(1e-16, 0.5, 100_001),  # near 1, where log is near 0
+    ])
+    x = p + 1e-300
+    got = _kernel_array("log_array", x)
+    want = np.array([math.log(v) for v in x])
+    assert _ulps(got, want).max() <= LOG_ULP
+    assert _kernel_array("log_array", np.array([1.0]))[0] == 0.0
+    # a NaN or an infinite probability gives a NaN cross-entropy
+    assert np.isnan(_kernel_array("log_array", np.array([np.nan, np.inf]))).all()
 
 
 def test_kernel_floats_do_not_depend_on_the_build(tmp_path, monkeypatch, corpus):
     # the kernel's build with the vector width of this host, then without it,
     # then at -O2: two epochs of the bundled corpus give the same parameters,
     # velocity, mean hinges and active steps, and the objective at the end
-    # the same value, byte for byte
+    # the same value, byte for byte; and so does a classifier on them, its
+    # standardization and one pass with the table's gradient
     portable = tuple(flag for flag in kernel.COMPILE if flag != "-march=native")
     commands = [kernel.COMPILE, portable,
                 tuple("-O2" if flag == "-O3" else flag for flag in portable)]
     samples = build_training_set(corpus)
     rng = np.random.default_rng(1)
     pairs = [(s, corrupt(s, rng)) for s in samples]
+    labels, batch, _, _ = task(corpus, 0)
     load = kernel.load
     runs = []
     for i, command in enumerate(commands):
@@ -414,9 +469,13 @@ def test_kernel_floats_do_not_depend_on_the_build(tmp_path, monkeypatch, corpus)
         subprocess.run([*command, "-o", str(lib), str(kernel.KERNEL_SOURCE)], check=True)
         monkeypatch.setattr(kernel, "load", lambda lib=lib: load(lib))
         state, report = train(samples, Hyperparams(epochs=2, seed=0))
+        model = _init_model(len(labels), batch, ClassifierConfig(), state.params.embeddings)
+        loss, accuracy, grad = loss_and_gradients(model, batch, True)
         runs.append((state.params.flat.tobytes(), state.velocity.flat.tobytes(),
                      np.array(report.mean_hinge).tobytes(), report.active_steps,
-                     np.float64(objective(pairs, state.params, state.hyper)).tobytes()))
+                     np.float64(objective(pairs, state.params, state.hyper)).tobytes(),
+                     model.mu.tobytes(), model.sigma.tobytes(),
+                     np.float64(loss).tobytes(), accuracy, grad.tobytes()))
     assert runs[0] == runs[1] == runs[2]
 
 
