@@ -121,10 +121,16 @@ class AstNode:
         put(self, "leaves", leaves or 1)
 
 
+# The one leaf of each kind, by kind id: every table, the parser and the
+# loaders give these, so a leaf of one kind is one object everywhere.
+LEAVES: tuple[AstNode, ...] = tuple(AstNode(kind) for kind in range(VOCAB_SIZE))
+
+
 class NodeTable:
     """Hash-consing constructor: one `AstNode` per distinct (kind, children).
 
-    A node is keyed by its kind id and the identities of its children. Built
+    A node with no children is `LEAVES[kind]`, and is not stored. Any other
+    is keyed by its kind id and the identities of its children. Built
     bottom-up through one table, equal subtrees are therefore the same object.
     The table keeps every node it made alive, so no identity in a key is ever
     reused while the table exists.
@@ -134,6 +140,8 @@ class NodeTable:
         self._nodes: dict[tuple, AstNode] = {}
 
     def node(self, kind: int, children) -> AstNode:
+        if not children:
+            return LEAVES[kind]
         key = (kind, *map(id, children))
         found = self._nodes.get(key)
         if found is None:
@@ -243,10 +251,10 @@ _NODE_START = '{"kind":"'
 _CHILDREN_START = '","children":['
 
 
-def _piece(piece: str, nodes: dict):
+def _piece(piece: str):
     """What a piece of canonical text between two `{"kind":"` means, as
     (kind, leaf, closes, comma): `leaf` is None for a node whose children
-    follow, else the leaf node, which `closes` more "]}" and then, if
+    follow, else the leaf of `LEAVES`, which `closes` more "]}" and then, if
     `comma`, a sibling follow. None for a piece canonical text never holds."""
     name, sep, rest = piece.partition(_CHILDREN_START)
     kind = KIND_IDS.get(name)
@@ -260,10 +268,7 @@ def _piece(piece: str, nodes: dict):
     closes = len(rest) // 2
     if not closes or rest != "]}" * closes:
         return None
-    leaf = nodes.get((kind,))
-    if leaf is None:
-        leaf = nodes[(kind,)] = AstNode(kind)
-    return kind, leaf, closes - 1, comma
+    return kind, LEAVES[kind], closes - 1, comma
 
 
 def _read_canonical(text: str, table: NodeTable, pieces: dict):
@@ -271,43 +276,49 @@ def _read_canonical(text: str, table: NodeTable, pieces: dict):
     None for any other text.
 
     The text is split on `{"kind":"`, and `pieces` caches what each distinct
-    piece means (see `_piece`); it must only ever be used with `table`. The
-    tree is built bottom-up with an explicit stack of open nodes, each node
-    looked up under the key `NodeTable.node` uses.
+    piece means (see `_piece`). The tree is built bottom-up with an explicit
+    stack of open nodes, each node looked up under the key `NodeTable.node`
+    uses; `pieces` holds only leaves of `LEAVES`, so any table may share it.
     """
     nodes = table._nodes
     parts = iter(text.split(_NODE_START))
     if next(parts):  # the text must start with a node
         return None
-    stack: list = []  # the open nodes, outermost first: (kind, children read)
+    # the innermost open node, (kind, its children read), is in locals; the
+    # stack holds the nodes around it, and at its bottom (None, None), which
+    # the outermost node's close pops back: `kids` is None when none is open
+    stack: list = []
+    kind = kids = None
     for piece in parts:
         info = pieces.get(piece)
         if info is None:
-            info = _piece(piece, nodes)
+            info = _piece(piece)
             if info is None:
                 return None
             pieces[piece] = info
-        kind, node, closes, comma = info
+        opened, node, closes, comma = info
         if node is None:
-            stack.append((kind, []))
+            stack.append((kind, kids))
+            kind, kids = opened, []
             continue
-        for _ in range(closes):
-            if not stack:
+        while closes:
+            if kids is None:
                 return None
-            kind, kids = stack.pop()
             kids.append(node)
             key = (kind, *map(id, kids))
             node = nodes.get(key)
             if node is None:
                 node = nodes[key] = AstNode(kind, tuple(kids))
+            kind, kids = stack.pop()
+            closes -= 1
         if not comma:
             break
-        if not stack:
+        if kids is None:
             return None
-        stack[-1][1].append(node)
+        kids.append(node)
     else:  # the text ended inside a node, or after a comma
         return None
-    if stack or next(parts, None) is not None:
+    if kids is not None or next(parts, None) is not None:
         return None
     return node
 

@@ -184,6 +184,40 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
+def _c_sources(root: Path) -> list[tuple[tuple[str, ...], str]]:
+    """(components under `root`, path) of every entry in its tree whose name
+    ends in ".c", of any type, in the order `sorted(root.rglob("*.c"))` gives
+    on Python 3.11: by the tuple of components.
+
+    One `os.scandir` per directory, each listing walked in name order, depth
+    first, so the entries come out in that order with no sort across the
+    tree. Only real directories are walked into, not a symlink to one. A
+    subdirectory that cannot be listed is skipped with a warning; `root`
+    itself is an input error.
+    """
+    found = []
+    stack = [((), str(root), True)]  # (components, path, walk into it)
+    while stack:
+        parts, path, is_dir = stack.pop()
+        if parts and parts[-1].endswith(".c"):
+            found.append((parts, path))
+        if not is_dir:
+            continue
+        try:
+            with os.scandir(path) as listing:
+                entries = sorted(
+                    ((e.name, e.path, e.is_dir(follow_symlinks=False)) for e in listing),
+                    reverse=True)
+        except OSError as exc:
+            if not parts:
+                raise CliError(f"{root}: {exc.strerror or exc}")
+            log.warning("skipping %s: %s", root.joinpath(*parts), exc.strerror or exc)
+            continue
+        # pushed last name first, so they pop in order
+        stack.extend(((*parts, name), sub, sub_dir) for name, sub, sub_dir in entries)
+    return found
+
+
 def cmd_corpus_build(args) -> int:
     if args.per_class < 1:
         raise CliError("per-class must be >= 1", EXIT_USAGE)
@@ -202,25 +236,25 @@ def cmd_corpus_build(args) -> int:
         # read again is not parsed again
         parse = cparse.ParseMemo()
         programs = []
-        paths = sorted(root.rglob("*.c"))
+        paths = _c_sources(root)
         read = 0
-        for c_path in paths:
-            label = c_path.parent.name
+        for parts, path in paths:
             try:
-                source = cparse.read_source(c_path)
+                source = cparse.read_source(path)
                 read += 1
                 ast = parse(source)
             except OSError as exc:
-                log.warning("skipping %s: %s", c_path, exc.strerror or exc)
+                log.warning("skipping %s: %s", root.joinpath(*parts), exc.strerror or exc)
                 continue
             except CParseError as exc:
-                log.warning(
-                    "skipping %s: %s:%s: %s", c_path, exc.line, exc.column, exc.message
-                )
+                log.warning("skipping %s: %s:%s: %s", root.joinpath(*parts),
+                            exc.line, exc.column, exc.message)
                 continue
-            programs.append(
-                LabeledProgram(ast=ast, label=label, source_id=c_path.stem)
-            )
+            # the parent directory's name, and the name less ".c", as
+            # Path.parent.name and Path.stem give them
+            label = parts[-2] if len(parts) > 1 else root.name
+            name = parts[-1]
+            programs.append(LabeledProgram(ast=ast, label=label, source_id=name[:-2] or name))
         log.info("read %d sources: %d repeat an earlier one's text, %d skipped",
                  read, read - len(parse.parsed), len(paths) - len(programs))
     _write((args.out, dump_corpus(programs)))

@@ -16,7 +16,7 @@ from itertools import islice
 from types import SimpleNamespace
 from typing import Optional
 
-from .ast_core import KIND_IDS, AstNode, NodeTable, normalize_newlines
+from .ast_core import KIND_IDS, LEAVES, AstNode, NodeTable, normalize_newlines
 
 
 def position(source: str, offset: int) -> tuple[int, int]:
@@ -145,7 +145,11 @@ def offsets(tokens: Tokens) -> list[int]:
 # Each node kind's id, by name, as _K.Decl.
 _K = SimpleNamespace(**KIND_IDS)
 _TAG_KINDS = {"struct": _K.Struct, "union": _K.Union, "enum": _K.Enum}
-_JUMP_KINDS = {"break": _K.Break, "continue": _K.Continue}
+# The leaves the parser puts in place itself, without a table call.
+_ID_LEAF, _CONSTANT_LEAF, _TYPE_LEAF, _EMPTY_LEAF, _GOTO_LEAF = (
+    LEAVES[_K.ID], LEAVES[_K.Constant], LEAVES[_K.IdentifierType],
+    LEAVES[_K.EmptyStatement], LEAVES[_K.Goto])
+_JUMP_LEAVES = {"break": LEAVES[_K.Break], "continue": LEAVES[_K.Continue]}
 
 # Infix operators by level, lowest first; a higher level binds tighter.
 # Assignment and ?: group right to left, the ten binary levels of the C
@@ -316,7 +320,7 @@ class Parser:
             return is_typedef, tag_node
         if not has_base:
             raise self._unexpected("type specifier")
-        return is_typedef, self.node(_K.IdentifierType, ())
+        return is_typedef, _TYPE_LEAF
 
     @staticmethod
     def _declarator_follows(tok: str) -> bool:
@@ -493,7 +497,7 @@ class Parser:
             stmt = self._compound_statement()
         elif tok == ";":
             self.pos += 1
-            stmt = node(_K.EmptyStatement, ())
+            stmt = _EMPTY_LEAF
         elif tok == "if":
             self.pos += 1
             children = [self._parenthesized(), self._statement()]
@@ -516,15 +520,15 @@ class Parser:
             self.pos += 1
             cond = self._parenthesized()
             stmt = node(_K.Switch, (cond, self._compound_statement(switch=True)))
-        elif tok in _JUMP_KINDS:
+        elif tok in _JUMP_LEAVES:
             self.pos += 1
             self._expect(";")
-            stmt = node(_JUMP_KINDS[tok], ())
+            stmt = _JUMP_LEAVES[tok]
         elif tok == "goto":
             self.pos += 1
             self._expect_identifier()
             self._expect(";")
-            stmt = node(_K.Goto, ())
+            stmt = _GOTO_LEAF
         elif tok == "return":
             self.pos += 1
             expr: list[AstNode] = []
@@ -614,7 +618,7 @@ class Parser:
             tok = lex[self.pos]
             if _is_identifier(tok):
                 self.pos += 1
-                expr = node(_K.ID, ())
+                expr = _ID_LEAF
                 break
             elif tok == "(":
                 if self._starts_type(1):
@@ -642,7 +646,7 @@ class Parser:
                 raise self._error("expression expected")
             elif category(tok) == "constant":
                 self.pos += 1
-                expr = node(_K.Constant, ())
+                expr = _CONSTANT_LEAF
                 break
             else:
                 raise self._unexpected("expression")
@@ -666,7 +670,7 @@ class Parser:
             elif tok == "." or tok == "->":
                 self.pos += 1
                 self._expect_identifier()
-                expr = node(_K.StructRef, (expr, node(_K.ID, ())))
+                expr = node(_K.StructRef, (expr, _ID_LEAF))
             elif tok == "++" or tok == "--":
                 self.pos += 1
                 expr = node(_K.UnaryOp, (expr,))
@@ -710,9 +714,9 @@ def parse_source(source: str, table: Optional[NodeTable] = None) -> AstNode:
 
 def read_source(path) -> str:
     """The text of a source file, as `open` reads UTF-8 text: decoded, with
-    "\\r\\n" and "\\r" read as "\\n"."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    "\\r\\n" and "\\r" read as "\\n". The file is read whole, unbuffered."""
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
     try:
         return normalize_newlines(data.decode("utf-8"))
     except UnicodeDecodeError as exc:

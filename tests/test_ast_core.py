@@ -24,6 +24,7 @@ from astvec.ast_core import (
     load_corpus,
 )
 from astvec.corpusgen import generate_corpus
+from astvec.cparse import parse_source
 
 from conftest import (
     CORPUS_PATH,
@@ -127,6 +128,42 @@ class TestNodeTable:
 
     def test_generate_corpus_one_object_per_distinct_subtree(self):
         assert_one_object_per_distinct_subtree(generate_corpus(seed=3, per_class=10))
+
+    def test_one_leaf_object_per_kind(self):
+        # the parser's own leaves, and leaves made through `node` (a Struct
+        # with no body, an empty block), parsed through two tables and none,
+        # then loaded on the canonical and the json path of either loader
+        source = ("struct S { int x; };\n"
+                  "int f(int a, struct S s) {\n"
+                  "  while (a) { if (a) break; else continue; }\n"
+                  "  ; {}\n"
+                  "  goto out;\n"
+                  "out:\n"
+                  "  return s.x + 1;\n"
+                  "}\n")
+        tables = []
+
+        class KeptTable(NodeTable):
+            def __init__(self):
+                super().__init__()
+                tables.append(self)
+
+        with mock.patch.object(ast_core, "NodeTable", KeptTable):
+            trees = [parse_source(source, KeptTable()), parse_source(source, KeptTable()),
+                     parse_source(source)]
+            doc = dump_ast(trees[0])
+            spaced = json.dumps(json.loads(doc))
+            trees += [load_ast(doc), load_ast(spaced)]
+            trees += [p.ast for p in load_corpus(f"{record(doc)}\n{record(spaced, 'b')}")]
+            trees += [p.ast for p in load_corpus(
+                json.dumps({"label": "a", "source_id": "s", "ast": json.loads(doc)}))]
+        assert len(tables) == 6 and all(tree == trees[0] for tree in trees)
+        leaves = {id(n): n for tree in trees for n in reference_walk(tree) if not n.children}
+        assert {KIND_NAMES[n.kind] for n in leaves.values()} == {
+            "ID", "Constant", "IdentifierType", "EmptyStatement", "Break", "Continue",
+            "Goto", "Struct", "Compound"}
+        assert all(n is ast_core.LEAVES[n.kind] for n in leaves.values())
+        assert all(len(key) > 1 for table in tables for key in table._nodes)
 
 
 class TestInterchange:

@@ -252,6 +252,62 @@ class TestCorpusBuild:
         [error] = [e for e in memo.parsed.values() if isinstance(e, cparse.CParseError)]
         assert error.__traceback__ is None
 
+    def test_src_dir_walk_order(self, tmp_path, caplog):
+        src = tmp_path / "src"
+        for name in ["a/z.c", "a-b/y.c", "a/deep/inner/n.c", "lab/.h.c", "lab/.c",
+                     "lab/a.b.c", "lab/dir.c/in.c", "lab/notes.txt", "lab/x.h", "top.c"]:
+            (src / name).parent.mkdir(parents=True, exist_ok=True)
+            (src / name).write_text("int x;\n", encoding="utf-8")
+        (src / "lab" / "s.c").symlink_to(src / "a" / "z.c")
+        (src / "linked").symlink_to(src / "a-b", target_is_directory=True)
+        out = tmp_path / "c.jsonl"
+        assert main(["corpus-build", "--src-dir", str(src), "--out", str(out)]) == EXIT_OK
+        assert _problems(caplog) == [f"skipping {src / 'lab' / 'dir.c'}: Is a directory"]
+        # by path components: "a" < "a-b", a directory before what it holds
+        assert [(p.label, p.source_id) for p in load_corpus(out.read_text(encoding="utf-8"))] == [
+            ("inner", "n"), ("a", "z"), ("a-b", "y"), ("lab", ".c"), ("lab", ".h"),
+            ("lab", "a.b"), ("dir.c", "in"), ("lab", "s"), ("src", "top")]
+        listed = cli._c_sources(src)
+        assert all(path == str(src.joinpath(*parts)) for parts, path in listed)
+        if sys.version_info[:2] == (3, 11):  # later versions glob otherwise
+            assert [src.joinpath(*parts) for parts, _ in listed] == sorted(src.rglob("*.c"))
+
+    def test_src_dir_unlistable_subdirectory_skips(self, tmp_path, caplog, monkeypatch):
+        src = tmp_path / "src"
+        for name in ["a/one.c", "locked/two.c", "locked/deeper/three.c", "z/four.c"]:
+            (src / name).parent.mkdir(parents=True, exist_ok=True)
+            (src / name).write_text("int x;\n", encoding="utf-8")
+        scandir = os.scandir
+
+        def refuse_locked(path):  # root ignores file modes, so refuse by name
+            if os.path.basename(path) == "locked":
+                raise PermissionError(13, "Permission denied", path)
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", refuse_locked)
+        out = tmp_path / "c.jsonl"
+        assert main(["corpus-build", "--src-dir", str(src), "--out", str(out)]) == EXIT_OK
+        assert _problems(caplog) == [f"skipping {src / 'locked'}: Permission denied"]
+        assert [p.source_id for p in load_corpus(out.read_text(encoding="utf-8"))] == [
+            "one", "four"]
+
+    def test_src_dir_unlistable_fails(self, tmp_path, caplog, monkeypatch):
+        src = tmp_path / "src"
+        (src / "a").mkdir(parents=True)
+        (src / "a" / "one.c").write_text("int x;\n", encoding="utf-8")
+        scandir = os.scandir
+
+        def refuse_src(path):
+            if path == str(src):
+                raise PermissionError(13, "Permission denied", path)
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", refuse_src)
+        out = tmp_path / "c.jsonl"
+        assert main(["corpus-build", "--src-dir", str(src), "--out", str(out)]) == EXIT_INPUT
+        assert _problems(caplog) == [f"{src}: Permission denied"]
+        assert not out.exists()
+
     def test_neither_flag_usage(self, tmp_path):
         assert main(["corpus-build", "--out", str(tmp_path / "x.jsonl")]) == EXIT_USAGE
 
@@ -680,7 +736,7 @@ class TestHostileInputs:
         read_source = cparse.read_source
 
         def refuse_locked(path):
-            if path.name == "locked.c":
+            if os.path.basename(path) == "locked.c":
                 raise PermissionError(13, "Permission denied", str(path))
             return read_source(path)
 
