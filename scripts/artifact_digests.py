@@ -19,8 +19,8 @@ bisected, or ">=2000" for a construct that still parses at the cap. And it
 writes state.txt:
 for model.json and resumed.json as `trainer.load_checkpoint` reads them, the
 sha256 of the parameters' and the velocity's float64 bytes, the epoch, the
-loss history, the RNG state and the hyperparameters, so a change to the
-checkpoint's format alone leaves state.txt as it was. And it writes
+loss history and the hyperparameters, so a change to the checkpoint's format
+alone leaves state.txt as it was. And it writes
 objective.txt: the repr of `coder.objective` at model.json's parameters, over
 one negative per sample of the corpus, drawn with seed OBJECTIVE_SEED.
 
@@ -218,7 +218,6 @@ def state_results(*paths: Path) -> str:
             "velocity": hashlib.sha256(state.velocity.flat.tobytes()).hexdigest(),
             "epoch": state.epoch,
             "loss_history": repr(state.loss_history),
-            "rng_state": json.dumps(state.rng.bit_generator.state, sort_keys=True),
             "hyper": json.dumps(dataclasses.asdict(state.hyper), sort_keys=True),
         }
         lines += [f"{path.name} {name} {value}\n" for name, value in fields.items()]

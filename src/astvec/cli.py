@@ -64,7 +64,7 @@ HYPER_FLAGS = (
     ("--lr", "alpha", float, "learning rate"),
     ("--momentum", "epsilon", float, "momentum decay"),
     ("--epochs", "epochs", int, "epoch limit"),
-    ("--seed", "seed", int, "master RNG seed"),
+    ("--seed", "seed", int, "seeds the init and keys every epoch's draws"),
 )
 
 
@@ -184,10 +184,19 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _c_sources(root: Path) -> list[tuple[tuple[str, ...], str]]:
+def _source_path(entry: os.DirEntry) -> str | None:
+    """The entry's path; None if it is neither a regular file nor a directory
+    once a symlink is followed, such as a FIFO, which a read would wait on."""
+    try:
+        return entry.path if entry.is_file() or entry.is_dir() else None
+    except OSError:  # only a symlink costs a stat; the read reports its error
+        return entry.path
+
+
+def _c_sources(root: Path) -> list[tuple[tuple[str, ...], str | None]]:
     """(components under `root`, path) of every entry in its tree whose name
     ends in ".c", of any type, in the order `sorted(root.rglob("*.c"))` gives
-    on Python 3.11: by the tuple of components.
+    on Python 3.11: by the tuple of components; the path is `_source_path`'s.
 
     One `os.scandir` per directory, each listing walked in name order, depth
     first, so the entries come out in that order with no sort across the
@@ -206,8 +215,8 @@ def _c_sources(root: Path) -> list[tuple[tuple[str, ...], str]]:
         try:
             with os.scandir(path) as listing:
                 entries = sorted(
-                    ((e.name, e.path, e.is_dir(follow_symlinks=False)) for e in listing),
-                    reverse=True)
+                    ((e.name, _source_path(e) if e.name.endswith(".c") else e.path,
+                      e.is_dir(follow_symlinks=False)) for e in listing), reverse=True)
         except OSError as exc:
             if not parts:
                 raise CliError(f"{root}: {exc.strerror or exc}")
@@ -240,6 +249,8 @@ def cmd_corpus_build(args) -> int:
         read = 0
         for parts, path in paths:
             try:
+                if path is None:
+                    raise OSError("not a regular file")
                 source = cparse.read_source(path)
                 read += 1
                 ast = parse(source)

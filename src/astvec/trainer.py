@@ -4,9 +4,9 @@ One running velocity buffer is kept for the whole parameter set and carried
 across epochs; each step pairs a sample with a fresh negative, folds the pair
 gradient into the velocity with decay epsilon, and applies the update. The
 samples are packed once per call, and an epoch's negatives are drawn in one
-go before its steps. All randomness (init, shuffling, corruption) flows from
-a single seeded stream, so runs are reproducible bit for bit and resumable
-from checkpoints.
+go before its steps. The init draws from the seed, and each epoch's shuffle
+and negatives from `epoch_rng(seed, epoch)`, so runs are reproducible bit for
+bit and resume from checkpoints that hold no generator state.
 
 The model is written from scratch on numpy, plus the C kernel (epoch.c,
 built by `kernel`) that runs an epoch's steps: each step computes the pair
@@ -35,7 +35,7 @@ from .sampling import ID_DTYPE, TrainingSample, pack_samples
 # it here.
 from .sampling import corrupt_packed as corrupt
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 CONVERGENCE_REL_TOL = 1e-4
 CONVERGENCE_PATIENCE = 3
@@ -70,13 +70,12 @@ class TrainReport:
 
 @dataclass
 class TrainState:
-    """Everything needed to continue training bit-identically; a checkpoint
-    is one saved whole."""
+    """Everything needed to continue training bit-identically, since each
+    epoch draws from `epoch_rng`; a checkpoint is one saved whole."""
 
     params: ModelParams
     velocity: ModelParams
     epoch: int
-    rng: np.random.Generator
     hyper: Hyperparams
     loss_history: list[float] = field(default_factory=list)
 
@@ -94,13 +93,15 @@ def has_converged(history: list[float]) -> bool:
     return True
 
 
+def epoch_rng(seed: int, epoch: int) -> np.random.Generator:
+    """Epoch `epoch`'s generator (epochs count from 1): a child stream of `seed`."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(epoch,)))
+
+
 def fresh_state(hyper: Hyperparams) -> TrainState:
     hyper.validate()
-    rng = np.random.default_rng(hyper.seed)
-    params = init_params(hyper, rng)
-    return TrainState(
-        params=params, velocity=params.zeros_like(), epoch=0, rng=rng, hyper=hyper
-    )
+    params = init_params(hyper, np.random.default_rng(hyper.seed))
+    return TrainState(params=params, velocity=params.zeros_like(), epoch=0, hyper=hyper)
 
 
 def train(
@@ -118,18 +119,17 @@ def train(
         raise ValueError("training requires at least one sample")
     if state is None:
         state = fresh_state(hyper)
-    else:
-        hyper = state.hyper
+    hyper = state.hyper
     limit = hyper.epochs if max_epochs is None else max_epochs
 
     packed = pack_samples(samples)
     params = state.params
-    rng = state.rng
     n = len(samples)
     report = TrainReport(first_epoch=state.epoch + 1)
     start = time.perf_counter()
 
     while state.epoch < limit and not has_converged(state.loss_history):
+        rng = epoch_rng(hyper.seed, state.epoch + 1)
         order = rng.permutation(n) if shuffle else np.arange(n)
         rows, pairs = corrupt(packed, order, rng)
         failed, hinge_total, active = kernel.train_epoch(
@@ -197,7 +197,6 @@ def save_checkpoint(state: TrainState, path) -> None:
         "hyper": asdict(state.hyper),
         "vocab_fingerprint": vocabulary_fingerprint(),
         "epoch": state.epoch,
-        "rng_state": state.rng.bit_generator.state,
         "params": _params_doc(state.params),
         "velocity": _params_doc(state.velocity),
         "loss_history": state.loss_history,
@@ -270,16 +269,10 @@ def load_checkpoint(path) -> TrainState:
     if len(loss_history) != epoch:
         raise CheckpointError(
             f"loss_history holds {len(loss_history)} values for {epoch} epochs")
-    rng = np.random.default_rng()
-    try:
-        rng.bit_generator.state = _typed(doc, "rng_state", dict)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CheckpointError(f"bad rng_state: {exc}") from exc
     return TrainState(
         params=_read_params(doc, "params", hyper.n_f),
         velocity=_read_params(doc, "velocity", hyper.n_f),
         epoch=epoch,
-        rng=rng,
         hyper=hyper,
         loss_history=loss_history,
     )

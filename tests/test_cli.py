@@ -28,20 +28,20 @@ def read_export(text: str) -> np.ndarray:
                      for line in text.splitlines()[1:]])
 
 
-def _python_process(*argv: str, env_vars=None) -> subprocess.CompletedProcess:
-    """`python <argv>` as its own process, with the package importable and
-    `env_vars` set."""
+def _python_process(*argv: str, env_vars=None, stdin=None) -> subprocess.CompletedProcess:
+    """`python <argv>` as its own process, with the package importable,
+    `env_vars` set and the text `stdin` piped in."""
     env = {**os.environ, **(env_vars or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
-    return subprocess.run([sys.executable, *argv],
+    return subprocess.run([sys.executable, *argv], input=stdin,
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-def _astvec_process(*argv: str) -> subprocess.CompletedProcess:
+def _astvec_process(*argv: str, stdin=None) -> subprocess.CompletedProcess:
     """`astvec <argv>` as its own process, so a traceback would show."""
-    return _python_process("-m", "astvec.cli", *argv)
+    return _python_process("-m", "astvec.cli", *argv, stdin=stdin)
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +76,14 @@ class TestParse:
         out = capsys.readouterr().out.strip()
         golden = SNIPPET_SRC.with_suffix(".ast.json").read_text(encoding="utf-8")
         assert out == golden.strip()
+
+    def test_reads_a_pipe(self):
+        # a named source is read whatever its type: here stdin, a pipe
+        proc = _astvec_process("parse", "/dev/stdin",
+                               stdin=SNIPPET_SRC.read_text(encoding="utf-8"))
+        assert proc.returncode == EXIT_OK
+        golden = SNIPPET_SRC.with_suffix(".ast.json").read_text(encoding="utf-8")
+        assert proc.stdout.strip() == golden.strip()
 
     def test_out_dir(self, tmp_path):
         code = main(["parse", str(SNIPPET_SRC), "-o", str(tmp_path)])
@@ -272,6 +280,33 @@ class TestCorpusBuild:
         if sys.version_info[:2] == (3, 11):  # later versions glob otherwise
             assert [src.joinpath(*parts) for parts, _ in listed] == sorted(src.rglob("*.c"))
 
+    # a read of a FIFO waits for a writer, so the build runs in a process of
+    # its own, which the timeout ends if it waits
+    @pytest.mark.parametrize("kind,message", [
+        ("fifo", "not a regular file"),
+        ("symlink-to-fifo", "not a regular file"),
+        ("symlink-loop", "Too many levels of symbolic links"),
+    ], ids=["fifo", "symlink-to-fifo", "symlink-loop"])
+    def test_src_dir_special_file_skips(self, tmp_path, kind, message):
+        src = tmp_path / "src"
+        (src / "lab").mkdir(parents=True)
+        (src / "lab" / "a.c").write_text("int x;\n", encoding="utf-8")
+        alone, beside = tmp_path / "alone.jsonl", tmp_path / "beside.jsonl"
+        assert main(["corpus-build", "--src-dir", str(src), "--out", str(alone)]) == EXIT_OK
+        special = src / "lab" / "p.c"
+        if kind == "fifo":
+            os.mkfifo(special)
+        elif kind == "symlink-to-fifo":
+            os.mkfifo(tmp_path / "fifo")
+            special.symlink_to(tmp_path / "fifo")
+        else:
+            special.symlink_to(special)
+        proc = _astvec_process("corpus-build", "--src-dir", str(src), "--out", str(beside))
+        assert proc.returncode == EXIT_OK
+        assert [line for line in proc.stderr.splitlines() if not line.startswith("INFO")] == [
+            f"WARNING skipping {special}: {message}"]
+        assert beside.read_bytes() == alone.read_bytes()
+
     def test_src_dir_unlistable_subdirectory_skips(self, tmp_path, caplog, monkeypatch):
         src = tmp_path / "src"
         for name in ["a/one.c", "locked/two.c", "locked/deeper/three.c", "z/four.c"]:
@@ -398,7 +433,7 @@ class TestTrain:
         out = tmp_path / "m.json"
         assert main(["train", "--corpus", str(corpus), "--out", str(out),
                      "--lr", "1e100", "--epochs", "3"]) == EXIT_NUMERIC
-        assert _problems(caplog) == ["non-finite loss or parameter at epoch 0, sample 1112"]
+        assert _problems(caplog) == ["non-finite loss or parameter at epoch 0, sample 689"]
         assert not out.exists()
 
     def test_missing_corpus(self, tmp_path):
@@ -517,9 +552,17 @@ def _edit_flat(change, key):
     return edit
 
 
+def _as_version_2(doc):
+    """The document in the version-2 layout: it also held the state of the
+    generator that the next epoch drew from."""
+    doc["rng_state"] = np.random.default_rng(doc["hyper"]["seed"]).bit_generator.state
+    doc["version"] = 2
+
+
 def _as_version_1(doc):
-    """The document in the version-1 layout: each parameter set a dict of
-    nested lists of floats."""
+    """The document in the version-1 layout: version 2's, with each parameter
+    set a dict of nested lists of floats."""
+    _as_version_2(doc)
     for key in ("params", "velocity"):
         p = ModelParams.of_flat(_decoded(doc[key]), doc["hyper"]["n_f"])
         doc[key] = {name: getattr(p, name).tolist()
@@ -559,7 +602,6 @@ def _set(**fields):
     pytest.param(_put(lambda t: _decoded(t).tolist(), "params"), id="list-payload"),
     pytest.param(_as_version_1, id="version-1"),
     pytest.param(_put(True, "epoch"), id="bool-epoch"),
-    pytest.param(_put({}, "rng_state"), id="empty-rng-state"),
     pytest.param(_put(lambda h: h + ["0.5"], "loss_history"), id="string-loss"),
     # resumed as converged, it trained 0 epochs and exited 0
     pytest.param(_set(epoch=2, loss_history=[0.5] * 4), id="losses-beyond-epoch"),
@@ -578,14 +620,16 @@ def test_malformed_checkpoint_exit_2(tmp_path, small_corpus_file, checkpoint_fil
     assert not (tmp_path / "cp.json").exists()
 
 
-def test_version_1_checkpoint_nn_exit_2(tmp_path, checkpoint_file):
+@pytest.mark.parametrize("version,as_old", [(1, _as_version_1), (2, _as_version_2)],
+                         ids=["version-1", "version-2"])
+def test_version_1_checkpoint_nn_exit_2(tmp_path, checkpoint_file, version, as_old):
     doc = json.loads(checkpoint_file.read_text(encoding="utf-8"))
-    _as_version_1(doc)
-    old = tmp_path / "v1.json"
+    as_old(doc)
+    old = tmp_path / f"v{version}.json"
     old.write_text(json.dumps(doc), encoding="utf-8")
     proc = _astvec_process("nn", "--checkpoint", str(old), "--symbol", "If")
     _assert_one_line_exit_2(proc, old)
-    assert proc.stderr.strip().endswith("unsupported checkpoint version 1")
+    assert proc.stderr.strip().endswith(f"unsupported checkpoint version {version}")
     assert proc.stdout == ""
 
 

@@ -29,6 +29,7 @@ from astvec.trainer import (
     CheckpointError,
     TrainingDiverged,
     TrainReport,
+    epoch_rng,
     fresh_state,
     has_converged,
     load_checkpoint,
@@ -106,16 +107,16 @@ class TestTrain:
     def test_no_momentum_equals_plain_sgd(self):
         # with epsilon=0 the velocity is just the current gradient, so the
         # update reduces to theta -= alpha * grad; replicate by hand, one
-        # corrupt() call per sample
+        # corrupt() call per sample from each epoch's generator
         from test_coder import pair_step
 
         hyper = Hyperparams(n_f=3, epsilon=0.0, epochs=2, seed=5, alpha=0.01)
         samples = _samples()
         state, _ = train(samples, hyper, shuffle=False)
 
-        rng = np.random.default_rng(hyper.seed)
-        params = init_params(hyper, rng)
-        for _ in range(2):
+        params = init_params(hyper, np.random.default_rng(hyper.seed))
+        for epoch in (1, 2):
+            rng = epoch_rng(hyper.seed, epoch)
             for s in samples:
                 neg = corrupt(s, rng)
                 grad, _ = pair_step(s, neg, params, hyper)
@@ -124,7 +125,6 @@ class TestTrain:
                 params.b -= hyper.alpha * grad.b
                 params.embeddings -= hyper.alpha * grad.embeddings
         assert np.allclose(state.params.flat, params.flat, atol=1e-12)
-        assert state.rng.bit_generator.state == rng.bit_generator.state
 
     def test_zero_epochs(self):
         hyper = Hyperparams(n_f=4, epochs=0, seed=3)
@@ -176,9 +176,8 @@ class TestTrain:
         else:
             params, velocity = getattr(state.params, where), getattr(state.velocity, where)
             params[1, 2], velocity[1, 2] = THETA_0, VEL_0
-        order = np.random.default_rng(0)
-        order.bit_generator.state = state.rng.bit_generator.state
-        order = order.permutation(len(samples))  # epoch 1
+        # the second epoch's order: TrainingDiverged counts epochs from 0
+        order = epoch_rng(hyper.seed, 2).permutation(len(samples))
 
         # the entry's own inactive steps, one by one: the l2 penalty is on
         # w_l and w_r only
@@ -198,25 +197,50 @@ class TestTrain:
 
     # 7 and 70 pairs an epoch; at the faster rate, coding a pair at the wrong
     # parameters flips some pair's activity. The kernel rounds its sums
-    # unlike numpy, so the floats agree to a tolerance only. On the bundled
-    # corpus at n_f=4 the per-step loop itself moves by 0.18 within 3 epochs
-    # when its start moves by 1e-15, so no tolerance would hold there.
+    # unlike numpy, so the floats agree to a tolerance only. Run apart, at 70
+    # pairs and the faster rate the two grow apart from epoch to epoch, by
+    # 2.0e-11 within 4 epochs and 3.5e-9 within 5, so that case runs 4 here;
+    # the next test checks every case's 5 epochs one at a time. On the
+    # bundled corpus at n_f=4 the per-step loop itself moves by 0.18 within 3
+    # epochs when its start moves by 1e-15, so no tolerance would hold there.
     @pytest.mark.parametrize("copies", [1, 10])
     @pytest.mark.parametrize("alpha,lam", [(0.003, 1e-4), (0.03, 0.1)])
     def test_matches_per_step_loop(self, copies, alpha, lam):
-        hyper = Hyperparams(n_f=4, alpha=alpha, lam=lam, epochs=5, seed=1)
+        epochs = 4 if (copies, alpha) == (10, 0.03) else 5
+        hyper = Hyperparams(n_f=4, alpha=alpha, lam=lam, epochs=epochs, seed=1)
         samples = _samples() * copies
         state, report = train(samples, hyper)
         ref, hinges, _ = per_step_train(samples, hyper)
+        assert state.epoch == ref.epoch == epochs
         np.testing.assert_allclose(state.params.flat, ref.params.flat, rtol=0, atol=1e-10)
         np.testing.assert_allclose(state.velocity.flat, ref.velocity.flat, rtol=0, atol=1e-10)
         np.testing.assert_allclose(report.mean_hinge, hinges, rtol=0, atol=1e-10)
-        assert state.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    # each epoch of the loop starts from the kernel's state, so one epoch's
+    # rounding is all that separates them: at most 3.4e-13 in these cases
+    @pytest.mark.parametrize("copies", [1, 10])
+    @pytest.mark.parametrize("alpha,lam", [(0.003, 1e-4), (0.03, 0.1)])
+    def test_each_epoch_matches_per_step_loop(self, copies, alpha, lam):
+        hyper = Hyperparams(n_f=4, alpha=alpha, lam=lam, epochs=5, seed=1)
+        samples = _samples() * copies
+        state = fresh_state(hyper)
+        for epoch in range(1, hyper.epochs + 1):
+            ref = dataclasses.replace(state, params=state.params.copy(),
+                                      velocity=state.velocity.copy())
+            hinge, _ = per_step_epoch(ref, samples)
+            state, report = train(samples, hyper, state=state, max_epochs=epoch)
+            assert state.epoch == ref.epoch == epoch
+            np.testing.assert_allclose(state.params.flat, ref.params.flat, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.velocity.flat, ref.velocity.flat, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(report.mean_hinge, [hinge], rtol=0, atol=1e-12)
 
     def test_active_steps_match_per_step_loop(self):
-        # the steps with a positive hinge, counted per epoch, none written
-        _, report = train(_samples(), HYPER)
-        _, _, active = per_step_train(_samples(), HYPER)
+        # the steps with a positive hinge, counted per epoch, none written;
+        # at this seed every epoch has both active and inactive steps
+        hyper = Hyperparams(n_f=4, epochs=5, seed=6)
+        _, report = train(_samples(), hyper)
+        _, _, active = per_step_train(_samples(), hyper)
         assert report.active_steps == active
         assert 0 < min(active) and max(active) < len(_samples())
 
@@ -228,11 +252,10 @@ class TestTrain:
         samples = build_training_set(corpus)
         state = fresh_state(hyper)
         start = state.params.copy()
-        draws = np.random.default_rng()
-        draws.bit_generator.state = state.rng.bit_generator.state
         _, report = train(samples, hyper, state=state)
 
         packed = pack_samples(samples)
+        draws = epoch_rng(hyper.seed, 1)
         rows, pairs = corrupt_packed(packed, draws.permutation(len(samples)), draws)
         d = kernel.code_rows(start, pairs.reshape(-1, pairs.shape[2]),
                              np.repeat(packed.coef[rows], 2, axis=0),
@@ -266,31 +289,35 @@ class TestTrain:
 THETA_0, VEL_0, OVERFLOW_STEP = -1.79e308, 1e308, 3
 
 
-def per_step_train(samples, hyper):
-    """The literal per-step loop that `train` shortens: every pair of every
-    epoch steps through reference_gradient_and_hinge, the numpy oracle of the
-    kernel's step, and the momentum update, with the negatives drawn as
-    `train` draws them. Returns the state, and per epoch the mean hinge and
-    the number of steps whose hinge is positive."""
-    state = fresh_state(hyper)
-    packed = pack_samples(samples)
+def per_step_epoch(state, samples):
+    """The next epoch of the literal per-step loop that `train` shortens, run
+    on `state` in place: every pair steps through
+    reference_gradient_and_hinge, the numpy oracle of the kernel's step, and
+    the momentum update, with the negatives drawn as `train` draws them.
+    Returns the mean hinge and the number of steps whose hinge is positive."""
+    hyper, packed = state.hyper, pack_samples(samples)
     theta, vel = state.params.flat, state.velocity.flat
-    hinges, active = [], []
-    for _ in range(hyper.epochs):
-        order = state.rng.permutation(len(samples))
-        rows, pairs = corrupt_packed(packed, order, state.rng)
-        total, count = 0.0, 0
-        for row, ids in zip(rows, pairs):
-            grad, hinge = reference_gradient_and_hinge(ids, packed.coef[row], state.params,
-                                                       hyper)
-            total += hinge
-            count += hinge > 0.0
-            vel *= hyper.epsilon
-            vel += grad
-            theta -= hyper.alpha * vel
-        hinges.append(total / len(samples))
-        active.append(count)
-    return state, hinges, active
+    state.epoch += 1
+    rng = epoch_rng(hyper.seed, state.epoch)
+    rows, pairs = corrupt_packed(packed, rng.permutation(len(samples)), rng)
+    total, count = 0.0, 0
+    for row, ids in zip(rows, pairs):
+        grad, hinge = reference_gradient_and_hinge(ids, packed.coef[row], state.params, hyper)
+        total += hinge
+        count += hinge > 0.0
+        vel *= hyper.epsilon
+        vel += grad
+        theta -= hyper.alpha * vel
+    return total / len(samples), count
+
+
+def per_step_train(samples, hyper):
+    """`hyper.epochs` epochs of the per-step loop from the initial state.
+    Returns the state, and per epoch the mean hinge and the number of active
+    steps."""
+    state = fresh_state(hyper)
+    hinges, active = zip(*(per_step_epoch(state, samples) for _ in range(hyper.epochs)))
+    return state, list(hinges), list(active)
 
 
 def inactive_step(theta, vel, w_span, hyper):
@@ -324,8 +351,7 @@ def test_inactive_epoch_equals_literal_steps():
 
     # the epoch's pairs, drawn as train draws them: some row goes unread for
     # far longer than a few dozen steps
-    draws = np.random.default_rng()
-    draws.bit_generator.state = state.rng.bit_generator.state
+    draws = epoch_rng(hyper.seed, 1)
     packed = pack_samples(samples)
     rows, pairs = corrupt_packed(packed, draws.permutation(n), draws)
     real = np.arange(pairs.shape[2]) <= packed.n_children[rows][:, None]
@@ -501,7 +527,9 @@ class TestCheckpoint:
             assert getattr(loaded, key).flat.tobytes() == flat.tobytes()
             assert doc[key] == base64.b64encode(flat.astype("<f8").tobytes()).decode()
 
-    def test_resume_bit_identical(self, tmp_path):
+    # split 0 resumes from an untrained checkpoint
+    @pytest.mark.parametrize("split", [0, 1, 3, 5])
+    def test_resume_bit_identical(self, tmp_path, split):
         samples = _samples()
         hyper = Hyperparams(n_f=4, epochs=6, seed=11)
 
@@ -509,9 +537,10 @@ class TestCheckpoint:
         cp_full = tmp_path / "full.json"
         save_checkpoint(full, cp_full)
 
-        half, _ = train(samples, Hyperparams(n_f=4, epochs=6, seed=11), max_epochs=3)
+        head, _ = train(samples, Hyperparams(n_f=4, epochs=6, seed=11), max_epochs=split)
+        assert head.epoch == split
         mid = tmp_path / "mid.json"
-        save_checkpoint(half, mid)
+        save_checkpoint(head, mid)
         resumed_state = load_checkpoint(mid)
         resumed, _ = train(samples, resumed_state.hyper, state=resumed_state)
         cp_resumed = tmp_path / "resumed.json"
